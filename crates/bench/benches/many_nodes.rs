@@ -8,15 +8,10 @@
 //! [`capnet_bench::BenchReport`], the repo's machine-readable perf
 //! trajectory (uploaded per-PR by CI's bench-smoke job).
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::NetSim;
-use capnet::scenario::{fairness_index, run_dumbbell_fairness, run_star_iperf};
+use capnet::scenario::fairness_index;
 use capnet::topology::build_chain;
-use capnet::{CcAlgo, ScenarioSpec, SimOutcome};
+use capnet::{ScenarioSpec, SimOutcome};
 use capnet_bench::BenchReport;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simkern::{CostModel, SimDuration};
@@ -77,7 +72,8 @@ fn bench_many_nodes(c: &mut Criterion) {
     // scheduler made 33 nodes too slow to bench.
     for clients in [2usize, 4, 8, 32] {
         let t0 = std::time::Instant::now();
-        let out = run_star_iperf(clients, RUN, CostModel::morello(), SEED).expect("star runs");
+        let star = || ScenarioSpec::star(clients).duration(RUN).seed(SEED);
+        let out = star().run().expect("star runs");
         let wall = t0.elapsed();
         // The sharded-run determinism gate: the same star at workers=2
         // must land on the byte-identical delivery-trace digest. Adaptive
@@ -85,14 +81,9 @@ fn bench_many_nodes(c: &mut Criterion) {
         // stars are all small enough to collapse otherwise, which would
         // make the gate vacuous). A mismatch aborts the bench, which
         // fails CI's bench-smoke job.
-        let sharded = ScenarioSpec::star(clients)
-            .duration(RUN)
-            .costs(CostModel::morello())
-            .seed(SEED)
+        let sharded = star()
             .workers(2)
             .adaptive_workers(false)
-            .congestion(CcAlgo::Reno)
-            .sack(false)
             .run()
             .expect("sharded star runs");
         assert_eq!(
@@ -129,13 +120,9 @@ fn bench_many_nodes(c: &mut Criterion) {
             out.horizon.as_nanos() as f64 / 1e9,
             &metrics,
         );
-        group.bench_with_input(
-            BenchmarkId::new("star", clients),
-            &clients,
-            |b, &clients| {
-                b.iter(|| run_star_iperf(clients, RUN, CostModel::morello(), SEED).expect("star"))
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("star", clients), &clients, |b, _| {
+            b.iter(|| star().run().expect("star"))
+        });
     }
 
     // Chain depth: one flow across K store-and-forward hops.
@@ -167,8 +154,8 @@ fn bench_many_nodes(c: &mut Criterion) {
     // Dumbbell: pairs contending for one trunk.
     for pairs in [2usize, 4] {
         let t0 = std::time::Instant::now();
-        let out =
-            run_dumbbell_fairness(pairs, RUN, CostModel::morello(), SEED).expect("dumbbell runs");
+        let bell = || ScenarioSpec::dumbbell(pairs).duration(RUN).seed(SEED);
+        let out = bell().run().expect("dumbbell runs");
         let wall = t0.elapsed();
         let flows = server_mbits(&out);
         let aggregate: f64 = flows.iter().sum();
@@ -190,8 +177,8 @@ fn bench_many_nodes(c: &mut Criterion) {
             out.horizon.as_nanos() as f64 / 1e9,
             &metrics,
         );
-        group.bench_with_input(BenchmarkId::new("dumbbell", pairs), &pairs, |b, &pairs| {
-            b.iter(|| run_dumbbell_fairness(pairs, RUN, CostModel::morello(), SEED).expect("bell"))
+        group.bench_with_input(BenchmarkId::new("dumbbell", pairs), &pairs, |b, _| {
+            b.iter(|| bell().run().expect("bell"))
         });
     }
 

@@ -5,29 +5,28 @@
 //! scenario so `cargo bench` output doubles as the table. Shape assertions
 //! live in `tests/experiments_reproduce_paper.rs`.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{run_bandwidth, ScenarioKind, TrafficMode};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use capnet_bench::BenchReport;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use simkern::{CostModel, SimDuration};
+use simkern::SimDuration;
 
 fn bench_table2(c: &mut Criterion) {
     let mut report = BenchReport::new("table2");
     let mut group = c.benchmark_group("table2_tcp_bandwidth");
     group.sample_size(10);
-    let duration = SimDuration::from_millis(40);
+    let cell = |kind, mode| {
+        ScenarioSpec::paper(kind, mode)
+            .duration(SimDuration::from_millis(40))
+            .run()
+            .expect("scenario runs")
+    };
 
     for kind in ScenarioKind::all() {
         for mode in [TrafficMode::Server, TrafficMode::Client] {
             // Print the paper-facing number once, timing the run so the
             // trajectory captures host speed alongside simulated Mbit/s.
             let t0 = std::time::Instant::now();
-            let out =
-                run_bandwidth(kind, mode, duration, CostModel::morello()).expect("scenario runs");
+            let out = cell(kind, mode);
             let wall = t0.elapsed();
             let sim_s = out.horizon.as_nanos() as f64 / 1e9;
             let reports = match mode {
@@ -52,12 +51,7 @@ fn bench_table2(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(kind.label(), mode.to_string()),
                 &(kind, mode),
-                |b, &(kind, mode)| {
-                    b.iter(|| {
-                        run_bandwidth(kind, mode, duration, CostModel::morello())
-                            .expect("scenario runs")
-                    })
-                },
+                |b, &(kind, mode)| b.iter(|| cell(kind, mode)),
             );
         }
     }

@@ -35,6 +35,7 @@
 //! assert!(outcome.fault.is_out_of_bounds());
 //! ```
 
+mod app;
 pub mod experiment;
 pub mod netsim;
 pub mod parallel;

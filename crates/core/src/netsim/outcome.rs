@@ -1,0 +1,248 @@
+//! What a run reports: the per-kind event counters, the sharded driver's
+//! own tallies, and [`SimOutcome`] with the one function that builds it.
+
+use super::fabric::TraceDigest;
+use super::faults::FaultStats;
+use super::shard::{DeliveryRecord, ShardRun};
+#[cfg(doc)]
+use super::{NetEvent, NetSim};
+use crate::app::AppReports;
+use capnet_chaos::ChaosReport;
+use capnet_httpd::{FleetReport, HttpServerReport};
+use iperf::BandwidthReport;
+use simkern::time::{SimDuration, SimTime};
+use updk::switch::SwitchStats;
+use updk::wire::ImpairmentStats;
+
+/// Per-kind event counters for one run: the *why* behind `events_per_sec`
+/// moving across PRs. Emitted into `BENCH_*.json` by the bench targets.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounters {
+    /// Main-loop iterations executed (scheduled polls plus honored wakes).
+    pub loop_polls: u64,
+    /// Iterations that did no work (no RX, no TX, no app progress).
+    pub idle_polls: u64,
+    /// Frame deliveries into NIC ports.
+    pub deliveries: u64,
+    /// Switch ingress/forwarding events.
+    pub switch_hops: u64,
+    /// Honored timer wakes: a parked node reaching a known deadline
+    /// (stack retransmit/delayed-ACK/TIME_WAIT timer or an app's
+    /// write-gap/stop instant).
+    pub timer_wakes: u64,
+    /// Wake events that arrived after the node had already been woken (or
+    /// re-parked); recognized by epoch and dropped.
+    pub stale_wakes: u64,
+    /// Times a quiescent node parked instead of rescheduling its poll.
+    pub parks: u64,
+    /// Parked nodes woken early by a frame delivery to their port.
+    pub wakes: u64,
+    /// Boxed closure events scheduled on the engine — zero in steady state
+    /// (every hot-path event is a typed [`NetEvent`]).
+    pub boxed_events: u64,
+}
+
+impl EventCounters {
+    /// Accumulates another tally into this one (shard merge).
+    pub(super) fn absorb(&mut self, o: EventCounters) {
+        self.loop_polls += o.loop_polls;
+        self.idle_polls += o.idle_polls;
+        self.deliveries += o.deliveries;
+        self.switch_hops += o.switch_hops;
+        self.timer_wakes += o.timer_wakes;
+        self.stale_wakes += o.stale_wakes;
+        self.parks += o.parks;
+        self.wakes += o.wakes;
+        self.boxed_events += o.boxed_events;
+    }
+}
+
+/// Per-run tallies of the sharded driver itself — rendezvous rounds,
+/// cross-shard traffic and rehoming copies. Deliberately **not** part of
+/// [`EventCounters`]: simulation counters are asserted byte-identical
+/// across worker counts, while these describe the driver that happened to
+/// run (all zero for a plain single-engine run).
+///
+/// # Units
+///
+/// The fields do not share a unit. `rounds` counts **rendezvous rounds**:
+/// shards advance in lockstep, so it is the maximum over shards, not a
+/// sum. `empty_rounds` counts **shard-rounds**: it is summed per shard,
+/// so a 4-worker run can report more empty rounds than rounds. The share
+/// of wasted window slots is therefore `empty_rounds / (rounds ×
+/// workers)`, never `empty_rounds / rounds`. The traffic tallies
+/// (`xshard_frames`, `rehome_bytes`) are plain sums over shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoundCounters {
+    /// Rendezvous rounds driven (max across shards — rounds are lockstep).
+    pub rounds: u64,
+    /// Shard-rounds in which a shard's window contained no event to
+    /// execute (summed over shards).
+    pub empty_rounds: u64,
+    /// Frames handed across a shard boundary (deliveries + switch hops).
+    pub xshard_frames: u64,
+    /// Bytes actually copied to rehome frames across threads — zero when
+    /// shards are multiplexed on one thread (shared handoff) and zero per
+    /// relay once a frame is already an `Arc`-backed page.
+    pub rehome_bytes: u64,
+}
+
+impl RoundCounters {
+    /// Folds one shard's tallies into the run's (see *Units* above).
+    fn absorb(&mut self, o: RoundCounters) {
+        self.rounds = self.rounds.max(o.rounds);
+        self.empty_rounds += o.empty_rounds;
+        self.xshard_frames += o.xshard_frames;
+        self.rehome_bytes += o.rehome_bytes;
+    }
+}
+
+/// The results of one simulation run. The five report vectors are
+/// node-major; within a node, a kind's reports are in installation order.
+#[derive(Debug)]
+pub struct SimOutcome {
+    /// Server (receiver) reports, in installation order.
+    pub servers: Vec<BandwidthReport>,
+    /// Client (sender) reports, in installation order.
+    pub clients: Vec<BandwidthReport>,
+    /// HTTP serving-plane server reports, in installation order.
+    pub http_servers: Vec<HttpServerReport>,
+    /// HTTP open-loop fleet reports, in installation order.
+    pub http_fleets: Vec<FleetReport>,
+    /// Fault-injection campaign reports, in installation order.
+    pub chaos: Vec<ChaosReport>,
+    /// The virtual instant the last event executed. With the
+    /// quiescence-aware engine this can be well before [`SimOutcome::horizon`]:
+    /// once every node is parked with nothing pending, the remaining virtual
+    /// time passes without a single event.
+    pub ended_at: SimTime,
+    /// The virtual instant the run was asked to simulate to ([`NetSim::run`]'s
+    /// `duration`). The whole `[0, horizon]` span *is* simulated — an empty
+    /// calendar tail is the engine being fast, not the run being short — so
+    /// host-speed metrics (`host_ns_per_sim_sec`) divide by this, keeping
+    /// them comparable with pre-parking baselines whose polling filled the
+    /// tail with idle events.
+    pub horizon: SimTime,
+    /// Discrete events the engine executed — the denominator of the
+    /// events-per-second speed metric in the perf trajectory.
+    pub events: u64,
+    /// Per-kind event counters: why `events` is what it is (loop polls vs
+    /// deliveries vs switch hops vs wakes), and the zero-boxed-events
+    /// steady-state witness.
+    pub counters: EventCounters,
+    /// `(node name, port hardware stats)`.
+    pub port_stats: Vec<(String, updk::ethdev::PortStats)>,
+    /// `(node name, protocol stack counters)`.
+    pub stack_stats: Vec<(String, fstack::StackStats)>,
+    /// Per-fabric forwarding counters, in [`NetSim::add_switch`] order.
+    pub switch_stats: Vec<SwitchStats>,
+    /// `(acquisitions, contentions, total wait)` of the S2 mutex, if any.
+    pub mutex_stats: Option<(u64, u64, SimDuration)>,
+    /// What the (possibly impaired) cables did over the run.
+    pub impairment_stats: ImpairmentStats,
+    /// What the scheduled fault plan did over the run (all zero for a
+    /// fault-free run — an empty plan schedules no events at all).
+    pub fault_stats: FaultStats,
+    /// The run's delivery-trace digest (the determinism witness) —
+    /// byte-identical at any [`SimOutcome::workers`] count.
+    pub trace: TraceDigest,
+    /// Shards the run actually used (1 = the classic single-engine loop).
+    pub workers: usize,
+    /// The tightest conservative lookahead of the run's shard plan, in
+    /// nanoseconds ([`crate::parallel::LookaheadMatrix::min_finite`]; per-pair
+    /// windows are at least this wide). Single-engine runs report the
+    /// window a 2-shard plan *would* run under (0 when no such plan cuts
+    /// a cable), so the would-be width shows up in bench output too.
+    pub lookahead_ns: u64,
+    /// Sharded-driver tallies (rendezvous rounds, cross-shard frames,
+    /// rehoming copies). All zero for single-engine runs; unlike
+    /// [`SimOutcome::counters`], these describe the driver rather than
+    /// the simulation, so they legitimately vary across worker counts.
+    pub rounds: RoundCounters,
+}
+
+/// Assembles the [`SimOutcome`] of a finished run from its worlds — the
+/// single world of a plain run, or every shard of a sharded one
+/// (`node_shard`/`switch_shard` say which world owns each node and
+/// fabric). Counters and stats sum, reports collect node-major in global
+/// installation order, and whatever the driver has not yet folded of the
+/// deferred delivery log folds onto `trace` in `(at, key)` order — the
+/// exact order a single engine folds inline.
+pub(super) fn collect_outcome(
+    mut cells: Vec<ShardRun>,
+    node_shard: &[usize],
+    switch_shard: &[usize],
+    lookahead_ns: u64,
+    mut trace: TraceDigest,
+) -> SimOutcome {
+    let end = cells
+        .iter()
+        .map(|c| c.engine.now())
+        .max()
+        .unwrap_or(SimTime::ZERO);
+    let mut counters = EventCounters::default();
+    let mut rounds = RoundCounters::default();
+    let mut impairment_stats = ImpairmentStats::default();
+    let mut fault_stats = FaultStats::default();
+    let mut log: Vec<DeliveryRecord> = Vec::new();
+    for cell in cells.iter_mut() {
+        counters.absorb(EventCounters {
+            boxed_events: cell.engine.boxed_scheduled(),
+            ..cell.sim.counters
+        });
+        impairment_stats.absorb(cell.sim.impairment_stats);
+        fault_stats.absorb(cell.sim.fault_stats);
+        if let Some(ctx) = cell.sim.shard_ctx.as_mut() {
+            rounds.absorb(ctx.rounds);
+            log.extend(ctx.log.drain(..));
+        }
+    }
+    log.sort_unstable_by_key(|r| (r.at, r.key));
+    for r in &log {
+        trace.record(r.at, r.dev as usize, r.port as usize, r.frame.bytes());
+    }
+    drop(log);
+
+    let mut reports = AppReports::default();
+    let mut port_stats = Vec::new();
+    let mut stack_stats = Vec::new();
+    for (i, &owner) in node_shard.iter().enumerate() {
+        let sim = &mut cells[owner].sim;
+        let node = &mut sim.nodes[i];
+        for app in node.apps.iter_mut().filter_map(|slot| slot.app.take()) {
+            app.report(end, &mut reports);
+        }
+        port_stats.push((node.name.clone(), sim.devs[node.dev].stats(node.port)));
+        stack_stats.push((node.name.clone(), node.stack.stats()));
+    }
+    SimOutcome {
+        servers: reports.servers,
+        clients: reports.clients,
+        http_servers: reports.http_servers,
+        http_fleets: reports.http_fleets,
+        chaos: reports.chaos,
+        ended_at: end,
+        horizon: cells[0].sim.stop_at,
+        events: cells.iter().map(|c| c.engine.executed()).sum(),
+        counters,
+        port_stats,
+        stack_stats,
+        switch_stats: switch_shard
+            .iter()
+            .enumerate()
+            .map(|(s, &owner)| cells[owner].sim.switches[s].stats())
+            .collect(),
+        mutex_stats: cells.iter().find_map(|c| {
+            c.sim
+                .s2_mutex
+                .as_ref()
+                .map(|m| (m.acquisitions(), m.contentions(), m.total_wait()))
+        }),
+        impairment_stats,
+        fault_stats,
+        trace,
+        workers: cells.len(),
+        lookahead_ns,
+        rounds,
+    }
+}

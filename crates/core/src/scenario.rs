@@ -304,42 +304,14 @@ fn fault_event(
 }
 
 /// A declarative scenario: **one builder, one [`ScenarioSpec::run`]** —
-/// the redesigned entry point that replaced the accreting `run_*`
-/// function family (now thin deprecated wrappers over this type).
+/// the single front door to every topology and workload in the crate.
 ///
 /// Pick a topology with one of the constructors ([`ScenarioSpec::paper`],
 /// [`ScenarioSpec::star`], [`ScenarioSpec::dumbbell`]), chain the knobs
-/// you care about, and call [`ScenarioSpec::run`]. Every knob has the
-/// same default the old positional functions used, so a spec names only
-/// what it changes. The outcome is a pure function of the spec: the
-/// returned [`SimOutcome::trace`] digest is byte-identical at any
-/// [`ScenarioSpec::workers`] count.
-///
-/// # Migration from the `run_*` family
-///
-/// Each positional argument became a named builder call — this
-/// `run_star_iperf_custom` invocation:
-///
-/// ```no_run
-/// # use capnet::scenario::run_star_iperf_custom;
-/// # use simkern::cost::CostModel;
-/// # use simkern::time::SimDuration;
-/// # use updk::wire::Impairments;
-/// # use fstack::CcAlgo;
-/// # #[allow(deprecated)]
-/// let out = run_star_iperf_custom(
-///     4,
-///     SimDuration::from_millis(80),
-///     CostModel::morello(),
-///     7,
-///     Impairments::default(),
-///     2,
-///     CcAlgo::Cubic,
-///     true,
-/// );
-/// ```
-///
-/// is now:
+/// you care about, and call [`ScenarioSpec::run`]; a spec names only what
+/// it changes from the defaults. The outcome is a pure function of the
+/// spec: the returned [`SimOutcome::trace`] digest is byte-identical at
+/// any [`ScenarioSpec::workers`] count.
 ///
 /// ```no_run
 /// # use capnet::scenario::ScenarioSpec;
@@ -356,8 +328,7 @@ fn fault_event(
 ///     .run();
 /// ```
 ///
-/// The HTTP serving plane only exists through this API — there is no
-/// legacy wrapper for it:
+/// The HTTP serving plane swaps the workload, not the topology:
 ///
 /// ```no_run
 /// # use capnet::scenario::ScenarioSpec;
@@ -576,6 +547,33 @@ impl ScenarioSpec {
         }
     }
 
+    /// An empty simulation carrying the spec's run-wide knobs.
+    fn new_sim(&self) -> NetSim {
+        let mut sim = NetSim::new(self.costs.clone());
+        if let Some(seed) = self.seed {
+            sim.set_seed(seed);
+        }
+        sim.set_impairments(self.impairments);
+        sim.set_app_sched(self.sched);
+        sim.set_workers(self.workers);
+        sim.set_adaptive_workers(self.adaptive_workers);
+        sim
+    }
+
+    /// Charges every host in `hosts` the spec's per-`ff_*`-call isolation
+    /// cost (nothing at the default 0).
+    fn charge_isolation<'a>(&self, sim: &mut NetSim, hosts: impl Iterator<Item = &'a NodeId>) {
+        if self.isolation_ns > 0 {
+            let profile = IsolationProfile {
+                per_ff_call_ns: self.isolation_ns,
+                s2_service: false,
+            };
+            for &host in hosts {
+                sim.set_node_profile(host, profile);
+            }
+        }
+    }
+
     /// The per-host protocol configuration this spec asks for.
     fn node_config(&self) -> NodeConfig {
         NodeConfig {
@@ -625,8 +623,8 @@ impl ScenarioSpec {
         cfg
     }
 
-    /// The paper testbed (§III): construction order mirrors the original
-    /// `run_bandwidth_full` exactly, so the wrappers stay byte-identical.
+    /// The paper testbed (§III). Construction order (devices, nodes, apps)
+    /// is digest-visible: the pinned Table II digests depend on it.
     fn run_paper(self, kind: ScenarioKind, mode: TrafficMode) -> Result<SimOutcome, CapnetError> {
         if matches!(self.workload, Workload::Httpd { .. }) {
             return Err(CapnetError::Config(
@@ -642,17 +640,8 @@ impl ScenarioSpec {
                     .into(),
             ));
         }
-        let costs = self.costs.clone();
-        let mut sim = NetSim::new(costs.clone());
-        if let Some(seed) = self.seed {
-            sim.set_seed(seed);
-        }
-        sim.set_impairments(self.impairments);
-        sim.set_app_sched(self.sched);
-        if self.workers > 1 {
-            sim.set_workers(self.workers);
-        }
-        sim.set_adaptive_workers(self.adaptive_workers);
+        let costs = &self.costs;
+        let mut sim = self.new_sim();
         let dut_dev = sim.add_dev(NicModel::Dual82576)?;
         let traffic = self.duration;
         // Leave room for handshakes before and FIN drains after the timed
@@ -746,16 +735,9 @@ impl ScenarioSpec {
         sim.run(run_for)
     }
 
-    /// The N-leaf star: construction order mirrors the original
-    /// `run_star_iperf_custom` exactly.
+    /// The N-leaf star (construction order is digest-visible).
     fn run_star(self, leaves: usize) -> Result<SimOutcome, CapnetError> {
-        let mut sim = NetSim::new(self.costs.clone());
-        if let Some(seed) = self.seed {
-            sim.set_seed(seed);
-        }
-        sim.set_impairments(self.impairments);
-        sim.set_workers(self.workers);
-        sim.set_adaptive_workers(self.adaptive_workers);
+        let mut sim = self.new_sim();
         let star = crate::topology::build_star(&mut sim, leaves)?;
         sim.configure_node(star.hub, self.node_config());
         for &leaf in &star.leaves {
@@ -809,40 +791,23 @@ impl ScenarioSpec {
                 "{target:?} is a dumbbell target; the star addresses Hub/Leaf(i)"
             ))),
         })?;
-        if self.isolation_ns > 0 {
-            let profile = IsolationProfile {
-                per_ff_call_ns: self.isolation_ns,
-                s2_service: false,
-            };
-            sim.set_node_profile(star.hub, profile);
-            for &leaf in &star.leaves {
-                sim.set_node_profile(leaf, profile);
-            }
-        }
+        self.charge_isolation(&mut sim, star.leaves.iter().chain([&star.hub]));
         // Room for ARP + handshakes before and FIN drains after the timed
         // part.
         sim.run(self.duration + SimDuration::from_millis(30))
     }
 
-    /// The dumbbell: construction order mirrors the original
-    /// `run_dumbbell_cc_impaired` exactly.
+    /// The dumbbell (construction order is digest-visible).
     fn run_dumbbell(self, pairs: usize) -> Result<SimOutcome, CapnetError> {
-        let mut sim = NetSim::new(self.costs.clone());
-        if let Some(seed) = self.seed {
-            sim.set_seed(seed);
-        }
-        sim.set_impairments(self.impairments);
-        if self.workers > 1 {
-            sim.set_workers(self.workers);
-        }
-        sim.set_adaptive_workers(self.adaptive_workers);
+        let mut sim = self.new_sim();
         let bell = crate::topology::build_dumbbell(&mut sim, pairs)?;
         for i in 0..pairs {
             sim.configure_node(bell.servers[i], self.node_config());
-            sim.configure_node(bell.clients[i], self.node_config());
+            let mut sender = self.node_config();
             if !self.pair_cc.is_empty() {
-                sim.set_node_cc(bell.clients[i], self.pair_cc[i % self.pair_cc.len()]);
+                sender.cc = Some(self.pair_cc[i % self.pair_cc.len()]);
             }
+            sim.configure_node(bell.clients[i], sender);
             match &self.workload {
                 Workload::Iperf => {
                     let port = DUMBBELL_PORT + i as u16;
@@ -903,321 +868,15 @@ impl ScenarioSpec {
                 "{target:?} is a star target; the dumbbell addresses Client(i)/Server(i)"
             ))),
         })?;
-        if self.isolation_ns > 0 {
-            let profile = IsolationProfile {
-                per_ff_call_ns: self.isolation_ns,
-                s2_service: false,
-            };
-            for i in 0..pairs {
-                sim.set_node_profile(bell.servers[i], profile);
-                sim.set_node_profile(bell.clients[i], profile);
-            }
-        }
+        self.charge_isolation(&mut sim, bell.servers.iter().chain(&bell.clients));
         sim.run(self.duration + SimDuration::from_millis(30))
     }
-}
-
-/// Builds and runs `kind` in `mode` for `duration`, returning per-flow
-/// reports labeled the way Table II labels its rows.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `ScenarioSpec::paper(kind, mode)` instead")]
-pub fn run_bandwidth(
-    kind: ScenarioKind,
-    mode: TrafficMode,
-    duration: SimDuration,
-    costs: CostModel,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::paper(kind, mode)
-        .duration(duration)
-        .costs(costs)
-        .run()
-}
-
-/// [`run_bandwidth`] over degraded cables: every wire in the topology is
-/// subjected to `impairments` (loss, corruption, duplication, reordering,
-/// jitter). Used by the loss-sweep experiment to show F-Stack's TCP
-/// recovery machinery keeping the paper's scenarios functional on the lossy
-/// links real edge deployments see.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.impairments(...)` instead")]
-pub fn run_bandwidth_impaired(
-    kind: ScenarioKind,
-    mode: TrafficMode,
-    duration: SimDuration,
-    costs: CostModel,
-    impairments: Impairments,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::paper(kind, mode)
-        .duration(duration)
-        .costs(costs)
-        .impairments(impairments)
-        .run()
-}
-
-/// The fully parameterized [`run_bandwidth`]: degraded cables *and* an
-/// app-cVM scheduling policy. [`AppSched::paper_barging`] reproduces the
-/// paper's unbalanced contended client split (Table II's 531/410 Mbit/s);
-/// the default round-robin is the fairness fix the paper defers to future
-/// work.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(
-    note = "build a `ScenarioSpec` with `.impairments(...)` and `.app_sched(...)` instead"
-)]
-pub fn run_bandwidth_full(
-    kind: ScenarioKind,
-    mode: TrafficMode,
-    duration: SimDuration,
-    costs: CostModel,
-    impairments: Impairments,
-    sched: AppSched,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::paper(kind, mode)
-        .duration(duration)
-        .costs(costs)
-        .impairments(impairments)
-        .app_sched(sched)
-        .run()
 }
 
 /// Port base for the star scenario's per-leaf flows.
 const STAR_PORT: u16 = 5301;
 /// Port base for the dumbbell scenario's per-pair flows.
 const DUMBBELL_PORT: u16 = 5401;
-
-/// Runs the **N-client iperf star**: `clients` leaf hosts all sending TCP
-/// to one hub host across a single [`updk::switch::LinkFabric`], so every
-/// flow shares the switch's one hub-facing egress port — a 1 Gbit/s
-/// bottleneck the senders must divide. Ideal cables; see
-/// [`run_star_iperf_impaired`] to degrade them.
-///
-/// The run is a pure function of `(clients, duration, costs, seed)`: the
-/// returned [`SimOutcome::trace`] digest is byte-exact reproducible.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `ScenarioSpec::star(clients)` instead")]
-pub fn run_star_iperf(
-    clients: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(clients)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .congestion(CcAlgo::Reno)
-        .sack(false)
-        .run()
-}
-
-/// [`run_star_iperf`] over degraded cables: each delivery is subject to
-/// `impairments` once on its final switch-to-host hop (see
-/// [`NetSim::set_impairments`] for the exact model), drawn
-/// deterministically from `seed`.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.impairments(...)` instead")]
-pub fn run_star_iperf_impaired(
-    clients: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    impairments: Impairments,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(clients)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .impairments(impairments)
-        .congestion(CcAlgo::Reno)
-        .sack(false)
-        .run()
-}
-
-/// [`run_star_iperf_impaired`] on a sharded simulation:
-/// [`NetSim::set_workers`] is set to `workers` before the run. The outcome
-/// — trace digest, counters, reports — is byte-identical for every worker
-/// count (the contract `tests/parallel_determinism.rs` locks in); only
-/// host-side wall time may differ.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.workers(...)` instead")]
-pub fn run_star_iperf_sharded(
-    clients: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    impairments: Impairments,
-    workers: usize,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(clients)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .impairments(impairments)
-        .workers(workers)
-        .congestion(CcAlgo::Reno)
-        .sack(false)
-        .run()
-}
-
-/// The fully parameterized star: on top of
-/// [`run_star_iperf_sharded`]'s knobs, selects the TCP congestion-control
-/// algorithm and SACK negotiation for **every** host (hub and leaves — SACK
-/// only activates when both ends offer it). Same determinism contract: the
-/// outcome is a pure function of the argument tuple, byte-identical at any
-/// `workers` count.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "build a `ScenarioSpec` with `.congestion(...)` and `.sack(...)` instead")]
-pub fn run_star_iperf_custom(
-    clients: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    impairments: Impairments,
-    workers: usize,
-    cc: CcAlgo,
-    sack: bool,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(clients)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .impairments(impairments)
-        .workers(workers)
-        .congestion(cc)
-        .sack(sack)
-        .run()
-}
-
-/// The **lossy-WAN goodput experiment**: a 2-leaf star whose final hops
-/// drop `loss_per_mille` ‰ of frames, with SACK on or off at every host.
-/// Comparing the two SACK settings at the same seed isolates the goodput
-/// recovered by scoreboard-driven retransmission versus plain
-/// RTO/fast-retransmit recovery.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.impairments(...)` and `.sack(...)` instead")]
-pub fn run_lossy_wan(
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    loss_per_mille: u16,
-    sack: bool,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::star(2)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .impairments(Impairments {
-            loss_per_mille,
-            ..Default::default()
-        })
-        .congestion(CcAlgo::Reno)
-        .sack(sack)
-        .run()
-}
-
-/// Runs the **dumbbell fairness scenario**: `pairs` client/server pairs on
-/// two switches joined by one trunk, every pair's TCP flow crossing the
-/// shared 1 Gbit/s trunk. With the switch's FIFO egress queue and
-/// identical flows, the bandwidth split is the fairness measurement the
-/// paper defers to future work — quantify it with
-/// [`fairness_index`] over the returned server reports.
-///
-/// Deterministic in `(pairs, duration, costs, seed)` like the star.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `ScenarioSpec::dumbbell(pairs)` instead")]
-pub fn run_dumbbell_fairness(
-    pairs: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::dumbbell(pairs)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .run()
-}
-
-/// [`run_dumbbell_fairness`] with a congestion-control algorithm per pair:
-/// pair `i`'s **sender** runs `algos[i % algos.len()]` (an empty slice
-/// means every sender keeps the default Reno). Mixing `[Reno, Cubic]`
-/// across the shared trunk is the classic inter-algorithm fairness
-/// experiment — score the split with [`fairness_index`].
-///
-/// Deterministic in `(pairs, duration, costs, seed, algos)`.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.pair_cc(...)` instead")]
-pub fn run_dumbbell_cc(
-    pairs: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    algos: &[CcAlgo],
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::dumbbell(pairs)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .pair_cc(algos)
-        .run()
-}
-
-/// [`run_dumbbell_cc`] over degraded cables. On the drop-free dumbbell the
-/// flows are receiver-window-limited and never leave slow start, so the
-/// algorithm choice is inert (the classic pinned digest holds for every
-/// `algos`); add loss and the recovery/regrowth behavior — where Reno and
-/// CUBIC genuinely differ — governs each sender's share of the trunk.
-///
-/// # Errors
-///
-/// Propagates configuration and datapath failures.
-#[deprecated(note = "build a `ScenarioSpec` with `.pair_cc(...)` and `.impairments(...)` instead")]
-pub fn run_dumbbell_cc_impaired(
-    pairs: usize,
-    duration: SimDuration,
-    costs: CostModel,
-    seed: u64,
-    algos: &[CcAlgo],
-    impairments: Impairments,
-) -> Result<SimOutcome, CapnetError> {
-    ScenarioSpec::dumbbell(pairs)
-        .duration(duration)
-        .costs(costs)
-        .seed(seed)
-        .pair_cc(algos)
-        .impairments(impairments)
-        .run()
-}
 
 /// Jain's fairness index over per-flow throughputs: `1.0` is a perfectly
 /// even split, `1/n` is total starvation of all but one flow. Empty input

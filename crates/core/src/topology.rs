@@ -12,9 +12,8 @@
 //! * **dumbbell** — N client/server pairs on two switches joined by one
 //!   trunk; all pairs contend for the trunk, the classic fairness shape.
 //!
-//! Builders only wire devices, nodes and cables; callers install iperf
-//! apps on the returned [`NodeId`]s (see `scenario::run_star_iperf` and
-//! `scenario::run_dumbbell_fairness`).
+//! Builders only wire devices, nodes and cables; callers install apps on
+//! the returned [`NodeId`]s (see [`crate::scenario::ScenarioSpec`]).
 
 use crate::netsim::{DevId, IsolationProfile, NetSim, NodeId, SwitchId};
 use crate::CapnetError;

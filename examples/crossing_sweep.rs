@@ -12,23 +12,16 @@
 //!
 //! Run with: `cargo run --release --example crossing_sweep`
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{run_bandwidth, ScenarioKind, TrafficMode};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use simkern::{CostModel, SimDuration};
 
 fn bw(kind: ScenarioKind, costs: &CostModel) -> f64 {
-    run_bandwidth(
-        kind,
-        TrafficMode::Server,
-        SimDuration::from_millis(80),
-        costs.clone(),
-    )
-    .expect("sweep cell")
-    .servers[0]
+    ScenarioSpec::paper(kind, TrafficMode::Server)
+        .duration(SimDuration::from_millis(80))
+        .costs(costs.clone())
+        .run()
+        .expect("sweep cell")
+        .servers[0]
         .mbit_per_sec()
 }
 

@@ -7,14 +7,9 @@
 //! Run with: `cargo run --release --example full_report`
 //! (pass `--quick` for shorter measurement windows).
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::experiment::{fig3, figs, table1, table2};
 use capnet::netsim::AppSched;
-use capnet::scenario::{run_bandwidth_full, run_bandwidth_impaired, ScenarioKind, TrafficMode};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use simkern::{CostModel, SimDuration};
 use std::error::Error;
 use std::fmt::Write as _;
@@ -126,14 +121,10 @@ EXTENSION: CONTENDED-CLIENT FAIRNESS"
         ),
         ("round-robin (fair)", AppSched::RoundRobin, "-"),
     ] {
-        let out = run_bandwidth_full(
-            ScenarioKind::Scenario2Contended,
-            TrafficMode::Client,
-            SimDuration::from_millis(bw_ms),
-            CostModel::morello(),
-            Impairments::default(),
-            sched,
-        )?;
+        let out = ScenarioSpec::paper(ScenarioKind::Scenario2Contended, TrafficMode::Client)
+            .duration(SimDuration::from_millis(bw_ms))
+            .app_sched(sched)
+            .run()?;
         let (x, y) = (out.clients[0].mbit_per_sec(), out.clients[1].mbit_per_sec());
         writeln!(
             report,
@@ -150,13 +141,10 @@ EXTENSION: CONTENDED-CLIENT FAIRNESS"
 EXTENSION: GOODPUT UNDER FRAME LOSS (Baseline 1-proc)"
     )?;
     for per_mille in [0u16, 5, 20] {
-        let out = run_bandwidth_impaired(
-            ScenarioKind::BaselineSingleProcess,
-            TrafficMode::Server,
-            SimDuration::from_millis(bw_ms),
-            CostModel::morello(),
-            Impairments::lossy(per_mille),
-        )?;
+        let out = ScenarioSpec::paper(ScenarioKind::BaselineSingleProcess, TrafficMode::Server)
+            .duration(SimDuration::from_millis(bw_ms))
+            .impairments(Impairments::lossy(per_mille))
+            .run()?;
         let bw = out.servers[0].mbit_per_sec();
         writeln!(
             report,

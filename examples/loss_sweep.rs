@@ -12,24 +12,16 @@
 //!
 //! Run with: `cargo run --release --example loss_sweep`
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{run_bandwidth_impaired, ScenarioKind, TrafficMode};
-use simkern::{CostModel, SimDuration};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
+use simkern::SimDuration;
 use updk::wire::Impairments;
 
 fn cell(kind: ScenarioKind, per_mille: u16, dur: SimDuration) -> (f64, u64) {
-    let out = run_bandwidth_impaired(
-        kind,
-        TrafficMode::Server,
-        dur,
-        CostModel::morello(),
-        Impairments::lossy(per_mille),
-    )
-    .expect("sweep cell");
+    let out = ScenarioSpec::paper(kind, TrafficMode::Server)
+        .duration(dur)
+        .impairments(Impairments::lossy(per_mille))
+        .run()
+        .expect("sweep cell");
     (out.servers[0].mbit_per_sec(), out.impairment_stats.lost)
 }
 

@@ -9,13 +9,8 @@
 //! cargo run --release --example many_nodes
 //! ```
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::NetSim;
-use capnet::scenario::{fairness_index, run_dumbbell_fairness, run_star_iperf};
+use capnet::scenario::{fairness_index, ScenarioSpec};
 use capnet::topology::build_chain;
 use capnet::SimOutcome;
 use simkern::{CostModel, SimDuration};
@@ -33,7 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     println!("star: N clients -> 1 hub through one LinkFabric uplink port");
     for clients in [2usize, 4, 8] {
-        let out = run_star_iperf(clients, RUN, CostModel::morello(), SEED)?;
+        let out = ScenarioSpec::star(clients).duration(RUN).seed(SEED).run()?;
         let f = flows(&out);
         let total: f64 = f.iter().sum();
         println!(
@@ -62,7 +57,10 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     println!("\ndumbbell: N pairs contending for one trunk");
     for pairs in [2usize, 4] {
-        let out = run_dumbbell_fairness(pairs, RUN, CostModel::morello(), SEED)?;
+        let out = ScenarioSpec::dumbbell(pairs)
+            .duration(RUN)
+            .seed(SEED)
+            .run()?;
         let f = flows(&out);
         let total: f64 = f.iter().sum();
         println!(

@@ -4,13 +4,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::{IsolationProfile, NetSim};
-use capnet::scenario::{run_bandwidth, ScenarioKind, TrafficMode};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use intravisor::{CvmConfig, Intravisor};
 use simkern::{CostModel, SimDuration};
 use std::error::Error;
@@ -82,12 +77,10 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // --- 3. A full scenario ----------------------------------------------
     println!("\nScenario 2 (uncontended), server side, 100 ms:");
-    let out = run_bandwidth(
-        ScenarioKind::Scenario2Uncontended,
-        TrafficMode::Server,
-        SimDuration::from_millis(100),
-        costs,
-    )?;
+    let out = ScenarioSpec::paper(ScenarioKind::Scenario2Uncontended, TrafficMode::Server)
+        .duration(SimDuration::from_millis(100))
+        .costs(costs)
+        .run()?;
     for r in &out.servers {
         if !r.label.starts_with("host") {
             println!(

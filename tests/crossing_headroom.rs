@@ -6,23 +6,16 @@
 //! leaves the ceiling, and when they do grow past it, the deeper splits
 //! (which pay more crossings per call) degrade first and in order.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{run_bandwidth, ScenarioKind, TrafficMode};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use simkern::{CostModel, SimDuration};
 
 fn bw(kind: ScenarioKind, costs: &CostModel) -> f64 {
-    run_bandwidth(
-        kind,
-        TrafficMode::Server,
-        SimDuration::from_millis(80),
-        costs.clone(),
-    )
-    .expect("cell")
-    .servers[0]
+    ScenarioSpec::paper(kind, TrafficMode::Server)
+        .duration(SimDuration::from_millis(80))
+        .costs(costs.clone())
+        .run()
+        .expect("cell")
+        .servers[0]
         .mbit_per_sec()
 }
 

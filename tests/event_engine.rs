@@ -4,13 +4,8 @@
 //! versus the poll-every-tick baseline, and the per-kind event counters
 //! account for the run.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::NetSim;
-use capnet::scenario::run_star_iperf;
+use capnet::scenario::ScenarioSpec;
 use capnet::topology::build_chain;
 use simkern::{CostModel, SimDuration};
 
@@ -19,7 +14,11 @@ use simkern::{CostModel, SimDuration};
 /// whole run rides the typed, allocation-free calendar.
 #[test]
 fn steady_state_run_schedules_zero_boxed_events() {
-    let out = run_star_iperf(4, SimDuration::from_millis(25), CostModel::morello(), 7).unwrap();
+    let out = ScenarioSpec::star(4)
+        .duration(SimDuration::from_millis(25))
+        .seed(7)
+        .run()
+        .unwrap();
     assert!(out.trace.frames > 1_000, "the run produced real traffic");
     assert_eq!(
         out.counters.boxed_events, 0,

@@ -8,28 +8,18 @@
 //! future work — the split comes out even. Both worlds keep the aggregate
 //! at the port ceiling, the paper's headline claim.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::AppSched;
-use capnet::scenario::{run_bandwidth_full, ScenarioKind, TrafficMode};
-use simkern::{CostModel, SimDuration};
-use updk::wire::Impairments;
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
+use simkern::SimDuration;
 
 const RUN: SimDuration = SimDuration::from_millis(150);
 
 fn contended(mode: TrafficMode, sched: AppSched) -> (f64, f64) {
-    let out = run_bandwidth_full(
-        ScenarioKind::Scenario2Contended,
-        mode,
-        RUN,
-        CostModel::morello(),
-        Impairments::default(),
-        sched,
-    )
-    .expect("contended run");
+    let out = ScenarioSpec::paper(ScenarioKind::Scenario2Contended, mode)
+        .duration(RUN)
+        .app_sched(sched)
+        .run()
+        .expect("contended run");
     let reports = match mode {
         TrafficMode::Server => &out.servers,
         TrafficMode::Client => &out.clients,
@@ -101,15 +91,11 @@ fn single_flow_is_unaffected_by_the_policy() {
     // With one app cVM there is nobody to starve: both policies must give
     // the uncontended 941.
     for sched in [AppSched::RoundRobin, AppSched::paper_barging()] {
-        let out = run_bandwidth_full(
-            ScenarioKind::Scenario2Uncontended,
-            TrafficMode::Server,
-            RUN,
-            CostModel::morello(),
-            Impairments::default(),
-            sched,
-        )
-        .unwrap();
+        let out = ScenarioSpec::paper(ScenarioKind::Scenario2Uncontended, TrafficMode::Server)
+            .duration(RUN)
+            .app_sched(sched)
+            .run()
+            .unwrap();
         let bw = out.servers[0].mbit_per_sec();
         assert!((bw - 941.0).abs() < 20.0, "{sched:?}: {bw:.0}");
     }

@@ -8,34 +8,24 @@
 //! model — to loss, corruption, duplication and reordering, and check that
 //! the connection survives and degrades the way TCP should.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{run_bandwidth, run_bandwidth_impaired, ScenarioKind, TrafficMode};
-use simkern::{CostModel, SimDuration};
+use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
+use simkern::SimDuration;
 use updk::wire::Impairments;
 
 const RUN: SimDuration = SimDuration::from_millis(120);
 
 fn goodput(kind: ScenarioKind, imp: Impairments) -> (f64, capnet::netsim::SimOutcome) {
-    let out = run_bandwidth_impaired(kind, TrafficMode::Server, RUN, CostModel::morello(), imp)
+    let out = ScenarioSpec::paper(kind, TrafficMode::Server)
+        .duration(RUN)
+        .impairments(imp)
+        .run()
         .expect("impaired run completes");
     (out.servers[0].mbit_per_sec(), out)
 }
 
 #[test]
 fn mild_loss_survives_and_costs_bandwidth() {
-    let ideal = run_bandwidth(
-        ScenarioKind::BaselineSingleProcess,
-        TrafficMode::Server,
-        RUN,
-        CostModel::morello(),
-    )
-    .unwrap()
-    .servers[0]
-        .mbit_per_sec();
+    let (ideal, _) = goodput(ScenarioKind::BaselineSingleProcess, Impairments::default());
     let (lossy, out) = goodput(ScenarioKind::BaselineSingleProcess, Impairments::lossy(5));
     assert!(out.impairment_stats.lost > 0, "losses actually happened");
     assert!(lossy > 50.0, "TCP must keep moving data: {lossy:.0} Mbit/s");

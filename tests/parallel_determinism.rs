@@ -10,14 +10,9 @@
 //! random topology lands in exactly one shard, co-location constraints
 //! hold, and plans are pure functions of the graph.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 use capnet::netsim::NetSim;
 use capnet::parallel::{LookaheadMatrix, Profitability, ROUND_COST_EVENTS};
-use capnet::scenario::{run_dumbbell_fairness, run_star_iperf, run_star_iperf_impaired};
+use capnet::scenario::ScenarioSpec;
 use capnet::topology::{build_chain, partition_shards, ShardGraph};
 use capnet::SimOutcome;
 use proptest::prelude::*;
@@ -258,8 +253,11 @@ fn lossy_star_is_byte_identical_at_any_worker_count() {
 /// environment races sibling tests' reads).
 #[test]
 fn threaded_driver_matches_sequential() {
-    let base =
-        run_star_iperf(4, SimDuration::from_millis(10), CostModel::morello(), 3).expect("baseline");
+    let base = ScenarioSpec::star(4)
+        .duration(SimDuration::from_millis(10))
+        .seed(3)
+        .run()
+        .expect("baseline");
     let run_forced = |threaded: bool| {
         let mut sim = NetSim::new(CostModel::morello());
         sim.set_seed(3);
@@ -268,7 +266,7 @@ fn threaded_driver_matches_sequential() {
         sim.set_worker_threads(Some(threaded));
         let star = capnet::topology::build_star(&mut sim, 4).expect("star");
         for (i, &leaf) in star.leaves.iter().enumerate() {
-            let port = 5301 + i as u16; // run_star_iperf's port layout
+            let port = 5301 + i as u16; // `ScenarioSpec::star`'s port layout
             sim.add_server(star.hub, format!("hub-rx{i}"), port)
                 .expect("srv");
             sim.add_client(
@@ -307,27 +305,28 @@ fn threaded_driver_matches_sequential() {
     }
 }
 
-/// Scenario helpers keep their workers=1 behavior bit for bit (they never
-/// call `set_workers`), including under impairments. Single-engine runs
-/// now report the window a 2-shard plan *would* run under, so bench
-/// output can show the would-be width without sharding.
+/// A spec that never asks for workers runs on one engine, bit for bit,
+/// including under impairments. Single-engine runs report the window a
+/// 2-shard plan *would* run under, so bench output can show the would-be
+/// width without sharding.
 #[test]
 fn scenario_helpers_still_run_single_engine() {
-    let out = run_star_iperf_impaired(
-        2,
-        SimDuration::from_millis(10),
-        CostModel::morello(),
-        11,
-        Impairments::lossy(10),
-    )
-    .expect("impaired star runs");
+    let out = ScenarioSpec::star(2)
+        .duration(SimDuration::from_millis(10))
+        .seed(11)
+        .impairments(Impairments::lossy(10))
+        .run()
+        .expect("impaired star runs");
     assert_eq!(out.workers, 1);
     assert!(
         out.lookahead_ns > 0,
         "a cut 2-shard plan exists, so the would-be window is reported"
     );
     assert_eq!(out.rounds.rounds, 0, "but no sharded driver ever ran");
-    let bell = run_dumbbell_fairness(2, SimDuration::from_millis(10), CostModel::morello(), 11)
+    let bell = ScenarioSpec::dumbbell(2)
+        .duration(SimDuration::from_millis(10))
+        .seed(11)
+        .run()
         .expect("dumbbell runs");
     assert_eq!(bell.workers, 1);
 }

@@ -5,41 +5,44 @@
 //! that *intends* to alter wire behavior — and byte-identical at any
 //! worker count.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
-use capnet::scenario::{
-    fairness_index, run_dumbbell_cc, run_dumbbell_cc_impaired, run_lossy_wan, run_star_iperf_custom,
-};
+use capnet::scenario::{fairness_index, ScenarioSpec};
 use capnet::CcAlgo;
-use simkern::{CostModel, SimDuration};
+use simkern::SimDuration;
 use updk::wire::Impairments;
 
 const LOSSY_SEED: u64 = 77;
 const LOSS_PER_MILLE: u16 = 20;
+
+/// A 2-leaf star whose final hops drop `LOSS_PER_MILLE` ‰ of frames.
+fn lossy_star() -> ScenarioSpec {
+    ScenarioSpec::star(2)
+        .duration(SimDuration::from_millis(40))
+        .seed(LOSSY_SEED)
+        .impairments(Impairments {
+            loss_per_mille: LOSS_PER_MILLE,
+            ..Default::default()
+        })
+}
+
+/// A 2-pair dumbbell whose senders run `algos` (empty: the default).
+fn dumbbell(algos: &[CcAlgo]) -> ScenarioSpec {
+    ScenarioSpec::dumbbell(2)
+        .duration(SimDuration::from_millis(30))
+        .seed(5)
+        .pair_cc(algos)
+}
 
 /// CUBIC + SACK star over a 2% lossy fabric, across worker counts: the
 /// new protocol machinery (scoreboard retransmits, cubic window growth)
 /// must shard exactly like the classic path does.
 #[test]
 fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
+    let cubic_sack = || lossy_star().congestion(CcAlgo::Cubic).sack(true);
     let run = |workers: usize| {
-        run_star_iperf_custom(
-            2,
-            SimDuration::from_millis(40),
-            CostModel::morello(),
-            LOSSY_SEED,
-            Impairments {
-                loss_per_mille: LOSS_PER_MILLE,
-                ..Default::default()
-            },
-            workers,
-            CcAlgo::Cubic,
-            true,
-        )
-        .expect("lossy star runs")
+        cubic_sack()
+            .workers(workers)
+            .run()
+            .expect("lossy star runs")
     };
     let base = run(1);
     assert!(base.trace.frames > 1_000, "real traffic flowed");
@@ -53,27 +56,17 @@ fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
     );
     // Same scenario with Reno: the CC choice genuinely reaches the wire
     // once loss makes the algorithms recover differently.
-    let reno = run_star_iperf_custom(
-        2,
-        SimDuration::from_millis(40),
-        CostModel::morello(),
-        LOSSY_SEED,
-        Impairments {
-            loss_per_mille: LOSS_PER_MILLE,
-            ..Default::default()
-        },
-        1,
-        CcAlgo::Reno,
-        true,
-    )
-    .expect("reno star runs");
+    let reno = lossy_star()
+        .congestion(CcAlgo::Reno)
+        .sack(true)
+        .run()
+        .expect("reno star runs");
     assert_ne!(
         base.trace.digest, reno.trace.digest,
         "CUBIC and Reno must diverge under loss"
     );
-    // The deprecated wrapper leaves adaptive selection on, so these runs
-    // collapse back to one engine — proving the wrapper still delegates
-    // byte-identically through the adaptive path.
+    // Adaptive selection is on by default, so these runs collapse back
+    // to one engine: the adaptive path must be byte-identical too.
     for workers in [2usize, 4] {
         let out = run(workers);
         assert_eq!(
@@ -88,18 +81,9 @@ fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
     }
     // And genuinely sharded (adaptive off): the protocol machinery must
     // survive real window-driven execution, not just the collapsed path.
-    let sharded = capnet::ScenarioSpec::star(2)
-        .duration(SimDuration::from_millis(40))
-        .costs(CostModel::morello())
-        .seed(LOSSY_SEED)
-        .impairments(Impairments {
-            loss_per_mille: LOSS_PER_MILLE,
-            ..Default::default()
-        })
+    let sharded = cubic_sack()
         .workers(2)
         .adaptive_workers(false)
-        .congestion(CcAlgo::Cubic)
-        .sack(true)
         .run()
         .expect("sharded lossy star runs");
     assert_eq!(sharded.workers, 2, "forced plan must stay sharded");
@@ -116,11 +100,8 @@ fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
 /// timeout/fast-retransmit-only recovery, and both runs are deterministic.
 #[test]
 fn sack_recovers_goodput_on_a_lossy_wan() {
-    let dur = SimDuration::from_millis(40);
-    let with_sack = run_lossy_wan(dur, CostModel::morello(), LOSSY_SEED, LOSS_PER_MILLE, true)
-        .expect("sack run");
-    let without = run_lossy_wan(dur, CostModel::morello(), LOSSY_SEED, LOSS_PER_MILLE, false)
-        .expect("plain run");
+    let with_sack = lossy_star().sack(true).run().expect("sack run");
+    let without = lossy_star().sack(false).run().expect("plain run");
     let sum =
         |out: &capnet::SimOutcome| -> f64 { out.servers.iter().map(|r| r.mbit_per_sec()).sum() };
     let (on, off) = (sum(&with_sack), sum(&without));
@@ -133,8 +114,7 @@ fn sack_recovers_goodput_on_a_lossy_wan() {
         "SACK must not cost goodput: {on:.1} vs {off:.1} Mbit/s"
     );
     // Determinism: replaying either configuration reproduces it exactly.
-    let replay =
-        run_lossy_wan(dur, CostModel::morello(), LOSSY_SEED, LOSS_PER_MILLE, true).expect("replay");
+    let replay = lossy_star().sack(true).run().expect("replay");
     assert_eq!(with_sack.trace, replay.trace, "same seed, same trace");
     assert_eq!(with_sack.servers, replay.servers);
 }
@@ -150,15 +130,10 @@ fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
         loss_per_mille: 10,
         ..Default::default()
     };
-    let out = run_dumbbell_cc_impaired(
-        2,
-        SimDuration::from_millis(30),
-        CostModel::morello(),
-        5,
-        &[CcAlgo::Reno, CcAlgo::Cubic],
-        lossy,
-    )
-    .expect("dumbbell runs");
+    let out = dumbbell(&[CcAlgo::Reno, CcAlgo::Cubic])
+        .impairments(lossy)
+        .run()
+        .expect("dumbbell runs");
     assert_eq!(out.servers.len(), 2);
     assert_eq!(
         out.trace.digest, 0x3afe5d066e8e0e51,
@@ -172,15 +147,10 @@ fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
     );
     // The same lossy run with both senders on Reno must differ: the mixed
     // algorithms genuinely reached the wire.
-    let all_reno = run_dumbbell_cc_impaired(
-        2,
-        SimDuration::from_millis(30),
-        CostModel::morello(),
-        5,
-        &[CcAlgo::Reno, CcAlgo::Reno],
-        lossy,
-    )
-    .expect("all-reno dumbbell");
+    let all_reno = dumbbell(&[CcAlgo::Reno, CcAlgo::Reno])
+        .impairments(lossy)
+        .run()
+        .expect("all-reno dumbbell");
     assert_ne!(
         out.trace.digest, all_reno.trace.digest,
         "mixing CUBIC in must change recovery behavior under loss"
@@ -188,28 +158,16 @@ fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
     // An all-default, drop-free run (empty algo slice) must reproduce the
     // repo's long-pinned classic dumbbell digest — the new plumbing
     // changes nothing unless asked.
-    let classic = run_dumbbell_cc(
-        2,
-        SimDuration::from_millis(30),
-        CostModel::morello(),
-        5,
-        &[],
-    )
-    .expect("classic dumbbell");
+    let classic = dumbbell(&[]).run().expect("classic dumbbell");
     assert_eq!(
         classic.trace.digest, 0x5a1adb9234ff72c8,
         "default-CC dumbbell must keep the classic pinned digest"
     );
     // And with an explicit all-CUBIC mix but no loss, the flows never
     // leave slow start, so even the algorithm swap is invisible.
-    let clean_cubic = run_dumbbell_cc(
-        2,
-        SimDuration::from_millis(30),
-        CostModel::morello(),
-        5,
-        &[CcAlgo::Cubic],
-    )
-    .expect("clean cubic dumbbell");
+    let clean_cubic = dumbbell(&[CcAlgo::Cubic])
+        .run()
+        .expect("clean cubic dumbbell");
     assert_eq!(
         clean_cubic.trace.digest, 0x5a1adb9234ff72c8,
         "drop-free dumbbell is rwnd-limited: CC choice is inert"

@@ -3,21 +3,26 @@
 //! of a shared segment, and the determinism contract extended to switched
 //! worlds — same seed, byte-identical delivery traces.
 
-// Calls the deprecated `run_*` wrappers on purpose: keeping these entry
-// points exercised proves they still delegate to `ScenarioSpec`
-// byte-identically (the pinned digests would catch any drift).
-#![allow(deprecated)]
-
 mod testutil;
 
 use capnet::netsim::NetSim;
-use capnet::scenario::{
-    fairness_index, run_dumbbell_fairness, run_star_iperf, run_star_iperf_impaired,
-};
+use capnet::scenario::{fairness_index, ScenarioSpec};
 use capnet::topology::build_chain;
 use simkern::{CostModel, SimDuration};
 use testutil::SwitchedSegment;
 use updk::wire::Impairments;
+
+fn star(leaves: usize, ms: u64, seed: u64) -> ScenarioSpec {
+    ScenarioSpec::star(leaves)
+        .duration(SimDuration::from_millis(ms))
+        .seed(seed)
+}
+
+fn dumbbell(pairs: usize, ms: u64, seed: u64) -> ScenarioSpec {
+    ScenarioSpec::dumbbell(pairs)
+        .duration(SimDuration::from_millis(ms))
+        .seed(seed)
+}
 
 /// The wire bytes are **pinned**: these digests were captured before the
 /// zero-copy frame-path refactor (PR 3) and must never drift — an
@@ -26,12 +31,11 @@ use updk::wire::Impairments;
 /// a change that *intends* to alter wire behavior.
 #[test]
 fn star_and_dumbbell_trace_digests_are_pinned() {
-    let star = run_star_iperf(8, SimDuration::from_millis(40), CostModel::morello(), 21).unwrap();
+    let star = star(8, 40, 21).run().unwrap();
     assert_eq!(star.trace.digest, 0xfa099c29f1e937d5, "star trace drifted");
     assert_eq!(star.trace.frames, 5658);
     assert_eq!(star.trace.bytes, 5_593_940);
-    let bell =
-        run_dumbbell_fairness(2, SimDuration::from_millis(30), CostModel::morello(), 5).unwrap();
+    let bell = dumbbell(2, 30, 5).run().unwrap();
     assert_eq!(
         bell.trace.digest, 0x5a1adb9234ff72c8,
         "dumbbell trace drifted"
@@ -45,9 +49,7 @@ fn star_and_dumbbell_trace_digests_are_pinned() {
 /// traces (and reports); on ideal cables the seed is irrelevant entirely.
 #[test]
 fn star_8_clients_is_seed_deterministic() {
-    let run = |seed: u64| {
-        run_star_iperf(8, SimDuration::from_millis(40), CostModel::morello(), seed).unwrap()
-    };
+    let run = |seed: u64| star(8, 40, seed).run().unwrap();
     let o1 = run(21);
     let o2 = run(21);
     assert!(o1.trace.frames > 0, "the star produced traffic");
@@ -67,14 +69,10 @@ fn star_8_clients_is_seed_deterministic() {
 #[test]
 fn impaired_star_replays_by_seed() {
     let run = |seed: u64| {
-        run_star_iperf_impaired(
-            4,
-            SimDuration::from_millis(30),
-            CostModel::morello(),
-            seed,
-            Impairments::lossy(20),
-        )
-        .unwrap()
+        star(4, 30, seed)
+            .impairments(Impairments::lossy(20))
+            .run()
+            .unwrap()
     };
     let o1 = run(7);
     let o2 = run(7);
@@ -90,7 +88,7 @@ fn impaired_star_replays_by_seed() {
 /// the fabric must have seen real convergence (forwarding on every flow).
 #[test]
 fn star_8_clients_saturate_the_shared_uplink() {
-    let out = run_star_iperf(8, SimDuration::from_millis(60), CostModel::morello(), 3).unwrap();
+    let out = star(8, 60, 3).run().unwrap();
     assert_eq!(out.servers.len(), 8);
     let per_flow: Vec<f64> = out.servers.iter().map(|r| r.mbit_per_sec()).collect();
     let total: f64 = per_flow.iter().sum();
@@ -111,8 +109,7 @@ fn star_8_clients_saturate_the_shared_uplink() {
 /// it evenly (Jain's index near 1).
 #[test]
 fn dumbbell_shares_the_trunk_fairly() {
-    let out =
-        run_dumbbell_fairness(3, SimDuration::from_millis(60), CostModel::morello(), 11).unwrap();
+    let out = dumbbell(3, 60, 11).run().unwrap();
     assert_eq!(out.servers.len(), 3);
     let per_flow: Vec<f64> = out.servers.iter().map(|r| r.mbit_per_sec()).collect();
     let total: f64 = per_flow.iter().sum();
@@ -130,9 +127,7 @@ fn dumbbell_shares_the_trunk_fairly() {
 /// Dumbbell determinism: the fairness measurement replays bit-for-bit.
 #[test]
 fn dumbbell_is_seed_deterministic() {
-    let run = |seed: u64| {
-        run_dumbbell_fairness(2, SimDuration::from_millis(30), CostModel::morello(), seed).unwrap()
-    };
+    let run = |seed: u64| dumbbell(2, 30, seed).run().unwrap();
     let o1 = run(5);
     let o2 = run(5);
     assert_eq!(o1.trace, o2.trace);
