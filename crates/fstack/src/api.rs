@@ -124,6 +124,12 @@ pub struct StackStats {
     /// Connections that died of retransmission give-up (ETIMEDOUT): the
     /// bounded R2 user timeout declared the peer dead.
     pub conn_timeouts: u64,
+    /// `ff_epoll_wait` calls served.
+    pub epoll_waits: u64,
+    /// Sockets whose readiness those calls evaluated — exact work, so
+    /// `epoll_fds_evaluated / epoll_waits` says whether a wait costs what
+    /// is ready or what is registered.
+    pub epoll_fds_evaluated: u64,
 }
 
 impl StackStats {
@@ -246,8 +252,10 @@ impl FStack {
         }
     }
 
-    /// Flags `fd` as changed for the driver (idempotent per drain cycle).
+    /// Flags `fd` as changed for the driver (idempotent per drain cycle)
+    /// and for the epoll instances watching it.
     fn mark_dirty(&mut self, fd: Fd) {
+        self.epoll.touch(fd);
         if let Some(flag) = self.dirty_flag.get_mut(fd as usize) {
             if !*flag {
                 *flag = true;
@@ -256,8 +264,10 @@ impl FStack {
         }
     }
 
-    /// Flags `fd` for the next [`FStack::poll_tx`] visit (idempotent).
+    /// Flags `fd` for the next [`FStack::poll_tx`] visit (idempotent) and
+    /// for the epoll instances watching it.
     fn mark_hot(&mut self, fd: Fd) {
+        self.epoll.touch(fd);
         if let Some(flag) = self.tx_hot_flag.get_mut(fd as usize) {
             if !*flag {
                 *flag = true;
@@ -687,7 +697,9 @@ impl FStack {
     }
 
     /// `ff_close(fd)`: orderly close. The fd becomes invalid for the
-    /// application immediately; the TCB lingers internally until the FIN
+    /// application immediately — and leaves every epoll set it was
+    /// registered with, as on Linux, so no registration outlives its socket
+    /// into a reused fd number; the TCB lingers internally until the FIN
     /// handshake finishes, then is reaped by [`FStack::poll_tx`].
     ///
     /// # Errors
@@ -695,6 +707,7 @@ impl FStack {
     /// [`Errno::EBADF`].
     pub fn ff_close(&mut self, fd: Fd) -> Result<(), Errno> {
         let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+        self.epoll.forget(fd);
         match sock {
             Socket::TcpConn(tcb) => {
                 if tcb.state() == TcpState::Closed {
@@ -738,13 +751,15 @@ impl FStack {
     ///
     /// # Errors
     ///
-    /// [`Errno::EBADF`] for an unknown epoll fd.
+    /// [`Errno::EBADF`] for an unknown epoll fd or an `fd` that is not an
+    /// open socket.
     pub fn ff_epoll_ctl_add(
         &mut self,
         epfd: Fd,
         fd: Fd,
         interest: EpollFlags,
     ) -> Result<(), Errno> {
+        self.sockets.get(fd).ok_or(Errno::EBADF)?;
         self.epoll.add(epfd, fd, interest)
     }
 
@@ -762,8 +777,10 @@ impl FStack {
     /// # Errors
     ///
     /// [`Errno::EBADF`] for an unknown epoll fd.
-    pub fn ff_epoll_wait(&self, epfd: Fd) -> Result<Vec<EpollEvent>, Errno> {
-        self.epoll.wait(epfd, |fd| self.readiness(fd))
+    pub fn ff_epoll_wait(&mut self, epfd: Fd) -> Result<Vec<EpollEvent>, Errno> {
+        let mut out = Vec::new();
+        self.ff_epoll_wait_into(epfd, &mut out)?;
+        Ok(out)
     }
 
     /// [`FStack::ff_epoll_wait`] into a caller-reused event vector
@@ -773,13 +790,28 @@ impl FStack {
     /// # Errors
     ///
     /// [`Errno::EBADF`] for an unknown epoll fd.
-    pub fn ff_epoll_wait_into(&self, epfd: Fd, out: &mut Vec<EpollEvent>) -> Result<(), Errno> {
-        self.epoll.wait_into(epfd, |fd| self.readiness(fd), out)
+    pub fn ff_epoll_wait_into(&mut self, epfd: Fd, out: &mut Vec<EpollEvent>) -> Result<(), Errno> {
+        let sockets = &self.sockets;
+        let mut evaluated = 0;
+        let probe = |fd| {
+            evaluated += 1;
+            Self::socket_readiness(sockets, fd)
+        };
+        self.epoll.wait_into(epfd, probe, out)?;
+        self.stats.epoll_waits += 1;
+        self.stats.epoll_fds_evaluated += evaluated;
+        Ok(())
     }
 
     /// Level-triggered readiness of `fd`.
     pub fn readiness(&self, fd: Fd) -> EpollFlags {
-        let Some(sock) = self.sockets.get(fd) else {
+        Self::socket_readiness(&self.sockets, fd)
+    }
+
+    /// [`FStack::readiness`] over the socket table alone, so a wait can
+    /// borrow it next to the (mutable) epoll table.
+    fn socket_readiness(sockets: &FdTable<Socket>, fd: Fd) -> EpollFlags {
+        let Some(sock) = sockets.get(fd) else {
             return EpollFlags::ERR;
         };
         match sock {
@@ -1259,8 +1291,11 @@ impl FStack {
         }
         // Re-arm the visited sockets' timer entries from their TCBs'
         // current earliest deadlines (reaped fds resolve to no deadline).
+        // Their output pass may also have moved the TCB (TIME_WAIT expiry,
+        // retransmission give-up) after an epoll wait last looked at it.
         for &fd in &hot {
             self.arm_timer(fd);
+            self.epoll.touch(fd);
         }
         // Drain link-layer traffic last so ARP requests generated while
         // wrapping this iteration's packets leave in the same iteration.
@@ -1416,6 +1451,40 @@ mod tests {
         // occupied tuple.
         s.conn_map.insert((50_123, remote.0, remote.1), 0);
         assert_eq!(s.alloc_ephemeral_for(remote), Err(Errno::EADDRNOTAVAIL));
+    }
+
+    /// Linux semantics: closing a socket drops it from every epoll set, so
+    /// a registration never reports a freed slot (`ERR` forever) nor —
+    /// once the fd number is reused — somebody else's socket.
+    #[test]
+    fn close_deregisters_the_fd_from_every_epoll_set() {
+        let mut s = stack();
+        let (ep1, ep2) = (s.ff_epoll_create(), s.ff_epoll_create());
+        let fd = s.ff_socket(SockType::Dgram).unwrap();
+        for ep in [ep1, ep2] {
+            s.ff_epoll_ctl_add(ep, fd, EpollFlags::IN | EpollFlags::OUT)
+                .unwrap();
+            assert_eq!(s.ff_epoll_wait(ep).unwrap().len(), 1, "UDP is writable");
+        }
+        s.ff_close(fd).unwrap();
+        assert_eq!(
+            s.ff_epoll_wait(ep1),
+            Ok(vec![]),
+            "no ERR for the freed slot"
+        );
+        // A DEL after the close finds nothing left to do.
+        assert_eq!(s.ff_epoll_ctl_del(ep1, fd), Err(Errno::ENOENT));
+        let reused = s.ff_socket(SockType::Dgram).unwrap();
+        assert_eq!(reused, fd, "the table hands the number out again");
+        for ep in [ep1, ep2] {
+            assert_eq!(s.ff_epoll_wait(ep), Ok(vec![]), "not the new socket's");
+        }
+        // Registering a closed (or never-opened) fd is EBADF.
+        s.ff_close(reused).unwrap();
+        assert_eq!(
+            s.ff_epoll_ctl_add(ep1, reused, EpollFlags::IN),
+            Err(Errno::EBADF)
+        );
     }
 
     /// The cursor hook (`set_ephemeral_start`) pins where the cycle

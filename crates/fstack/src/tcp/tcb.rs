@@ -655,6 +655,15 @@ impl Tcb {
             }
         }
 
+        // RFC 793 §3.9, SYN-RECEIVED: a segment that does not acknowledge
+        // our SYN carries nothing for this incarnation — it is a stale
+        // duplicate from an earlier one on the same 4-tuple. Taking its FIN
+        // would move a TCB whose SYN-ACK is still owed to CLOSE_WAIT, which
+        // then "sends" the SYN's sequence slot as a data byte.
+        if self.state == TcpState::SynReceived {
+            return;
+        }
+
         // --- payload ---
         if !seg.payload.is_empty() {
             let advanced = self.recv_buf.on_segment(seg.seq, &seg.payload);
@@ -1728,6 +1737,40 @@ mod tests {
             now += SimDuration::from_millis(5);
         }
         now - start
+    }
+
+    /// A stale FIN from the 4-tuple's previous incarnation reaches a fresh
+    /// passive open before its SYN-ACK left. It acknowledges nothing of
+    /// ours, so it must not be taken: the handshake proceeds as if it had
+    /// never arrived (found by the epoll oracle's script fuzzing, which
+    /// tripped the send path's "range shrank underfoot" assertion).
+    #[test]
+    fn syn_received_ignores_a_fin_that_does_not_ack_our_syn() {
+        let now = SimTime::from_millis(1);
+        let mut client = Tcb::connect(A, B, 1000, MSS);
+        let syn = client.poll_output(now).remove(0);
+        let mut server = Tcb::accept_from(B, A, &syn, 9000, MSS);
+        let mut stale = TcpSegment {
+            src_port: A.1,
+            dst_port: B.1,
+            seq: syn.seq.wrapping_add(1),
+            ack: 777, // the old incarnation's numbering
+            flags: TcpFlags::only_ack(),
+            window: 1000,
+            options: TcpOptions::default(),
+            payload: FrameBuf::new(),
+        };
+        stale.flags.fin = true;
+        server.on_segment(now, &stale);
+        assert_eq!(server.state(), TcpState::SynReceived);
+        let out = server.poll_output(now);
+        assert_eq!(out.len(), 1);
+        assert!(
+            out[0].flags.syn && out[0].flags.ack,
+            "the SYN-ACK, nothing else"
+        );
+        client.on_segment(now, &out[0]);
+        assert_eq!(client.state(), TcpState::Established);
     }
 
     /// The zombie-TCB audit bound: R2 give-up with full exponential

@@ -366,3 +366,237 @@ proptest! {
         drive_close_interleaving(a_close_at, b_close_at, a_bytes, b_bytes, drop_mask)?;
     }
 }
+
+// ----------------------------------------------------------------------
+// The epoll ready-list against a brute-force scan.
+// ----------------------------------------------------------------------
+
+/// Two whole stacks (client `0`, server `1`) with hand-carried frames,
+/// the epoll registrations the script made (per side, per instance) and
+/// the fds each side's application owns.
+struct EpollWorld {
+    stacks: [fstack::FStack; 2],
+    mem: cheri::TaggedMemory,
+    buf: cheri::Capability,
+    /// Frames on the wire *toward* each side.
+    wire: [Vec<updk::framebuf::FrameBuf>; 2],
+    /// `registered[side][instance]`: fd → interest mask.
+    registered: [[std::collections::BTreeMap<i32, fstack::epoll::EpollFlags>; 2]; 2],
+    epfds: [[i32; 2]; 2],
+    /// App-owned fds per side (connections, and one UDP socket first).
+    owned: [Vec<i32>; 2],
+    listener: i32,
+    now: SimTime,
+}
+
+const EPOLL_TCP_PORT: u16 = 8_080;
+const EPOLL_UDP_PORT: u16 = 9_000;
+
+impl EpollWorld {
+    fn new() -> Self {
+        use fstack::socket::SockType;
+        use fstack::{FStack, StackConfig};
+        let mk = |n: u8| FStack::new(StackConfig::new("s", MacAddr::local(n), ip(n)));
+        let mut stacks = [mk(1), mk(2)];
+        stacks[0]
+            .arp_cache_mut()
+            .insert_static(ip(2), MacAddr::local(2));
+        stacks[1]
+            .arp_cache_mut()
+            .insert_static(ip(1), MacAddr::local(1));
+        let mut owned = [Vec::new(), Vec::new()];
+        for (side, stack) in stacks.iter_mut().enumerate() {
+            let udp = stack.ff_socket(SockType::Dgram).unwrap();
+            stack.ff_bind(udp, EPOLL_UDP_PORT).unwrap();
+            owned[side].push(udp);
+        }
+        let listener = stacks[1].ff_socket(SockType::Stream).unwrap();
+        stacks[1].ff_bind(listener, EPOLL_TCP_PORT).unwrap();
+        stacks[1].ff_listen(listener, 4).unwrap();
+        let epfds = [0, 1].map(|s: usize| [0, 1].map(|_| stacks[s].ff_epoll_create()));
+        let mem = cheri::TaggedMemory::new(1 << 16);
+        let buf = mem
+            .root_cap()
+            .try_restrict(0, 4_096)
+            .unwrap()
+            .try_restrict_perms(cheri::Perms::data())
+            .unwrap();
+        EpollWorld {
+            stacks,
+            mem,
+            buf,
+            wire: [Vec::new(), Vec::new()],
+            registered: Default::default(),
+            epfds,
+            owned,
+            listener,
+            now: SimTime::from_millis(1),
+        }
+    }
+
+    /// Applies one script step; `a` and `b` pick fds, masks and amounts.
+    fn step(&mut self, op: u8, a: u8, b: u8) {
+        use fstack::epoll::EpollFlags;
+        use fstack::socket::SockType;
+        let side = usize::from(a & 1);
+        let pick = a >> 1;
+        let stack = &mut self.stacks[side];
+        // An app-owned fd if there is one, else any small number: stale,
+        // embryonic and never-opened fds are fair game for `ctl`.
+        let owned_fd = |owned: &[Vec<i32>; 2]| {
+            let fds = &owned[side];
+            (!fds.is_empty()).then(|| fds[usize::from(pick) % fds.len()])
+        };
+        match op % 24 {
+            0 | 1 => {
+                if self.owned[0].len() < 6 {
+                    let fd = self.stacks[0].ff_socket(SockType::Stream).unwrap();
+                    // A closed port now and then: the refusal is an
+                    // asynchronous error the client's epoll must report.
+                    let port = EPOLL_TCP_PORT + u16::from(b & 7 == 0);
+                    self.stacks[0]
+                        .ff_connect(fd, (ip(2), port), self.now)
+                        .unwrap();
+                    self.owned[0].push(fd);
+                }
+            }
+            2 | 3 => {
+                if let Ok(fd) = self.stacks[1].ff_accept(self.listener) {
+                    self.owned[1].push(fd);
+                }
+            }
+            4..=6 => {
+                if let Some(fd) = owned_fd(&self.owned) {
+                    let len = 1 + u64::from(b) * 16;
+                    let _ = stack.ff_write(&mut self.mem, fd, &self.buf, len);
+                    let _ = stack.ff_sendto(
+                        &mut self.mem,
+                        fd,
+                        &self.buf,
+                        len.min(64),
+                        // The peer's bound UDP port, or a closed one
+                        // (ICMP unreachable → a pending socket error).
+                        (ip(2 - side as u8), EPOLL_UDP_PORT + u16::from(b & 1)),
+                    );
+                }
+            }
+            7 | 8 => {
+                if let Some(fd) = owned_fd(&self.owned) {
+                    let _ = stack.ff_read(&mut self.mem, fd, &self.buf, 1 + u64::from(b) * 16);
+                    let _ = stack.ff_recvfrom(&mut self.mem, fd, &self.buf);
+                }
+            }
+            9 => {
+                if let Some(fd) = owned_fd(&self.owned) {
+                    stack.ff_close(fd).unwrap();
+                    self.owned[side].retain(|&f| f != fd);
+                    // Linux semantics: a close leaves every epoll set.
+                    for set in &mut self.registered[side] {
+                        set.remove(&fd);
+                    }
+                }
+            }
+            10..=12 => {
+                let fd = owned_fd(&self.owned)
+                    .filter(|_| b & 0x80 == 0)
+                    .unwrap_or(i32::from(pick % 12));
+                let mask = [
+                    EpollFlags::IN,
+                    EpollFlags::IN | EpollFlags::OUT,
+                    EpollFlags::OUT,
+                    EpollFlags::NONE,
+                ][usize::from(b & 3)];
+                let inst = usize::from(b >> 2 & 1);
+                if stack
+                    .ff_epoll_ctl_add(self.epfds[side][inst], fd, mask)
+                    .is_ok()
+                {
+                    self.registered[side][inst].insert(fd, mask);
+                }
+            }
+            13 => {
+                let fd = i32::from(pick % 12);
+                let inst = usize::from(b & 1);
+                let was = self.registered[side][inst].remove(&fd).is_some();
+                assert_eq!(
+                    stack.ff_epoll_ctl_del(self.epfds[side][inst], fd).is_ok(),
+                    was
+                );
+            }
+            14..=16 => {
+                let frames = stack.poll_tx(self.now);
+                self.wire[1 - side].extend(frames);
+            }
+            17..=19 => {
+                let n = (usize::from(b) % 4 + 1).min(self.wire[side].len());
+                for frame in self.wire[side].drain(..n) {
+                    stack.input_buf(self.now, &frame);
+                }
+            }
+            20 => {
+                let n = (usize::from(b) % 3 + 1).min(self.wire[side].len());
+                self.wire[side].drain(..n);
+            }
+            21 | 22 => {
+                // 50 µs, or past an RTO. Nothing moves until somebody polls.
+                self.now += SimDuration::from_micros([50, 300_000][usize::from(b & 1)]);
+            }
+            _ => {
+                // A partition that outlasts the give-up ladder and 2 MSL:
+                // this side retransmits into the void until its timers
+                // have nothing left to do.
+                for _ in 0..12 {
+                    self.now += SimDuration::from_millis(2_000);
+                    stack.poll_tx(self.now);
+                }
+            }
+        }
+    }
+
+    /// `ff_epoll_wait` on every instance against a scan of everything
+    /// registered there, built from the public `readiness` alone.
+    fn check(&mut self) -> Result<(), proptest::runner::TestCaseError> {
+        use fstack::epoll::{EpollEvent, EpollFlags};
+        for side in 0..2 {
+            for inst in 0..2 {
+                let stack = &mut self.stacks[side];
+                let want: Vec<EpollEvent> = self.registered[side][inst]
+                    .iter()
+                    .filter_map(|(&fd, &mask)| {
+                        let ready = stack.readiness(fd);
+                        let events = (ready & mask) | (ready & (EpollFlags::ERR | EpollFlags::HUP));
+                        (!events.is_empty()).then_some(EpollEvent { fd, events })
+                    })
+                    .collect();
+                let got = stack.ff_epoll_wait(self.epfds[side][inst]).unwrap();
+                prop_assert_eq!(got, want, "side {} instance {}", side, inst);
+            }
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    /// **Nothing becomes ready without a touch.** Whatever two stacks are
+    /// put through — connects (some refused), accepts, writes, reads,
+    /// closes, datagrams to open and closed ports, `ctl` ADD/MOD/DEL on
+    /// live, stale and never-opened fds, delivered and dropped frames,
+    /// time jumps past RTO, give-up and 2 MSL — after every single step
+    /// `ff_epoll_wait` returns exactly what a scan of all registered fds
+    /// would: same fds, same flags, same (ascending) order. The check
+    /// runs after each step, so a failure names the shortest failing
+    /// prefix of its script.
+    #[test]
+    fn epoll_ready_list_matches_brute_force(
+        script in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..160),
+    ) {
+        let mut world = EpollWorld::new();
+        world.check()?;
+        for (i, &(op, a, b)) in script.iter().enumerate() {
+            world.step(op, a, b);
+            if let Err(e) = world.check() {
+                prop_assert!(false, "after step {} of {:?}: {}", i, &script[..=i], e);
+            }
+        }
+    }
+}

@@ -778,7 +778,6 @@ impl FleetApp {
         let c = self.conns.swap_remove(i);
         out.ff_calls += 1;
         stack.ff_close(c.fd)?;
-        stack.ff_epoll_ctl_del(self.epfd, c.fd).ok();
         if completed {
             self.conns_completed += 1;
         }

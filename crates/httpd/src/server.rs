@@ -110,6 +110,9 @@ struct Conn {
     served: u32,
     /// Close (server-initiated) once `out` fully flushes.
     close_after_flush: bool,
+    /// The epoll registration currently includes `OUT` (it does exactly
+    /// while a flush left response bytes behind).
+    wants_out: bool,
     /// Last instant a request byte arrived (accept counts); drives the
     /// idle-header-read reaper.
     last_byte: SimTime,
@@ -147,6 +150,9 @@ pub struct HttpServerReport {
     pub elapsed: SimDuration,
 }
 
+/// [`HttpServerApp::conn_of_fd`] entry of an fd that is no open connection.
+const NO_CONN: u32 = u32::MAX;
+
 /// The server application.
 #[derive(Debug)]
 pub struct HttpServerApp {
@@ -158,6 +164,9 @@ pub struct HttpServerApp {
     buf: Capability,
     cfg: HttpServerConfig,
     conns: Vec<Conn>,
+    /// fd → index into `conns` ([`NO_CONN`] for fds that are not ours),
+    /// kept right across `push` and `swap_remove`.
+    conn_of_fd: Vec<u32>,
     buckets: HashMap<Ipv4Addr, Bucket>,
     accepted: u64,
     requests: u64,
@@ -202,6 +211,7 @@ impl HttpServerApp {
             buf,
             cfg,
             conns: Vec::new(),
+            conn_of_fd: Vec::new(),
             buckets: HashMap::new(),
             accepted: 0,
             requests: 0,
@@ -258,9 +268,6 @@ impl HttpServerApp {
             out.ff_calls += 1;
             match stack.ff_accept(self.listen_fd) {
                 Ok(fd) => {
-                    // IN for requests, OUT so a response stalled on a
-                    // full send buffer resumes when the ACK opens space.
-                    stack.ff_epoll_ctl_add(self.epfd, fd, EpollFlags::IN | EpollFlags::OUT)?;
                     let peer = stack
                         .remote_addr(fd)
                         .map(|(ip, _)| ip)
@@ -280,6 +287,7 @@ impl HttpServerApp {
                         out_off: 0,
                         served: 0,
                         close_after_flush: overloaded,
+                        wants_out: overloaded,
                         last_byte: now,
                     };
                     if overloaded {
@@ -287,6 +295,16 @@ impl HttpServerApp {
                         self.overloaded += 1;
                         self.server_closed += 1;
                     }
+                    // IN for requests. OUT only while response bytes are
+                    // pending (`sync_interest`): an idle established
+                    // socket is always writable, so standing OUT interest
+                    // would report every open connection on every step.
+                    // The 503 connection is born with bytes to flush.
+                    stack.ff_epoll_ctl_add(self.epfd, fd, Self::interest(overloaded))?;
+                    if self.conn_of_fd.len() <= fd as usize {
+                        self.conn_of_fd.resize(fd as usize + 1, NO_CONN);
+                    }
+                    self.conn_of_fd[fd as usize] = self.conns.len() as u32;
                     self.conns.push(conn);
                     self.accepted += 1;
                     out.progressed = true;
@@ -329,14 +347,9 @@ impl HttpServerApp {
             let c = &self.conns[i];
             let idle = c.out.len() == c.out_off && !c.close_after_flush;
             if idle && now >= c.last_byte + timeout {
-                let c = self.conns.swap_remove(i);
-                out.ff_calls += 1;
-                stack.ff_close(c.fd)?;
-                stack.ff_epoll_ctl_del(self.epfd, c.fd).ok();
+                self.close_conn(stack, i, now, out)?;
                 self.idle_shed += 1;
                 self.server_closed += 1;
-                out.progressed = true;
-                self.last_activity = Some(now);
             } else {
                 i += 1;
             }
@@ -378,8 +391,9 @@ impl HttpServerApp {
             if ev.fd == self.listen_fd {
                 continue;
             }
-            let Some(i) = self.conns.iter().position(|c| c.fd == ev.fd) else {
-                continue;
+            let i = match self.conn_of_fd.get(ev.fd as usize) {
+                Some(&i) if i != NO_CONN => i as usize,
+                _ => continue,
             };
             let mut drop_conn = false;
             if ev.events.contains(EpollFlags::IN) || ev.events.contains(EpollFlags::HUP) {
@@ -392,14 +406,58 @@ impl HttpServerApp {
                 drop_conn = self.flush(stack, mem, i, out)?;
             }
             if drop_conn {
-                let c = self.conns.swap_remove(i);
-                out.ff_calls += 1;
-                stack.ff_close(c.fd)?;
-                stack.ff_epoll_ctl_del(self.epfd, c.fd).ok();
-                out.progressed = true;
-                self.last_activity = Some(now);
+                self.close_conn(stack, i, now, out)?;
+            } else {
+                self.sync_interest(stack, i)?;
             }
         }
+        Ok(())
+    }
+
+    /// The epoll interest of a connection with (`true`) or without
+    /// response bytes waiting for send space.
+    fn interest(pending_out: bool) -> EpollFlags {
+        if pending_out {
+            EpollFlags::IN | EpollFlags::OUT
+        } else {
+            EpollFlags::IN
+        }
+    }
+
+    /// Makes connection `i`'s write interest follow its pending output:
+    /// `IN | OUT` once a flush left bytes behind on `EAGAIN` (the ACK that
+    /// opens send space then reports it), back to `IN` when the backlog
+    /// has drained. Like the accept-time registration, the `EPOLL_CTL_MOD`
+    /// is not an `ff_calls` charge.
+    fn sync_interest(&mut self, stack: &mut FStack, i: usize) -> Result<(), Errno> {
+        let c = &mut self.conns[i];
+        let pending = c.out.len() > c.out_off;
+        if pending != c.wants_out {
+            c.wants_out = pending;
+            stack.ff_epoll_ctl_add(self.epfd, c.fd, Self::interest(pending))?;
+        }
+        Ok(())
+    }
+
+    /// Closes connection `i` (which also drops it from the epoll set) and
+    /// forgets it; the connection `swap_remove` moved into its place keeps
+    /// a right `conn_of_fd` entry.
+    fn close_conn(
+        &mut self,
+        stack: &mut FStack,
+        i: usize,
+        now: SimTime,
+        out: &mut StepOutcome,
+    ) -> Result<(), Errno> {
+        let c = self.conns.swap_remove(i);
+        self.conn_of_fd[c.fd as usize] = NO_CONN;
+        if let Some(moved) = self.conns.get(i) {
+            self.conn_of_fd[moved.fd as usize] = i as u32;
+        }
+        out.ff_calls += 1;
+        stack.ff_close(c.fd)?;
+        out.progressed = true;
+        self.last_activity = Some(now);
         Ok(())
     }
 
@@ -436,7 +494,10 @@ impl HttpServerApp {
                     self.last_activity = Some(now);
                 }
                 Err(Errno::EAGAIN) => break,
-                Err(Errno::ECONNRESET) | Err(Errno::ECONNREFUSED) | Err(Errno::EPIPE) => {
+                // The connection is dead (ETIMEDOUT: the peer vanished
+                // and the TCB gave up retransmitting): drop it and keep
+                // serving the others.
+                Err(Errno::ECONNRESET | Errno::ECONNREFUSED | Errno::EPIPE | Errno::ETIMEDOUT) => {
                     return Ok(true);
                 }
                 Err(e) => return Err(e),
@@ -566,7 +627,7 @@ impl HttpServerApp {
                     out.progressed = true;
                 }
                 Err(Errno::EAGAIN) => return Ok(false),
-                Err(Errno::EPIPE) | Err(Errno::ECONNRESET) => return Ok(true),
+                Err(Errno::EPIPE | Errno::ECONNRESET | Errno::ETIMEDOUT) => return Ok(true),
                 Err(e) => return Err(e),
             }
         }

@@ -149,7 +149,6 @@ impl ServerApp {
                         // EOF: the sender is done.
                         out.ff_calls += 1;
                         stack.ff_close(ev.fd)?;
-                        stack.ff_epoll_ctl_del(self.epfd, ev.fd).ok();
                         self.conns.retain(|&c| c != ev.fd);
                         out.progressed = true;
                         break;

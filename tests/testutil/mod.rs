@@ -25,8 +25,11 @@
 
 use cheri::{Capability, Perms, TaggedMemory};
 use chos::Errno;
+use fstack::ether::EthHdr;
+use fstack::ip::Ipv4Hdr;
 use fstack::loop_::iterate;
 use fstack::socket::SockType;
+use fstack::tcp::TcpSegment;
 use fstack::{FStack, StackConfig};
 use simkern::rng::SimRng;
 use simkern::{CostModel, SimDuration, SimTime};
@@ -189,6 +192,18 @@ pub struct TwoHost {
     next_seq: u64,
     pub trace: Trace,
     pub wire_stats: ImpairmentStats,
+    /// Partition one TCP connection: frames either host sends from or to
+    /// this TCP port vanish on the cable (its peer "goes silent") while
+    /// every other flow keeps its ideal wire.
+    pub blackhole_tcp_port: Option<u16>,
+}
+
+/// The TCP `(source, destination)` ports of an Ethernet/IPv4 frame.
+fn tcp_ports(frame: &[u8]) -> Option<(u16, u16)> {
+    let (_, l3) = EthHdr::parse(frame)?;
+    let (ip, l4) = Ipv4Hdr::parse(l3)?;
+    let seg = TcpSegment::parse(ip.src, ip.dst, l4)?;
+    Some((seg.src_port, seg.dst_port))
 }
 
 pub const IP_A: Ipv4Addr = Ipv4Addr::new(10, 77, 0, 1);
@@ -240,6 +255,7 @@ impl TwoHost {
             next_seq: 0,
             trace: Trace::default(),
             wire_stats: ImpairmentStats::default(),
+            blackhole_tcp_port: None,
         }
     }
 
@@ -277,6 +293,12 @@ impl TwoHost {
     }
 
     fn schedule(&mut self, dir: Dir, frame: Frame, departure: SimTime) {
+        if let (Some(dark), Some((src, dst))) = (self.blackhole_tcp_port, tcp_ports(frame.bytes()))
+        {
+            if src == dark || dst == dark {
+                return;
+            }
+        }
         let nominal = departure + WIRE_LATENCY;
         let plan = self.impairments.plan(&mut self.rng, nominal);
         self.wire_stats.absorb(plan.stats);
