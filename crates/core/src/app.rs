@@ -49,6 +49,15 @@ pub(crate) trait App {
         None
     }
 
+    /// `true` when the app keeps a clock of its own — exactly when it
+    /// overrides [`App::due`] or [`App::next_deadline`]. A property of the
+    /// type, not of the moment: a gated host lists its clocked apps once
+    /// and asks only those `due` (every turn) and `next_deadline` (every
+    /// park), so an override behind a `false` here would never be heard.
+    fn has_clock(&self) -> bool {
+        false
+    }
+
     /// Appends every fd whose stack events should make this app runnable
     /// (dirty-fd routing). Re-read after each step that progressed, since
     /// accepts and connects add entries.
@@ -109,6 +118,10 @@ impl App for ClientApp {
         ClientApp::next_deadline(self, now)
     }
 
+    fn has_clock(&self) -> bool {
+        true
+    }
+
     fn fds(&mut self, out: &mut Vec<Fd>) {
         out.push(self.sock_fd());
     }
@@ -138,6 +151,10 @@ impl App for HttpServerApp {
         HttpServerApp::next_deadline(self, now)
     }
 
+    fn has_clock(&self) -> bool {
+        true
+    }
+
     fn fds(&mut self, out: &mut Vec<Fd>) {
         out.push(self.listen_fd());
         out.extend_from_slice(self.conn_fds());
@@ -160,6 +177,10 @@ impl App for FleetApp {
 
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
         FleetApp::next_deadline(self, now)
+    }
+
+    fn has_clock(&self) -> bool {
+        true
     }
 
     fn fds(&mut self, out: &mut Vec<Fd>) {
@@ -186,6 +207,10 @@ impl App for ChaosApp {
 
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
         ChaosApp::next_deadline(self, now)
+    }
+
+    fn has_clock(&self) -> bool {
+        true
     }
 
     fn report(self: Box<Self>, _end: SimTime, out: &mut AppReports) {

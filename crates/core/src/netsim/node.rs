@@ -110,7 +110,8 @@ pub(super) struct AppSlot {
     /// this order, so sockets are created — fds allocated — exactly as
     /// the original installation created them.
     installed: usize,
-    /// "A step could progress" flag of the dirty-fd gate.
+    /// "A step could progress" flag of the dirty-fd gate. On a gated host
+    /// a set flag has an entry in [`Node::ready`], and the other way round.
     runnable: bool,
 }
 
@@ -137,6 +138,18 @@ pub(super) struct Node {
     /// Scratch for draining the stack's dirty-fd set and for collecting an
     /// app's fds (no per-turn alloc).
     fd_scratch: Vec<Fd>,
+    /// Gated hosts: the slots whose `runnable` flag is set, in the order
+    /// they were flagged. Fed where a flag flips false → true, drained
+    /// into `visit` by the next app turn.
+    ready: Vec<u32>,
+    /// The live slots whose app keeps a clock of its own
+    /// ([`App::has_clock`]), ascending. A gated host asks these — and no
+    /// other slot — `due` on every turn and `next_deadline` on every park.
+    clocked: Vec<u32>,
+    /// The slots the app turn examines, ascending. A gated host rebuilds
+    /// it every turn as `ready ∪ clocked`; a charged host steps every slot
+    /// every turn, so its list is all of them, fixed.
+    visit: Vec<u32>,
     /// What this node's port is cabled to, resolved once at `run()` start
     /// so the TX hot path never touches the topology `HashMap`.
     pub(super) cabled: Option<Ep>,
@@ -184,6 +197,9 @@ impl Node {
             gated: false,
             app_of_fd: Vec::new(),
             fd_scratch: Vec::new(),
+            ready: Vec::new(),
+            clocked: Vec::new(),
+            visit: Vec::new(),
             cabled: None,
             parked: false,
             epoch: 0,
@@ -222,20 +238,45 @@ impl Node {
             installed: self.apps.len(),
             spec,
             app: Some(app),
-            runnable: true,
+            runnable: false,
         };
         self.apps.insert(at, slot);
     }
 
-    /// Dirty-fd app gating (ideal hosts): seeds every app runnable and
+    /// Dirty-fd app gating (ideal hosts): seeds the app turn's lists and
     /// maps each live app's fds, so stack changes route to their app.
     pub(super) fn resolve_routing(&mut self) {
         self.gated = self.profile.per_ff_call_ns == 0 && !self.profile.s2_service;
+        self.seed_turn();
         for (si, slot) in self.apps.iter_mut().enumerate() {
-            slot.runnable = true;
             if let Some(app) = slot.app.as_mut() {
                 route_fds(&mut self.app_of_fd, &mut self.fd_scratch, &mut **app, si);
             }
+        }
+    }
+
+    /// Seeds the app turn from the slots as they stand: every live app is
+    /// runnable (its first turn steps it), the clocked list names the live
+    /// apps with a clock, a dead slot is in no list. The only writer of
+    /// `ready`/`clocked` wholesale and the only place a flag is set without
+    /// a dirty fd — run start, crash (no slot is live: everything empties)
+    /// and restart all come through here, so flags and lists cannot drift
+    /// apart.
+    fn seed_turn(&mut self) {
+        self.ready.clear();
+        self.clocked.clear();
+        self.visit.clear();
+        for (si, slot) in self.apps.iter_mut().enumerate() {
+            slot.runnable = slot.app.is_some();
+            if let Some(app) = slot.app.as_ref() {
+                self.ready.push(si as u32);
+                if app.has_clock() {
+                    self.clocked.push(si as u32);
+                }
+            }
+        }
+        if !self.gated {
+            self.visit.extend(0..self.apps.len() as u32);
         }
     }
 
@@ -259,6 +300,7 @@ impl Node {
         for slot in &mut self.apps {
             slot.app = None;
         }
+        self.seed_turn();
         self.app_of_fd.clear();
         let cfg = self.stack.config().clone();
         self.stack = FStack::with_socket_capacity(cfg, 0);
@@ -362,7 +404,7 @@ impl NetSim {
         // (ideal) host only runnable apps step: an app with no changed fd
         // and no due deadline would repeat its previous no-op step, so
         // skipping it is behaviourally invisible — the hub of an N-client
-        // star steps O(frames received) server apps per poll instead of
+        // star examines O(frames received) server apps per poll instead of
         // all N. Charged hosts (per-call isolation, the S2 service loop)
         // step everything, because even a no-op step's ff_* calls carry an
         // accounted cost there.
@@ -372,6 +414,9 @@ impl NetSim {
             gated,
             app_of_fd,
             fd_scratch,
+            ready,
+            clocked,
+            visit,
             ..
         } = node;
         let gated = *gated;
@@ -379,18 +424,35 @@ impl NetSim {
             fd_scratch.clear();
             stack.take_dirty_fds(fd_scratch);
             for &fd in fd_scratch.iter() {
-                if let Some(&Some(slot)) = app_of_fd.get(fd as usize) {
-                    apps[slot as usize].runnable = true;
+                if let Some(&Some(si)) = app_of_fd.get(fd as usize) {
+                    let slot = &mut apps[si as usize];
+                    if !slot.runnable {
+                        slot.runnable = true;
+                        ready.push(si);
+                    }
                 }
             }
+            // This turn's slots: the runnable ones and the clocked ones,
+            // in slot (= step) order. Every other slot would fail the
+            // `runnable || due` test below — its `due` is the trait's
+            // constant `false` — so leaving it unvisited changes nothing,
+            // and the turn costs what is runnable, not what is installed.
+            visit.clear();
+            visit.append(ready);
+            visit.extend(clocked.iter().filter(|&&si| !apps[si as usize].runnable));
+            visit.sort_unstable();
         }
-        for (si, slot) in apps.iter_mut().enumerate() {
+        self.counters.app_visits += visit.len() as u64;
+        for &si in visit.iter() {
+            let si = si as usize;
+            let slot = &mut apps[si];
             let Some(app) = slot.app.as_mut() else {
                 continue;
             };
             // Policy first: it is a plain `match` that says yes on every
-            // host but the S2 service node, so the common turn never asks
-            // the app.
+            // host but the S2 service node (never a gated one, so it holds
+            // back no slot drained from `ready`), and the common turn never
+            // asks the app.
             if !sched.allows(slot.ordinal, turn) && app.sched_gated() {
                 continue;
             }
@@ -477,8 +539,9 @@ impl NetSim {
             // server's idle reaper, chaos rounds) must wake a parked node;
             // everything else is input-driven.
             let mut deadline = node.stack.next_timer_deadline();
-            for app in node.apps.iter().filter_map(|s| s.app.as_ref()) {
-                if let Some(d) = app.next_deadline(now) {
+            for &si in &node.clocked {
+                let app = node.apps[si as usize].app.as_ref();
+                if let Some(d) = app.and_then(|a| a.next_deadline(now)) {
                     deadline = Some(deadline.map_or(d, |m| m.min(d)));
                 }
             }
@@ -551,5 +614,102 @@ impl NetSim {
             tick,
             NetEvent::Wake { node: ni, epoch },
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::netsim::NodeId;
+    use capnet_httpd::HttpServerConfig;
+    use simkern::cost::CostModel;
+
+    /// A 4-leaf star (no traffic sources) whose hub hosts four iperf
+    /// receivers and an HTTP server, resolved and ready to poll.
+    fn hub_with_five_apps() -> (NetSim, usize) {
+        let mut sim = NetSim::new(CostModel::morello());
+        let star = crate::topology::build_star(&mut sim, 4).expect("star builds");
+        for i in 0..4u16 {
+            sim.add_server(star.hub, format!("rx{i}"), 5201 + i)
+                .expect("server");
+        }
+        sim.add_http_server(star.hub, "httpd", 8080, HttpServerConfig::default())
+            .expect("http server");
+        sim.start_devices().expect("devices start");
+        sim.resolve_caches();
+        let NodeId(hub) = star.hub;
+        (sim, hub)
+    }
+
+    /// Flags and lists, as the app turn sees them.
+    fn turn_state(node: &Node) -> (Vec<bool>, Vec<u32>, Vec<u32>) {
+        let flags = node.apps.iter().map(|s| s.runnable).collect();
+        (flags, node.ready.clone(), node.clocked.clone())
+    }
+
+    /// Run start seeds every app runnable; the first turn examines them
+    /// all, and from then on only the clocked slot (the HTTP server, slot
+    /// 4) is looked at while nothing arrives.
+    #[test]
+    fn the_first_turn_examines_every_app_and_later_turns_only_the_clocked() {
+        let (mut sim, hub) = hub_with_five_apps();
+        assert!(sim.nodes[hub].gated);
+        assert_eq!(
+            turn_state(&sim.nodes[hub]),
+            (vec![true; 5], vec![0, 1, 2, 3, 4], vec![4])
+        );
+        let mut engine = Engine::new();
+        sim.loop_iter(hub, &mut engine);
+        assert_eq!(sim.counters.app_visits, 5);
+        assert_eq!(
+            turn_state(&sim.nodes[hub]),
+            (vec![false; 5], vec![], vec![4])
+        );
+        sim.loop_iter(hub, &mut engine);
+        assert_eq!(sim.counters.app_visits, 5 + 1);
+    }
+
+    /// Crash leaves no flag set and no list entry behind (a stale entry
+    /// would name a dead slot); restart re-seeds both from the re-created
+    /// apps, so the reborn host's first turn steps every one of them.
+    #[test]
+    fn crash_empties_the_turn_and_restart_reseeds_it() {
+        let (mut sim, hub) = hub_with_five_apps();
+        let mut engine = Engine::new();
+        sim.loop_iter(hub, &mut engine);
+        // Leave a flag and a `ready` entry standing, as a frame arriving
+        // just before the crash would.
+        let node = &mut sim.nodes[hub];
+        node.apps[2].runnable = true;
+        node.ready.push(2);
+
+        node.crash(&mut engine);
+        assert_eq!(turn_state(node), (vec![false; 5], vec![], vec![]));
+        assert!(node.apps.iter().all(|s| s.app.is_none()));
+
+        node.restart(SimTime::from_millis(1));
+        assert!(node.apps.iter().all(|s| s.app.is_some()));
+        assert_eq!(
+            turn_state(node),
+            (vec![true; 5], vec![0, 1, 2, 3, 4], vec![4])
+        );
+        let before = sim.counters.app_visits;
+        sim.loop_iter(hub, &mut engine);
+        assert_eq!(sim.counters.app_visits - before, 5);
+        assert!(sim.nodes[hub].apps.iter().all(|s| !s.runnable));
+    }
+
+    /// A charged host is not gated: every turn examines every slot.
+    #[test]
+    fn a_charged_host_examines_every_slot_every_turn() {
+        let (mut sim, hub) = hub_with_five_apps();
+        sim.nodes[hub].profile.per_ff_call_ns = 40;
+        sim.resolve_caches();
+        assert!(!sim.nodes[hub].gated);
+        let mut engine = Engine::new();
+        for turn in 1..=3 {
+            sim.loop_iter(hub, &mut engine);
+            assert_eq!(sim.counters.app_visits, 5 * turn);
+        }
     }
 }

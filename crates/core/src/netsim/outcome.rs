@@ -20,6 +20,11 @@ use updk::wire::ImpairmentStats;
 pub struct EventCounters {
     /// Main-loop iterations executed (scheduled polls plus honored wakes).
     pub loop_polls: u64,
+    /// App slots the iterations examined: a charged host looks at every
+    /// installed app on every turn, a gated host only at the runnable and
+    /// the clocked ones. `app_visits / loop_polls` is the app turn's exact
+    /// work per poll.
+    pub app_visits: u64,
     /// Iterations that did no work (no RX, no TX, no app progress).
     pub idle_polls: u64,
     /// Frame deliveries into NIC ports.
@@ -46,6 +51,7 @@ impl EventCounters {
     /// Accumulates another tally into this one (shard merge).
     pub(super) fn absorb(&mut self, o: EventCounters) {
         self.loop_polls += o.loop_polls;
+        self.app_visits += o.app_visits;
         self.idle_polls += o.idle_polls;
         self.deliveries += o.deliveries;
         self.switch_hops += o.switch_hops;

@@ -33,7 +33,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 type Action<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 
@@ -89,10 +89,103 @@ pub struct OrderKey {
     pub ctr: u64,
 }
 
-/// Identifies one scheduled typed event, for [`Engine::cancel`].
+/// Identifies one scheduled typed event, for [`Engine::cancel`]: a slot of
+/// the engine's token table plus the slot's generation when the event was
+/// scheduled. The slot is recycled once its event leaves the calendar
+/// (dispatched or reaped); a handle that outlives it names a generation
+/// that no longer exists and cancels nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHandle {
-    key: OrderKey,
+    slot: u32,
+    gen: u32,
+}
+
+/// The `token` of an event no [`EventHandle`] names — every event but those
+/// of [`Engine::schedule_last_from`]. Such events are never tested for
+/// cancellation.
+const NO_TOKEN: u32 = u32::MAX;
+
+/// One slot of the token table.
+#[derive(Clone, Copy)]
+struct Token {
+    /// Bumped when the slot's event leaves the calendar.
+    gen: u32,
+    /// Set by [`Engine::cancel`]: the event is dropped when the cursor
+    /// reaches it.
+    cancelled: bool,
+}
+
+/// The cancellation state of every queued event that has a handle. An
+/// event carries its slot index, so asking "was this cancelled?" is one
+/// indexed byte load — no hashing. Slots are recycled through `free`, so
+/// the table is as large as the most handles ever queued at once (live
+/// plus cancelled-but-not-yet-reaped), not the number ever issued.
+#[derive(Default)]
+struct Tokens {
+    slots: Vec<Token>,
+    free: Vec<u32>,
+    /// Cancelled events still physically queued (what [`Calendar::len`]
+    /// subtracts).
+    tombstones: usize,
+}
+
+impl Tokens {
+    /// Claims a slot for a newly scheduled event.
+    fn issue(&mut self) -> EventHandle {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Token {
+                gen: 0,
+                cancelled: false,
+            });
+            (self.slots.len() - 1) as u32
+        });
+        EventHandle {
+            slot,
+            gen: self.slots[slot as usize].gen,
+        }
+    }
+
+    /// Marks the handle's event cancelled; `false` (and no effect) when the
+    /// event already left the calendar or was already cancelled.
+    fn cancel(&mut self, handle: EventHandle) -> bool {
+        let t = &mut self.slots[handle.slot as usize];
+        if t.gen != handle.gen || t.cancelled {
+            return false;
+        }
+        t.cancelled = true;
+        self.tombstones += 1;
+        true
+    }
+
+    fn is_cancelled(&self, token: u32) -> bool {
+        token != NO_TOKEN && self.slots[token as usize].cancelled
+    }
+
+    /// The event carrying `token` left the calendar: recycles its slot and
+    /// says whether the event had been cancelled (so must not dispatch).
+    fn release(&mut self, token: u32) -> bool {
+        if token == NO_TOKEN {
+            return false;
+        }
+        let t = &mut self.slots[token as usize];
+        let cancelled = std::mem::take(&mut t.cancelled);
+        t.gen = t.gen.wrapping_add(1);
+        self.free.push(token);
+        self.tombstones -= usize::from(cancelled);
+        cancelled
+    }
+
+    /// Every queued event is gone at once ([`Engine::clear`]): outstanding
+    /// handles go stale, every slot is free again.
+    fn clear(&mut self) {
+        self.free.clear();
+        for (i, t) in self.slots.iter_mut().enumerate() {
+            t.cancelled = false;
+            t.gen = t.gen.wrapping_add(1);
+            self.free.push(i as u32);
+        }
+        self.tombstones = 0;
+    }
 }
 
 enum Slot<W: World> {
@@ -106,6 +199,8 @@ struct Scheduled<W: World> {
     /// [`Engine::schedule_last`] events (park/wake ticks that must observe
     /// every same-instant delivery first).
     class: u8,
+    /// Slot of the token table naming this event, or [`NO_TOKEN`].
+    token: u32,
     key: OrderKey,
     slot: Slot<W>,
 }
@@ -140,9 +235,13 @@ impl<W: World> Ord for Scheduled<W> {
 const GRAN_SHIFT: u32 = 10;
 /// Wheel slot width: 1024 ns — one or two main-loop ticks per slot.
 const GRAN: u64 = 1 << GRAN_SHIFT;
-/// Number of wheel slots (one rotation covers `SLOTS * GRAN` ≈ 524 µs —
-/// wide enough that deliveries behind a full 64-frame egress backlog still
-/// land directly in the wheel instead of bouncing through the heap).
+/// Number of wheel slots. One rotation covers `SLOTS * GRAN` ≈ 524 µs:
+/// poll-loop ticks, wire hops and deliveries behind an egress backlog of up
+/// to ~40 MTU frames land directly in the wheel. Deeper queues do not: the
+/// star builders size each egress queue at 64 frames per attached port
+/// (8 256 frames at star128), so a hub-bound delivery can sit up to ~60 ms
+/// out and goes through the overflow heap — 88 184 of the schedules of a
+/// 0.6 s star128 run.
 const SLOTS: usize = 512;
 /// The wheel horizon: events at `base + HORIZON` or later overflow to the heap.
 const HORIZON: u64 = GRAN * SLOTS as u64;
@@ -160,10 +259,10 @@ struct Calendar<W: World> {
     wheel_len: usize,
     base: u64,
     heap: BinaryHeap<Scheduled<W>>,
-    /// Keys of cancelled, still-queued events: lazily removed when the
-    /// cursor reaches them ([`Engine::cancel`]). Keys are never reused
-    /// within a run, so a tombstone can only match its own event.
-    cancelled: HashSet<OrderKey>,
+    /// Cancellation state of the queued events that have a handle;
+    /// cancelled events are removed lazily, when the cursor (or a heap
+    /// migration) reaches them ([`Engine::cancel`]).
+    tokens: Tokens,
     /// Memoized earliest-live-event instant (a sharded driver polls it
     /// every window round); invalidated by pops, cancellations and any
     /// push that could undercut it.
@@ -177,15 +276,13 @@ impl<W: World> Calendar<W> {
             wheel_len: 0,
             base: 0,
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            tokens: Tokens::default(),
             next_cache: None,
         }
     }
 
     fn len(&self) -> usize {
-        // Saturating: a stale tombstone (cancel() after dispatch — a
-        // caller bug) must not wrap the live count.
-        (self.wheel_len + self.heap.len()).saturating_sub(self.cancelled.len())
+        self.wheel_len + self.heap.len() - self.tokens.tombstones
     }
 
     fn push(&mut self, ev: Scheduled<W>) {
@@ -212,7 +309,8 @@ impl<W: World> Calendar<W> {
                 break;
             }
             let ev = self.heap.pop().expect("peeked entry pops");
-            if !self.cancelled.is_empty() && self.cancelled.remove(&ev.key) {
+            if self.tokens.is_cancelled(ev.token) {
+                self.tokens.release(ev.token);
                 continue;
             }
             let eff = ev.at.as_nanos().max(self.base);
@@ -253,9 +351,7 @@ impl<W: World> Calendar<W> {
             }
             self.wheel_len -= 1;
             let ev = self.slots[idx].swap_remove(best.0);
-            // The is_empty guard keeps the tombstone hash off the
-            // steady-state dispatch path (most runs never cancel).
-            if !self.cancelled.is_empty() && self.cancelled.remove(&ev.key) {
+            if self.tokens.release(ev.token) {
                 continue;
             }
             self.next_cache = None;
@@ -280,12 +376,11 @@ impl<W: World> Calendar<W> {
             if self.wheel_len == 0 {
                 // Reap cancelled heap heads so the answer is a live event.
                 while let Some(top) = self.heap.peek() {
-                    if !self.cancelled.is_empty() && self.cancelled.contains(&top.key) {
-                        let ev = self.heap.pop().expect("peeked entry pops");
-                        self.cancelled.remove(&ev.key);
-                    } else {
+                    if !self.tokens.is_cancelled(top.token) {
                         return Some(top.at);
                     }
+                    let ev = self.heap.pop().expect("peeked entry pops");
+                    self.tokens.release(ev.token);
                 }
                 return None;
             }
@@ -299,9 +394,10 @@ impl<W: World> Calendar<W> {
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.key())
-                .map(|(i, e)| (i, e.at, e.key))
+                .map(|(i, e)| (i, e.at, e.token))
                 .expect("slot is nonempty");
-            if !self.cancelled.is_empty() && self.cancelled.remove(&best.2) {
+            if self.tokens.is_cancelled(best.2) {
+                self.tokens.release(best.2);
                 self.slots[idx].swap_remove(best.0);
                 self.wheel_len -= 1;
                 continue;
@@ -316,7 +412,7 @@ impl<W: World> Calendar<W> {
         }
         self.wheel_len = 0;
         self.heap.clear();
-        self.cancelled.clear();
+        self.tokens.clear();
         self.next_cache = None;
     }
 }
@@ -458,11 +554,12 @@ impl<W: World> Engine<W> {
         self.event_cap = cap;
     }
 
-    fn push(&mut self, at: SimTime, class: u8, key: OrderKey, slot: Slot<W>) {
+    fn push(&mut self, at: SimTime, class: u8, token: u32, key: OrderKey, slot: Slot<W>) {
         let at = at.max(self.now);
         self.queue.push(Scheduled {
             at,
             class,
+            token,
             key,
             slot,
         });
@@ -509,7 +606,7 @@ impl<W: World> Engine<W> {
     /// a hardware completion that "already happened" is observed at poll time.
     pub fn schedule(&mut self, at: SimTime, ev: W::Event) {
         let key = self.compat_key();
-        self.push(at, 0, key, Slot::Typed(ev));
+        self.push(at, 0, NO_TOKEN, key, Slot::Typed(ev));
     }
 
     /// Schedules a typed event `delay` after the current instant.
@@ -521,12 +618,10 @@ impl<W: World> Engine<W> {
     /// Schedules a typed event at `at` with an execution-invariant
     /// [`OrderKey`] built from `origin` (the scheduling object's stable id,
     /// below [`u32::MAX`]). Same-instant ties then resolve identically no
-    /// matter how the world is sharded across engines. Returns a handle for
-    /// [`Engine::cancel`].
-    pub fn schedule_from(&mut self, origin: u32, at: SimTime, ev: W::Event) -> EventHandle {
+    /// matter how the world is sharded across engines.
+    pub fn schedule_from(&mut self, origin: u32, at: SimTime, ev: W::Event) {
         let key = self.origin_key(origin);
-        self.push(at, 0, key, Slot::Typed(ev));
-        EventHandle { key }
+        self.push(at, 0, NO_TOKEN, key, Slot::Typed(ev));
     }
 
     /// Schedules a typed event at `at`, ordered **after** every ordinary
@@ -537,22 +632,26 @@ impl<W: World> Engine<W> {
     /// same-instant delivery.
     pub fn schedule_last(&mut self, at: SimTime, ev: W::Event) {
         let key = self.compat_key();
-        self.push(at, 1, key, Slot::Typed(ev));
+        self.push(at, 1, NO_TOKEN, key, Slot::Typed(ev));
     }
 
     /// [`Engine::schedule_last`] with an origin-tagged key
-    /// ([`Engine::schedule_from`]); returns a cancellation handle.
+    /// ([`Engine::schedule_from`]); returns a cancellation handle. This is
+    /// the one cancellable schedule — wake ticks are what a world
+    /// supersedes — so only its events carry a token; every other event
+    /// skips the cancellation test altogether.
     pub fn schedule_last_from(&mut self, origin: u32, at: SimTime, ev: W::Event) -> EventHandle {
         let key = self.origin_key(origin);
-        self.push(at, 1, key, Slot::Typed(ev));
-        EventHandle { key }
+        let handle = self.queue.tokens.issue();
+        self.push(at, 1, handle.slot, key, Slot::Typed(ev));
+        handle
     }
 
     /// Schedules a typed class-0 event carrying a key built by *another*
     /// engine — how a sharded world injects a peer shard's cross-boundary
     /// events so the merged dispatch order matches the single-engine run.
     pub fn schedule_injected(&mut self, at: SimTime, key: OrderKey, ev: W::Event) {
-        self.push(at, 0, key, Slot::Typed(ev));
+        self.push(at, 0, NO_TOKEN, key, Slot::Typed(ev));
     }
 
     /// Builds (and consumes) the next [`OrderKey`] for `origin` without
@@ -573,16 +672,16 @@ impl<W: World> Engine<W> {
     }
 
     /// Cancels a pending typed event scheduled with
-    /// [`Engine::schedule_from`] / [`Engine::schedule_last_from`]: the event
-    /// is unlinked from the calendar (lazily, via a tombstone) and will
-    /// never dispatch nor count as executed. Cancelling an event that
-    /// already dispatched is a caller bug; keys are never reused, so the
-    /// stale tombstone can mis-cancel nothing, but it leaks a set entry for
-    /// the rest of the run and deflates [`Engine::pending`] by one
-    /// (saturating — the count never wraps).
+    /// [`Engine::schedule_last_from`]: the event is unlinked from the
+    /// calendar (lazily — its token is flagged and the event dropped when
+    /// the cursor reaches it) and will never dispatch nor count as
+    /// executed; [`Engine::pending`] stops counting it at once. Cancelling
+    /// a handle twice, or after its event dispatched, is a no-op: the
+    /// handle's token generation no longer matches.
     pub fn cancel(&mut self, handle: EventHandle) {
-        self.queue.cancelled.insert(handle.key);
-        self.queue.next_cache = None;
+        if self.queue.tokens.cancel(handle) {
+            self.queue.next_cache = None;
+        }
     }
 
     /// Schedules a boxed `action` closure to run at instant `at` — the
@@ -594,7 +693,7 @@ impl<W: World> Engine<W> {
     {
         self.boxed_scheduled += 1;
         let key = self.compat_key();
-        self.push(at, 0, key, Slot::Boxed(Box::new(action)));
+        self.push(at, 0, NO_TOKEN, key, Slot::Boxed(Box::new(action)));
     }
 
     /// Schedules a boxed `action` closure `delay` after the current instant.
@@ -972,21 +1071,86 @@ mod tests {
     }
 
     /// A cancelled event never dispatches and never counts as executed —
-    /// in the wheel band and in the heap band alike.
+    /// in a wheel slot and (past `HORIZON`) in the heap alike — and
+    /// `pending()` is exact after every step.
     #[test]
     fn cancelled_events_never_dispatch() {
         let mut eng: Engine<Log> = Engine::new();
         let mut w = Log(Vec::new());
-        let near = eng.schedule_from(1, SimTime::from_nanos(50), Tag::Mark(1));
-        let far = eng.schedule_from(1, SimTime::from_millis(10), Tag::Mark(2));
+        let near = eng.schedule_last_from(1, SimTime::from_nanos(50), Tag::Mark(1));
+        let far_at = SimTime::from_nanos(HORIZON + 10_000_000);
+        let far = eng.schedule_last_from(1, far_at, Tag::Mark(2));
+        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (1, 1));
         eng.schedule_from(1, SimTime::from_nanos(60), Tag::Mark(3));
         assert_eq!(eng.pending(), 3);
         eng.cancel(near);
+        assert_eq!(eng.pending(), 2, "a cancelled event leaves the live count");
         eng.cancel(far);
-        assert_eq!(eng.pending(), 1, "cancelled events leave the live count");
+        assert_eq!(eng.pending(), 1);
         eng.run(&mut w);
         assert_eq!(w.0, vec![3]);
         assert_eq!(eng.executed(), 1, "cancelled events do not execute");
+        assert_eq!(eng.pending(), 0);
+        // The far tombstone was reaped when the run drained the heap.
+        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (0, 0));
+        assert_eq!(eng.queue.tokens.tombstones, 0);
+    }
+
+    /// Cancelling a handle twice, or after its event dispatched, changes
+    /// nothing — not even when the handle's token slot has since been
+    /// recycled for another event.
+    #[test]
+    fn stale_and_repeated_cancels_are_no_ops() {
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        let h = eng.schedule_last_from(1, SimTime::from_nanos(10), Tag::Mark(1));
+        eng.cancel(h);
+        eng.cancel(h);
+        assert_eq!(eng.pending(), 0, "the second cancel does not count again");
+        let ran = eng.schedule_last_from(1, SimTime::from_nanos(20), Tag::Mark(2));
+        eng.run(&mut w);
+        assert_eq!(w.0, vec![2]);
+        // Both slots are free again; the next event reuses one of them.
+        let live = eng.schedule_last_from(1, SimTime::from_nanos(30), Tag::Mark(3));
+        assert_eq!(eng.queue.tokens.slots.len(), 2);
+        eng.cancel(h);
+        eng.cancel(ran);
+        assert_eq!(eng.pending(), 1, "stale handles cancel nothing");
+        eng.run(&mut w);
+        assert_eq!(w.0, vec![2, 3]);
+        eng.cancel(live);
+        assert_eq!(eng.pending(), 0);
+        assert_eq!(eng.executed(), 2);
+    }
+
+    /// A parked loop's life: schedule a wake at a far deadline, have a
+    /// delivery supersede it (cancel, reschedule one tick out), run the
+    /// replacement. Ten thousand rounds from one origin keep the token
+    /// table at a handful of slots: a tombstone's slot is recycled as soon
+    /// as the cursor reaps it.
+    #[test]
+    fn token_slots_are_recycled() {
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        let tick = SimDuration::from_nanos(2_000);
+        for round in 0..10_000u32 {
+            // In the wheel on even rounds, in the heap on odd ones.
+            let out = if round % 2 == 0 { 100_000 } else { 2 * HORIZON };
+            let deadline =
+                eng.schedule_last_from(7, eng.now() + SimDuration::from_nanos(out), Tag::Mark(0));
+            eng.cancel(deadline);
+            eng.schedule_last_from(7, eng.now() + tick, Tag::Mark(1));
+            assert_eq!(eng.pending(), 1);
+            assert!(eng.step(&mut w));
+        }
+        assert_eq!(eng.executed(), 10_000);
+        assert!(w.0.iter().all(|&m| m == 1), "no cancelled wake dispatched");
+        // Tombstones standing at once: 2·HORIZON / tick heap entries plus
+        // the wheel's; far below the 20 000 handles issued.
+        let slots = eng.queue.tokens.slots.len();
+        assert!(slots <= 2 * (2 * HORIZON / 2_000) as usize, "{slots} slots");
+        eng.run(&mut w);
+        assert_eq!(eng.queue.tokens.free.len(), slots, "every slot came back");
     }
 
     /// `next_event_at` reports the earliest live event and skips cancelled
@@ -995,12 +1159,12 @@ mod tests {
     fn next_event_at_sees_through_cancellations() {
         let mut eng: Engine<Log> = Engine::new();
         assert_eq!(eng.next_event_at(), None);
-        let h = eng.schedule_from(1, SimTime::from_nanos(40), Tag::Mark(1));
+        let h = eng.schedule_last_from(1, SimTime::from_nanos(40), Tag::Mark(1));
         eng.schedule_from(1, SimTime::from_micros(700), Tag::Mark(2)); // heap band
         assert_eq!(eng.next_event_at(), Some(SimTime::from_nanos(40)));
         eng.cancel(h);
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(700)));
-        let h2 = eng.schedule_from(2, SimTime::from_micros(600), Tag::Mark(3));
+        let h2 = eng.schedule_last_from(2, SimTime::from_micros(600), Tag::Mark(3));
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(600)));
         eng.cancel(h2);
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(700)));

@@ -46,7 +46,7 @@ use crate::wire::Frame;
 use simkern::cost::CostModel;
 use simkern::resource::BusyResource;
 use simkern::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Aggregate counters of one [`LinkFabric`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,10 +81,24 @@ pub struct SwitchTx {
 #[derive(Debug, Default)]
 struct EgressPort {
     serializer: BusyResource,
-    /// Departure instants of frames still queued or serializing; pruned
-    /// against `now` on every ingress, so its length is the live backlog.
-    backlog: Vec<SimTime>,
+    /// Departure instants of frames still queued or serializing, oldest
+    /// first. The serializer hands out non-decreasing departures
+    /// ([`BusyResource::occupy`] returns `max(now, next_free) + hold`), so
+    /// the departed frames are always a prefix of the queue.
+    backlog: VecDeque<SimTime>,
     dropped: u64,
+}
+
+impl EgressPort {
+    /// Forgets every frame that has departed by `now` and returns how many
+    /// are still queued or serializing. Amortised O(1): each departure is
+    /// pushed once and popped once.
+    fn live_backlog(&mut self, now: SimTime) -> usize {
+        while self.backlog.front().is_some_and(|&d| d <= now) {
+            self.backlog.pop_front();
+        }
+        self.backlog.len()
+    }
 }
 
 /// An N-port learning switch (see the [module docs](self)).
@@ -166,8 +180,7 @@ impl LinkFabric {
 
     /// Live backlog (queued + serializing frames) of `port` at `now`.
     pub fn backlog(&mut self, port: usize, now: SimTime) -> usize {
-        self.ports[port].backlog.retain(|&d| d > now);
-        self.ports[port].backlog.len()
+        self.ports[port].live_backlog(now)
     }
 
     /// Switches one frame arriving on `port` at `now`: learns the source,
@@ -244,8 +257,7 @@ impl LinkFabric {
     ) -> Option<SwitchTx> {
         let cap = self.queue_capacity;
         let ep = &mut self.ports[port];
-        ep.backlog.retain(|&d| d > ready);
-        if ep.backlog.len() >= cap {
+        if ep.live_backlog(ready) >= cap {
             ep.dropped += 1;
             self.stats.dropped += 1;
             return None;
@@ -253,7 +265,11 @@ impl LinkFabric {
         let departure = ep
             .serializer
             .occupy(ready, costs.wire_cost(frame.wire_bytes()));
-        ep.backlog.push(departure);
+        debug_assert!(
+            ep.backlog.back().is_none_or(|&last| last <= departure),
+            "egress departures must be non-decreasing: the FIFO prunes a prefix"
+        );
+        ep.backlog.push_back(departure);
         Some(SwitchTx {
             port,
             departure,

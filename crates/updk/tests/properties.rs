@@ -4,12 +4,106 @@
 use cheri::TaggedMemory;
 use proptest::prelude::*;
 use simkern::cost::CostModel;
+use simkern::time::SimDuration;
 use simkern::time::SimTime;
+use std::collections::HashMap;
 use updk::framebuf::{FrameBuf, FrameBufMut, BUF_CAPACITY};
 use updk::mempool::{Mempool, DEFAULT_BUF_SIZE};
-use updk::nic::{Nic, NicModel};
+use updk::nic::{MacAddr, Nic, NicModel};
 use updk::ring::DescRing;
+use updk::switch::{LinkFabric, SwitchStats};
 use updk::wire::{Frame, MAX_FRAME, MIN_FRAME, WIRE_OVERHEAD};
+
+/// The reference [`LinkFabric`]: the same forwarding rules written the
+/// slow, obvious way. Each egress queue is a `Vec` of departures and
+/// every look at it `retain`s the frames still to leave, so it is right
+/// whatever order departures come in.
+struct ModelSwitch {
+    next_free: Vec<SimTime>,
+    backlog: Vec<Vec<SimTime>>,
+    port_dropped: Vec<u64>,
+    table: HashMap<MacAddr, usize>,
+    cap: usize,
+    stats: SwitchStats,
+    failed: bool,
+}
+
+impl ModelSwitch {
+    fn new(ports: usize, cap: usize) -> Self {
+        ModelSwitch {
+            next_free: vec![SimTime::ZERO; ports],
+            backlog: vec![Vec::new(); ports],
+            port_dropped: vec![0; ports],
+            table: HashMap::new(),
+            cap,
+            stats: SwitchStats::default(),
+            failed: false,
+        }
+    }
+
+    fn live_backlog(&mut self, port: usize, now: SimTime) -> usize {
+        self.backlog[port].retain(|&d| d > now);
+        self.backlog[port].len()
+    }
+
+    fn egress(&mut self, port: usize, ready: SimTime, hold: SimDuration) -> Option<SimTime> {
+        if self.live_backlog(port, ready) >= self.cap {
+            self.port_dropped[port] += 1;
+            self.stats.dropped += 1;
+            return None;
+        }
+        let departure = ready.max(self.next_free[port]) + hold;
+        self.next_free[port] = departure;
+        self.backlog[port].push(departure);
+        Some(departure)
+    }
+
+    /// `(egress port, departure)` of every surviving copy, in port order.
+    fn ingress(
+        &mut self,
+        port: usize,
+        now: SimTime,
+        dst: MacAddr,
+        src: MacAddr,
+        wire_bytes: u64,
+        costs: &CostModel,
+    ) -> Vec<(usize, SimTime)> {
+        if self.failed {
+            self.stats.fail_drops += 1;
+            return Vec::new();
+        }
+        self.stats.ingress += 1;
+        if !src.is_broadcast() {
+            self.table.insert(src, port);
+        }
+        let ready = now + SimDuration::from_nanos(costs.switch_latency_ns);
+        let hold = costs.wire_cost(wire_bytes);
+        let learned = (!dst.is_broadcast())
+            .then(|| self.table.get(&dst).copied())
+            .flatten();
+        match learned {
+            Some(out) if out == port => {
+                self.stats.filtered += 1;
+                Vec::new()
+            }
+            Some(out) => {
+                let tx = self.egress(out, ready, hold);
+                self.stats.forwarded += u64::from(tx.is_some());
+                tx.map(|d| (out, d)).into_iter().collect()
+            }
+            None => {
+                let mut copies = Vec::new();
+                for p in (0..self.next_free.len()).filter(|&p| p != port) {
+                    if let Some(d) = self.egress(p, ready, hold) {
+                        self.stats.flooded += 1;
+                        copies.push((p, d));
+                    }
+                }
+                copies
+            }
+        }
+    }
+}
 
 proptest! {
     /// Mempool conservation: after any alloc/free interleaving the number
@@ -103,6 +197,83 @@ proptest! {
         let s = nic.stats(0);
         prop_assert_eq!(s.ipackets + s.imissed, n_frames as u64);
         prop_assert_eq!(polled + nic.rx_pending(0) as u64, s.ipackets);
+    }
+
+    /// The switch's FIFO egress queues against [`ModelSwitch`]: any script
+    /// of ingress frames (learned unicast, unknown unicast and broadcast
+    /// floods, bursts at a standing `now` that overflow a small queue),
+    /// backlog queries at arbitrary instants — earlier than the last
+    /// ingress, and exactly on a departure, included — and fail/recover
+    /// cycles yields the same egress copies, the same counters and the same
+    /// backlog on every port after every step.
+    #[test]
+    fn switch_egress_fifo_matches_the_retain_model(
+        ports in 2usize..6,
+        cap in 1usize..6,
+        ops in proptest::collection::vec(
+            (0u8..16, any::<u8>(), any::<u8>(), MIN_FRAME..MAX_FRAME + 1, 0u64..40_000),
+            1..250,
+        ),
+    ) {
+        let costs = CostModel::morello();
+        let mut sw = LinkFabric::new(ports, cap);
+        let mut model = ModelSwitch::new(ports, cap);
+        // Stations 1..=ports+1: one more than there are ports, so some
+        // destination is always unknown or shares a port with its sender.
+        let station = |x: u8| MacAddr::local(1 + x % (ports as u8 + 1));
+        let mut now = SimTime::ZERO;
+        // The newest departure handed out: the instant on which "still
+        // queued" and "gone" meet.
+        let mut edge = SimTime::ZERO;
+        let latency = SimDuration::from_nanos(costs.switch_latency_ns);
+        for &(kind, a, b, len, dt) in &ops {
+            match kind {
+                // A backlog query at an arbitrary instant, or on the edge.
+                0 => {
+                    let at = if b % 2 == 0 { SimTime::from_nanos(dt * 8) } else { edge };
+                    let port = usize::from(a) % ports;
+                    prop_assert_eq!(sw.backlog(port, at), model.live_backlog(port, at));
+                }
+                1 => {
+                    sw.fail();
+                    model.failed = true;
+                }
+                2 => {
+                    sw.recover();
+                    model.failed = false;
+                    model.table.clear();
+                }
+                _ => {
+                    // Half the frames arrive with the clock standing still;
+                    // some become ready exactly as the newest one departs.
+                    if kind % 2 == 0 {
+                        now += SimDuration::from_nanos(dt);
+                    } else if kind == 5 && edge >= now + latency {
+                        now = SimTime::from_nanos(edge.as_nanos() - latency.as_nanos());
+                    }
+                    let port = usize::from(a) % ports;
+                    let src = station(a);
+                    let dst = if kind == 3 { MacAddr::BROADCAST } else { station(b) };
+                    let mut bytes = vec![0u8; len];
+                    bytes[0..6].copy_from_slice(&dst.octets());
+                    bytes[6..12].copy_from_slice(&src.octets());
+                    let frame = Frame::new(bytes);
+                    let want = model.ingress(port, now, dst, src, frame.wire_bytes(), &costs);
+                    let got: Vec<(usize, SimTime)> = sw
+                        .ingress(port, now, frame, &costs)
+                        .iter()
+                        .map(|tx| (tx.port, tx.departure))
+                        .collect();
+                    edge = got.last().map_or(edge, |&(_, d)| d);
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(sw.stats(), model.stats);
+            for p in 0..ports {
+                prop_assert_eq!(sw.port_dropped(p), model.port_dropped[p]);
+                prop_assert_eq!(sw.backlog(p, now), model.live_backlog(p, now));
+            }
+        }
     }
 
     /// TX departures are strictly increasing per port (the serializer never
