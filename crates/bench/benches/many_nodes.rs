@@ -35,7 +35,7 @@ fn server_mbits(out: &SimOutcome) -> Vec<f64> {
 
 /// The per-kind event counters every entry carries, so BENCH_*.json shows
 /// *why* events/sec moved: loop polls vs deliveries vs park/wake traffic.
-fn counter_metrics(out: &SimOutcome) -> [(&'static str, f64); 13] {
+fn counter_metrics(out: &SimOutcome) -> [(&'static str, f64); 12] {
     let c = out.counters;
     let r = out.rounds;
     [
@@ -52,13 +52,11 @@ fn counter_metrics(out: &SimOutcome) -> [(&'static str, f64); 13] {
         // stay 0 — recorded so the json is self-accounting.
         ("ev_boxed", c.boxed_events as f64),
         // Sharded-run rendezvous accounting (all zero for single-engine
-        // runs): rounds driven, rounds with no cross-shard exchange, and
-        // the zero-copy rehoming proof (frames crossing shards vs bytes
-        // actually copied for them).
+        // runs): rounds driven, shard-rounds with nothing to execute, and
+        // frames crossing shards.
         ("ev_rounds", r.rounds as f64),
         ("ev_empty_rounds", r.empty_rounds as f64),
         ("ev_xshard_frames", r.xshard_frames as f64),
-        ("ev_rehome_bytes", r.rehome_bytes as f64),
     ]
 }
 

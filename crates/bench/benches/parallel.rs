@@ -14,21 +14,17 @@
 //! * the trace digest (split into `trace_digest_hi/lo` — the metrics are
 //!   `f64`, which holds 32-bit halves exactly), plus `workers` (what was
 //!   asked), `workers_used` (what the adaptive model chose),
-//!   `lookahead_ns`, `host_parallelism` and the `ev_*` counters —
-//!   including the per-round quartet `ev_rounds` / `ev_empty_rounds` /
-//!   `ev_xshard_frames` / `ev_rehome_bytes`, which prove on paper that
-//!   rehoming stopped copying (`ev_rehome_bytes = 0` on the multiplexed
-//!   driver) and how many rounds skipped the exchange sweep.
+//!   `lookahead_ns` and the `ev_*` counters — including the per-round
+//!   trio `ev_rounds` / `ev_empty_rounds` / `ev_xshard_frames` (rounds
+//!   driven, shard-rounds with nothing to run, frames handed across).
 //!
 //! The bench **asserts** that every worker count reproduces the
-//! `workers = 1` digest and counters byte for byte — including one
-//! forced-threaded, adaptive-off case — so CI's bench-smoke job fails on
-//! any determinism regression. Cross-case derived ratios
+//! `workers = 1` digest and counters byte for byte, so CI's bench-smoke
+//! job fails on any determinism regression. Cross-case derived ratios
 //! (`speedup_vs_workers1`) are *not* recorded per case: they're computed
-//! by `tools/bench_delta.py` from `host_wall_ms`, which also prints a
-//! loud banner when `host_parallelism = 1` (a single-CPU runner
-//! multiplexes the shards on one thread, so wall-ratios there measure
-//! sharding overhead, not parallel speedup).
+//! by `tools/bench_delta.py` from `host_wall_ms`. The shards share one
+//! thread, so those ratios price sharding (shallower calendars against
+//! rendezvous rounds), not parallel speedup.
 
 use capnet::netsim::NetSim;
 use capnet::SimOutcome;
@@ -40,26 +36,11 @@ const SEED: u64 = 0x70B0;
 const RUN: SimDuration = SimDuration::from_millis(25);
 const HORIZON: SimDuration = SimDuration::from_millis(55);
 
-/// How one case drives the sharded window loop.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Adaptive selection on, auto thread choice — what callers get.
-    Auto,
-    /// Adaptive off + worker threads forced on: pins the rendezvous
-    /// protocol itself (barrier + mailbox slots) for the determinism
-    /// gate, regardless of the runner's core count.
-    ForcedThreaded,
-}
-
 /// Builds the star scenario and times only the simulation run.
-fn star_case(clients: usize, workers: usize, mode: Mode) -> (SimOutcome, std::time::Duration) {
+fn star_case(clients: usize, workers: usize) -> (SimOutcome, std::time::Duration) {
     let mut sim = NetSim::new(CostModel::morello());
     sim.set_seed(SEED);
     sim.set_workers(workers);
-    if mode == Mode::ForcedThreaded {
-        sim.set_adaptive_workers(false);
-        sim.set_worker_threads(Some(true));
-    }
     let star = capnet::topology::build_star(&mut sim, clients).expect("star builds");
     for (i, &leaf) in star.leaves.iter().enumerate() {
         let port = 5301 + i as u16;
@@ -80,15 +61,10 @@ fn star_case(clients: usize, workers: usize, mode: Mode) -> (SimOutcome, std::ti
 }
 
 /// Best-of-`reps` wall time (first outcome kept; all reps must agree).
-fn measured(
-    clients: usize,
-    workers: usize,
-    mode: Mode,
-    reps: usize,
-) -> (SimOutcome, std::time::Duration) {
-    let (out, mut best) = star_case(clients, workers, mode);
+fn measured(clients: usize, workers: usize, reps: usize) -> (SimOutcome, std::time::Duration) {
+    let (out, mut best) = star_case(clients, workers);
     for _ in 1..reps {
-        let (again, wall) = star_case(clients, workers, mode);
+        let (again, wall) = star_case(clients, workers);
         assert_eq!(
             again.trace, out.trace,
             "star/{clients}/w{workers}: a rerun diverged from itself"
@@ -99,19 +75,13 @@ fn measured(
 }
 
 /// The per-case metric rows shared by every recorded entry.
-fn case_metrics(
-    out: &SimOutcome,
-    clients: usize,
-    workers: usize,
-    host_parallelism: usize,
-) -> Vec<(&'static str, f64)> {
+fn case_metrics(out: &SimOutcome, clients: usize, workers: usize) -> Vec<(&'static str, f64)> {
     let cnt = out.counters;
     let r = out.rounds;
     vec![
         ("workers", workers as f64),
         ("workers_used", out.workers as f64),
         ("flows", clients as f64),
-        ("host_parallelism", host_parallelism as f64),
         ("lookahead_ns", out.lookahead_ns as f64),
         ("trace_digest_hi", (out.trace.digest >> 32) as f64),
         ("trace_digest_lo", (out.trace.digest & 0xFFFF_FFFF) as f64),
@@ -126,7 +96,6 @@ fn case_metrics(
         ("ev_rounds", r.rounds as f64),
         ("ev_empty_rounds", r.empty_rounds as f64),
         ("ev_xshard_frames", r.xshard_frames as f64),
-        ("ev_rehome_bytes", r.rehome_bytes as f64),
     ]
 }
 
@@ -135,7 +104,6 @@ fn bench_parallel(c: &mut Criterion) {
     // Best-of-7 (applied to every worker count alike) damps the
     // single-allocator noise that dominates run-to-run variance here.
     let reps = if smoke { 1 } else { 7 };
-    let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     let mut report = BenchReport::new("parallel");
     let mut group = c.benchmark_group("parallel");
     group.sample_size(10);
@@ -143,7 +111,7 @@ fn bench_parallel(c: &mut Criterion) {
     for clients in [8usize, 32, 128] {
         let mut baseline: Option<(SimOutcome, f64)> = None;
         for workers in [1usize, 2, 4] {
-            let (out, wall) = measured(clients, workers, Mode::Auto, reps);
+            let (out, wall) = measured(clients, workers, reps);
             if let Some((base, _)) = &baseline {
                 // The headline contract, enforced in CI's bench-smoke job:
                 // byte-identical wire behavior at any worker count.
@@ -172,44 +140,11 @@ fn bench_parallel(c: &mut Criterion) {
                 wall,
                 out.events,
                 out.horizon.as_nanos() as f64 / 1e9,
-                &case_metrics(&out, clients, workers, host_parallelism),
+                &case_metrics(&out, clients, workers),
             );
             if baseline.is_none() {
                 baseline = Some((out, wall_s));
             }
-        }
-
-        // The forced-threaded determinism gate, one mid-size case: the
-        // rendezvous protocol (one barrier per round, parity mailbox
-        // slots) must land on the same digest even when the adaptive
-        // model would have collapsed the plan and the auto driver would
-        // have multiplexed. On a multicore runner this row doubles as the
-        // recorded genuinely-parallel measurement.
-        if clients == 32 {
-            let (out, wall) = measured(clients, 2, Mode::ForcedThreaded, reps);
-            let (base, _) = baseline.as_ref().expect("baseline recorded");
-            assert_eq!(
-                base.trace, out.trace,
-                "star/{clients}: forced-threaded workers=2 diverged from workers=1"
-            );
-            assert_eq!(
-                base.counters, out.counters,
-                "star/{clients}: forced-threaded workers=2 counter drift"
-            );
-            assert_eq!(out.workers, 2, "forced-threaded case must stay sharded");
-            eprintln!(
-                "[parallel] star/{clients} workers=2 forced-threaded: {:.1} ms run, digest {:#018x}",
-                wall.as_secs_f64() * 1e3,
-                out.trace.digest
-            );
-            report.record_timed(
-                "star",
-                &format!("clients={clients}/workers=2-threaded"),
-                wall,
-                out.events,
-                out.horizon.as_nanos() as f64 / 1e9,
-                &case_metrics(&out, clients, 2, host_parallelism),
-            );
         }
 
         // Criterion's own timing loop only for the smallest case — the
@@ -219,7 +154,7 @@ fn bench_parallel(c: &mut Criterion) {
                 group.bench_with_input(
                     BenchmarkId::new(format!("star{clients}"), workers),
                     &workers,
-                    |b, &workers| b.iter(|| star_case(clients, workers, Mode::Auto)),
+                    |b, &workers| b.iter(|| star_case(clients, workers)),
                 );
             }
         }

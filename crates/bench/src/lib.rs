@@ -23,6 +23,8 @@
 //! # std::fs::remove_file(path).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 

@@ -33,6 +33,8 @@
 //! stream folds into an FNV-1a digest ([`ChaosReport::digest`]) that is
 //! byte-identical at any worker count of the sharded engine.
 
+#![forbid(unsafe_code)]
+
 pub mod bitflip;
 pub mod malformed;
 pub mod tcpforge;

@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod capability;
 pub mod compress;
 pub mod fault;

@@ -36,6 +36,8 @@
 //! assert!(done.completed_at > now);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod errno;
 pub mod fdtable;

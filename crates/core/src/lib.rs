@@ -35,6 +35,8 @@
 //! assert!(outcome.fault.is_out_of_bounds());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod app;
 pub mod experiment;
 pub mod netsim;

@@ -180,7 +180,7 @@ impl NetSim {
             // Sharded runs defer the digest: folds must happen in the
             // *merged* dispatch order across all shards, not this shard's
             // arrival order, so the delivery is logged under its dispatch
-            // key and folded at merge time.
+            // key and the driver folds it once no shard can precede it.
             ctx.log.push_back(DeliveryRecord {
                 at,
                 key: engine.current_key(),

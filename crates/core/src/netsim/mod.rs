@@ -223,11 +223,8 @@ pub struct NetSim {
     /// [`Profitability`] model and transparently collapses an
     /// unprofitable shard plan to the single-engine loop. `false` forces
     /// the requested worker count (tests use this to actually exercise
-    /// the sharded drivers on small topologies).
+    /// the sharded driver on small topologies).
     adaptive_workers: bool,
-    /// Explicit window-driver choice (`Some(true)` = worker threads,
-    /// `Some(false)` = single-thread multiplexing, `None` = auto).
-    worker_threads: Option<bool>,
     /// Present while this instance is one shard of a sharded run.
     shard_ctx: Option<Box<ShardCtx>>,
     /// The scheduled fault plan as built ([`NetSim::add_fault`] order).
@@ -287,7 +284,6 @@ impl NetSim {
             idle_period,
             workers: 1,
             adaptive_workers: true,
-            worker_threads: None,
             shard_ctx: None,
             fault_plan: Vec::new(),
             faults: Vec::new(),
@@ -300,13 +296,13 @@ impl NetSim {
     ///
     /// At `n > 1` the topology is partitioned into up to `n` shards, each
     /// driven by its own engine in conservative lookahead windows, with
-    /// cross-shard frames exchanged at window barriers. Wire behavior is
-    /// **byte-identical at any worker count** — same trace digest, same
+    /// cross-shard frames exchanged at the end of each round. Wire behavior
+    /// is **byte-identical at any worker count** — same trace digest, same
     /// reports, same counters; `n = 1` (the default) is exactly the classic
-    /// single-engine loop. Shards run on worker threads when the host has
-    /// more than one CPU, and are multiplexed on the calling thread
-    /// otherwise (identical results either way; `CAPNET_SHARD_THREADS=0/1`
-    /// overrides the choice).
+    /// single-engine loop. The shards are multiplexed on the calling
+    /// thread: a "worker" is a shard with its own, shallower event
+    /// calendar, not an OS thread (DESIGN.md, *Why there is no threaded
+    /// driver*).
     pub fn set_workers(&mut self, n: usize) {
         self.workers = n.max(1);
     }
@@ -320,21 +316,14 @@ impl NetSim {
     /// reports `1`). Results are byte-identical either way — this knob
     /// only decides which identical-result execution path runs, and
     /// exists so tests and benchmarks can force small topologies through
-    /// the sharded drivers.
+    /// the sharded driver.
     pub fn set_adaptive_workers(&mut self, adaptive: bool) {
         self.adaptive_workers = adaptive;
     }
 
-    /// Overrides the sharded-run window driver: `Some(true)` forces
-    /// worker threads, `Some(false)` forces single-thread multiplexing,
-    /// `None` (the default) picks threads when the host has more than one
-    /// CPU (the `CAPNET_SHARD_THREADS` environment variable, when set,
-    /// takes the place of the auto choice). Either driver produces
-    /// byte-identical results; this knob only exists for tests and for
-    /// pinning the execution mode on unusual hosts.
-    pub fn set_worker_threads(&mut self, threaded: Option<bool>) {
-        self.worker_threads = threaded;
-    }
+    /// Inert: shards are always multiplexed on the calling thread. Kept for
+    /// its sole caller, `benchmark/src/ledger.rs` — delete with it.
+    pub fn set_worker_threads(&mut self, _: Option<bool>) {}
 
     /// Adds a NIC of `model` (kernel-detached and ready to configure).
     pub fn add_dev(&mut self, model: NicModel) -> Result<DevId, CapnetError> {

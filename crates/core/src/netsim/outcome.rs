@@ -3,7 +3,7 @@
 
 use super::fabric::TraceDigest;
 use super::faults::FaultStats;
-use super::shard::{DeliveryRecord, ShardRun};
+use super::shard::ShardRun;
 #[cfg(doc)]
 use super::{NetEvent, NetSim};
 use crate::app::AppReports;
@@ -76,8 +76,8 @@ impl EventCounters {
 /// sum. `empty_rounds` counts **shard-rounds**: it is summed per shard,
 /// so a 4-worker run can report more empty rounds than rounds. The share
 /// of wasted window slots is therefore `empty_rounds / (rounds ×
-/// workers)`, never `empty_rounds / rounds`. The traffic tallies
-/// (`xshard_frames`, `rehome_bytes`) are plain sums over shards.
+/// workers)`, never `empty_rounds / rounds`. `xshard_frames` is a plain
+/// sum over shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundCounters {
     /// Rendezvous rounds driven (max across shards — rounds are lockstep).
@@ -87,9 +87,8 @@ pub struct RoundCounters {
     pub empty_rounds: u64,
     /// Frames handed across a shard boundary (deliveries + switch hops).
     pub xshard_frames: u64,
-    /// Bytes actually copied to rehome frames across threads — zero when
-    /// shards are multiplexed on one thread (shared handoff) and zero per
-    /// relay once a frame is already an `Arc`-backed page.
+    /// Always 0: a cross-shard hand-off shares the frame, it copies nothing.
+    /// Kept for its sole reader, `benchmark/src/workloads.rs` — delete with it.
     pub rehome_bytes: u64,
 }
 
@@ -99,7 +98,6 @@ impl RoundCounters {
         self.rounds = self.rounds.max(o.rounds);
         self.empty_rounds += o.empty_rounds;
         self.xshard_frames += o.xshard_frames;
-        self.rehome_bytes += o.rehome_bytes;
     }
 }
 
@@ -170,16 +168,15 @@ pub struct SimOutcome {
 /// Assembles the [`SimOutcome`] of a finished run from its worlds — the
 /// single world of a plain run, or every shard of a sharded one
 /// (`node_shard`/`switch_shard` say which world owns each node and
-/// fabric). Counters and stats sum, reports collect node-major in global
-/// installation order, and whatever the driver has not yet folded of the
-/// deferred delivery log folds onto `trace` in `(at, key)` order — the
-/// exact order a single engine folds inline.
+/// fabric). Counters and stats sum and reports collect node-major in
+/// global installation order; `trace` arrives complete (a sharded run's
+/// driver has folded its whole deferred delivery log by the time it stops).
 pub(super) fn collect_outcome(
     mut cells: Vec<ShardRun>,
     node_shard: &[usize],
     switch_shard: &[usize],
     lookahead_ns: u64,
-    mut trace: TraceDigest,
+    trace: TraceDigest,
 ) -> SimOutcome {
     let end = cells
         .iter()
@@ -190,7 +187,6 @@ pub(super) fn collect_outcome(
     let mut rounds = RoundCounters::default();
     let mut impairment_stats = ImpairmentStats::default();
     let mut fault_stats = FaultStats::default();
-    let mut log: Vec<DeliveryRecord> = Vec::new();
     for cell in cells.iter_mut() {
         counters.absorb(EventCounters {
             boxed_events: cell.engine.boxed_scheduled(),
@@ -200,14 +196,9 @@ pub(super) fn collect_outcome(
         fault_stats.absorb(cell.sim.fault_stats);
         if let Some(ctx) = cell.sim.shard_ctx.as_mut() {
             rounds.absorb(ctx.rounds);
-            log.extend(ctx.log.drain(..));
+            debug_assert!(ctx.log.is_empty(), "the driver folds every delivery");
         }
     }
-    log.sort_unstable_by_key(|r| (r.at, r.key));
-    for r in &log {
-        trace.record(r.at, r.dev as usize, r.port as usize, r.frame.bytes());
-    }
-    drop(log);
 
     let mut reports = AppReports::default();
     let mut port_stats = Vec::new();

@@ -1,6 +1,6 @@
-//! The sharded drivers: planning a shard split, running each shard's
-//! engine in conservative lookahead windows (on worker threads, or
-//! multiplexed on one), and handing frames across shard boundaries.
+//! The sharded driver: planning a shard split, running each shard's
+//! engine in conservative lookahead windows (multiplexed on the calling
+//! thread), and handing frames across shard boundaries.
 
 use super::fabric::TraceDigest;
 use super::node::Node;
@@ -11,38 +11,11 @@ use crate::topology::{partition_shards, ShardGraph, ShardPlan};
 use cheri::TaggedMemory;
 use simkern::engine::{Engine, OrderKey};
 use simkern::time::SimTime;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 use updk::ethdev::EthDev;
 use updk::kmod::PciAddress;
 use updk::nic::NicModel;
 use updk::switch::LinkFabric;
 use updk::wire::{Frame, MIN_FRAME, WIRE_OVERHEAD};
-
-/// A cross-shard frame payload — never a byte-for-byte rebuild.
-///
-/// When the shards are multiplexed on a single thread there is only one
-/// buffer pool, so the handoff is a plain refcount bump
-/// ([`XPayload::Shared`]). Between worker *threads* the frame travels as
-/// an immutable Arc-backed pool page ([`XPayload::Page`], built by
-/// [`Frame::to_page`]): at most one copy at the sending boundary (zero
-/// for a relayed frame that already is a page), and the destination shard
-/// uses the page in place instead of re-materializing it into its own
-/// pool as the old `Vec<u8>` handoff did.
-enum XPayload {
-    /// A shared thread-local frame (single-thread multiplexed handoff).
-    Shared(Frame),
-    /// An immutable Arc-backed page (thread-crossing handoff).
-    Page(Frame),
-}
-
-impl XPayload {
-    fn into_frame(self) -> Frame {
-        match self {
-            XPayload::Shared(f) | XPayload::Page(f) => f,
-        }
-    }
-}
 
 /// One cross-shard event in flight between lookahead windows: a frame
 /// delivery or switch hop whose destination lives in another shard. The
@@ -54,17 +27,10 @@ struct XEvent {
     /// Where the frame arrives: a switch port ([`NetEvent::SwitchHop`])
     /// or a NIC port ([`NetEvent::Deliver`]).
     to: Ep,
-    payload: XPayload,
+    /// Shares the sender's storage: the shards run on one thread over one
+    /// buffer pool, so the hand-off is a refcount bump, never a copy.
+    frame: Frame,
 }
-
-// SAFETY: the only non-`Send` content is [`XPayload::Shared`], which is
-// constructed exclusively when every shard is multiplexed on one thread
-// ([`ShardCtx::same_thread`]); threaded runs always rehome payloads to
-// [`XPayload::Page`] — an immutable `Arc`-backed pool page
-// ([`Frame::to_page`]) whose storage is never aliased by any `Rc` — so an
-// `XEvent` that actually crosses a thread boundary never holds
-// thread-local state.
-unsafe impl Send for XEvent {}
 
 /// One deferred trace-digest fold of a sharded run: the delivery's
 /// identity plus the dispatch key it sorted under. Folding the merged,
@@ -87,73 +53,24 @@ pub(super) struct ShardCtx {
     node_shard: Vec<u32>,
     dev_shard: Vec<u32>,
     sw_shard: Vec<u32>,
-    /// `true` while the shards are multiplexed on one thread, enabling the
-    /// shared-frame handoff ([`XPayload::Shared`]).
-    same_thread: bool,
     /// Cross-shard events generated this window, per destination shard;
-    /// exchanged at the window barrier.
+    /// exchanged at the end of the round.
     outbox: Vec<Vec<XEvent>>,
     /// Driver tallies for this shard (merged into
     /// [`SimOutcome::rounds`] at the end of the run).
     pub(super) rounds: RoundCounters,
     /// Deferred digest folds, in this shard's execution order (so the
-    /// front is always the oldest). The sequential driver drains and
-    /// folds finalized entries every round — bounding retained frames to
-    /// roughly one window's deliveries — while the threaded driver folds
-    /// everything at merge time (worker threads cannot share the digest
-    /// accumulator mid-run without another serialization point).
+    /// front is always the oldest). The driver drains and folds finalized
+    /// entries every round, bounding retained frames to roughly one
+    /// window's deliveries.
     pub(super) log: std::collections::VecDeque<DeliveryRecord>,
 }
 
-/// A world paired with its engine — the unit a worker thread owns in a
-/// threaded sharded run (and what [`collect_outcome`] reads results from).
+/// A shard's world paired with its engine — the unit the window driver
+/// steps (and what [`collect_outcome`] reads results from).
 pub(super) struct ShardRun {
     pub(super) sim: NetSim,
     pub(super) engine: Engine<NetSim>,
-}
-
-// SAFETY: a `ShardRun` is not `Send` by its contents: the `NetSim` holds
-// `Rc`-backed frames (NIC rings, stack buffers, switch queues, the
-// deferred delivery log), handles into thread-local buffer pools, and the
-// node's app objects, which the `App` trait deliberately does not require
-// to be `Send`; the engine's calendar holds more of the same frames. The
-// move is sound because of how the threaded driver uses the type: a
-// shard's world is built on the coordinating thread, moved to exactly one
-// worker before its first event executes (`drive_windows_threaded` drains
-// the cells into the scope), never aliased while there — every `Rc`
-// reference graph is closed within one shard, and the only values that
-// cross between workers are `XEvent`s carrying immutable `Arc`-backed
-// pages ([`Frame::to_page`]) — and moved back only after the scope has
-// joined every worker. At any instant exactly one thread can reach any
-// `Rc`, pool handle or app object inside it. Storage a worker allocated
-// and the coordinator later frees recycles into the freeing thread's pool.
-unsafe impl Send for ShardRun {}
-
-/// Coordination state shared by the worker threads of a threaded sharded
-/// run, under the single-rendezvous protocol: each round ends in exactly
-/// **one** barrier wait, with every exchange slot double-buffered by round
-/// parity (`round & 1`). A worker writes the slot the *next* round will
-/// read (mailbox flush, outbox minima, its published next instant) before
-/// the barrier, and reads the current round's slot after it; because a
-/// worker can never be a full round ahead of a peer (the barrier is
-/// lockstep), the two parities never alias.
-struct ShardShared {
-    barrier: Barrier,
-    /// `mailbox[p][src][dst]`: cross-shard events flushed by `src` for
-    /// `dst`, to be injected at the start of the round with parity `p`.
-    mailbox: [Vec<Vec<Mutex<Vec<XEvent>>>>; 2],
-    /// `next_at[p][s]`: shard `s`'s earliest pending instant (`u64::MAX`
-    /// = idle) as published for the round with parity `p` — *excluding*
-    /// the mailbox events it has not injected yet.
-    next_at: [Vec<AtomicU64>; 2],
-    /// `out_min[p][src][dst]`: the minimum timestamp `src` flushed into
-    /// `mailbox[p][src][dst]` (`u64::MAX` = nothing, and the reader skips
-    /// that mailbox lock entirely). Folding these into `next_at` gives
-    /// every worker the same *effective* next instants the sequential
-    /// driver reads off its engines after injection — which is what lets
-    /// windows be derived before anyone has actually injected.
-    out_min: [Vec<Vec<AtomicU64>>; 2],
-    stop: u64,
 }
 
 impl NetSim {
@@ -336,17 +253,6 @@ impl NetSim {
         }
         let stop = self.stop_at;
         let workers = plan.workers;
-        // Worker threads when the host has the cores for it, multiplexed
-        // on this thread otherwise — identical results by construction
-        // (same windows, same sorted injections).
-        let threaded = self.worker_threads.unwrap_or_else(|| {
-            match std::env::var("CAPNET_SHARD_THREADS").ok().as_deref() {
-                Some("0") => false,
-                Some("1") => true,
-                // Unset or unrecognized: pick by available cores.
-                _ => std::thread::available_parallelism().map_or(1, usize::from) > 1,
-            }
-        });
 
         // Build the shard worlds: every vector keeps its global length,
         // filled with untouched placeholders; real state then MOVES into
@@ -368,7 +274,6 @@ impl NetSim {
                         node_shard: plan.node_shard.iter().map(|&s| s as u32).collect(),
                         dev_shard: dev_shard.clone(),
                         sw_shard: sw_shard.clone(),
-                        same_thread: !threaded,
                         outbox: (0..workers).map(|_| Vec::new()).collect(),
                         rounds: RoundCounters::default(),
                         log: std::collections::VecDeque::new(),
@@ -416,11 +321,7 @@ impl NetSim {
         }
 
         let mut trace = TraceDigest::default();
-        if threaded {
-            Self::drive_windows_threaded(&mut cells, stop, &matrix);
-        } else {
-            Self::drive_windows_sequential(&mut cells, stop, &matrix, &mut trace);
-        }
+        Self::drive_windows_sequential(&mut cells, stop, &matrix, &mut trace);
         collect_outcome(
             cells,
             &plan.node_shard,
@@ -436,7 +337,9 @@ impl NetSim {
     /// exchange sweep entirely on rounds where no shard produced any.
     /// Deferred digest entries older than every shard's next event are
     /// final, so they fold into `trace` as the run goes — retained frames
-    /// stay bounded by a round's deliveries instead of the whole run's.
+    /// stay bounded by a round's deliveries instead of the whole run's —
+    /// and the fold before the exit (every shard idle or past `stop`)
+    /// leaves the logs empty.
     fn drive_windows_sequential(
         cells: &mut [ShardRun],
         stop: SimTime,
@@ -516,163 +419,16 @@ impl NetSim {
         }
     }
 
-    /// Threaded window driver: one worker thread per shard, **one**
-    /// barrier wait per round (see [`ShardShared`] for the parity
-    /// double-buffered exchange protocol that replaced the old
-    /// flush-then-vote pair of barriers).
-    fn drive_windows_threaded(cells: &mut Vec<ShardRun>, stop: SimTime, matrix: &LookaheadMatrix) {
-        let workers = cells.len();
-        let slot = || -> Vec<Vec<Mutex<Vec<XEvent>>>> {
-            (0..workers)
-                .map(|_| (0..workers).map(|_| Mutex::new(Vec::new())).collect())
-                .collect()
-        };
-        let nexts =
-            || -> Vec<AtomicU64> { (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect() };
-        let mins = || -> Vec<Vec<AtomicU64>> {
-            (0..workers)
-                .map(|_| (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect())
-                .collect()
-        };
-        let shared = ShardShared {
-            barrier: Barrier::new(workers),
-            mailbox: [slot(), slot()],
-            next_at: [nexts(), nexts()],
-            out_min: [mins(), mins()],
-            stop: stop.as_nanos(),
-        };
-        let finished = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (id, cell) in cells.drain(..).enumerate() {
-                let shared = &shared;
-                handles.push(scope.spawn(move || Self::shard_worker(cell, id, shared, matrix)));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        *cells = finished;
-    }
-
-    /// The per-thread loop of [`NetSim::drive_windows_threaded`] —
-    /// byte-identical to the sequential driver round for round, at one
-    /// rendezvous per round.
-    ///
-    /// Each round with parity `p` *reads* slot `p` (published instants,
-    /// mailbox minima, mailboxes) and *writes* slot `p ^ 1` for the next
-    /// round, then waits on the single barrier. The lockstep barrier
-    /// means no worker can be a full round ahead, so the slot a worker
-    /// writes is never the slot a straggler is still reading. The
-    /// *effective* next instant of a peer folds its published engine
-    /// minimum with the minima of mailboxes it has yet to inject
-    /// ([`ShardShared::out_min`]) — exactly the post-injection instants
-    /// the sequential driver reads off its engines — so every worker
-    /// derives identical windows from identical data with no coordinator.
-    fn shard_worker(
-        mut cell: ShardRun,
-        id: usize,
-        shared: &ShardShared,
-        matrix: &LookaheadMatrix,
-    ) -> ShardRun {
-        let workers = shared.next_at[0].len();
-        // Publish the boot-schedule instants into round 0's slot; one
-        // initial rendezvous makes them visible to every worker.
-        let next = cell
-            .engine
-            .next_event_at()
-            .map_or(u64::MAX, |t| t.as_nanos());
-        shared.next_at[0][id].store(next, Ordering::SeqCst);
-        shared.barrier.wait();
-        let mut round: u64 = 0;
-        let mut incoming = Vec::new();
-        loop {
-            let p = (round & 1) as usize;
-            // Effective next instants: published engine minima folded
-            // with the not-yet-injected mailbox minima. Identical on
-            // every worker, so the break decision needs no barrier.
-            let mut nexts = vec![u64::MAX; workers];
-            for (s, next) in nexts.iter_mut().enumerate() {
-                let mut n = shared.next_at[p][s].load(Ordering::SeqCst);
-                for src in 0..workers {
-                    n = n.min(shared.out_min[p][src][s].load(Ordering::SeqCst));
-                }
-                *next = n;
-            }
-            let start = nexts.iter().copied().min().unwrap_or(u64::MAX);
-            if start == u64::MAX || start > shared.stop {
-                break;
-            }
-            // Drain this round's mailboxes (the out_min sentinel makes
-            // empty ones lock-free to skip) and inject. Readers never
-            // write out_min — peers are still reading this whole slot to
-            // derive their own windows; the flush phase below overwrites
-            // each row unconditionally for the slot's next reuse.
-            for src in 0..workers {
-                if shared.out_min[p][src][id].load(Ordering::SeqCst) == u64::MAX {
-                    continue;
-                }
-                incoming.append(&mut shared.mailbox[p][src][id].lock().expect("mailbox poisoned"));
-            }
-            Self::inject_sorted(&mut cell, &mut incoming);
-            {
-                let ctx = cell.sim.shard_ctx.as_mut().expect("shard ctx");
-                ctx.rounds.rounds += 1;
-            }
-            let end = matrix.window_end(&nexts, id);
-            if nexts[id] < end {
-                let ShardRun { sim, engine } = &mut cell;
-                if end > shared.stop {
-                    engine.run_until(sim, SimTime::from_nanos(shared.stop));
-                } else {
-                    engine.run_window(sim, SimTime::from_nanos(end));
-                }
-            } else {
-                let ctx = cell.sim.shard_ctx.as_mut().expect("shard ctx");
-                ctx.rounds.empty_rounds += 1;
-            }
-            // Write the next round's slot: flush the outbox and publish
-            // this worker's full out_min row — unconditionally, MAX for
-            // destinations it sent nothing, so the row needs no reader-
-            // side reset — then the engine's new minimum, then rendezvous.
-            let q = p ^ 1;
-            {
-                let ctx = cell.sim.shard_ctx.as_mut().expect("shard ctx");
-                for (dst, outgoing) in ctx.outbox.iter_mut().enumerate() {
-                    let min = outgoing.iter().map(|x| x.at.as_nanos()).min();
-                    if let Some(min) = min {
-                        shared.mailbox[q][id][dst]
-                            .lock()
-                            .expect("mailbox poisoned")
-                            .append(outgoing);
-                        shared.out_min[q][id][dst].store(min, Ordering::SeqCst);
-                    } else {
-                        shared.out_min[q][id][dst].store(u64::MAX, Ordering::SeqCst);
-                    }
-                }
-            }
-            let next = cell
-                .engine
-                .next_event_at()
-                .map_or(u64::MAX, |t| t.as_nanos());
-            shared.next_at[q][id].store(next, Ordering::SeqCst);
-            shared.barrier.wait();
-            round += 1;
-        }
-        cell
-    }
-
     /// Sorts a window's incoming cross-shard events by `(at, key)` — the
-    /// single-engine dispatch order — and schedules them. Payloads are
-    /// used in place (a shared frame or an `Arc`-backed page), never
-    /// re-materialized.
+    /// single-engine dispatch order — and schedules them, frames used in
+    /// place.
     fn inject_sorted(cell: &mut ShardRun, incoming: &mut Vec<XEvent>) {
         if incoming.is_empty() {
             return;
         }
         incoming.sort_unstable_by_key(|x| (x.at, x.key));
         for x in incoming.drain(..) {
-            let ev = NetEvent::arrival(x.to, x.at, x.payload.into_frame());
+            let ev = NetEvent::arrival(x.to, x.at, x.frame);
             cell.engine.schedule_injected(x.at, x.key, ev);
         }
     }
@@ -705,26 +461,10 @@ impl NetSim {
         }
     }
 
-    /// Rehomes a frame for a cross-shard handoff and tallies the traffic:
-    /// a refcount bump when the shards share a thread, an `Arc`-backed
-    /// pool page otherwise — copied at most once, and not at all when the
-    /// frame (e.g. one being relayed onward) already is a page.
-    fn rehome(ctx: &mut ShardCtx, frame: &Frame) -> XPayload {
-        ctx.rounds.xshard_frames += 1;
-        if ctx.same_thread {
-            XPayload::Shared(frame.clone())
-        } else {
-            if !frame.is_page() {
-                ctx.rounds.rehome_bytes += frame.bytes().len() as u64;
-            }
-            XPayload::Page(frame.to_page())
-        }
-    }
-
     /// Queues a frame's arrival at `to`, which another shard handles, for
-    /// the window barrier: the payload is rehomed by [`NetSim::rehome`]
-    /// and the order key is drawn from this engine's origin counter,
-    /// exactly as a local schedule would have.
+    /// the end-of-round exchange: the frame is shared, not copied, and the
+    /// order key is drawn from this engine's origin counter, exactly as a
+    /// local schedule would have.
     pub(super) fn outbox(
         &mut self,
         engine: &mut Engine<NetSim>,
@@ -739,12 +479,12 @@ impl NetSim {
             Ep::Dev(dev, _) => ctx.dev_shard[dev],
             Ep::Sw(sw, _) => ctx.sw_shard[sw],
         };
-        let payload = Self::rehome(ctx, frame);
+        ctx.rounds.xshard_frames += 1;
         ctx.outbox[dst as usize].push(XEvent {
             at,
             key,
             to,
-            payload,
+            frame: frame.clone(),
         });
     }
 }

@@ -132,9 +132,7 @@ impl LookaheadMatrix {
     }
 
     /// Shard `me`'s safe execution bound for one round, given every
-    /// shard's earliest pending instant (`u64::MAX` = idle; in the
-    /// threaded driver these are *effective* nexts, folding in-flight
-    /// mailbox minima into the published queue minima).
+    /// shard's earliest pending instant (`u64::MAX` = idle).
     ///
     /// Any event that could still appear in `me` descends from some shard
     /// `q`'s currently earliest event and must traverse at least

@@ -455,7 +455,7 @@ pub fn partition_shards(graph: &ShardGraph, workers: usize) -> ShardPlan {
     }
     // 5. Compact away empty shards (more workers requested than the
     //    topology has placeable units): renumber used shards in ascending
-    //    order so the runner builds no idle worlds or worker threads.
+    //    order so the runner builds no idle worlds.
     let mut remap = vec![usize::MAX; workers];
     for s in node_shard.iter().chain(switch_shard.iter()) {
         remap[*s] = 0; // mark as used; final ids assigned in shard order

@@ -26,6 +26,8 @@
 //! a buffer overflow in (or through) this stack is architecturally
 //! impossible rather than merely absent.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod arp;
 pub mod buffer;

@@ -26,6 +26,8 @@
 //! only IEEE-exact arithmetic (no libm), so a run is a pure function of
 //! its configuration and byte-identical at any worker count.
 
+#![forbid(unsafe_code)]
+
 pub mod fleet;
 pub mod http;
 pub mod server;

@@ -41,6 +41,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod cvm;
 pub mod proxy;

@@ -18,6 +18,8 @@
 //! the per-call isolation costs of the active scenario (trampolines in
 //! Scenario 1; cross-cVM wrappers plus the service mutex in Scenario 2).
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod report;
 pub mod server;

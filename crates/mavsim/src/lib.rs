@@ -41,6 +41,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod frame;
 pub mod gcs;
 pub mod msg;

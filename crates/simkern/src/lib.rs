@@ -53,6 +53,8 @@
 //! assert_eq!(world.ticks, 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod engine;
 pub mod resource;

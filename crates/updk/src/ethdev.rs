@@ -3,7 +3,8 @@
 //! [`EthDev`] bundles a [`Nic`] with per-port mempools and
 //! enforces the poll-mode driver lifecycle the paper's port implements:
 //! discover → detach from the kernel ([`crate::kmod`]) → configure queues
-//! and pools (capability-bounded) → start → poll with `rx_burst`/`tx_burst`.
+//! and pools (capability-bounded) → start → poll with
+//! `rx_burst_shared`/`tx_burst_shared`.
 
 use crate::kmod::{BindingRegistry, PciAddress};
 use crate::mbuf::Mbuf;
@@ -170,43 +171,19 @@ impl EthDev {
             .free(mbuf);
     }
 
-    /// Transmits a burst: DMA-reads each mbuf's bytes (capability-checked),
-    /// frees the buffers, and returns `(frame, departure_instant)` pairs for
-    /// the scenario to propagate over the wire.
-    ///
-    /// # Errors
-    ///
-    /// [`UpdkError::NotStarted`] when the link is down; capability faults if
-    /// an mbuf's data window is corrupt. Already-transmitted frames of the
-    /// burst are returned with the error-free prefix semantics of DPDK
-    /// (`nb_tx < nb_pkts`): we stop at the first failure.
-    pub fn tx_burst(
-        &mut self,
-        port: usize,
-        now: SimTime,
-        mbufs: Vec<Mbuf>,
-        mem: &mut TaggedMemory,
-    ) -> Result<Vec<(Frame, SimTime)>, UpdkError> {
-        let mut batch = Vec::with_capacity(mbufs.len());
-        for mbuf in mbufs {
-            let bytes = mbuf.read(mem).map_err(UpdkError::Cap)?;
-            let frame = Frame::new(bytes);
-            batch.push((mbuf, frame));
-        }
-        self.tx_burst_shared(port, now, batch)
-    }
-
     /// Transmits a burst of frames whose bytes were already DMA-written
-    /// into the paired mbufs — the zero-copy twin of [`EthDev::tx_burst`].
-    /// The capability window of each mbuf is re-derived (the DMA-read
+    /// into the paired mbufs, frees the buffers, and returns `(frame,
+    /// departure_instant)` pairs for the scenario to propagate over the
+    /// wire. The capability window of each mbuf is re-derived (the DMA-read
     /// check) but the wire gets the *shared* frame buffer: no read-back
     /// copy, no fresh allocation.
     ///
     /// # Errors
     ///
     /// [`UpdkError::NotStarted`] when the link is down; capability faults
-    /// if an mbuf's data window is corrupt. Error-free-prefix semantics as
-    /// in [`EthDev::tx_burst`].
+    /// if an mbuf's data window is corrupt. Already-transmitted frames of
+    /// the burst are returned with the error-free prefix semantics of DPDK
+    /// (`nb_tx < nb_pkts`): we stop at the first failure.
     pub fn tx_burst_shared(
         &mut self,
         port: usize,
@@ -219,8 +196,6 @@ impl EthDev {
             // the data window performs the tag/bounds check the paper's
             // port relies on, without copying the bytes back out.
             mbuf.data_cap().map_err(UpdkError::Cap)?;
-            // Equal on the zero-copy path; the legacy tx_burst writes the
-            // unpadded bytes, so the frame may carry extra MAC padding.
             debug_assert!(usize::from(mbuf.data_len()) <= frame.len());
             let departure = self.nic.tx(port, now, &frame, &self.costs)?;
             self.pools[port]
@@ -245,27 +220,9 @@ impl EthDev {
         self.nic.rx_pending(port)
     }
 
-    /// Polls up to `max` DMA-complete frames into fresh mbufs.
-    ///
-    /// # Errors
-    ///
-    /// [`UpdkError::PortNotConfigured`]; buffer starvation silently drops
-    /// the frame and counts an allocation failure, like real PMDs.
-    pub fn rx_burst(
-        &mut self,
-        port: usize,
-        now: SimTime,
-        max: usize,
-        mem: &mut TaggedMemory,
-    ) -> Result<Vec<Mbuf>, UpdkError> {
-        let pairs = self.rx_burst_shared(port, now, max, mem)?;
-        Ok(pairs.into_iter().map(|(mbuf, _)| mbuf).collect())
-    }
-
     /// Polls up to `max` DMA-complete frames, pairing each fresh mbuf (the
     /// capability-checked DMA write into packet memory) with the *shared*
-    /// frame buffer so the stack can parse by slicing instead of copying —
-    /// the zero-copy twin of [`EthDev::rx_burst`].
+    /// frame buffer so the stack can parse by slicing instead of copying.
     ///
     /// # Errors
     ///
@@ -367,9 +324,10 @@ mod tests {
         let (mut mem, _kmod, mut dev) = setup();
         // Build a packet in a port-0 mbuf.
         let mut m = dev.alloc_mbuf(0).unwrap();
-        m.set_data(&mut mem, b"ping across the card").unwrap();
+        let frame = Frame::new(b"ping across the card".to_vec());
+        m.set_data(&mut mem, frame.bytes()).unwrap();
         let sent = dev
-            .tx_burst(0, SimTime::from_micros(1), vec![m], &mut mem)
+            .tx_burst_shared(0, SimTime::from_micros(1), vec![(m, frame)])
             .unwrap();
         assert_eq!(sent.len(), 1);
         let (frame, departure) = sent.into_iter().next().unwrap();
@@ -377,12 +335,14 @@ mod tests {
         // Loop it back into port 1 (as if cabled).
         dev.deliver(1, departure, frame);
         let got = dev
-            .rx_burst(1, SimTime::from_secs(1), 32, &mut mem)
+            .rx_burst_shared(1, SimTime::from_secs(1), 32, &mut mem)
             .unwrap();
         assert_eq!(got.len(), 1);
-        let payload = got[0].read(&mut mem).unwrap();
+        let (mbuf, shared) = &got[0];
+        let payload = mbuf.read(&mut mem).unwrap();
         assert!(payload.starts_with(b"ping across the card"));
-        assert_eq!(got[0].port(), 1);
+        assert_eq!(payload, shared.bytes());
+        assert_eq!(mbuf.port(), 1);
         // Stats reflect both directions.
         assert_eq!(dev.stats(0).hw.opackets, 1);
         assert_eq!(dev.stats(1).hw.ipackets, 1);
@@ -393,9 +353,11 @@ mod tests {
         let (mut mem, _kmod, mut dev) = setup();
         let before = dev.stats(0).bufs_in_use;
         let mut m = dev.alloc_mbuf(0).unwrap();
-        m.set_data(&mut mem, &[1, 2, 3]).unwrap();
+        let frame = Frame::new(vec![1, 2, 3]);
+        m.set_data(&mut mem, frame.bytes()).unwrap();
         assert_eq!(dev.stats(0).bufs_in_use, before + 1);
-        dev.tx_burst(0, SimTime::ZERO, vec![m], &mut mem).unwrap();
+        dev.tx_burst_shared(0, SimTime::ZERO, vec![(m, frame)])
+            .unwrap();
         assert_eq!(dev.stats(0).bufs_in_use, before);
     }
 
@@ -415,7 +377,8 @@ mod tests {
         let mut dev = EthDev::new(addr, NicModel::Dual82576, CostModel::morello());
         assert_eq!(dev.alloc_mbuf(0).unwrap_err(), UpdkError::PortNotConfigured);
         assert_eq!(
-            dev.rx_burst(0, SimTime::ZERO, 1, &mut mem).unwrap_err(),
+            dev.rx_burst_shared(0, SimTime::ZERO, 1, &mut mem)
+                .unwrap_err(),
             UpdkError::PortNotConfigured
         );
         let root = mem.root_cap();

@@ -25,7 +25,6 @@
 use std::cell::{Cell, RefCell};
 use std::ops::Deref;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Fixed storage size of every pooled buffer: covers a maximum Ethernet
 /// frame (1514 bytes) plus protocol headroom, mirroring the 2 KiB DPDK
@@ -79,12 +78,6 @@ fn take_storage() -> Vec<u8> {
 }
 
 /// Storage that flows back into the pool when the last reference drops.
-///
-/// The pool is per-thread, but the *drop* may run on any thread (an
-/// [`Arc`]-shared page dropped by a foreign shard worker): the storage
-/// then recycles into the dropping thread's pool, which keeps every pool
-/// access lock-free while letting pages migrate between shard pools under
-/// cross-shard traffic.
 #[derive(Debug)]
 struct PooledStorage(Vec<u8>);
 
@@ -99,31 +92,6 @@ impl Drop for PooledStorage {
                     pool.push(v);
                 }
             });
-        }
-    }
-}
-
-/// The two ownership modes of a frozen buffer's storage.
-///
-/// `Local` is the hot path: a thread-local `Rc` whose clone is a plain
-/// refcount bump. `Page` is the cross-shard handoff mode: the same pooled
-/// storage behind an atomically refcounted [`Arc`], so a frozen frame can
-/// be *shared* between worker threads instead of byte-copied twice (once
-/// to serialize, once to re-materialize in the destination pool). Pages
-/// are immutable by construction — nothing ever writes through a frozen
-/// view — so sharing them is sound; see [`FrameBuf::to_page`].
-#[derive(Debug, Clone)]
-enum Storage {
-    Local(Rc<PooledStorage>),
-    Page(Arc<PooledStorage>),
-}
-
-impl Storage {
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Storage::Local(s) => &s.0,
-            Storage::Page(s) => &s.0,
         }
     }
 }
@@ -264,7 +232,7 @@ impl FrameBufMut {
     pub fn freeze(self) -> FrameBuf {
         let (off, len) = (self.head, self.tail - self.head);
         FrameBuf {
-            storage: Some(Storage::Local(Rc::new(self.storage))),
+            storage: Some(Rc::new(self.storage)),
             off: off as u32,
             len: len as u32,
         }
@@ -279,7 +247,7 @@ impl FrameBufMut {
 #[derive(Debug, Clone, Default)]
 pub struct FrameBuf {
     /// `None` is the canonical empty buffer (no pooled storage held).
-    storage: Option<Storage>,
+    storage: Option<Rc<PooledStorage>>,
     off: u32,
     len: u32,
 }
@@ -319,40 +287,8 @@ impl FrameBuf {
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
         match &self.storage {
-            Some(s) => &s.bytes()[self.off as usize..(self.off + self.len) as usize],
+            Some(s) => &s.0[self.off as usize..(self.off + self.len) as usize],
             None => &[],
-        }
-    }
-
-    /// `true` when this view is backed by an [`Arc`]-shared page (or is
-    /// empty), i.e. already safe to hand to another shard thread without
-    /// copying.
-    pub fn is_page(&self) -> bool {
-        !matches!(&self.storage, Some(Storage::Local(_)))
-    }
-
-    /// An equivalent view backed by a thread-shareable immutable page.
-    ///
-    /// If the buffer is already a page (or empty), this is a refcount
-    /// bump — relayed cross-shard frames never pay a second copy. A
-    /// thread-local (`Rc`-backed) buffer is copied **once** into a fresh
-    /// pooled storage wrapped in an [`Arc`]; that copy is the entire
-    /// thread-crossing cost (the destination shard uses the page in place
-    /// instead of re-materializing it into its own pool, and the storage
-    /// recycles into whichever thread's pool drops the last view).
-    pub fn to_page(&self) -> FrameBuf {
-        match &self.storage {
-            None | Some(Storage::Page(_)) => self.clone(),
-            Some(Storage::Local(s)) => {
-                let mut storage = take_storage();
-                let (off, len) = (self.off as usize, self.len as usize);
-                storage[..len].copy_from_slice(&s.0[off..off + len]);
-                FrameBuf {
-                    storage: Some(Storage::Page(Arc::new(PooledStorage(storage)))),
-                    off: 0,
-                    len: self.len,
-                }
-            }
         }
     }
 
@@ -547,76 +483,5 @@ mod tests {
     fn out_of_range_slice_panics() {
         let f = FrameBuf::copy_from(b"abc");
         let _ = f.slice(2, 2);
-    }
-
-    #[test]
-    fn to_page_copies_once_then_shares() {
-        let local = FrameBuf::copy_from(b"cross-shard payload");
-        assert!(!local.is_page());
-        let before = pool_stats();
-        let page = local.to_page();
-        let took = pool_stats();
-        assert_eq!(
-            (took.fresh + took.reused) - (before.fresh + before.reused),
-            1,
-            "one pooled storage taken for the page copy"
-        );
-        assert!(page.is_page());
-        assert_eq!(page, local, "page preserves the exact bytes");
-        // Re-paging a page (a relayed frame) is a refcount bump, not a copy.
-        let relay = page.to_page();
-        let after = pool_stats();
-        assert_eq!(after.fresh + after.reused, took.fresh + took.reused);
-        assert!(relay.is_page());
-        assert_eq!(relay, page);
-        // Slices of a page stay page-backed (still thread-shareable).
-        assert!(page.slice(6, 5).is_page());
-        assert_eq!(&page.slice(6, 5)[..], b"shard");
-    }
-
-    #[test]
-    fn page_storage_recycles_into_dropping_pool() {
-        let page = FrameBuf::copy_from(b"page bytes").to_page();
-        let clone = page.clone();
-        let start = pool_stats().recycled;
-        drop(page);
-        assert_eq!(pool_stats().recycled, start, "clone keeps the page alive");
-        drop(clone);
-        assert_eq!(pool_stats().recycled, start + 1);
-    }
-
-    #[test]
-    fn empty_buffers_count_as_pages() {
-        // An empty view holds no storage, so it is trivially shareable.
-        assert!(FrameBuf::new().is_page());
-        assert!(FrameBuf::new().to_page().is_empty());
-    }
-
-    #[test]
-    fn page_survives_a_foreign_thread_drop() {
-        let page = FrameBuf::copy_from(b"migrates").to_page();
-        let clone = page.clone();
-        drop(page); // the foreign thread now holds the last reference
-        let here = pool_stats().recycled;
-        struct SendPage(FrameBuf);
-        // The page variant holds only an Arc (atomic refcount, immutable
-        // bytes); moving it across threads is the invariant `NetSim`'s
-        // cross-shard handoff relies on. `FrameBuf` as a whole stays
-        // `!Send` because of the `Local` variant, hence the wrapper.
-        unsafe impl Send for SendPage {}
-        let moved = SendPage(clone);
-        std::thread::spawn(move || {
-            assert_eq!(&moved.0[..], b"migrates");
-            drop(moved);
-        })
-        .join()
-        .expect("foreign drop");
-        // The last drop ran on the foreign thread, so the storage recycled
-        // into *that* thread's pool: this thread's counter must not move.
-        assert_eq!(
-            pool_stats().recycled,
-            here,
-            "recycled into the foreign pool"
-        );
     }
 }

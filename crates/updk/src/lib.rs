@@ -29,7 +29,7 @@
 //!   srTCM, deficit round robin): the "DPDK QoS features" the paper defers
 //!   to future work.
 //! * [`ethdev`] — the DPDK-flavoured device API: configure, start,
-//!   `rx_burst`, `tx_burst`, stats.
+//!   `rx_burst_shared`, `tx_burst_shared`, stats.
 //!
 //! # Example
 //!
@@ -56,11 +56,13 @@
 //!
 //! // A frame arrives on port 0 and is polled out.
 //! dev.deliver(0, SimTime::from_micros(5), Frame::new(vec![0u8; 64]));
-//! let rx = dev.rx_burst(0, SimTime::from_micros(100), 32, &mut mem)?;
+//! let rx = dev.rx_burst_shared(0, SimTime::from_micros(100), 32, &mut mem)?;
 //! assert_eq!(rx.len(), 1);
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod ethdev;
 pub mod framebuf;

@@ -114,22 +114,6 @@ impl Frame {
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf.as_slice().to_vec()
     }
-
-    /// `true` when this frame's storage is already an immutable shared
-    /// page ([`FrameBuf::is_page`]) — handing it to another shard thread
-    /// costs a refcount bump, not a copy.
-    pub fn is_page(&self) -> bool {
-        self.buf.is_page()
-    }
-
-    /// An identical frame backed by a thread-shareable page
-    /// ([`FrameBuf::to_page`]): one copy when the frame was thread-local,
-    /// free when it already is a page (a relayed cross-shard frame).
-    pub fn to_page(&self) -> Frame {
-        Frame {
-            buf: self.buf.to_page(),
-        }
-    }
 }
 
 /// A full-duplex point-to-point cable with fixed propagation latency.

@@ -19,6 +19,8 @@
 //! See `README.md` for the quickstart and `DESIGN.md` for the architecture
 //! and per-experiment index.
 
+#![forbid(unsafe_code)]
+
 pub use capnet;
 pub use capnet_httpd;
 pub use cheri;

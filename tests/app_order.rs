@@ -19,14 +19,12 @@ use simkern::CostModel;
 const IPERF_PORT: u16 = 5201;
 const HTTP_PORT: u16 = 8080;
 
-/// What distinguishes the runs below: shard count and shard driver (one
-/// thread multiplexing the shards, or a thread each), the hub's isolation
+/// What distinguishes the runs below: shard count, the hub's isolation
 /// profile (a per-call charge ungates its app steps and puts the summed
 /// `ff_*` call count on the wire clock), and an optional hub crash/restart.
 #[derive(Clone, Copy, Default)]
 struct Variant {
     workers: usize,
-    threaded: bool,
     hub_call_ns: u64,
     crash_hub: bool,
 }
@@ -37,7 +35,6 @@ fn mixed_hub(v: Variant) -> SimOutcome {
     sim.set_seed(0x0A99);
     sim.set_workers(v.workers);
     sim.set_adaptive_workers(false);
-    sim.set_worker_threads(Some(v.threaded));
     let star = capnet::topology::build_star(&mut sim, 3).expect("star builds");
     let (hub, leaf) = (star.hub, &star.leaves);
     sim.set_node_profile(
@@ -162,7 +159,7 @@ fn interleaved_kinds_step_kind_major_on_a_charged_host() {
 /// reborn hub reports the installed labels in the installed order, and its
 /// second incarnation moves traffic again. Crash also empties the hub's
 /// app-turn lists and restart re-seeds them (`netsim::node`'s unit tests
-/// watch the turn itself); whichever driver runs the shards, the reborn
+/// watch the turn itself); on one engine or two shards, the reborn
 /// hub examines the same slots and lands on the same bytes.
 #[test]
 fn restart_rebuilds_the_installed_apps_in_order() {
@@ -179,14 +176,8 @@ fn restart_rebuilds_the_installed_apps_in_order() {
         "the restarted listener serves the fleet again"
     );
     assert_eq!(out.counters.stale_wakes, 0);
-    for threaded in [false, true] {
-        let sharded = mixed_hub(Variant {
-            workers: 2,
-            threaded,
-            ..v
-        });
-        assert_eq!(sharded.trace, out.trace, "threaded={threaded}");
-        assert_eq!(sharded.counters, out.counters, "threaded={threaded}");
-        assert_eq!(sharded.fault_stats, out.fault_stats, "threaded={threaded}");
-    }
+    let sharded = mixed_hub(Variant { workers: 2, ..v });
+    assert_eq!(sharded.trace, out.trace);
+    assert_eq!(sharded.counters, out.counters);
+    assert_eq!(sharded.fault_stats, out.fault_stats);
 }

@@ -46,7 +46,7 @@ fn star(workers: usize) -> SimOutcome {
     sim.set_seed(21);
     sim.set_workers(workers);
     // An 8-leaf star is too light for sharding to pay — force the plan
-    // through the sharded drivers anyway; that's what this test is for.
+    // through the sharded driver anyway; that's what this test is for.
     sim.set_adaptive_workers(false);
     let star = capnet::topology::build_star(&mut sim, 8).expect("star builds");
     for (i, &leaf) in star.leaves.iter().enumerate() {
@@ -76,7 +76,7 @@ fn star8_is_byte_identical_at_any_worker_count() {
         assert!(out.lookahead_ns > 0, "a cut topology has a finite window");
         assert!(
             out.rounds.rounds > 0,
-            "the sharded drivers actually drove rounds"
+            "the sharded driver actually drove rounds"
         );
         assert!(
             out.rounds.xshard_frames > 0,
@@ -246,63 +246,30 @@ fn lossy_star_is_byte_identical_at_any_worker_count() {
     }
 }
 
-/// The threaded window driver (worker threads + barriers) produces the
-/// same bytes as the single-engine run and the sequential multiplexer —
-/// forced on via [`NetSim::set_worker_threads`] (an explicit setter, not
-/// the env override: tests run concurrently and mutating the process
-/// environment races sibling tests' reads).
+/// A forced two-shard run of a small star (adaptive selection off)
+/// produces the single-engine run's bytes, really crosses the shard
+/// boundary, and copies nothing doing so.
 #[test]
-fn threaded_driver_matches_sequential() {
-    let base = ScenarioSpec::star(4)
-        .duration(SimDuration::from_millis(10))
-        .seed(3)
-        .run()
-        .expect("baseline");
-    let run_forced = |threaded: bool| {
-        let mut sim = NetSim::new(CostModel::morello());
-        sim.set_seed(3);
-        sim.set_workers(2);
-        sim.set_adaptive_workers(false);
-        sim.set_worker_threads(Some(threaded));
-        let star = capnet::topology::build_star(&mut sim, 4).expect("star");
-        for (i, &leaf) in star.leaves.iter().enumerate() {
-            let port = 5301 + i as u16; // `ScenarioSpec::star`'s port layout
-            sim.add_server(star.hub, format!("hub-rx{i}"), port)
-                .expect("srv");
-            sim.add_client(
-                leaf,
-                format!("leaf-tx{i}"),
-                (star.hub_ip, port),
-                SimDuration::from_millis(10),
-                SimDuration::ZERO,
-            )
-            .expect("cli");
-        }
-        sim.run(SimDuration::from_millis(40)).expect("runs")
+fn sharded_run_matches_single_engine() {
+    let spec = || {
+        ScenarioSpec::star(4)
+            .duration(SimDuration::from_millis(10))
+            .seed(3)
     };
-    for threaded in [false, true] {
-        let out = run_forced(threaded);
-        assert_eq!(
-            base.trace, out.trace,
-            "threaded={threaded} vs single engine"
-        );
-        assert_eq!(base.counters, out.counters, "threaded={threaded}");
-        assert!(out.rounds.xshard_frames > 0, "threaded={threaded}");
-        if threaded {
-            // Thread-crossing frames are rehomed into Arc-backed pages:
-            // at most one copy each, witnessed by the byte tally.
-            assert!(out.rounds.rehome_bytes > 0, "pages were built");
-            assert!(
-                out.rounds.rehome_bytes < out.rounds.xshard_frames * updk::wire::MAX_FRAME as u64,
-                "rehoming copies at most one frame's bytes per crossing"
-            );
-        } else {
-            assert_eq!(
-                out.rounds.rehome_bytes, 0,
-                "single-thread multiplexed handoffs share frames, no copies"
-            );
-        }
-    }
+    let base = spec().run().expect("baseline");
+    let out = spec()
+        .workers(2)
+        .adaptive_workers(false)
+        .run()
+        .expect("sharded");
+    assert_eq!(out.workers, 2);
+    assert_eq!(base.trace, out.trace, "sharded vs single engine");
+    assert_eq!(base.counters, out.counters);
+    assert!(out.rounds.xshard_frames > 0);
+    assert_eq!(
+        out.rounds.rehome_bytes, 0,
+        "cross-shard hand-offs share frames, no copies"
+    );
 }
 
 /// A spec that never asks for workers runs on one engine, bit for bit,
@@ -599,7 +566,7 @@ proptest! {
                 );
             }
             // Progress: the globally earliest shard always gets to run
-            // (the drivers would otherwise spin forever).
+            // (the driver would otherwise spin forever).
             if nexts[me] == min_next && min_next != u64::MAX && m.min_finite() != Some(0) {
                 prop_assert!(end > nexts[me], "the earliest shard's window is non-empty");
             }

@@ -13,11 +13,8 @@ a wall-time delta needs explaining).
 for every group of cases that differ only in their `workers=N` token the
 ratio `host_wall_ms(workers=1) / host_wall_ms(workers=N)` is synthesized
 on both sides of the diff (older committed reports that still carry a
-recorded value keep it). When the fresh report says the runner had
-`host_parallelism = 1`, a loud banner precedes the table — on a
-single-CPU runner the shards are multiplexed on one thread, so the
-ratio measures sharding overhead, not parallel speedup, and must not be
-read as the headline scaling number.
+recorded value keep it). The shards of a sharded run share one thread,
+so the ratio prices sharding itself, not parallel speedup.
 
 With `--warn-pct PCT`, rows whose delta magnitude exceeds PCT percent are
 flagged with a ⚠ marker and a summary count is printed at the end. The
@@ -103,17 +100,6 @@ def synthesize_speedups(report):
             metrics.setdefault("speedup_vs_workers1", base / metrics["host_wall_ms"])
 
 
-def single_cpu_banner(report):
-    """A loud warning when the fresh run came off a single-CPU runner."""
-    if any(m.get("host_parallelism") == 1 for m in report.values()):
-        print(
-            "\n> ⚠ **single-CPU runner** (`host_parallelism = 1`): shards were\n"
-            "> multiplexed on one thread, so `speedup_vs_workers1` measures\n"
-            "> sharding overhead, **not** parallel speedup. Multicore scaling\n"
-            "> numbers must come from a runner with more than one CPU."
-        )
-
-
 def fmt(v):
     if v is None:
         return "—"
@@ -157,7 +143,6 @@ def main():
         fresh, committed = load(fresh_path), load(committed_path)
         synthesize_speedups(fresh)
         synthesize_speedups(committed)
-        single_cpu_banner(fresh)
         print("| bench / case | metric | committed | this run | Δ |")
         print("|---|---|---:|---:|---:|")
         for key in sorted(set(fresh) | set(committed)):
