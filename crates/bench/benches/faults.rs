@@ -1,4 +1,4 @@
-//! Bench target for the **failure-domain fault schedules**: the HTTP
+//! Ledger target for the **failure-domain fault schedules**: the HTTP
 //! serving plane driven through deterministic partitions and crashes,
 //! with the client fleets' retry/backoff machinery doing the surviving.
 //!
@@ -15,7 +15,7 @@
 //!   machinery's ledger;
 //! * `completion_per_mille` — completed requests per 1000 originals; the
 //!   flap case **asserts ≥ 990** (the ISSUE's ≥ 99 % budget bar);
-//! * the trace digest (`trace_digest_hi/lo`).
+//! * the digest and event counters ([`BenchReport::record_outcome`]).
 //!
 //! The **flap_star** case downs the hub's uplink mid-run: in-flight
 //! connections ride their retransmission ladders across the outage, and
@@ -32,7 +32,6 @@ use capnet::scenario::ScenarioSpec;
 use capnet::{FaultPlan, FaultTarget, SimOutcome};
 use capnet_bench::BenchReport;
 use capnet_httpd::{FleetConfig, FleetReport, HttpServerConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
 use simkern::SimDuration;
 
 const SEED: u64 = 0xFA17;
@@ -67,9 +66,8 @@ fn crash_plan() -> FaultPlan {
         .node_restart(HEAL_AT, FaultTarget::Hub)
 }
 
-fn fault_case(plan: FaultPlan, workers: usize) -> (SimOutcome, std::time::Duration) {
-    let t0 = std::time::Instant::now();
-    let out = ScenarioSpec::star(LEAVES)
+fn fault_case(plan: FaultPlan, workers: usize) -> SimOutcome {
+    ScenarioSpec::star(LEAVES)
         .duration(RUN)
         .seed(SEED)
         .workers(workers)
@@ -85,8 +83,7 @@ fn fault_case(plan: FaultPlan, workers: usize) -> (SimOutcome, std::time::Durati
         )
         .faults(plan)
         .run()
-        .expect("faulted star runs");
-    (out, t0.elapsed())
+        .expect("faulted star runs")
 }
 
 /// Completed-request instants inside `[from, to)`, per virtual second.
@@ -110,20 +107,11 @@ fn time_to_recovery_ms(agg: &FleetReport) -> f64 {
         .map_or(f64::NAN, |&t| (t - heal) as f64 / 1e6)
 }
 
-fn digest_halves(out: &SimOutcome) -> [(&'static str, f64); 2] {
-    [
-        ("trace_digest_hi", (out.trace.digest >> 32) as f64),
-        ("trace_digest_lo", (out.trace.digest & 0xFFFF_FFFF) as f64),
-    ]
-}
-
-fn bench_faults(c: &mut Criterion) {
+fn main() {
     let mut report = BenchReport::new("faults");
-    let mut group = c.benchmark_group("faults");
-    group.sample_size(10);
 
     for (name, plan) in [("flap_star", flap_plan()), ("crash_hub", crash_plan())] {
-        let (out, wall) = fault_case(plan.clone(), 1);
+        let out = fault_case(plan.clone(), 1);
         let agg = FleetReport::aggregate(name, &out.http_fleets);
         let originals = agg.conns_started - agg.retries;
         let completion_per_mille = (agg.requests_ok.min(originals) * 1_000)
@@ -165,13 +153,10 @@ fn bench_faults(c: &mut Criterion) {
                 agg.requests_ok,
             );
         }
-        let [hi, lo] = digest_halves(&out);
-        report.record_timed(
+        report.record_outcome(
             "star4",
             name,
-            wall,
-            out.events,
-            out.horizon.as_nanos() as f64 / 1e9,
+            &out,
             &[
                 ("time_to_recovery_ms", ttr),
                 ("goodput_during_partition_rps", during),
@@ -184,38 +169,26 @@ fn bench_faults(c: &mut Criterion) {
                 ("completion_per_mille", completion_per_mille as f64),
                 ("requests_ok", agg.requests_ok as f64),
                 ("conns_started", agg.conns_started as f64),
-                hi,
-                lo,
             ],
         );
 
         // Determinism gate: fault schedules must shard byte-identically
         // (cf. tests/parallel_determinism.rs, which also compares the
         // full report set).
-        let (base, _) = fault_case(plan.clone(), 1);
         for workers in [2, 4] {
-            let (sharded, _) = fault_case(plan.clone(), workers);
+            let sharded = fault_case(plan.clone(), workers);
             assert_eq!(
-                base.trace, sharded.trace,
+                out.trace, sharded.trace,
                 "{name} must be byte-identical at workers={workers}"
             );
             assert_eq!(
-                base.fault_stats, sharded.fault_stats,
+                out.fault_stats, sharded.fault_stats,
                 "{name}: merged fault counters at workers={workers}"
             );
             assert!(sharded.workers > 1, "rerun must stay sharded");
         }
     }
 
-    // Criterion's own timing loop for the heavier crash case; the report
-    // entries above are the machine-readable trajectory.
-    group.bench_function("crash_hub_star4", |b| {
-        b.iter(|| fault_case(crash_plan(), 1))
-    });
-    group.finish();
     let path = report.write().expect("BENCH_faults.json written");
-    eprintln!("[faults] perf trajectory: {}", path.display());
+    eprintln!("[faults] ledger: {}", path.display());
 }
-
-criterion_group!(benches, bench_faults);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Bench target for the **HTTP serving plane**: the capnet-httpd static
+//! Ledger target for the **HTTP serving plane**: the capnet-httpd static
 //! server under an open-loop client fleet, in the two regimes that stress
 //! opposite ends of the stack.
 //!
@@ -9,31 +9,30 @@
 //!   first request on a connection, write-to-last-byte thereafter);
 //! * `requests_per_sec` — completed 200s over the virtual horizon;
 //! * `conns_started` / `requests_ok` — population sanity counters;
-//! * the trace digest (`trace_digest_hi/lo`) of every case.
+//! * the digest and event counters of every case
+//!   ([`BenchReport::record_outcome`]).
 //!
 //! The **keep-alive** case pipelines several requests per connection and
 //! exercises persistent-connection parsing and the server's idle reaping;
 //! the **churn** case closes after every request and exercises the SYN
 //! path, TIME_WAIT recycling and ephemeral-port allocation at rate.
 //!
-//! The bench also **asserts** the keep-alive star reproduces its
-//! `workers = 1` digest at `workers = 2` and `workers = 4` — the CI
-//! bench-smoke determinism gate extended over the serving plane.
+//! The target also **asserts** the keep-alive star reproduces its
+//! `workers = 1` digest at `workers = 2` and `workers = 4` — CI's
+//! behaviour-ledger determinism gate extended over the serving plane.
 
 use capnet::scenario::ScenarioSpec;
 use capnet::SimOutcome;
 use capnet_bench::BenchReport;
 use capnet_httpd::{FleetConfig, FleetReport, HttpServerConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
 use simkern::SimDuration;
 
 const SEED: u64 = 0x4A77;
 const RUN: SimDuration = SimDuration::from_millis(120);
 const LEAVES: usize = 4;
 
-fn httpd_case(fleet: FleetConfig, workers: usize) -> (SimOutcome, std::time::Duration) {
-    let t0 = std::time::Instant::now();
-    let out = ScenarioSpec::star(LEAVES)
+fn httpd_case(fleet: FleetConfig, workers: usize) -> SimOutcome {
+    ScenarioSpec::star(LEAVES)
         .duration(RUN)
         .seed(SEED)
         .workers(workers)
@@ -42,8 +41,7 @@ fn httpd_case(fleet: FleetConfig, workers: usize) -> (SimOutcome, std::time::Dur
         .adaptive_workers(false)
         .http(HttpServerConfig::default(), fleet)
         .run()
-        .expect("httpd star runs");
-    (out, t0.elapsed())
+        .expect("httpd star runs")
 }
 
 fn keep_alive_fleet() -> FleetConfig {
@@ -64,56 +62,45 @@ fn churn_fleet() -> FleetConfig {
     }
 }
 
-fn digest_halves(out: &SimOutcome) -> [(&'static str, f64); 2] {
-    [
-        ("trace_digest_hi", (out.trace.digest >> 32) as f64),
-        ("trace_digest_lo", (out.trace.digest & 0xFFFF_FFFF) as f64),
-    ]
+/// Runs one fleet mix at `workers = 1` and records its row.
+fn record_case(report: &mut BenchReport, name: &str, fleet: FleetConfig) -> SimOutcome {
+    let out = httpd_case(fleet, 1);
+    let agg = FleetReport::aggregate(name, &out.http_fleets);
+    let rps = agg.requests_per_sec(SimDuration::from_nanos(out.horizon.as_nanos()));
+    eprintln!(
+        "[httpd] {name}: {} conns, {} ok, p50={:.1}us p99={:.1}us p999={:.1}us, {rps:.0} req/s",
+        agg.conns_started,
+        agg.requests_ok,
+        agg.p50_us(),
+        agg.p99_us(),
+        agg.p999_us(),
+    );
+    assert!(agg.requests_ok > 0, "{name}: the fleet completed requests");
+    report.record_outcome(
+        "star4",
+        name,
+        &out,
+        &[
+            ("p50_us", agg.p50_us()),
+            ("p99_us", agg.p99_us()),
+            ("p999_us", agg.p999_us()),
+            ("requests_per_sec", rps),
+            ("conns_started", agg.conns_started as f64),
+            ("requests_ok", agg.requests_ok as f64),
+        ],
+    );
+    out
 }
 
-fn bench_httpd(c: &mut Criterion) {
+fn main() {
     let mut report = BenchReport::new("httpd");
-    let mut group = c.benchmark_group("httpd");
-    group.sample_size(10);
-
-    for (name, fleet) in [("keep_alive", keep_alive_fleet()), ("churn", churn_fleet())] {
-        let (out, wall) = httpd_case(fleet, 1);
-        let agg = FleetReport::aggregate(name, &out.http_fleets);
-        let rps = agg.requests_per_sec(SimDuration::from_nanos(out.horizon.as_nanos()));
-        eprintln!(
-            "[httpd] {name}: {} conns, {} ok, p50={:.1}us p99={:.1}us p999={:.1}us, {rps:.0} req/s",
-            agg.conns_started,
-            agg.requests_ok,
-            agg.p50_us(),
-            agg.p99_us(),
-            agg.p999_us(),
-        );
-        assert!(agg.requests_ok > 0, "{name}: the fleet completed requests");
-        let [hi, lo] = digest_halves(&out);
-        report.record_timed(
-            "star4",
-            name,
-            wall,
-            out.events,
-            out.horizon.as_nanos() as f64 / 1e9,
-            &[
-                ("p50_us", agg.p50_us()),
-                ("p99_us", agg.p99_us()),
-                ("p999_us", agg.p999_us()),
-                ("requests_per_sec", rps),
-                ("conns_started", agg.conns_started as f64),
-                ("requests_ok", agg.requests_ok as f64),
-                hi,
-                lo,
-            ],
-        );
-    }
+    let base = record_case(&mut report, "keep_alive", keep_alive_fleet());
+    record_case(&mut report, "churn", churn_fleet());
 
     // Determinism gate: the serving plane must shard byte-identically
     // (cf. tests/httpd_churn.rs, which also checks the fleet reports).
-    let (base, _) = httpd_case(keep_alive_fleet(), 1);
     for workers in [2, 4] {
-        let (sharded, _) = httpd_case(keep_alive_fleet(), workers);
+        let sharded = httpd_case(keep_alive_fleet(), workers);
         assert_eq!(
             base.trace, sharded.trace,
             "keep-alive star must be byte-identical at workers={workers}"
@@ -121,13 +108,6 @@ fn bench_httpd(c: &mut Criterion) {
         assert!(sharded.workers > 1, "rerun must stay sharded");
     }
 
-    // Criterion's own timing loop for the churn-heavy case; the report
-    // entries above are the machine-readable trajectory.
-    group.bench_function("churn_star4", |b| b.iter(|| httpd_case(churn_fleet(), 1)));
-    group.finish();
     let path = report.write().expect("BENCH_httpd.json written");
-    eprintln!("[httpd] perf trajectory: {}", path.display());
+    eprintln!("[httpd] ledger: {}", path.display());
 }
-
-criterion_group!(benches, bench_httpd);
-criterion_main!(benches);

@@ -1,11 +1,17 @@
-//! Support library for the bench targets.
+//! The behaviour ledger behind `cargo bench`.
 //!
-//! [`BenchReport`] is the machine-readable side of `cargo bench`: each
-//! bench target records its paper-facing summary numbers (throughput,
-//! latency, fairness) and serializes them to `BENCH_<name>.json` in the
-//! working directory (or `$BENCH_REPORT_DIR`). CI uploads these files as
-//! workflow artifacts, so every PR carries its own point on the repo's
-//! perf trajectory.
+//! Every number this crate writes is **exact**: a trace digest, an event
+//! counter, or a virtual-time metric (Mbit/s, latency percentiles,
+//! fairness, recovery times) that regenerates bit for bit on any host.
+//! Each bench target is a plain `fn main()` that runs its scenarios once,
+//! records one [`BenchReport::record_outcome`] row per case and rewrites
+//! its `BENCH_<name>.json` at the repo root in place. The files are
+//! committed, and CI regenerates them and fails on
+//! `git diff --exit-code -- 'BENCH_*.json'` — a golden-file gate whose
+//! failure message is the diff itself.
+//!
+//! Host time is deliberately absent: it is measured only by the
+//! standalone `benchmark/` package, whose numbers carry a noise bound.
 //!
 //! The JSON is written by hand: the workspace's vendored `serde` is a
 //! no-op API stand-in (see `vendor/serde`), and the schema here is flat
@@ -14,19 +20,27 @@
 //! # Example
 //!
 //! ```
+//! use capnet::ScenarioSpec;
 //! use capnet_bench::BenchReport;
+//! use simkern::SimDuration;
+//!
+//! let out = ScenarioSpec::star(2)
+//!     .duration(SimDuration::from_millis(2))
+//!     .run()
+//!     .unwrap();
 //! let mut report = BenchReport::new("doc_example");
-//! report.record("star", "clients=8", &[("aggregate_mbit_per_sec", 941.0)]);
-//! let path = report.write().unwrap();
-//! let json = std::fs::read_to_string(&path).unwrap();
-//! assert!(json.contains("\"aggregate_mbit_per_sec\": 941"));
-//! # std::fs::remove_file(path).unwrap();
+//! report.record_outcome("star", "clients=2", &out, &[("flows", 2.0)]);
+//! let json = report.to_json();
+//! assert!(json.contains("\"flows\": 2, \"trace_digest_hi\": "));
+//! assert!(json.contains(&format!("\"events\": {}", out.events)));
+//! assert!(report.path().ends_with("BENCH_doc_example.json"));
 //! ```
 
 #![forbid(unsafe_code)]
 
+use capnet::{EventCounters, RoundCounters, SimOutcome, TraceDigest};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One recorded case: a bench name, a case label, and its metrics.
 #[derive(Debug, Clone)]
@@ -36,7 +50,7 @@ struct Entry {
     metrics: Vec<(String, f64)>,
 }
 
-/// A perf-trajectory report, serialized as `BENCH_<name>.json`.
+/// One file of the behaviour ledger, serialized as `BENCH_<name>.json`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     name: String,
@@ -53,54 +67,74 @@ impl BenchReport {
         }
     }
 
-    /// Records `metrics` for `case` of `bench`.
-    pub fn record(&mut self, bench: &str, case: &str, metrics: &[(&str, f64)]) {
-        self.entries.push(Entry {
-            bench: bench.to_string(),
-            case: case.to_string(),
-            metrics: metrics.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-        });
-    }
-
-    /// Records `metrics` plus the host-speed trio derived from a measured
-    /// run: `host_wall_ms` (wall clock of the run), `events_per_sec`
-    /// (simulation events executed per host second) and
-    /// `host_ns_per_sim_sec` (host nanoseconds spent per simulated
-    /// second — the number the perf trajectory tracks across PRs; smaller
-    /// is faster).
-    pub fn record_timed(
+    /// Records one row: `extra` (the case's own paper-facing numbers, all
+    /// exact) followed by everything a [`SimOutcome`] says about the run
+    /// that produced them — the trace digest as two 32-bit halves (metrics
+    /// are `f64`, which holds those exactly), the event total, the shards
+    /// actually used, and every per-kind counter.
+    ///
+    /// The counter structs are destructured without `..` on purpose: a
+    /// field added to any of them fails to compile here until it is given
+    /// a key, so no counter can miss the ledger.
+    pub fn record_outcome(
         &mut self,
         bench: &str,
         case: &str,
-        wall: std::time::Duration,
-        events: u64,
-        sim_seconds: f64,
-        metrics: &[(&str, f64)],
+        out: &SimOutcome,
+        extra: &[(&str, f64)],
     ) {
-        let wall_s = wall.as_secs_f64();
-        let mut all: Vec<(String, f64)> =
-            metrics.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-        all.push(("host_wall_ms".to_string(), wall_s * 1e3));
-        all.push((
-            "events_per_sec".to_string(),
-            if wall_s > 0.0 {
-                events as f64 / wall_s
-            } else {
-                f64::NAN
-            },
-        ));
-        all.push((
-            "host_ns_per_sim_sec".to_string(),
-            if sim_seconds > 0.0 {
-                wall_s * 1e9 / sim_seconds
-            } else {
-                f64::NAN
-            },
-        ));
+        let TraceDigest {
+            digest,
+            frames,
+            bytes,
+        } = out.trace;
+        let EventCounters {
+            loop_polls,
+            app_visits,
+            idle_polls,
+            deliveries,
+            switch_hops,
+            timer_wakes,
+            stale_wakes,
+            parks,
+            wakes,
+        } = out.counters;
+        let RoundCounters {
+            rounds,
+            empty_rounds,
+            xshard_frames,
+            // Always 0 and going away with its last reader (see the field).
+            rehome_bytes: _,
+        } = out.rounds;
+        let ledger = [
+            ("trace_digest_hi", digest >> 32),
+            ("trace_digest_lo", digest & 0xFFFF_FFFF),
+            ("trace_frames", frames),
+            ("trace_bytes", bytes),
+            ("events", out.events),
+            ("workers_used", out.workers as u64),
+            ("ev_loop_polls", loop_polls),
+            ("ev_app_visits", app_visits),
+            ("ev_idle_polls", idle_polls),
+            ("ev_deliveries", deliveries),
+            ("ev_switch_hops", switch_hops),
+            ("ev_timer_wakes", timer_wakes),
+            ("ev_stale_wakes", stale_wakes),
+            ("ev_parks", parks),
+            ("ev_wakes", wakes),
+            // Sharded-driver tallies: all zero on a single-engine run.
+            ("ev_rounds", rounds),
+            ("ev_empty_rounds", empty_rounds),
+            ("ev_xshard_frames", xshard_frames),
+        ];
         self.entries.push(Entry {
             bench: bench.to_string(),
             case: case.to_string(),
-            metrics: all,
+            metrics: extra
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v))
+                .chain(ledger.iter().map(|&(k, v)| (k.to_string(), v as f64)))
+                .collect(),
         });
     }
 
@@ -109,18 +143,21 @@ impl BenchReport {
         self.entries.len()
     }
 
-    /// `true` before the first [`BenchReport::record`].
+    /// `true` before the first [`BenchReport::record_outcome`].
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// The destination path: `$BENCH_REPORT_DIR` (or the working
-    /// directory) joined with `BENCH_<name>.json`.
+    /// The destination path: `BENCH_<name>.json` in the directory that
+    /// holds the workspace `Cargo.toml`, derived from this crate's
+    /// compile-time location — cargo starts bench binaries in the package
+    /// directory, so the working directory is never the right answer.
     pub fn path(&self) -> PathBuf {
-        let dir = std::env::var_os("BENCH_REPORT_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("."));
-        dir.join(format!("BENCH_{}.json", self.name))
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/bench sits two levels below the workspace root")
+            .join(format!("BENCH_{}.json", self.name))
     }
 
     /// Renders the report as pretty-printed JSON.
@@ -151,7 +188,7 @@ impl BenchReport {
         out
     }
 
-    /// Writes `BENCH_<name>.json` and returns its path.
+    /// Rewrites `BENCH_<name>.json` in place and returns its path.
     ///
     /// # Errors
     ///
@@ -208,24 +245,39 @@ fn json_number(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capnet::ScenarioSpec;
+    use simkern::SimDuration;
+
+    fn short_star() -> SimOutcome {
+        ScenarioSpec::star(2)
+            .duration(SimDuration::from_millis(2))
+            .seed(7)
+            .run()
+            .expect("star runs")
+    }
 
     #[test]
     fn json_shape_is_stable() {
+        let out = short_star();
         let mut r = BenchReport::new("unit");
         assert!(r.is_empty());
-        r.record(
+        r.record_outcome(
             "star",
             "clients=2",
+            &out,
             &[("aggregate_mbit_per_sec", 941.5), ("flows", 2.0)],
         );
-        r.record("chain", "hops=3", &[("mbit_per_sec", 930.0)]);
+        r.record_outcome("chain", "hops=3", &out, &[]);
         assert_eq!(r.len(), 2);
         let json = r.to_json();
         assert!(json.contains("\"report\": \"unit\""));
         assert!(json.contains("\"bench\": \"star\""));
         assert!(json.contains("\"case\": \"clients=2\""));
-        assert!(json.contains("\"aggregate_mbit_per_sec\": 941.5"));
-        assert!(json.contains("\"flows\": 2"));
+        // The case's own numbers lead the row, the outcome follows.
+        assert!(json.contains(
+            "\"metrics\": {\"aggregate_mbit_per_sec\": 941.5, \"flows\": 2, \"trace_digest_hi\": "
+        ));
+        assert!(json.contains("\"case\": \"hops=3\", \"metrics\": {\"trace_digest_hi\": "));
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(
             json.matches('{').count(),
@@ -233,29 +285,6 @@ mod tests {
             "{json}"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn record_timed_derives_speed_metrics() {
-        let mut r = BenchReport::new("timed");
-        r.record_timed(
-            "star",
-            "clients=8",
-            std::time::Duration::from_millis(50),
-            1_000_000,
-            0.025,
-            &[("aggregate_mbit_per_sec", 900.0)],
-        );
-        let json = r.to_json();
-        assert!(json.contains("\"host_wall_ms\": 50"));
-        assert!(json.contains("\"events_per_sec\": 20000000"));
-        // 50 ms of host time for 25 ms simulated = 2e9 ns per sim second.
-        assert!(json.contains("\"host_ns_per_sim_sec\": 2000000000"));
-        assert!(json.contains("\"aggregate_mbit_per_sec\": 900"));
-        // Degenerate denominators serialize as null, not a crash.
-        let mut r = BenchReport::new("degenerate");
-        r.record_timed("b", "c", std::time::Duration::ZERO, 1, 0.0, &[]);
-        assert!(r.to_json().contains("null"));
     }
 
     #[test]
@@ -267,19 +296,48 @@ mod tests {
         assert_eq!(json_number(f64::INFINITY), "null");
     }
 
+    /// The ledger lands beside the workspace manifest whatever the working
+    /// directory: the path is absolute, and cargo runs this very test from
+    /// `crates/bench`, where a cwd-relative writer would have dropped it.
     #[test]
-    fn write_lands_in_report_dir() {
-        let dir = std::env::temp_dir().join("capnet_bench_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Env vars are process-global; this is the only test that sets it.
-        std::env::set_var("BENCH_REPORT_DIR", &dir);
-        let mut r = BenchReport::new("dirtest");
-        r.record("b", "c", &[("m", 1.0)]);
-        let path = r.write().unwrap();
-        std::env::remove_var("BENCH_REPORT_DIR");
-        assert_eq!(path, dir.join("BENCH_dirtest.json"));
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"m\": 1"));
-        std::fs::remove_file(path).unwrap();
+    fn path_is_the_workspace_root() {
+        let path = BenchReport::new("pathtest").path();
+        assert!(path.is_absolute(), "{}", path.display());
+        assert_eq!(path.file_name().unwrap(), "BENCH_pathtest.json");
+        let manifest = std::fs::read_to_string(path.with_file_name("Cargo.toml"))
+            .expect("a Cargo.toml sits next to the ledger");
+        assert!(manifest.contains("[workspace]"), "{}", path.display());
+    }
+
+    /// Two runs of the same spec render byte-identical JSON (the whole
+    /// premise of gating on `git diff`), and every `EventCounters` field —
+    /// named by the struct's own `Debug` output — has its `ev_` key.
+    #[test]
+    fn record_outcome_is_reproducible_and_complete() {
+        let render = || {
+            let out = short_star();
+            assert!(out.trace.frames > 0, "the run produced traffic");
+            let mut r = BenchReport::new("ledger");
+            r.record_outcome("star", "clients=2", &out, &[("flows", 2.0)]);
+            r.to_json()
+        };
+        let json = render();
+        assert_eq!(json, render());
+
+        let debug = format!("{:?}", EventCounters::default());
+        let fields: Vec<&str> = debug
+            .split([' ', '{', ','])
+            .filter_map(|tok| tok.strip_suffix(':'))
+            .collect();
+        assert!(
+            fields.len() >= 9 && fields.contains(&"app_visits"),
+            "{debug}"
+        );
+        for field in fields {
+            assert!(
+                json.contains(&format!("\"ev_{field}\": ")),
+                "ev_{field} missing"
+            );
+        }
     }
 }

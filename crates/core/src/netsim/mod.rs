@@ -79,9 +79,8 @@ impl std::fmt::Display for Ep {
 }
 
 /// The typed event vocabulary of the simulation — every event the engine
-/// dispatches in steady state is one of these small inline values, so the
-/// hot path schedules without boxing (the witness is
-/// [`EventCounters::boxed_events`] staying zero across a run).
+/// dispatches is one of these small inline values, stored by value in
+/// the calendar.
 #[derive(Debug)]
 pub enum NetEvent {
     /// One main-loop iteration of a node's poll loop.

@@ -5,7 +5,7 @@ use super::fabric::TraceDigest;
 use super::faults::FaultStats;
 use super::shard::ShardRun;
 #[cfg(doc)]
-use super::{NetEvent, NetSim};
+use super::NetSim;
 use crate::app::AppReports;
 use capnet_chaos::ChaosReport;
 use capnet_httpd::{FleetReport, HttpServerReport};
@@ -14,8 +14,9 @@ use simkern::time::{SimDuration, SimTime};
 use updk::switch::SwitchStats;
 use updk::wire::ImpairmentStats;
 
-/// Per-kind event counters for one run: the *why* behind `events_per_sec`
-/// moving across PRs. Emitted into `BENCH_*.json` by the bench targets.
+/// Per-kind event counters for one run: the *why* behind the event count
+/// moving across PRs. Every field lands in the `BENCH_*.json` behaviour
+/// ledger as an `ev_*` key (`capnet_bench::BenchReport::record_outcome`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounters {
     /// Main-loop iterations executed (scheduled polls plus honored wakes).
@@ -42,9 +43,6 @@ pub struct EventCounters {
     pub parks: u64,
     /// Parked nodes woken early by a frame delivery to their port.
     pub wakes: u64,
-    /// Boxed closure events scheduled on the engine — zero in steady state
-    /// (every hot-path event is a typed [`NetEvent`]).
-    pub boxed_events: u64,
 }
 
 impl EventCounters {
@@ -59,12 +57,11 @@ impl EventCounters {
         self.stale_wakes += o.stale_wakes;
         self.parks += o.parks;
         self.wakes += o.wakes;
-        self.boxed_events += o.boxed_events;
     }
 }
 
-/// Per-run tallies of the sharded driver itself — rendezvous rounds,
-/// cross-shard traffic and rehoming copies. Deliberately **not** part of
+/// Per-run tallies of the sharded driver itself — rendezvous rounds and
+/// cross-shard traffic. Deliberately **not** part of
 /// [`EventCounters`]: simulation counters are asserted byte-identical
 /// across worker counts, while these describe the driver that happened to
 /// run (all zero for a plain single-engine run).
@@ -127,12 +124,10 @@ pub struct SimOutcome {
     /// them comparable with pre-parking baselines whose polling filled the
     /// tail with idle events.
     pub horizon: SimTime,
-    /// Discrete events the engine executed — the denominator of the
-    /// events-per-second speed metric in the perf trajectory.
+    /// Discrete events the engine executed.
     pub events: u64,
     /// Per-kind event counters: why `events` is what it is (loop polls vs
-    /// deliveries vs switch hops vs wakes), and the zero-boxed-events
-    /// steady-state witness.
+    /// deliveries vs switch hops vs wakes).
     pub counters: EventCounters,
     /// `(node name, port hardware stats)`.
     pub port_stats: Vec<(String, updk::ethdev::PortStats)>,
@@ -158,8 +153,8 @@ pub struct SimOutcome {
     /// window a 2-shard plan *would* run under (0 when no such plan cuts
     /// a cable), so the would-be width shows up in bench output too.
     pub lookahead_ns: u64,
-    /// Sharded-driver tallies (rendezvous rounds, cross-shard frames,
-    /// rehoming copies). All zero for single-engine runs; unlike
+    /// Sharded-driver tallies (rendezvous rounds, cross-shard frames).
+    /// All zero for single-engine runs; unlike
     /// [`SimOutcome::counters`], these describe the driver rather than
     /// the simulation, so they legitimately vary across worker counts.
     pub rounds: RoundCounters,
@@ -188,10 +183,7 @@ pub(super) fn collect_outcome(
     let mut impairment_stats = ImpairmentStats::default();
     let mut fault_stats = FaultStats::default();
     for cell in cells.iter_mut() {
-        counters.absorb(EventCounters {
-            boxed_events: cell.engine.boxed_scheduled(),
-            ..cell.sim.counters
-        });
+        counters.absorb(cell.sim.counters);
         impairment_stats.absorb(cell.sim.impairment_stats);
         fault_stats.absorb(cell.sim.fault_stats);
         if let Some(ctx) = cell.sim.shard_ctx.as_mut() {

@@ -888,13 +888,6 @@ impl FStack {
     // driver surface
     // ------------------------------------------------------------------
 
-    /// Feeds one received Ethernet frame into the stack (compatibility
-    /// wrapper: stages `frame` into a pooled buffer; the zero-copy driver
-    /// path is [`FStack::input_buf`]).
-    pub fn input_frame(&mut self, now: SimTime, frame: &[u8]) {
-        self.input_buf(now, &FrameBuf::copy_from(frame));
-    }
-
     /// Queues a raw, caller-crafted Ethernet frame for transmission,
     /// bypassing every protocol layer: the bytes go out exactly as given
     /// (padded to the Ethernet minimum), through the same

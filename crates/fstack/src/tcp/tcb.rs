@@ -853,12 +853,15 @@ impl Tcb {
         sent
     }
 
-    /// Emits every segment the connection owes the wire at `now`.
+    /// Emits every segment the connection owes the wire at `now`, as owned
+    /// segments.
     ///
-    /// Compatibility wrapper over [`Tcb::poll_output_into`] that
-    /// materializes payload ranges into owned segments — tests and simple
-    /// drivers use this; the zero-copy main loop passes an emitter that
-    /// builds frames in place instead.
+    /// A collecting emitter over [`Tcb::poll_output_into`] — the one place
+    /// the output logic lives — that copies each payload range into the
+    /// segment it returns. It has no production caller ([`crate::FStack`]
+    /// passes an emitter that builds frames in place); it is kept because
+    /// ~60 TCB-level tests read their segments through it and it adds no
+    /// second logic, only the collection.
     pub fn poll_output(&mut self, now: SimTime) -> Vec<TcpSegment> {
         let mut out = Vec::new();
         self.poll_output_into(now, &mut |seg, payload| {

@@ -3,7 +3,7 @@
 //! stack. Malformed input is rejected *and counted* (`parse_drops`);
 //! valid frames round-trip bit for bit.
 //!
-//! The full-stack cases drive `FStack::input_frame`, the exact entry the
+//! The full-stack cases drive `FStack::input_buf`, the exact entry the
 //! NIC ring uses, so the whole dispatch path (Ethernet → ARP/IPv4 →
 //! TCP/UDP/ICMP) is under the fuzzer — not just the leaf codecs.
 
@@ -59,7 +59,7 @@ proptest! {
         frame in proptest::collection::vec(any::<u8>(), 0..1600),
     ) {
         let mut s = stack();
-        s.input_frame(SimTime::ZERO, &frame);
+        s.input_buf(SimTime::ZERO, &FrameBuf::copy_from(&frame));
         // The stack is still alive and consistent.
         prop_assert_eq!(s.socket_count(), 0);
     }
@@ -78,7 +78,7 @@ proptest! {
             frame[i] = val;
         }
         let mut s = stack();
-        s.input_frame(SimTime::ZERO, &frame);
+        s.input_buf(SimTime::ZERO, &FrameBuf::copy_from(&frame));
     }
 
     /// Every truncation point of a valid frame is rejected cleanly; once
@@ -91,7 +91,7 @@ proptest! {
         let frame = valid_tcp_frame(&payload);
         let cut = cut as usize % frame.len();
         let mut s = stack();
-        s.input_frame(SimTime::ZERO, &frame[..cut]);
+        s.input_buf(SimTime::ZERO, &FrameBuf::copy_from(&frame[..cut]));
         prop_assert_eq!(s.socket_count(), 0);
     }
 
@@ -107,7 +107,7 @@ proptest! {
         let i = pos as usize % frame.len();
         frame[i] ^= xor;
         let mut s = stack();
-        s.input_frame(SimTime::ZERO, &frame);
+        s.input_buf(SimTime::ZERO, &FrameBuf::copy_from(&frame));
         // The corrupted envelope parsed to a different-but-valid frame
         // (e.g. a TTL flip keeping the checksum lie visible) or was
         // dropped; either way the stack survives with no state leaked.
@@ -164,7 +164,7 @@ fn chaos_corruption_classes_are_survived() {
     junk[12] = 0x88;
     junk[13] = 0xB5; // unknown EtherType
     for frame in [&lies, &vers, &junk] {
-        s.input_frame(SimTime::ZERO, frame);
+        s.input_buf(SimTime::ZERO, &FrameBuf::copy_from(frame));
     }
     assert!(
         s.stats().parse_drops() >= 2,

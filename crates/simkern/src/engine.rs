@@ -7,11 +7,8 @@
 //! stored **inline** in a two-band calendar: a 512-slot × 1024 ns timer wheel
 //! for the dense near band, with a binary heap as overflow for far-future
 //! deadlines (retransmission timers, TIME_WAIT). Events migrate from the heap
-//! into the wheel as virtual time advances. A [`Engine::schedule_boxed`]
-//! escape hatch keeps closure-style scheduling available for doctests and
-//! small ad-hoc worlds; boxed schedules are counted
-//! ([`Engine::boxed_scheduled`]) so perf-sensitive drivers can assert their
-//! steady state never boxes.
+//! into the wheel as virtual time advances. There is no second event
+//! representation: every schedule stores a `W::Event` by value.
 //!
 //! # Dispatch order
 //!
@@ -35,22 +32,16 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-type Action<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
-
 /// A world drivable by the engine: the event vocabulary plus its interpreter.
 ///
 /// `Event` should be a small plain enum — it is stored by value in the
-/// calendar, so scheduling one allocates nothing. Worlds that only ever use
-/// [`Engine::schedule_boxed`] can set `type Event = NoEvent`.
+/// calendar, so scheduling one allocates nothing.
 pub trait World: Sized {
     /// The typed event vocabulary of this world.
     type Event;
     /// Interprets one event at its scheduled instant (`engine.now()`).
     fn handle(&mut self, ev: Self::Event, engine: &mut Engine<Self>);
 }
-
-/// An uninhabited event type for worlds driven purely by boxed closures.
-pub enum NoEvent {}
 
 /// The origin id carried by plain (non-[`Engine::schedule_from`]) schedules:
 /// sorts after every explicit origin, and its `ctr` component is the global
@@ -188,11 +179,6 @@ impl Tokens {
     }
 }
 
-enum Slot<W: World> {
-    Typed(W::Event),
-    Boxed(Action<W>),
-}
-
 struct Scheduled<W: World> {
     at: SimTime,
     /// Tie-break class at equal instants: 0 for ordinary events, 1 for
@@ -202,7 +188,7 @@ struct Scheduled<W: World> {
     /// Slot of the token table naming this event, or [`NO_TOKEN`].
     token: u32,
     key: OrderKey,
-    slot: Slot<W>,
+    event: W::Event,
 }
 
 impl<W: World> Scheduled<W> {
@@ -447,27 +433,32 @@ impl<W: World> Calendar<W> {
 /// engine.schedule(SimTime::ZERO, Ev::Tick);
 /// engine.run(&mut world);
 /// assert_eq!(world.ticks, 10);
-/// assert_eq!(engine.boxed_scheduled(), 0);
 /// ```
 ///
-/// The boxed escape hatch, for worlds without an event vocabulary:
+/// Events dispatch in time order, whatever order they were scheduled in:
 ///
 /// ```
-/// use simkern::engine::{Engine, NoEvent, World};
+/// use simkern::engine::{Engine, World};
 /// use simkern::time::SimTime;
 ///
 /// struct Small(u32);
+/// enum Ev { Add(u32), Double }
 /// impl World for Small {
-///     type Event = NoEvent;
-///     fn handle(&mut self, ev: NoEvent, _: &mut Engine<Self>) { match ev {} }
+///     type Event = Ev;
+///     fn handle(&mut self, ev: Ev, _: &mut Engine<Self>) {
+///         match ev {
+///             Ev::Add(n) => self.0 += n,
+///             Ev::Double => self.0 *= 2,
+///         }
+///     }
 /// }
 ///
 /// let mut engine: Engine<Small> = Engine::new();
 /// let mut w = Small(0);
-/// engine.schedule_boxed(SimTime::from_nanos(10), |w: &mut Small, _| w.0 += 1);
-/// engine.schedule_boxed(SimTime::from_nanos(5), |w: &mut Small, _| w.0 += 10);
+/// engine.schedule(SimTime::from_nanos(10), Ev::Double);
+/// engine.schedule(SimTime::from_nanos(5), Ev::Add(10));
 /// engine.run(&mut w);
-/// assert_eq!(w.0, 11);
+/// assert_eq!(w.0, 20);
 /// ```
 pub struct Engine<W: World> {
     now: SimTime,
@@ -482,7 +473,6 @@ pub struct Engine<W: World> {
     queue: Calendar<W>,
     executed: u64,
     event_cap: u64,
-    boxed_scheduled: u64,
 }
 
 impl<W: World> std::fmt::Debug for Engine<W> {
@@ -521,7 +511,6 @@ impl<W: World> Engine<W> {
             queue: Calendar::new(),
             executed: 0,
             event_cap: Self::DEFAULT_EVENT_CAP,
-            boxed_scheduled: 0,
         }
     }
 
@@ -540,12 +529,6 @@ impl<W: World> Engine<W> {
         self.queue.len()
     }
 
-    /// Number of boxed-closure events scheduled so far — the witness that a
-    /// steady-state hot path stayed on the typed, allocation-free band.
-    pub fn boxed_scheduled(&self) -> u64 {
-        self.boxed_scheduled
-    }
-
     /// Caps the number of events a run may execute, as a guard against
     /// accidentally non-terminating schedules in tests. Both [`Engine::run`]
     /// / [`Engine::run_until`] and single-stepping via [`Engine::step`]
@@ -554,14 +537,14 @@ impl<W: World> Engine<W> {
         self.event_cap = cap;
     }
 
-    fn push(&mut self, at: SimTime, class: u8, token: u32, key: OrderKey, slot: Slot<W>) {
+    fn push(&mut self, at: SimTime, class: u8, token: u32, key: OrderKey, event: W::Event) {
         let at = at.max(self.now);
         self.queue.push(Scheduled {
             at,
             class,
             token,
             key,
-            slot,
+            event,
         });
     }
 
@@ -606,7 +589,7 @@ impl<W: World> Engine<W> {
     /// a hardware completion that "already happened" is observed at poll time.
     pub fn schedule(&mut self, at: SimTime, ev: W::Event) {
         let key = self.compat_key();
-        self.push(at, 0, NO_TOKEN, key, Slot::Typed(ev));
+        self.push(at, 0, NO_TOKEN, key, ev);
     }
 
     /// Schedules a typed event `delay` after the current instant.
@@ -621,7 +604,7 @@ impl<W: World> Engine<W> {
     /// matter how the world is sharded across engines.
     pub fn schedule_from(&mut self, origin: u32, at: SimTime, ev: W::Event) {
         let key = self.origin_key(origin);
-        self.push(at, 0, NO_TOKEN, key, Slot::Typed(ev));
+        self.push(at, 0, NO_TOKEN, key, ev);
     }
 
     /// Schedules a typed event at `at`, ordered **after** every ordinary
@@ -632,7 +615,7 @@ impl<W: World> Engine<W> {
     /// same-instant delivery.
     pub fn schedule_last(&mut self, at: SimTime, ev: W::Event) {
         let key = self.compat_key();
-        self.push(at, 1, NO_TOKEN, key, Slot::Typed(ev));
+        self.push(at, 1, NO_TOKEN, key, ev);
     }
 
     /// [`Engine::schedule_last`] with an origin-tagged key
@@ -643,7 +626,7 @@ impl<W: World> Engine<W> {
     pub fn schedule_last_from(&mut self, origin: u32, at: SimTime, ev: W::Event) -> EventHandle {
         let key = self.origin_key(origin);
         let handle = self.queue.tokens.issue();
-        self.push(at, 1, handle.slot, key, Slot::Typed(ev));
+        self.push(at, 1, handle.slot, key, ev);
         handle
     }
 
@@ -651,7 +634,7 @@ impl<W: World> Engine<W> {
     /// engine — how a sharded world injects a peer shard's cross-boundary
     /// events so the merged dispatch order matches the single-engine run.
     pub fn schedule_injected(&mut self, at: SimTime, key: OrderKey, ev: W::Event) {
-        self.push(at, 0, NO_TOKEN, key, Slot::Typed(ev));
+        self.push(at, 0, NO_TOKEN, key, ev);
     }
 
     /// Builds (and consumes) the next [`OrderKey`] for `origin` without
@@ -684,27 +667,6 @@ impl<W: World> Engine<W> {
         }
     }
 
-    /// Schedules a boxed `action` closure to run at instant `at` — the
-    /// compatibility escape hatch for worlds without a typed event
-    /// vocabulary. Counted by [`Engine::boxed_scheduled`].
-    pub fn schedule_boxed<F>(&mut self, at: SimTime, action: F)
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        self.boxed_scheduled += 1;
-        let key = self.compat_key();
-        self.push(at, 0, NO_TOKEN, key, Slot::Boxed(Box::new(action)));
-    }
-
-    /// Schedules a boxed `action` closure `delay` after the current instant.
-    pub fn schedule_boxed_in<F>(&mut self, delay: crate::time::SimDuration, action: F)
-    where
-        F: FnOnce(&mut W, &mut Engine<W>) + 'static,
-    {
-        let at = self.now + delay;
-        self.schedule_boxed(at, action);
-    }
-
     /// Runs events until the calendar is empty.
     ///
     /// # Panics
@@ -725,10 +687,7 @@ impl<W: World> Engine<W> {
             self.event_cap,
             self.now
         );
-        match ev.slot {
-            Slot::Typed(e) => world.handle(e, self),
-            Slot::Boxed(f) => f(world, self),
-        }
+        world.handle(ev.event, self);
         self.cur_class = 0;
     }
 
@@ -795,40 +754,54 @@ mod tests {
     use super::*;
     use crate::time::{SimDuration, SimTime};
 
-    /// Closure-driven test worlds: no typed vocabulary.
-    macro_rules! boxed_world {
-        ($($t:ty),*) => {$(
-            impl World for $t {
-                type Event = NoEvent;
-                fn handle(&mut self, ev: NoEvent, _: &mut Engine<Self>) {
-                    match ev {}
-                }
-            }
-        )*};
+    /// The typed test world: a log of marks, and the few things the
+    /// ordering tests need a handler to do.
+    struct Log(Vec<u32>);
+    enum Tag {
+        /// Log the value.
+        Mark(u32),
+        /// Schedule each `(at_ns, event)` in order, then log the current
+        /// instant (ns).
+        Spawn(Vec<(u64, Tag)>),
+        /// Reschedule itself 1 ns out, forever.
+        Forever,
     }
-    boxed_world!(Vec<u32>, Vec<u64>, u32, ());
+    impl World for Log {
+        type Event = Tag;
+        fn handle(&mut self, ev: Tag, eng: &mut Engine<Self>) {
+            match ev {
+                Tag::Mark(v) => self.0.push(v),
+                Tag::Spawn(children) => {
+                    for (at, child) in children {
+                        eng.schedule(SimTime::from_nanos(at), child);
+                    }
+                    self.0.push(eng.now().as_nanos() as u32);
+                }
+                Tag::Forever => eng.schedule_in(SimDuration::from_nanos(1), Tag::Forever),
+            }
+        }
+    }
 
     #[test]
     fn events_run_in_time_order() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        eng.schedule_boxed(SimTime::from_nanos(30), |l: &mut Vec<u32>, _| l.push(3));
-        eng.schedule_boxed(SimTime::from_nanos(10), |l: &mut Vec<u32>, _| l.push(1));
-        eng.schedule_boxed(SimTime::from_nanos(20), |l: &mut Vec<u32>, _| l.push(2));
-        eng.run(&mut log);
-        assert_eq!(log, vec![1, 2, 3]);
-        assert_eq!(eng.boxed_scheduled(), 3);
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        eng.schedule(SimTime::from_nanos(30), Tag::Mark(3));
+        eng.schedule(SimTime::from_nanos(10), Tag::Mark(1));
+        eng.schedule(SimTime::from_nanos(20), Tag::Mark(2));
+        eng.run(&mut w);
+        assert_eq!(w.0, vec![1, 2, 3]);
     }
 
     #[test]
     fn same_instant_events_are_fifo() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
         for i in 0..5 {
-            eng.schedule_boxed(SimTime::from_nanos(7), move |l: &mut Vec<u32>, _| l.push(i));
+            eng.schedule(SimTime::from_nanos(7), Tag::Mark(i));
         }
-        eng.run(&mut log);
-        assert_eq!(log, vec![0, 1, 2, 3, 4]);
+        eng.run(&mut w);
+        assert_eq!(w.0, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -855,72 +828,61 @@ mod tests {
         eng.run(&mut w);
         assert_eq!(w.count, 10);
         assert_eq!(eng.now(), SimTime::from_nanos(900));
-        assert_eq!(eng.boxed_scheduled(), 0, "typed path never boxes");
     }
 
     #[test]
     fn run_until_respects_deadline() {
-        let mut eng: Engine<u32> = Engine::new();
-        let mut w = 0;
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
         for i in 1..=10u64 {
-            eng.schedule_boxed(SimTime::from_nanos(i * 10), |w: &mut u32, _| *w += 1);
+            eng.schedule(SimTime::from_nanos(i * 10), Tag::Mark(0));
         }
         eng.run_until(&mut w, SimTime::from_nanos(50));
-        assert_eq!(w, 5);
+        assert_eq!(w.0.len(), 5);
         assert_eq!(eng.pending(), 5);
         eng.run(&mut w);
-        assert_eq!(w, 10);
+        assert_eq!(w.0.len(), 10);
     }
 
     #[test]
     fn run_window_excludes_the_end_instant() {
-        let mut eng: Engine<u32> = Engine::new();
-        let mut w = 0;
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
         for i in 1..=10u64 {
-            eng.schedule_boxed(SimTime::from_nanos(i * 10), |w: &mut u32, _| *w += 1);
+            eng.schedule(SimTime::from_nanos(i * 10), Tag::Mark(0));
         }
         eng.run_window(&mut w, SimTime::from_nanos(50));
         assert_eq!(
-            w, 4,
+            w.0.len(),
+            4,
             "the event at exactly 50 ns belongs to the next window"
         );
         eng.run_window(&mut w, SimTime::ZERO); // empty window: no-op
-        assert_eq!(w, 4);
+        assert_eq!(w.0.len(), 4);
         eng.run(&mut w);
-        assert_eq!(w, 10);
+        assert_eq!(w.0.len(), 10);
     }
 
     #[test]
     fn past_events_are_clamped_to_now() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let mut log = Vec::new();
-        eng.schedule_boxed(
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        // Scheduling "in the past" executes at the current instant.
+        eng.schedule(
             SimTime::from_nanos(100),
-            |l: &mut Vec<u64>, e: &mut Engine<_>| {
-                // Scheduling "in the past" executes at the current instant.
-                e.schedule_boxed(
-                    SimTime::from_nanos(1),
-                    |l: &mut Vec<u64>, e: &mut Engine<_>| {
-                        l.push(e.now().as_nanos());
-                    },
-                );
-                l.push(e.now().as_nanos());
-            },
+            Tag::Spawn(vec![(1, Tag::Spawn(vec![]))]),
         );
-        eng.run(&mut log);
-        assert_eq!(log, vec![100, 100]);
+        eng.run(&mut w);
+        assert_eq!(w.0, vec![100, 100]);
     }
 
     #[test]
     #[should_panic(expected = "event cap")]
     fn runaway_schedules_trip_the_cap() {
-        fn forever(_: &mut (), eng: &mut Engine<()>) {
-            eng.schedule_boxed_in(SimDuration::from_nanos(1), forever);
-        }
-        let mut eng = Engine::new();
+        let mut eng: Engine<Log> = Engine::new();
         eng.set_event_cap(1_000);
-        eng.schedule_boxed(SimTime::ZERO, forever);
-        eng.run(&mut ());
+        eng.schedule(SimTime::ZERO, Tag::Forever);
+        eng.run(&mut Log(Vec::new()));
     }
 
     /// Regression: `step` used to bypass the event-cap guard that
@@ -929,23 +891,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "event cap")]
     fn stepping_counts_against_the_cap() {
-        fn forever(_: &mut (), eng: &mut Engine<()>) {
-            eng.schedule_boxed_in(SimDuration::from_nanos(1), forever);
-        }
-        let mut eng = Engine::new();
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
         eng.set_event_cap(100);
-        eng.schedule_boxed(SimTime::ZERO, forever);
-        while eng.step(&mut ()) {}
+        eng.schedule(SimTime::ZERO, Tag::Forever);
+        while eng.step(&mut w) {}
     }
 
     #[test]
     fn step_runs_one_event() {
-        let mut eng: Engine<u32> = Engine::new();
-        let mut w = 0;
-        eng.schedule_boxed(SimTime::from_nanos(1), |w: &mut u32, _| *w += 1);
-        eng.schedule_boxed(SimTime::from_nanos(2), |w: &mut u32, _| *w += 1);
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        eng.schedule(SimTime::from_nanos(1), Tag::Mark(1));
+        eng.schedule(SimTime::from_nanos(2), Tag::Mark(2));
         assert!(eng.step(&mut w));
-        assert_eq!(w, 1);
+        assert_eq!(w.0, vec![1]);
         eng.clear();
         assert!(!eng.step(&mut w));
     }
@@ -954,39 +914,38 @@ mod tests {
     /// migrate back as the cursor advances — order is unaffected.
     #[test]
     fn heap_band_overflow_preserves_order() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        // Far band (≫ 262 µs), scheduled first.
-        eng.schedule_boxed(SimTime::from_millis(50), |l: &mut Vec<u32>, _| l.push(5));
-        eng.schedule_boxed(SimTime::from_millis(10), |l: &mut Vec<u32>, _| l.push(3));
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        // Far band (≫ 524 µs), scheduled first.
+        eng.schedule(SimTime::from_millis(50), Tag::Mark(5));
+        eng.schedule(SimTime::from_millis(10), Tag::Mark(3));
+        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (0, 2));
         // Near band.
-        eng.schedule_boxed(SimTime::from_nanos(900), |l: &mut Vec<u32>, _| l.push(1));
-        eng.schedule_boxed(SimTime::from_micros(200), |l: &mut Vec<u32>, _| l.push(2));
+        eng.schedule(SimTime::from_nanos(900), Tag::Mark(1));
+        eng.schedule(SimTime::from_micros(200), Tag::Mark(2));
         // Mid band: within the horizon of the second event but not the first.
-        eng.schedule_boxed(
-            SimTime::from_millis(10) + crate::time::SimDuration::from_micros(100),
-            |l: &mut Vec<u32>, _| l.push(4),
+        eng.schedule(
+            SimTime::from_millis(10) + SimDuration::from_micros(100),
+            Tag::Mark(4),
         );
-        eng.run(&mut log);
-        assert_eq!(log, vec![1, 2, 3, 4, 5]);
+        eng.run(&mut w);
+        assert_eq!(w.0, vec![1, 2, 3, 4, 5]);
     }
 
     /// A handler scheduling into its own (partially drained) wheel slot and
     /// beyond keeps the total order.
     #[test]
     fn rescheduling_into_the_cursor_slot_is_ordered() {
-        let mut eng: Engine<Vec<u32>> = Engine::new();
-        let mut log = Vec::new();
-        eng.schedule_boxed(SimTime::from_nanos(512), |l: &mut Vec<u32>, e| {
-            l.push(1);
-            // Same wheel slot, later instant.
-            e.schedule_boxed(SimTime::from_nanos(700), |l: &mut Vec<u32>, _| l.push(2));
-            // Same slot, same instant: FIFO after the one above? No —
-            // ordered purely by (at, seq): 600 < 700.
-            e.schedule_boxed(SimTime::from_nanos(600), |l: &mut Vec<u32>, _| l.push(3));
-        });
-        eng.run(&mut log);
-        assert_eq!(log, vec![1, 3, 2]);
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        // Both children land in the handler's own wheel slot; they are
+        // ordered purely by (at, seq): 600 < 700.
+        eng.schedule(
+            SimTime::from_nanos(512),
+            Tag::Spawn(vec![(700, Tag::Mark(2)), (600, Tag::Mark(3))]),
+        );
+        eng.run(&mut w);
+        assert_eq!(w.0, vec![512, 3, 2]);
     }
 
     #[test]
@@ -1016,19 +975,6 @@ mod tests {
         eng.schedule(t, Ev::Ordinary);
         eng.run(&mut w);
         assert_eq!(w.log, vec!["ordinary", "ordinary", "late"]);
-    }
-
-    /// Typed worlds for origin-key and cancellation tests.
-    struct Log(Vec<u32>);
-    enum Tag {
-        Mark(u32),
-    }
-    impl World for Log {
-        type Event = Tag;
-        fn handle(&mut self, ev: Tag, _: &mut Engine<Self>) {
-            let Tag::Mark(v) = ev;
-            self.0.push(v);
-        }
     }
 
     /// Same-instant origin-keyed events order by (gen, gen_class, origin,

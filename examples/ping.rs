@@ -11,6 +11,7 @@ use fstack::{FStack, StackConfig};
 use simkern::{SimDuration, SimTime};
 use std::error::Error;
 use std::net::Ipv4Addr;
+use updk::framebuf::FrameBuf;
 use updk::nic::MacAddr;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -35,7 +36,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .build(&ip);
 
         let sent_at = now;
-        target.input_frame(now, &frame);
+        target.input_buf(now, &FrameBuf::copy_from(&frame));
         now += SimDuration::from_micros(30); // polling delay at the target
         let replies = target.poll_tx(now);
         let reply = replies.first().ok_or("no reply frame")?;

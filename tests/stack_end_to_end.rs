@@ -142,10 +142,10 @@ fn ff_write_rejects_bad_capabilities_with_efault() {
     let mut now = SimTime::from_micros(1);
     for _ in 0..10 {
         for f in a.poll_tx(now) {
-            b.input_frame(now, &f);
+            b.input_buf(now, &f);
         }
         for f in b.poll_tx(now) {
-            a.input_frame(now, &f);
+            a.input_buf(now, &f);
         }
         now += SimDuration::from_micros(50);
     }
@@ -212,10 +212,10 @@ fn epoll_tracks_connection_lifecycle() {
     let mut now = SimTime::from_micros(1);
     for _ in 0..10 {
         for f in a.poll_tx(now) {
-            b.input_frame(now, &f);
+            b.input_buf(now, &f);
         }
         for f in b.poll_tx(now) {
-            a.input_frame(now, &f);
+            a.input_buf(now, &f);
         }
         now += SimDuration::from_micros(50);
     }
@@ -238,7 +238,7 @@ fn epoll_tracks_connection_lifecycle() {
         .unwrap();
     a.ff_write(&mut mem, cfd, &buf, 128).unwrap();
     for f in a.poll_tx(now) {
-        b.input_frame(now, &f);
+        b.input_buf(now, &f);
     }
     let ready = b.ff_epoll_wait(bep).unwrap();
     assert!(ready

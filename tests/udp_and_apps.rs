@@ -29,10 +29,10 @@ fn pump(now: SimTime, a: &mut FStack, b: &mut FStack) {
             break;
         }
         for f in fa {
-            b.input_frame(now, &f);
+            b.input_buf(now, &f);
         }
         for f in fb {
-            a.input_frame(now, &f);
+            a.input_buf(now, &f);
         }
     }
 }
@@ -246,10 +246,10 @@ fn udp_to_closed_port_draws_port_unreachable_and_econnrefused() {
     a.ff_sendto(&mut mem, sa, &msg, 64, (IP_B, 4_444)).unwrap();
     for _ in 0..4 {
         for f in a.poll_tx(now) {
-            b.input_frame(now, &f);
+            b.input_buf(now, &f);
         }
         for f in b.poll_tx(now) {
-            a.input_frame(now, &f);
+            a.input_buf(now, &f);
         }
     }
     assert_eq!(b.stats().unreach_out, 1, "B answered with port unreachable");
@@ -284,10 +284,10 @@ fn udp_unreachable_raises_epollerr_until_observed() {
     a.ff_sendto(&mut mem, sa, &msg, 32, (IP_B, 4_445)).unwrap();
     for _ in 0..4 {
         for f in a.poll_tx(now) {
-            b.input_frame(now, &f);
+            b.input_buf(now, &f);
         }
         for f in b.poll_tx(now) {
-            a.input_frame(now, &f);
+            a.input_buf(now, &f);
         }
     }
     let ev = a.ff_epoll_wait(ep).unwrap();
@@ -321,10 +321,10 @@ fn udp_to_open_port_never_raises_unreachable() {
     a.ff_sendto(&mut mem, sa, &msg, 32, (IP_B, 4_446)).unwrap();
     for _ in 0..4 {
         for f in a.poll_tx(now) {
-            b.input_frame(now, &f);
+            b.input_buf(now, &f);
         }
         for f in b.poll_tx(now) {
-            a.input_frame(now, &f);
+            a.input_buf(now, &f);
         }
     }
     assert_eq!(b.stats().unreach_out, 0);
