@@ -210,6 +210,9 @@ impl NetSim {
             }
             ResolvedFault::NodeCrash { node } => {
                 if self.local_node(node) {
+                    // A parked loop polled, in the model, right up to the
+                    // crash.
+                    self.fold_skipped(node, engine.now());
                     self.nodes[node].crash(engine);
                     self.fault_stats.node_crashes += 1;
                 }
@@ -235,10 +238,11 @@ impl NetSim {
         node.restart(now);
         // The reborn host boots like the originals did: first poll
         // iteration a beat after the restart instant.
+        let epoch = node.epoch;
         engine.schedule_from(
             Self::node_origin(i),
             now + SimDuration::from_nanos(97),
-            NetEvent::LoopIter { node: i },
+            NetEvent::LoopIter { node: i, epoch },
         );
     }
 }

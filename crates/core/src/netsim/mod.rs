@@ -21,6 +21,8 @@ mod fabric;
 mod faults;
 mod node;
 mod outcome;
+#[cfg(test)]
+mod polled_reference;
 mod shard;
 
 pub use fabric::TraceDigest;
@@ -83,18 +85,22 @@ impl std::fmt::Display for Ep {
 /// the calendar.
 #[derive(Debug)]
 pub enum NetEvent {
-    /// One main-loop iteration of a node's poll loop.
+    /// One main-loop iteration of a node's poll loop. An iteration left
+    /// pending by a loop that has crashed since — even if the host is
+    /// already back up — is recognized by `epoch` and dies undispatched.
     LoopIter {
         /// Node index.
         node: usize,
+        /// The node's generation when the iteration was scheduled.
+        epoch: u64,
     },
     /// A parked node's scheduled wake tick (at a poll-lattice instant).
-    /// Stale wakes — the node was woken earlier by a frame delivery, or
-    /// re-parked since — are recognized by `epoch` and ignored.
+    /// A wake is cancelled in place when a delivery moves it or the node
+    /// crashes; `epoch` is the witness that none dispatches stale.
     Wake {
         /// Node index.
         node: usize,
-        /// The park generation this wake was scheduled for.
+        /// The node's generation when the wake was scheduled.
         epoch: u64,
     },
     /// A frame arriving at a NIC port at instant `at` (folded into the
@@ -212,8 +218,10 @@ pub struct NetSim {
     /// Switch egress cables (`sw_cabled[sw][port]`), resolved at `run()`
     /// start for the forwarding hot path.
     sw_cabled: Vec<Vec<Option<Ep>>>,
-    /// The idle poll period (from the cost model): the lattice step parked
-    /// nodes wake on.
+    /// An ideal host's idle poll period (from the cost model). Only the
+    /// shard planner reads it, as the event-rate estimate of its
+    /// profitability model; a parked node's lattice step is its own
+    /// (`Node::period`).
     idle_period: u64,
     /// Requested worker (shard) count for [`NetSim::run`]; 1 = the classic
     /// single-engine loop.
@@ -730,19 +738,23 @@ impl NetSim {
 
     /// Resolves the topology once: each node's cabled endpoint, each
     /// switch port's cable, which node owns each NIC port (so deliveries
-    /// can wake parked loops), the per-port impairment RNG streams, and
-    /// the dirty-fd app routing. The event hot path never touches the
-    /// `links` HashMap again.
+    /// can wake parked loops), the per-port impairment RNG streams, which
+    /// loops may park, and the dirty-fd app routing. The event hot path
+    /// never touches the `links` HashMap again.
     fn resolve_caches(&mut self) {
         self.dev_owner = self
             .devs
             .iter()
             .map(|d| vec![None; d.port_count()])
             .collect();
+        // The S2 service loops that cannot park (see `Node::polls`).
+        let s2_nodes = self.nodes.iter().filter(|n| n.profile.s2_service);
+        let s2_polls = self.app_sched.turn_dependent() || s2_nodes.count() > 1;
         for i in 0..self.nodes.len() {
             let (d, p) = (self.nodes[i].dev, self.nodes[i].port);
             self.nodes[i].cabled = self.links.get(&Ep::Dev(d, p)).copied();
             self.dev_owner[d][p] = Some(i);
+            self.nodes[i].polls = self.nodes[i].profile.s2_service && s2_polls;
             self.nodes[i].resolve_routing();
         }
         self.sw_cabled = self
@@ -779,7 +791,8 @@ impl NetSim {
                 continue;
             }
             let at = SimTime::from_nanos(97 * (i as u64 + 1));
-            engine.schedule_from(init_origin, at, NetEvent::LoopIter { node: i });
+            let epoch = self.nodes[i].epoch;
+            engine.schedule_from(init_origin, at, NetEvent::LoopIter { node: i, epoch });
         }
         // The fault plan is scheduled on EVERY shard, in plan order from
         // a dedicated origin: identical keys and instants everywhere, so
@@ -844,7 +857,11 @@ impl World for NetSim {
 
     fn handle(&mut self, ev: NetEvent, engine: &mut Engine<NetSim>) {
         match ev {
-            NetEvent::LoopIter { node } => self.loop_iter(node, engine),
+            NetEvent::LoopIter { node, epoch } => {
+                if self.nodes[node].epoch == epoch {
+                    self.loop_iter(node, engine);
+                }
+            }
             NetEvent::Wake { node, epoch } => self.wake_iter(node, epoch, engine),
             NetEvent::Deliver {
                 dev,

@@ -66,6 +66,13 @@ impl AppSched {
         }
     }
 
+    /// Whether [`AppSched::allows`] reads its `turn`: under such a policy
+    /// which apps step — hence how many `ff_*` calls an idle turn makes,
+    /// hence how long it lasts — changes from one turn to the next.
+    pub(super) fn turn_dependent(&self) -> bool {
+        !matches!(self, AppSched::RoundRobin)
+    }
+
     /// Whether app index `idx` gets to step on loop turn `turn`.
     pub(super) fn allows(&self, idx: usize, turn: u64) -> bool {
         match *self {
@@ -115,6 +122,17 @@ pub(super) struct AppSlot {
     runnable: bool,
 }
 
+/// A parked node's scheduled [`NetEvent::Wake`].
+struct PendingWake {
+    /// Cancels the event in place when a delivery supersedes it.
+    handle: EventHandle,
+    /// The lattice tick it is scheduled for.
+    at: SimTime,
+    /// A delivery put it here (or claimed it); otherwise it stands for the
+    /// earliest deadline known when the node parked.
+    by_delivery: bool,
+}
+
 pub(super) struct Node {
     pub(super) name: String,
     pub(super) dev: usize,
@@ -126,13 +144,21 @@ pub(super) struct Node {
     /// into this list is the app's slot for dirty-fd routing.
     pub(super) apps: Vec<AppSlot>,
     pub(super) profile: IsolationProfile,
+    /// Loop turns taken, the ones a park folded away included.
     turns: u64,
-    /// `true` when app steps are gated on the stack's dirty-fd set (ideal
-    /// measurement hosts only — nodes with per-call isolation charges or
-    /// the S2 service mutex step every app every turn, since their skipped
-    /// `ff_*` calls would change the accounted iteration cost). Resolved
-    /// at `run()` start.
+    /// `true` when app steps are gated on the stack's dirty-fd set: ideal
+    /// hosts only. A charged host (per-call isolation cost, the S2 service
+    /// mutex) steps every app every turn, because the `ff_*` calls of even
+    /// a no-op step are part of the turn's accounted cost — which is also
+    /// what makes its idle period a constant it can park on. Resolved at
+    /// `run()` start.
     gated: bool,
+    /// `true` on the two kinds of host whose next idle period is not a
+    /// function of their own state, so they never park: an S2 service node
+    /// under a turn-dependent [`AppSched`], and an S2 service node whose
+    /// mutex a second service node also takes (its wait depends on the
+    /// other's turns). Resolved from configuration at `run()` start.
+    pub(super) polls: bool,
     /// fd → app slot for dirty-fd routing.
     app_of_fd: Vec<Option<u32>>,
     /// Scratch for draining the stack's dirty-fd set and for collecting an
@@ -153,23 +179,31 @@ pub(super) struct Node {
     /// What this node's port is cabled to, resolved once at `run()` start
     /// so the TX hot path never touches the topology `HashMap`.
     pub(super) cabled: Option<Ep>,
-    /// `true` while the node's poll loop is parked (quiescent, no event
-    /// scheduled except possibly a [`NetEvent::Wake`] at a known deadline).
+    /// `true` while the node's poll loop is parked: quiescent, with no
+    /// event scheduled except possibly one [`NetEvent::Wake`]. It stays
+    /// parked through deliveries — they only move the wake — until a wake
+    /// dispatches.
     parked: bool,
-    /// Park generation; bumped on every park and wake. Scheduled wakes are
-    /// cancelled in place when superseded, so a dispatched wake must always
-    /// match — the epoch survives as the debug assertion of that invariant.
-    epoch: u64,
-    /// The handle of the pending scheduled [`NetEvent::Wake`], if any, so a
-    /// superseding wake (an early frame delivery) cancels it in place
-    /// instead of leaving it to dispatch stale.
-    wake: Option<EventHandle>,
-    /// While parked: the instant the next poll iteration *would* have run.
-    /// Wakes land on this lattice (`anchor + k·mainloop_idle_ns`), so a
-    /// woken loop observes the world at exactly the instants the
-    /// unconditional polling loop would have — wire behavior is preserved
-    /// bit for bit.
+    /// Loop generation; bumped by every crash and restart, and whenever a
+    /// wake is scheduled. A pending [`NetEvent::LoopIter`] carries the
+    /// value it was scheduled under and dies if the loop has crashed
+    /// since — a restart inside the old loop's last period must not leave
+    /// two loops polling one host. Superseded wakes are cancelled in
+    /// place, so a dispatched wake must always match: for them the epoch
+    /// survives as the debug assertion of that invariant.
+    pub(super) epoch: u64,
+    /// The pending scheduled [`NetEvent::Wake`], if any.
+    wake: Option<PendingWake>,
+    /// While parked: the first instant of the poll lattice
+    /// (`anchor + k·period`) not yet accounted for — where the next
+    /// iteration of the polling loop would have run. Wakes land on the
+    /// lattice, so a woken loop observes the world at exactly the instants
+    /// the unconditional polling loop would have.
     anchor: SimTime,
+    /// While parked: the lattice step in nanoseconds — what the idle
+    /// iteration that parked took (`next − now`), which is what every
+    /// iteration until the wake would have taken too.
+    period: u64,
     /// `true` between a [`Fault::NodeCrash`] and its restart: the poll
     /// loop is dead, the stack is an empty husk, and arriving frames are
     /// discarded at the NIC.
@@ -195,6 +229,7 @@ impl Node {
             profile,
             turns: 0,
             gated: false,
+            polls: false,
             app_of_fd: Vec::new(),
             fd_scratch: Vec::new(),
             ready: Vec::new(),
@@ -205,6 +240,7 @@ impl Node {
             epoch: 0,
             wake: None,
             anchor: SimTime::ZERO,
+            period: 1,
             crashed: false,
         }
     }
@@ -290,10 +326,10 @@ impl Node {
             return;
         }
         self.crashed = true;
-        // A parked wake is cancelled in place; a pending LoopIter
-        // dispatches into the crashed guard and dies there.
+        // A parked wake is cancelled in place; a pending LoopIter is of
+        // an older epoch from here on and dies at dispatch.
         if let Some(stale) = self.wake.take() {
-            engine.cancel(stale);
+            engine.cancel(stale.handle);
         }
         self.parked = false;
         self.epoch += 1;
@@ -348,26 +384,36 @@ fn route_fds(
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch that runs the specification instead of the
+    /// optimisation: while set, no host on this thread ever parks — every
+    /// loop polls every tick, as paper §III.B describes it. The
+    /// differential oracle (`netsim/polled_reference.rs`) runs each
+    /// configuration both ways and compares.
+    pub(super) static POLLED_REFERENCE: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+/// How many ticks of the lattice `anchor + k·period` (`k ≥ 0`) lie strictly
+/// before `at`; equally, the index of the first tick at or after `at`.
+fn ticks_before(anchor: SimTime, at: SimTime, period: u64) -> u64 {
+    if at <= anchor {
+        return 0;
+    }
+    (at.as_nanos() - anchor.as_nanos()).div_ceil(period)
+}
+
 impl NetSim {
-    /// The first poll-lattice instant at or after `at`: `anchor + k·period`
-    /// with the smallest `k ≥ 0` such that the tick is `≥ at`. Parked nodes
-    /// wake on this lattice so their iterations land exactly where the
+    /// The first poll-lattice instant at or after `at`. Parked nodes wake
+    /// on this lattice so their iterations land exactly where the
     /// unconditional polling loop's would have.
     fn lattice_tick(anchor: SimTime, at: SimTime, period: u64) -> SimTime {
-        if at <= anchor {
-            return anchor;
-        }
-        let gap = at.as_nanos() - anchor.as_nanos();
-        anchor + SimDuration::from_nanos(gap.div_ceil(period) * period)
+        anchor + SimDuration::from_nanos(ticks_before(anchor, at, period) * period)
     }
 
     /// One main-loop iteration of node `i` (event handler).
     pub(super) fn loop_iter(&mut self, i: usize, engine: &mut Engine<NetSim>) {
-        if self.nodes[i].crashed {
-            // The host is dead: its loop stops (no reschedule) until a
-            // [`Fault::NodeRestart`] boots a fresh iteration.
-            return;
-        }
         self.counters.loop_polls += 1;
         let now = engine.now();
         if now >= self.stop_at {
@@ -501,74 +547,117 @@ impl NetSim {
         // Scenario 2: the service loop holds the F-Stack mutex for its
         // iteration; app calls contend (their wait shows up as lock delay
         // on the next loop turn).
-        let next = if self.nodes[i].profile.s2_service {
+        let (next, waited) = if self.nodes[i].profile.s2_service {
             let m = self.s2_mutex.as_mut().expect("s2 mutex exists");
             let grant = m.acquire(now, work);
-            grant.released_at
+            (grant.released_at, grant.contended)
         } else {
-            now + work
+            (now + work, false)
         };
 
-        // Quiescence: an iteration that did no work and owes the wire
-        // nothing parks the loop instead of rescheduling it. Eligibility is
-        // strict so behavior is provably identical to polling:
-        //  * the iteration was a no-op (no RX, no TX, no app progress), so
-        //    replaying it at every tick until something external happens
-        //    would change nothing;
-        //  * no frame is queued mid-DMA on the port (it would become
-        //    readable without a further delivery event);
-        //  * the node carries no per-call isolation charge and no service
-        //    mutex, so its idle tick period is exactly `mainloop_idle_ns`
-        //    and the poll lattice is predictable from `next` alone.
-        // The node wakes on the first lattice tick at/after a frame
-        // delivery to its port, or at/after the earliest known deadline
-        // (stack timers, app write-gap/stop instants).
+        // Quiescence: an iteration that did no work — no RX, no TX, no app
+        // progress — parks the loop instead of rescheduling it. Replayed at
+        // `next`, it would find the same stack and the same apps, make the
+        // same `ff_*` calls and take the same `next − now`, and so on for
+        // every tick until something reaches the host from outside or one
+        // of its own deadlines falls due; so that span is the step of a
+        // lattice the loop sleeps on, waking at the first tick at or after
+        // the earliest of: a stack timer, a clocked app's deadline, the
+        // instant the RX ring's head finishes its DMA, and — moved in by
+        // `wake_on_delivery` — a frame reaching the port. What the skipped
+        // iterations would have left in the model besides the clock is
+        // settled at the wake (`fold_skipped`). A turn that had to wait for
+        // the service mutex (a loop rebooted inside its crashed
+        // predecessor's last hold) took longer than the idle turns after
+        // it will: it reschedules, and the next one parks.
         let idle = rx == 0 && n_tx == 0 && !progressed;
         if idle {
             self.counters.idle_polls += 1;
         }
-        let node = &self.nodes[i];
-        let parkable = idle
-            && !node.profile.s2_service
-            && node.profile.per_ff_call_ns == 0
-            && self.devs[di].rx_pending(pi) == 0;
+        let node = &mut self.nodes[i];
+        let parkable = idle && !node.polls && !waited;
+        #[cfg(test)]
+        let parkable = parkable && !POLLED_REFERENCE.with(std::cell::Cell::get);
         if parkable {
-            let node = &mut self.nodes[i];
-            // Stack timers, and every app's own clock (client write-gap and
+            // Stack timers, every app's own clock (client write-gap and
             // stop instants, fleet arrivals and think timers, the HTTP
-            // server's idle reaper, chaos rounds) must wake a parked node;
-            // everything else is input-driven.
+            // server's idle reaper, chaos rounds) and a frame still mid-DMA
+            // must wake a parked node; everything else is input-driven.
             let mut deadline = node.stack.next_timer_deadline();
-            for &si in &node.clocked {
+            let clocks = node.clocked.iter().filter_map(|&si| {
                 let app = node.apps[si as usize].app.as_ref();
-                if let Some(d) = app.and_then(|a| a.next_deadline(now)) {
-                    deadline = Some(deadline.map_or(d, |m| m.min(d)));
-                }
+                app.and_then(|a| a.next_deadline(now))
+            });
+            for d in clocks.chain(self.devs[di].rx_head_ready(pi)) {
+                deadline = Some(deadline.map_or(d, |m| m.min(d)));
             }
-            let period = self.idle_period;
-            let node = &mut self.nodes[i];
             node.parked = true;
-            node.epoch += 1;
             node.anchor = next;
+            node.period = (next - now).as_nanos().max(1);
             self.counters.parks += 1;
             debug_assert!(node.wake.is_none(), "parking with a wake still scheduled");
             if let Some(d) = deadline {
-                let tick = Self::lattice_tick(next, d, period);
-                let epoch = node.epoch;
-                let handle = engine.schedule_last_from(
-                    Self::node_origin(i),
-                    tick,
-                    NetEvent::Wake { node: i, epoch },
-                );
-                self.nodes[i].wake = Some(handle);
+                let tick = Self::lattice_tick(next, d, node.period);
+                self.schedule_wake(i, tick, false, engine);
             }
         } else {
-            engine.schedule_from(Self::node_origin(i), next, NetEvent::LoopIter { node: i });
+            let epoch = node.epoch;
+            engine.schedule_from(
+                Self::node_origin(i),
+                next,
+                NetEvent::LoopIter { node: i, epoch },
+            );
         }
     }
 
-    /// A scheduled [`NetEvent::Wake`] dispatching: a parked node reaching a
-    /// known deadline runs its next loop iteration.
+    /// Puts parked node `i`'s one [`NetEvent::Wake`] at lattice tick `at`,
+    /// cancelling in place the wake it supersedes — which is what keeps
+    /// `stale_wakes` at zero.
+    fn schedule_wake(
+        &mut self,
+        i: usize,
+        at: SimTime,
+        by_delivery: bool,
+        engine: &mut Engine<NetSim>,
+    ) {
+        let node = &mut self.nodes[i];
+        if let Some(stale) = node.wake.take() {
+            engine.cancel(stale.handle);
+        }
+        node.epoch += 1;
+        let epoch = node.epoch;
+        let handle =
+            engine.schedule_last_from(Self::node_origin(i), at, NetEvent::Wake { node: i, epoch });
+        node.wake = Some(PendingWake {
+            handle,
+            at,
+            by_delivery,
+        });
+    }
+
+    /// Settles what parked node `i`'s lattice ticks before `upto` would
+    /// have done had the loop polled through them: each is one more turn
+    /// and, on an S2 service node, one more uncontended acquisition of the
+    /// service mutex held for the idle period. Runs wherever a park ends —
+    /// at the wake, at a crash, at the run horizon — so the modelled system
+    /// is the polling loop's; a no-op on a node that is not parked.
+    pub(super) fn fold_skipped(&mut self, i: usize, upto: SimTime) {
+        let node = &mut self.nodes[i];
+        if !node.parked {
+            return;
+        }
+        let skipped = ticks_before(node.anchor, upto, node.period);
+        let period = SimDuration::from_nanos(node.period);
+        if node.profile.s2_service {
+            let m = self.s2_mutex.as_mut().expect("s2 mutex exists");
+            m.acquire_uncontended_run(node.anchor, period, skipped);
+        }
+        node.turns += skipped;
+        node.anchor += period * skipped;
+    }
+
+    /// A scheduled [`NetEvent::Wake`] dispatching: the parked node runs
+    /// the iteration the polling loop would have run at this tick.
     pub(super) fn wake_iter(&mut self, i: usize, epoch: u64, engine: &mut Engine<NetSim>) {
         let node = &mut self.nodes[i];
         // Superseded wakes are cancelled in place and never dispatch; a
@@ -581,39 +670,60 @@ impl NetSim {
             self.counters.stale_wakes += 1;
             return;
         }
-        node.wake = None;
-        if node.parked {
-            // A parked node reaching its scheduled deadline.
-            node.parked = false;
+        let wake = node
+            .wake
+            .take()
+            .expect("a dispatching wake is the pending one");
+        if !wake.by_delivery {
             self.counters.timer_wakes += 1;
         }
+        self.fold_skipped(i, engine.now());
+        self.nodes[i].parked = false;
         self.loop_iter(i, engine);
     }
 
-    /// A frame reached node `ni`'s port: a parked loop wakes on the first
-    /// tick of its poll lattice at or after `now` — exactly when the
-    /// polling loop would have seen the frame.
+    /// A frame reached parked node `ni`'s port. The polling loop would
+    /// first see it on the first lattice tick at or after the instant the
+    /// RX ring's head is readable (on a host NIC that is now; behind the
+    /// 82576's bus, its DMA-complete instant), so the wake moves there
+    /// unless it already stands earlier; the node stays parked.
     pub(super) fn wake_on_delivery(&mut self, ni: usize, engine: &mut Engine<NetSim>) {
-        let node = &mut self.nodes[ni];
+        let node = &self.nodes[ni];
         if !node.parked {
             return;
         }
-        node.parked = false;
-        node.epoch += 1;
-        self.counters.wakes += 1;
-        // Supersede the parked deadline wake in place: cancelling it is
-        // what keeps `ev_stale_wakes` at zero (the epoch check on dispatch
-        // survives as a debug assertion of this invariant).
-        if let Some(stale) = node.wake.take() {
-            engine.cancel(stale);
+        let now = engine.now();
+        let head = self.devs[node.dev].rx_head_ready(node.port);
+        let readable = head.map_or(now, |ready| ready.max(now));
+        let mut tick = Self::lattice_tick(node.anchor, readable, node.period);
+        if tick == now {
+            // Readable at the very tick it arrives on. A wake is ordered
+            // after every delivery of its instant; the polling loop's
+            // iteration at this tick was scheduled one period ago by this
+            // node, and ran before any delivery scheduled later than that
+            // (DESIGN.md, *Same-instant order*) — such a frame waited for
+            // the next tick.
+            let key = engine.current_key();
+            let polled = (
+                now.as_nanos().saturating_sub(node.period),
+                Self::node_origin(ni),
+            );
+            if (key.gen, key.origin) > polled {
+                tick += SimDuration::from_nanos(node.period);
+            }
         }
-        let epoch = node.epoch;
-        let tick = Self::lattice_tick(node.anchor, engine.now(), self.idle_period);
-        node.wake = Some(engine.schedule_last_from(
-            Self::node_origin(ni),
-            tick,
-            NetEvent::Wake { node: ni, epoch },
-        ));
+        // An earlier wake stands: its iteration finds the frame queued and
+        // either reads it or re-parks with the ring head as a deadline. A
+        // deadline's wake on the same tick is claimed as this delivery's.
+        if node
+            .wake
+            .as_ref()
+            .is_some_and(|w| w.at < tick || (w.at == tick && w.by_delivery))
+        {
+            return;
+        }
+        self.counters.wakes += 1;
+        self.schedule_wake(ni, tick, true, engine);
     }
 }
 
@@ -697,6 +807,90 @@ mod tests {
         sim.loop_iter(hub, &mut engine);
         assert_eq!(sim.counters.app_visits - before, 5);
         assert!(sim.nodes[hub].apps.iter().all(|s| !s.runnable));
+    }
+
+    /// *Same-instant order* (DESIGN.md): a frame readable on the very
+    /// lattice tick it arrives on is read at that tick when its delivery
+    /// sorts before the polling loop's iteration there — an event this
+    /// node scheduled one period earlier — and at the next tick otherwise.
+    /// A wake is ordered after every delivery of its instant, so the
+    /// parked loop has to tell the two apart by the delivery's key; both
+    /// loops must read each frame at the same instant.
+    #[test]
+    fn a_delivery_on_a_tick_is_read_when_the_polling_loop_would_read_it() {
+        use simkern::engine::OrderKey;
+        use updk::wire::Frame;
+
+        // A charged hub on a host NIC, booted and left to go quiet; then
+        // one frame delivered at `at` by the switch, from an event that
+        // ran at `gen`. Returns the instant the hub's stack takes it in.
+        let read_at = |polled: bool, delivery: Option<(SimTime, u64)>| {
+            POLLED_REFERENCE.with(|f| f.set(polled));
+            let (mut sim, hub) = hub_with_five_apps();
+            sim.nodes[hub].profile.per_ff_call_ns = 400;
+            sim.resolve_caches();
+            let mut engine = Engine::new();
+            let boot = SimTime::from_nanos(97);
+            let ev = NetEvent::LoopIter {
+                node: hub,
+                epoch: 0,
+            };
+            engine.schedule_from(NetSim::node_origin(hub), boot, ev);
+            engine.run_until(&mut sim, SimTime::from_micros(50));
+            let node = &sim.nodes[hub];
+            assert_eq!(node.parked, !polled);
+            let lattice = (node.anchor, node.period);
+            let mut read = None;
+            if let Some((at, gen)) = delivery {
+                let key = OrderKey {
+                    gen,
+                    gen_class: 0,
+                    origin: sim.switch_origin(0),
+                    ctr: 1,
+                };
+                assert!(key.origin > NetSim::node_origin(hub));
+                let ev = NetEvent::Deliver {
+                    dev: node.dev,
+                    port: node.port,
+                    at,
+                    frame: Frame::new(vec![0; 60]),
+                };
+                engine.schedule_injected(at, key, ev);
+                while sim.nodes[hub].stack.stats().frames_in == 0 {
+                    assert!(engine.step(&mut sim), "the frame is read eventually");
+                }
+                read = Some(engine.now());
+            }
+            POLLED_REFERENCE.with(|f| f.set(false));
+            (read, lattice)
+        };
+
+        let (_, (anchor, period)) = read_at(false, None);
+        assert!(
+            period > 1_672,
+            "the hazard needs an idle period longer than a minimum frame's              flight, got {period} ns"
+        );
+        let tick = NetSim::lattice_tick(anchor, SimTime::from_micros(60), period);
+        let (t, p) = (tick.as_nanos(), SimDuration::from_nanos(period));
+        let ns = SimDuration::from_nanos;
+        let cases = [
+            ("scheduled before the iteration", tick, t - period - 1, tick),
+            ("scheduled after it", tick, t - period + 1, tick + p),
+            ("same instant, later origin", tick, t - period, tick + p),
+            (
+                "just off the lattice: no tie",
+                tick + ns(1),
+                t - 1,
+                tick + p,
+            ),
+            ("just before the tick: no tie", tick - ns(1), t - 2, tick),
+        ];
+        for (what, at, gen, expect) in cases {
+            let (polled, _) = read_at(true, Some((at, gen)));
+            let (parked, _) = read_at(false, Some((at, gen)));
+            assert_eq!(polled, Some(expect), "{what}: the polling loop");
+            assert_eq!(parked, polled, "{what}: the parked loop");
+        }
     }
 
     /// A charged host is not gated: every turn examines every slot.

@@ -26,22 +26,32 @@ pub struct EventCounters {
     /// the clocked ones. `app_visits / loop_polls` is the app turn's exact
     /// work per poll.
     pub app_visits: u64,
-    /// Iterations that did no work (no RX, no TX, no app progress).
+    /// Executed iterations that did no work (no RX, no TX, no app
+    /// progress). The idle iterations a parked loop slept through are not
+    /// executed and not counted. On every host but the two polling
+    /// fallbacks (`DESIGN.md`, *Park/wake node loops*) an idle iteration
+    /// parks, so there this is [`EventCounters::parks`] under another name.
     pub idle_polls: u64,
     /// Frame deliveries into NIC ports.
     pub deliveries: u64,
     /// Switch ingress/forwarding events.
     pub switch_hops: u64,
-    /// Honored timer wakes: a parked node reaching a known deadline
-    /// (stack retransmit/delayed-ACK/TIME_WAIT timer or an app's
-    /// write-gap/stop instant).
+    /// Dispatched wakes that a deadline caused: the parked node reached
+    /// the earliest instant known when it parked — a stack
+    /// retransmit/delayed-ACK/TIME_WAIT timer, an app's write-gap/stop
+    /// instant, or the DMA-complete instant of a frame already in its RX
+    /// ring — with no delivery claiming the wake first.
     pub timer_wakes: u64,
-    /// Wake events that arrived after the node had already been woken (or
-    /// re-parked); recognized by epoch and dropped.
+    /// Wake events that dispatched under a superseded epoch and were
+    /// dropped. Superseded wakes are cancelled in place, so this is the
+    /// witness that cancellation works: always zero.
     pub stale_wakes: u64,
-    /// Times a quiescent node parked instead of rescheduling its poll.
+    /// Times an idle iteration parked the loop instead of rescheduling it.
     pub parks: u64,
-    /// Parked nodes woken early by a frame delivery to their port.
+    /// Deliveries that scheduled or moved a parked node's wake: the first
+    /// frame to reach a parked port, and any later one readable earlier
+    /// than the wake then pending. A delivery that finds an earlier wake
+    /// standing changes nothing and is not counted.
     pub wakes: u64,
 }
 
@@ -135,7 +145,11 @@ pub struct SimOutcome {
     pub stack_stats: Vec<(String, fstack::StackStats)>,
     /// Per-fabric forwarding counters, in [`NetSim::add_switch`] order.
     pub switch_stats: Vec<SwitchStats>,
-    /// `(acquisitions, contentions, total wait)` of the S2 mutex, if any.
+    /// `(acquisitions, contentions, total wait)` of the S2 mutex, if any:
+    /// what the modelled service loop did over `[0, horizon)`, one
+    /// acquisition per poll tick. The ticks a parked loop slept through
+    /// are included — folded in when the park ends — so the figures do not
+    /// depend on how many iterations the simulator executed.
     pub mutex_stats: Option<(u64, u64, SimDuration)>,
     /// What the (possibly impaired) cables did over the run.
     pub impairment_stats: ImpairmentStats,
@@ -197,6 +211,10 @@ pub(super) fn collect_outcome(
     let mut stack_stats = Vec::new();
     for (i, &owner) in node_shard.iter().enumerate() {
         let sim = &mut cells[owner].sim;
+        // A loop still parked at the horizon polled, in the model, every
+        // tick before it (the polling loop stops at the first tick at or
+        // after `stop_at`).
+        sim.fold_skipped(i, sim.stop_at);
         let node = &mut sim.nodes[i];
         for app in node.apps.iter_mut().filter_map(|slot| slot.app.take()) {
             app.report(end, &mut reports);

@@ -51,32 +51,41 @@ pub fn checksum(data: &[u8]) -> u16 {
 /// pseudo-header + payload checksums).
 ///
 /// Runs one full pass over every transmitted and received segment, so it is
-/// on the per-frame hot path: words accumulate into a `u64` in independent
-/// groups of four (no loop-carried carry chain, so the compiler can unroll
-/// and vectorize), folded back to `u32` at the end — one's-complement
-/// addition is associative, so the result is bit-identical to the naive
-/// word-at-a-time sum.
+/// on the per-frame hot path and reads memory in the machine's own byte
+/// order: 32-bit native-endian lanes into four independent `u64`
+/// accumulators over 16-byte chunks (no byte swap, no loop-carried carry
+/// chain — plain vector adds), folded to 16 bits and swapped **once**. The
+/// one's-complement sum is byte-order independent (RFC 1071 §2(B)): summing
+/// the words as the machine reads them gives the byte-swapped sum.
+///
+/// The returned accumulator is congruent mod `0xFFFF` to the word-at-a-time
+/// sum, and zero exactly when that one is (`acc == 0` and all-zero `data`),
+/// so it is the same checksum after [`finish_checksum`]; it is *not* the
+/// same `u32`, because `data`'s contribution arrives already folded.
 pub fn sum_words(data: &[u8], acc: u32) -> u32 {
-    let mut wide = u64::from(acc);
-    let mut chunks = data.chunks_exact(8);
+    let mut lanes = [0u64; 4];
+    let mut chunks = data.chunks_exact(16);
     for c in &mut chunks {
-        wide += u64::from(u16::from_be_bytes([c[0], c[1]]))
-            + u64::from(u16::from_be_bytes([c[2], c[3]]))
-            + u64::from(u16::from_be_bytes([c[4], c[5]]))
-            + u64::from(u16::from_be_bytes([c[6], c[7]]));
+        for (lane, w) in lanes.iter_mut().zip(c.chunks_exact(4)) {
+            *lane += u64::from(u32::from_ne_bytes([w[0], w[1], w[2], w[3]]));
+        }
     }
+    let mut wide: u64 = lanes.iter().sum();
     let mut rem = chunks.remainder().chunks_exact(2);
     for w in &mut rem {
-        wide += u64::from(u16::from_be_bytes([w[0], w[1]]));
+        wide += u64::from(u16::from_ne_bytes([w[0], w[1]]));
     }
     if let [last] = rem.remainder() {
-        wide += u64::from(u16::from_be_bytes([*last, 0]));
+        wide += u64::from(u16::from_ne_bytes([*last, 0]));
     }
-    // Fold the upper half in; two rounds leave at most 33 significant
-    // bits, which `finish_checksum`'s 16-bit folding absorbs.
-    wide = (wide & 0xFFFF_FFFF) + (wide >> 32);
-    wide = (wide & 0xFFFF_FFFF) + (wide >> 32);
-    wide as u32
+    // End-around carries down to one 16-bit word (2^16 ≡ 1 mod 0xFFFF; a
+    // nonzero sum never folds to zero), then into wire order.
+    while wide > 0xFFFF {
+        wide = (wide & 0xFFFF) + (wide >> 16);
+    }
+    let sum = u64::from(acc) + u64::from(u16::from_be(wide as u16));
+    // At most 33 bits; the carry out of 32 comes back in at the bottom.
+    ((sum & 0xFFFF_FFFF) + (sum >> 32)) as u32
 }
 
 /// Folds carries and complements, finishing a checksum computation.

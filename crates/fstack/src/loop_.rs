@@ -133,6 +133,14 @@ impl ServiceMutex {
         self.inner.acquire(now, hold)
     }
 
+    /// Accounts `n` back-to-back uncontended acquisitions by the service
+    /// loop, the first at `first`, one every `period`
+    /// ([`FifoMutex::acquire_uncontended_run`]): the idle iterations a
+    /// parked loop did not execute still took the lock.
+    pub fn acquire_uncontended_run(&mut self, first: SimTime, period: SimDuration, n: u64) {
+        self.inner.acquire_uncontended_run(first, period, n);
+    }
+
     /// Total acquisitions.
     pub fn acquisitions(&self) -> u64 {
         self.inner.acquisitions()

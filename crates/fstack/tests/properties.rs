@@ -28,6 +28,68 @@ fn range_vec(buf: &SendBuffer, seq: u32, len: usize) -> Vec<u8> {
     v
 }
 
+/// The checksum's definition, one big-endian `u16` at a time (RFC 1071
+/// §1), an odd last byte padded with a zero on the right.
+fn naive_sum_words(data: &[u8], acc: u32) -> u64 {
+    let mut sum = u64::from(acc);
+    for w in data.chunks(2) {
+        let lo = w.get(1).copied().unwrap_or(0);
+        sum += u64::from(u16::from_be_bytes([w[0], lo]));
+    }
+    sum
+}
+
+/// `finish_checksum` over a sum too wide for its `u32`.
+fn naive_finish(mut sum: u64) -> u16 {
+    while sum > 0xFFFF {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+/// `sum_words` reads memory in native-endian 32-bit lanes, 16 bytes at a
+/// time, and swaps once at the end; the definition above reads one
+/// big-endian word at a time. After `finish_checksum` the two must be the
+/// same 16 bits: for every length up to past a full segment (every residue
+/// mod 16, so every tail shape), for slices starting at odd addresses
+/// (unaligned lanes), for starting accumulators that are empty, small,
+/// about to carry out of 32 bits and already past 16, and for the two
+/// payloads whose sum sits on the 0x0000/0xFFFF boundary of one's
+/// complement arithmetic.
+#[test]
+fn sum_words_matches_the_word_at_a_time_definition() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut noise = vec![0u8; 1_604];
+    for b in noise.iter_mut() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *b = (x >> 32) as u8;
+    }
+    let payloads = [noise, vec![0x00; 1_604], vec![0xFF; 1_604]];
+    for payload in &payloads {
+        for offset in 0..4 {
+            for len in 0..=1_600 {
+                let data = &payload[offset..offset + len];
+                for acc in [0, 0x1234, 0xFFFF_0000, 0x2_FFFF] {
+                    let got = fstack::ip::finish_checksum(sum_words(data, acc));
+                    let want = naive_finish(naive_sum_words(data, acc));
+                    assert_eq!(
+                        got,
+                        want,
+                        "len {len} at offset {offset}, acc {acc:#x}, first byte {:?}",
+                        data.first()
+                    );
+                }
+            }
+        }
+    }
+    // Zero stays zero and nothing else becomes it: the one case in which
+    // the folded and the unfolded accumulator could finish differently.
+    assert_eq!(sum_words(&[0; 64], 0), 0);
+    assert_ne!(sum_words(&[0xFF; 64], 0), 0);
+}
+
 proptest! {
     /// Internet checksum: appending the checksum makes the sum verify to 0,
     /// for any payload.

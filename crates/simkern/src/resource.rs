@@ -178,6 +178,33 @@ impl FifoMutex {
         }
     }
 
+    /// Accounts `n` back-to-back uncontended acquisitions in one step: a
+    /// sole owner taking the lock at `first` and again at each release,
+    /// every critical section plus fast path lasting `period`. Leaves the
+    /// mutex exactly as `n` calls `acquire(first + j·period, period −
+    /// fast_ns)` would — `acquisitions`, `next_free`, `n` zero entries
+    /// through the `recent_waits` window — at a cost bounded by the
+    /// window, not by `n`. A poll loop that sleeps through its idle
+    /// iterations settles the acquisitions they would have made with this.
+    pub fn acquire_uncontended_run(&mut self, first: SimTime, period: SimDuration, n: u64) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(self.next_free <= first, "the run starts on a free lock");
+        debug_assert!(
+            period.as_nanos() >= self.fast_ns,
+            "period covers the fast path"
+        );
+        self.acquisitions += n;
+        self.next_free = first + period * n;
+        for _ in 0..n.min(Self::RECENT as u64) {
+            if self.recent_waits.len() == Self::RECENT {
+                self.recent_waits.pop_front();
+            }
+            self.recent_waits.push_back(SimDuration::ZERO);
+        }
+    }
+
     /// Total acquisitions so far.
     pub fn acquisitions(&self) -> u64 {
         self.acquisitions
@@ -268,6 +295,38 @@ mod tests {
         assert!(b.released_at <= c.acquired_at);
         assert_eq!(m.acquisitions(), 3);
         assert_eq!(m.contentions(), 2);
+    }
+
+    /// The bulk form is the loop it replaces: same counters, same horizon,
+    /// same waits window — from a fresh lock, after a contended history
+    /// (nonzero waits that the zeros must push out in order), across the
+    /// window size, and for `n = 0`.
+    #[test]
+    fn an_uncontended_run_equals_that_many_single_acquisitions() {
+        let period = SimDuration::from_nanos(1_730);
+        for &n in &[0u64, 1, 5, 63, 64, 65, 1_000] {
+            for contended_history in [false, true] {
+                let mut one = FifoMutex::new(30, 2_600, 1_900);
+                if contended_history {
+                    for i in 0..70 {
+                        one.acquire(SimTime::from_nanos(i), SimDuration::from_nanos(400));
+                    }
+                }
+                let mut bulk = one.clone();
+                let first = one.next_free() + SimDuration::from_nanos(17);
+                for j in 0..n {
+                    let g = one.acquire(first + period * j, SimDuration::from_nanos(1_700));
+                    assert!(!g.contended);
+                    assert_eq!(g.released_at, first + period * (j + 1));
+                }
+                bulk.acquire_uncontended_run(first, period, n);
+                assert_eq!(bulk.acquisitions(), one.acquisitions());
+                assert_eq!(bulk.contentions(), one.contentions());
+                assert_eq!(bulk.total_wait(), one.total_wait());
+                assert_eq!(bulk.next_free(), one.next_free());
+                assert!(bulk.recent_waits().eq(one.recent_waits()), "n = {n}");
+            }
+        }
     }
 
     #[test]

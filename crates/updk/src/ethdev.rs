@@ -212,12 +212,22 @@ impl EthDev {
         self.nic.deliver(port, arrival, frame, &self.costs);
     }
 
-    /// Frames queued on `port` that a poll has not yet consumed (delivered
-    /// but possibly still mid-DMA). A quiescence-aware main loop must keep
-    /// polling — not park — while this is nonzero, or it would sleep
-    /// through a frame whose DMA completes without any further delivery.
+    /// Frames queued on `port` that a poll has not yet consumed: delivered,
+    /// DMA-complete or still mid-DMA. A drain test (nothing is left in
+    /// flight when this is zero on every port) — not what a parking loop
+    /// consults; see [`EthDev::rx_head_ready`].
     pub fn rx_pending(&self, port: usize) -> usize {
         self.nic.rx_pending(port)
+    }
+
+    /// The instant the head of `port`'s RX ring becomes readable
+    /// ([`Nic::rx_head_ready`]); `None` on an empty ring. A main loop that
+    /// parks between polls treats it as a deadline beside its timers: the
+    /// instant is fixed once the frame is queued and no poll before it
+    /// returns anything, so sleeping until then misses nothing — including
+    /// a frame whose DMA completes without any further delivery.
+    pub fn rx_head_ready(&self, port: usize) -> Option<SimTime> {
+        self.nic.rx_head_ready(port)
     }
 
     /// Polls up to `max` DMA-complete frames, pairing each fresh mbuf (the

@@ -287,6 +287,16 @@ impl Nic {
     pub fn rx_pending(&self, port: usize) -> usize {
         self.ports[port].rx_ready.len()
     }
+
+    /// The DMA-complete instant of the frame at the head of `port`'s RX
+    /// ring: the earliest instant an `rx_burst` returns something, `None`
+    /// on an empty ring. The instant is fixed when the frame is queued —
+    /// the bus serves in arrival order, so no later delivery can move it —
+    /// and completion instants are monotone along the ring, so until it
+    /// has passed every poll of the port comes back empty.
+    pub fn rx_head_ready(&self, port: usize) -> Option<SimTime> {
+        self.ports[port].rx_ready.peek().map(|(t, _)| *t)
+    }
 }
 
 #[cfg(test)]
@@ -416,11 +426,32 @@ mod tests {
         assert_eq!(nic.stats(0).ipackets, 1);
     }
 
+    /// The head's completion instant is known from the moment the frame is
+    /// queued, later deliveries (either port — the bus is shared) do not
+    /// move it, and it is exactly the first instant a poll returns it.
+    #[test]
+    fn rx_head_ready_is_fixed_at_enqueue_and_is_the_first_readable_instant() {
+        let costs = CostModel::morello();
+        let mut nic = started(NicModel::Dual82576);
+        assert_eq!(nic.rx_head_ready(0), None);
+        nic.deliver(0, SimTime::from_micros(10), full_frame(), &costs);
+        let ready = nic.rx_head_ready(0).expect("a frame is queued");
+        assert_eq!(ready, SimTime::from_micros(10) + costs.pci_rx_cost(1538));
+        nic.deliver(1, SimTime::from_micros(11), full_frame(), &costs);
+        nic.deliver(0, SimTime::from_micros(12), full_frame(), &costs);
+        assert_eq!(nic.rx_head_ready(0), Some(ready));
+        let just_before = ready - SimDuration::from_nanos(1);
+        assert!(nic.rx_burst(0, just_before, 32).is_empty());
+        assert_eq!(nic.rx_burst(0, ready, 32).len(), 1);
+        assert!(nic.rx_head_ready(0).is_some_and(|next| next > ready));
+    }
+
     #[test]
     fn host_nic_has_no_pci_delay() {
         let costs = CostModel::morello();
         let mut nic = started(NicModel::Host);
         nic.deliver(0, SimTime::from_micros(1), full_frame(), &costs);
+        assert_eq!(nic.rx_head_ready(0), Some(SimTime::from_micros(1)));
         assert_eq!(nic.rx_burst(0, SimTime::from_micros(1), 32).len(), 1);
     }
 
