@@ -1,9 +1,10 @@
 //! Property tests of the simulation kernel's ordering laws.
 
 use proptest::prelude::*;
-use simkern::engine::{Engine, World};
+use simkern::engine::{Engine, EventHandle, OrderKey, World};
 use simkern::resource::{BusyResource, FifoMutex};
 use simkern::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// A typed test world: every event carries its insertion index, and the
 /// log records `(dispatch instant, index)`.
@@ -15,7 +16,351 @@ impl World for Log {
     }
 }
 
+/// Width of one fine wheel slot, of one fine rotation (= one coarse slot)
+/// and of one coarse rotation, in nanoseconds — the calendar's band
+/// boundaries, which the oracle aims its offsets at.
+const GRAN: u64 = 1 << 10;
+const BLOCK: u64 = 512 * GRAN;
+const COARSE: u64 = 512 * BLOCK;
+
+/// The origin handler-time `schedule_from` children carry, and the first of
+/// the four origins the foreign (`schedule_injected`) keys use.
+const CHILD_ORIGIN: u32 = 3;
+const FOREIGN_ORIGIN: u32 = 100;
+
+/// An oracle event: its id (assigned in schedule order on both sides) and
+/// the children it schedules when it dispatches ([`kids_of`]).
+struct Ev {
+    id: u32,
+    kids: u8,
+}
+
+/// What an event carrying `kids` schedules when it dispatches at `now`, as
+/// `(kind, at)` with kind 0 = `schedule`, 1 = `schedule_last`,
+/// 2 = `schedule_from(CHILD_ORIGIN)`: into the cursor slot at the current
+/// instant, after every ordinary event of that instant, a little later
+/// (same or next slot), and three blocks out on the coarse level.
+fn kids_of(kids: u8, now: u64) -> impl Iterator<Item = (u8, u64)> {
+    [
+        (0, now),
+        (1, now),
+        (0, now + 600),
+        (2, now + 3 * BLOCK + 17),
+    ]
+    .into_iter()
+    .enumerate()
+    .filter(move |(bit, _)| kids & (1 << bit) != 0)
+    .map(|(_, kid)| kid)
+}
+
+/// The engine side of the oracle.
+struct Sut {
+    dispatched: Vec<u32>,
+    next_id: u32,
+}
+impl World for Sut {
+    type Event = Ev;
+    fn handle(&mut self, ev: Ev, eng: &mut Engine<Self>) {
+        self.dispatched.push(ev.id);
+        for (kind, at) in kids_of(ev.kids, eng.now().as_nanos()) {
+            let child = Ev {
+                id: self.next_id,
+                kids: 0,
+            };
+            self.next_id += 1;
+            let at = SimTime::from_nanos(at);
+            match kind {
+                0 => eng.schedule(at, child),
+                1 => eng.schedule_last(at, child),
+                _ => eng.schedule_from(CHILD_ORIGIN, at, child),
+            }
+        }
+    }
+}
+
+/// The specification: a `BTreeMap` ordered by the dispatch order itself,
+/// `(at, class, OrderKey)`, with the engine's documented key rules — plain
+/// schedules draw the global sequence number, origin-tagged ones their
+/// origin's counter, both stamped with the scheduling instant and the class
+/// of the event then dispatching.
+#[derive(Default)]
+struct Model {
+    now: u64,
+    executed: u64,
+    seq: u64,
+    origin_ctrs: BTreeMap<u32, u64>,
+    cur_class: u8,
+    queue: BTreeMap<(u64, u8, OrderKey), Ev>,
+    dispatched: Vec<u32>,
+    next_id: u32,
+}
+
+impl Model {
+    fn compat_key(&mut self) -> OrderKey {
+        self.seq += 1;
+        OrderKey {
+            gen: self.now,
+            gen_class: self.cur_class,
+            origin: u32::MAX,
+            ctr: self.seq,
+        }
+    }
+
+    fn origin_key(&mut self, origin: u32) -> OrderKey {
+        let ctr = self.origin_ctrs.entry(origin).or_default();
+        *ctr += 1;
+        OrderKey {
+            gen: self.now,
+            gen_class: self.cur_class,
+            origin,
+            ctr: *ctr,
+        }
+    }
+
+    /// Queues an event (clamped to `now`, like the engine) and returns the
+    /// position a later cancel removes.
+    fn insert(&mut self, at: u64, class: u8, key: OrderKey, kids: u8) -> (u64, u8, OrderKey) {
+        let pos = (at.max(self.now), class, key);
+        let id = self.next_id;
+        self.next_id += 1;
+        let clash = self.queue.insert(pos, Ev { id, kids });
+        assert!(clash.is_none(), "the oracle builds unique (origin, ctr)");
+        pos
+    }
+
+    fn step(&mut self) -> bool {
+        let Some(((at, class, _), ev)) = self.queue.pop_first() else {
+            return false;
+        };
+        self.now = at;
+        self.executed += 1;
+        self.cur_class = class;
+        self.dispatched.push(ev.id);
+        for (kind, at) in kids_of(ev.kids, at) {
+            let key = match kind {
+                0 | 1 => self.compat_key(),
+                _ => self.origin_key(CHILD_ORIGIN),
+            };
+            self.insert(at, u8::from(kind == 1), key, 0);
+        }
+        self.cur_class = 0;
+        true
+    }
+
+    fn run_until(&mut self, deadline: u64) {
+        while self
+            .queue
+            .first_key_value()
+            .is_some_and(|(&(at, ..), _)| at <= deadline)
+        {
+            self.step();
+        }
+    }
+
+    fn next_event_at(&self) -> Option<SimTime> {
+        self.queue
+            .first_key_value()
+            .map(|(&(at, ..), _)| SimTime::from_nanos(at))
+    }
+}
+
+/// Engine and model side by side, driven by one script.
+struct CalendarOracle {
+    eng: Engine<Sut>,
+    sut: Sut,
+    model: Model,
+    /// Every cancellation handle ever issued, with the model position it
+    /// names — kept for good, so a script cancels some twice, some after
+    /// their event dispatched, some after `clear` recycled their slot.
+    handles: Vec<(EventHandle, (u64, u8, OrderKey))>,
+    foreign_ctr: u64,
+}
+
+impl CalendarOracle {
+    fn new() -> Self {
+        CalendarOracle {
+            eng: Engine::new(),
+            sut: Sut {
+                dispatched: Vec::new(),
+                next_id: 0,
+            },
+            model: Model::default(),
+            handles: Vec::new(),
+            foreign_ctr: 0,
+        }
+    }
+
+    /// An absolute instant aimed at one of the calendar's boundaries as
+    /// seen from `now`: this instant, a dense handful of instants beside
+    /// it, the same slot, the slot edge, inside the block, the block edge
+    /// (as aligned and as a distance) ± 1 ns, the coarse level, the coarse
+    /// horizon (both ways) ± 1 ns, past it, and behind `now`.
+    fn instant(&self, class: u8, jitter: u8) -> u64 {
+        let now = self.model.now;
+        let j = u64::from(jitter);
+        let edge = |boundary: u64| boundary - 1 + j % 3;
+        match class % 13 {
+            0 => now,
+            1 => now + j % 4,
+            2 => now + 4 * j,
+            3 => edge((now / GRAN + 1) * GRAN),
+            4 => now + 2 * GRAN * j,
+            5 => edge((now / BLOCK + 1) * BLOCK),
+            6 => edge(now + BLOCK),
+            7 => now + BLOCK + j * (COARSE / 256),
+            8 => edge((now / BLOCK + 512) * BLOCK),
+            9 => edge(now + COARSE),
+            10 => now + COARSE + j * 3_000_000,
+            11 => now.saturating_sub(100 * j),
+            _ => now + 1_000 * j,
+        }
+    }
+
+    fn schedule(&mut self, how: u8, at: u64, kids: u8, jitter: u8) {
+        let ev = Ev {
+            id: self.sut.next_id,
+            kids,
+        };
+        self.sut.next_id += 1;
+        let t = SimTime::from_nanos(at);
+        match how % 5 {
+            0 => {
+                self.eng.schedule(t, ev);
+                let key = self.model.compat_key();
+                self.model.insert(at, 0, key, kids);
+            }
+            1 => {
+                let origin = u32::from(jitter % 3);
+                self.eng.schedule_from(origin, t, ev);
+                let key = self.model.origin_key(origin);
+                self.model.insert(at, 0, key, kids);
+            }
+            2 => {
+                self.eng.schedule_last(t, ev);
+                let key = self.model.compat_key();
+                self.model.insert(at, 1, key, kids);
+            }
+            3 => {
+                let origin = u32::from(jitter % 3);
+                let handle = self.eng.schedule_last_from(origin, t, ev);
+                let key = self.model.origin_key(origin);
+                let pos = self.model.insert(at, 1, key, kids);
+                self.handles.push((handle, pos));
+            }
+            _ => {
+                // A key some other engine built: everything but the
+                // (origin, ctr) pair may equal a local key's components.
+                self.foreign_ctr += 1;
+                let key = OrderKey {
+                    gen: [0, self.model.now, self.model.now.saturating_sub(5)]
+                        [usize::from(jitter % 3)],
+                    gen_class: jitter >> 7,
+                    origin: FOREIGN_ORIGIN + u32::from(jitter % 4),
+                    ctr: self.foreign_ctr,
+                };
+                self.eng.schedule_injected(t, key, ev);
+                self.model.insert(at, 0, key, kids);
+            }
+        }
+    }
+
+    /// One script step. Bit 7 of `op` gives a scheduled event children;
+    /// bit 6 makes [`CalendarOracle::check`] peek afterwards.
+    fn apply(&mut self, (op, a, b, c): (u8, u8, u8, u8)) {
+        match op % 16 {
+            0..=7 => {
+                let kids = if op & 0x80 != 0 { a >> 4 } else { 0 };
+                self.schedule(a, self.instant(b, c), kids, c);
+            }
+            8 | 9 if !self.handles.is_empty() => {
+                let (handle, pos) = self.handles[usize::from(a) % self.handles.len()];
+                self.eng.cancel(handle);
+                self.model.queue.remove(&pos);
+            }
+            12 => {
+                let deadline = self.instant(b, c);
+                self.eng
+                    .run_until(&mut self.sut, SimTime::from_nanos(deadline));
+                self.model.run_until(deadline);
+            }
+            13 => {
+                let end = self.instant(b, c);
+                self.eng.run_window(&mut self.sut, SimTime::from_nanos(end));
+                if let Some(deadline) = end.checked_sub(1) {
+                    self.model.run_until(deadline);
+                }
+            }
+            14 => {} // a bare peek: `check` does it
+            15 if a < 32 => {
+                self.eng.clear();
+                self.model.queue.clear();
+            }
+            _ => {
+                let ran = self.eng.step(&mut self.sut);
+                assert_eq!(ran, self.model.step(), "step's return value");
+            }
+        }
+    }
+
+    /// Everything observable must agree. `next_event_at` moves the cursor
+    /// and orders its slot (invisibly, if the calendar is right), so it is
+    /// compared only when asked: peeking after every step would never leave
+    /// a pop to do either by itself.
+    fn check(&mut self, peek: bool) -> Result<(), proptest::runner::TestCaseError> {
+        prop_assert_eq!(
+            &self.sut.dispatched,
+            &self.model.dispatched,
+            "dispatch order"
+        );
+        prop_assert_eq!(self.eng.now().as_nanos(), self.model.now, "now()");
+        prop_assert_eq!(self.eng.executed(), self.model.executed, "executed()");
+        prop_assert_eq!(self.eng.pending(), self.model.queue.len(), "pending()");
+        if peek {
+            prop_assert_eq!(
+                self.eng.next_event_at(),
+                self.model.next_event_at(),
+                "next_event_at()"
+            );
+        }
+        Ok(())
+    }
+}
+
 proptest! {
+    /// **The calendar is a `BTreeMap` over `(at, class, OrderKey)`.** Every
+    /// way of scheduling (plain, origin-tagged, `_last`, cancellable,
+    /// injected with a foreign key), at instants aimed at every band
+    /// boundary, from outside and from inside handlers, with cancels that
+    /// come early, late and twice, interleaved with `step`, `run_until`,
+    /// `run_window`, `next_event_at` and `clear`: after every single
+    /// operation the engine has dispatched the same ids in the same order
+    /// as the map, stands at the same `now()`, and reports the same
+    /// `executed()`, `pending()` and (when peeked) `next_event_at()`. The
+    /// check runs after each step, so a failure names the shortest failing
+    /// prefix of its script.
+    #[test]
+    fn calendar_matches_a_btreemap(
+        script in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            1..240,
+        ),
+    ) {
+        let mut oracle = CalendarOracle::new();
+        for (i, &step) in script.iter().enumerate() {
+            oracle.apply(step);
+            let peek = step.0 % 16 == 14 || step.0 & 0x40 != 0;
+            if let Err(e) = oracle.check(peek) {
+                prop_assert!(false, "after step {} of {:?}: {}", i, &script[..=i], e);
+            }
+        }
+        // Drain what is left, far bands included.
+        oracle.eng.run(&mut oracle.sut);
+        oracle.model.run_until(u64::MAX);
+        if let Err(e) = oracle.check(true) {
+            prop_assert!(false, "draining after {:?}: {}", script, e);
+        }
+    }
+
     /// The engine executes events in nondecreasing time order, regardless
     /// of insertion order (including across the wheel/heap band split), and
     /// FIFO among equal timestamps.
