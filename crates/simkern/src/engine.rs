@@ -30,7 +30,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A world drivable by the engine: the event vocabulary plus its interpreter.
 ///
@@ -192,14 +192,19 @@ struct Scheduled<W: World> {
 }
 
 impl<W: World> Scheduled<W> {
-    fn key(&self) -> (u64, u8, OrderKey) {
-        (self.at.as_nanos(), self.class, self.key)
+    /// The dispatch order `(at, class, key)`. Strict: `(origin, ctr)` is
+    /// unique among queued events, so two entries never compare equal. Most
+    /// pairs differ in `at`, one `u64`; class and key are read on a tie.
+    fn dispatch_cmp(&self, other: &Self) -> Ordering {
+        self.at
+            .cmp(&other.at)
+            .then_with(|| (self.class, self.key).cmp(&(other.class, other.key)))
     }
 }
 
 impl<W: World> PartialEq for Scheduled<W> {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.dispatch_cmp(other) == Ordering::Equal
     }
 }
 impl<W: World> Eq for Scheduled<W> {}
@@ -210,10 +215,8 @@ impl<W: World> PartialOrd for Scheduled<W> {
 }
 impl<W: World> Ord for Scheduled<W> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first,
-        // with the invariant tie-break (class, then key) among same-instant
-        // events.
-        other.key().cmp(&self.key())
+        // BinaryHeap is a max-heap; invert so the earliest event pops first.
+        other.dispatch_cmp(self)
     }
 }
 
@@ -239,11 +242,17 @@ const HORIZON: u64 = GRAN * SLOTS as u64;
 ///   (entries scheduled "behind" the cursor — legal while `now` trails a
 ///   partially drained slot — are clamped into the cursor slot);
 /// * every heap entry is at `base + HORIZON` or later;
-/// * `base` is a multiple of `GRAN` and never decreases.
+/// * `base` is a multiple of `GRAN` and never decreases;
+/// * while `sorted`, the cursor slot is in dispatch order, earliest at the
+///   front; every other slot is unordered.
 struct Calendar<W: World> {
-    slots: Vec<Vec<Scheduled<W>>>,
+    slots: Vec<VecDeque<Scheduled<W>>>,
     wheel_len: usize,
     base: u64,
+    /// The cursor slot has been put in dispatch order. A pop or a peek
+    /// orders the slot once, when it first looks at it; until the cursor
+    /// moves on, a schedule into the slot is inserted in place.
+    sorted: bool,
     heap: BinaryHeap<Scheduled<W>>,
     /// Cancellation state of the queued events that have a handle;
     /// cancelled events are removed lazily, when the cursor (or a heap
@@ -258,9 +267,10 @@ struct Calendar<W: World> {
 impl<W: World> Calendar<W> {
     fn new() -> Self {
         Calendar {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+            slots: (0..SLOTS).map(|_| VecDeque::new()).collect(),
             wheel_len: 0,
             base: 0,
+            sorted: false,
             heap: BinaryHeap::new(),
             tokens: Tokens::default(),
             next_cache: None,
@@ -271,6 +281,11 @@ impl<W: World> Calendar<W> {
         self.wheel_len + self.heap.len() - self.tokens.tombstones
     }
 
+    /// The wheel slot of instant `at` (already clamped to `base`).
+    fn slot_of(at: u64) -> usize {
+        ((at >> GRAN_SHIFT) as usize) % SLOTS
+    }
+
     fn push(&mut self, ev: Scheduled<W>) {
         if self.next_cache.is_some_and(|c| ev.at < c) {
             self.next_cache = None;
@@ -278,17 +293,28 @@ impl<W: World> Calendar<W> {
         let at = ev.at.as_nanos();
         if at >= self.base.saturating_add(HORIZON) {
             self.heap.push(ev);
-        } else {
-            // Events at or behind the cursor window land in the cursor slot;
-            // the per-slot min-scan orders them correctly regardless.
-            let eff = at.max(self.base);
-            self.slots[((eff >> GRAN_SHIFT) as usize) % SLOTS].push(ev);
-            self.wheel_len += 1;
+            return;
         }
+        // Events at or behind the cursor window land in the cursor slot,
+        // where their real instant orders them.
+        let idx = Self::slot_of(at.max(self.base));
+        let slot = &mut self.slots[idx];
+        if self.sorted && idx == Self::slot_of(self.base) {
+            // Mostly a later instant than what remains: the deque moves the
+            // shorter side, so that insert costs nothing.
+            let pos = slot.partition_point(|e| e.dispatch_cmp(&ev) == Ordering::Less);
+            slot.insert(pos, ev);
+        } else {
+            slot.push_back(ev);
+        }
+        self.wheel_len += 1;
     }
 
-    /// Pulls heap entries that the advancing horizon now covers.
-    fn migrate(&mut self) {
+    /// Moves the cursor to `base` and pulls the heap entries the horizon
+    /// now covers.
+    fn advance_to(&mut self, base: u64) {
+        self.base = base;
+        self.sorted = false;
         let horizon = self.base.saturating_add(HORIZON);
         while let Some(top) = self.heap.peek() {
             if top.at.as_nanos() >= horizon {
@@ -299,10 +325,22 @@ impl<W: World> Calendar<W> {
                 self.tokens.release(ev.token);
                 continue;
             }
-            let eff = ev.at.as_nanos().max(self.base);
-            self.slots[((eff >> GRAN_SHIFT) as usize) % SLOTS].push(ev);
+            self.slots[Self::slot_of(ev.at.as_nanos().max(self.base))].push_back(ev);
             self.wheel_len += 1;
         }
+    }
+
+    /// The nonempty cursor slot, in dispatch order.
+    fn cursor_slot(&mut self) -> &mut VecDeque<Scheduled<W>> {
+        let slot = &mut self.slots[Self::slot_of(self.base)];
+        if !self.sorted {
+            self.sorted = true;
+            if slot.len() > 1 {
+                slot.make_contiguous()
+                    .sort_unstable_by(Scheduled::dispatch_cmp);
+            }
+        }
+        slot
     }
 
     /// Pops the globally earliest live event if its instant is `<= deadline`.
@@ -314,29 +352,20 @@ impl<W: World> Calendar<W> {
                 if top_at > deadline {
                     return None;
                 }
-                self.base = top_at.as_nanos() & !(GRAN - 1);
-                self.migrate();
+                self.advance_to(top_at.as_nanos() & !(GRAN - 1));
                 continue;
             }
-            let idx = ((self.base >> GRAN_SHIFT) as usize) % SLOTS;
-            if self.slots[idx].is_empty() {
+            if self.slots[Self::slot_of(self.base)].is_empty() {
                 // Advance the cursor one slot; the horizon moves with it.
-                self.base += GRAN;
-                self.migrate();
+                self.advance_to(self.base + GRAN);
                 continue;
             }
-            // Min-scan the cursor slot: entries within a slot are unordered.
-            let best = self.slots[idx]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.key())
-                .map(|(i, e)| (i, e.at))
-                .expect("slot is nonempty");
-            if best.1 > deadline {
+            let slot = self.cursor_slot();
+            if slot.front().expect("slot is nonempty").at > deadline {
                 return None;
             }
+            let ev = slot.pop_front().expect("slot is nonempty");
             self.wheel_len -= 1;
-            let ev = self.slots[idx].swap_remove(best.0);
             if self.tokens.release(ev.token) {
                 continue;
             }
@@ -346,8 +375,9 @@ impl<W: World> Calendar<W> {
     }
 
     /// The instant of the earliest live event, without removing it. Advances
-    /// the cursor over empty slots (state-neutral) and reaps cancelled
-    /// entries it encounters.
+    /// the cursor over empty slots and orders the slot it stops at (both
+    /// invisible to dispatch), and reaps the cancelled entries in front of
+    /// that event.
     fn peek_next_at(&mut self) -> Option<SimTime> {
         if let Some(c) = self.next_cache {
             return Some(c);
@@ -370,25 +400,18 @@ impl<W: World> Calendar<W> {
                 }
                 return None;
             }
-            let idx = ((self.base >> GRAN_SHIFT) as usize) % SLOTS;
-            if self.slots[idx].is_empty() {
-                self.base += GRAN;
-                self.migrate();
+            if self.slots[Self::slot_of(self.base)].is_empty() {
+                self.advance_to(self.base + GRAN);
                 continue;
             }
-            let best = self.slots[idx]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.key())
-                .map(|(i, e)| (i, e.at, e.token))
-                .expect("slot is nonempty");
-            if self.tokens.is_cancelled(best.2) {
-                self.tokens.release(best.2);
-                self.slots[idx].swap_remove(best.0);
-                self.wheel_len -= 1;
-                continue;
+            let front = self.cursor_slot().front().expect("slot is nonempty");
+            let (at, token) = (front.at, front.token);
+            if !self.tokens.is_cancelled(token) {
+                return Some(at);
             }
-            return Some(best.1);
+            self.tokens.release(token);
+            self.cursor_slot().pop_front();
+            self.wheel_len -= 1;
         }
     }
 
