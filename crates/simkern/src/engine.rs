@@ -4,10 +4,14 @@
 //! crate define their own world structs holding the Intravisor, NICs, stacks
 //! and apps. A world declares its event vocabulary through the [`World`]
 //! trait: `type Event` is a small enum interpreted by [`World::handle`],
-//! stored **inline** in a two-band calendar: a 512-slot × 1024 ns timer wheel
-//! for the dense near band, with a binary heap as overflow for far-future
-//! deadlines (retransmission timers, TIME_WAIT). Events migrate from the heap
-//! into the wheel as virtual time advances. There is no second event
+//! stored **inline** in a hierarchical timing wheel: a fine level of 512 slots
+//! × 1024 ns for the ≈ 524 µs block the cursor is in, a coarse level of 512
+//! slots × one block for the ≈ 268 ms after it (egress backlogs,
+//! retransmission and delayed-ACK timers), and a binary heap only for what
+//! lies further out (stop instants, TIME_WAIT, backed-off RTOs). Scheduling is
+//! an O(1) push on either level; a coarse slot cascades into the fine level
+//! when the cursor enters its block, and only the slot under the cursor is
+//! ever ordered — once, when the cursor gets there. There is no second event
 //! representation: every schedule stores a `W::Event` by value.
 //!
 //! # Dispatch order
@@ -101,8 +105,8 @@ const NO_TOKEN: u32 = u32::MAX;
 struct Token {
     /// Bumped when the slot's event leaves the calendar.
     gen: u32,
-    /// Set by [`Engine::cancel`]: the event is dropped when the cursor
-    /// reaches it.
+    /// Set by [`Engine::cancel`]: the event is dropped where the calendar
+    /// next meets it.
     cancelled: bool,
 }
 
@@ -150,6 +154,12 @@ impl Tokens {
 
     fn is_cancelled(&self, token: u32) -> bool {
         token != NO_TOKEN && self.slots[token as usize].cancelled
+    }
+
+    /// Releases the event carrying `token` if it was cancelled: `true` when
+    /// it was, and the caller drops the event where it found it.
+    fn reap(&mut self, token: u32) -> bool {
+        self.is_cancelled(token) && self.release(token)
     }
 
     /// The event carrying `token` left the calendar: recycles its slot and
@@ -220,33 +230,74 @@ impl<W: World> Ord for Scheduled<W> {
     }
 }
 
-/// log2 of the wheel slot granularity in nanoseconds.
+/// log2 of the fine slot width in nanoseconds: 1024 ns, one or two
+/// main-loop ticks per slot.
 const GRAN_SHIFT: u32 = 10;
-/// Wheel slot width: 1024 ns — one or two main-loop ticks per slot.
-const GRAN: u64 = 1 << GRAN_SHIFT;
-/// Number of wheel slots. One rotation covers `SLOTS * GRAN` ≈ 524 µs:
-/// poll-loop ticks, wire hops and deliveries behind an egress backlog of up
-/// to ~40 MTU frames land directly in the wheel. Deeper queues do not: the
-/// star builders size each egress queue at 64 frames per attached port
-/// (8 256 frames at star128), so a hub-bound delivery can sit up to ~60 ms
-/// out and goes through the overflow heap — 88 184 of the schedules of a
-/// 0.6 s star128 run.
+/// Slots per wheel level.
 const SLOTS: usize = 512;
-/// The wheel horizon: events at `base + HORIZON` or later overflow to the heap.
-const HORIZON: u64 = GRAN * SLOTS as u64;
+/// log2 of a block in nanoseconds. A block is one fine rotation (`SLOTS`
+/// fine slots ≈ 524 µs) and the width of one coarse slot: poll-loop ticks,
+/// wire hops and deliveries behind an egress backlog of up to ~40 MTU frames
+/// stay on the fine level. Deeper queues do not: the star builders size each
+/// egress queue at 64 frames per attached port (8 256 frames at star128), so
+/// a hub-bound delivery can sit ~60 ms out, and a parked host's stack-timer
+/// wake further still — both on the coarse level, whose rotation is `SLOTS`
+/// blocks ≈ 268 ms.
+const BLOCK_SHIFT: u32 = GRAN_SHIFT + SLOTS.trailing_zeros();
 
-/// The two-band calendar: a near-future timer wheel plus an overflow heap.
+/// Which slots of one wheel level hold anything: lets the cursor jump to
+/// the next occupied slot instead of stepping over the empty ones.
+#[derive(Default)]
+struct Occupancy([u64; SLOTS / 64]);
+
+impl Occupancy {
+    fn set(&mut self, slot: usize) {
+        self.0[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn clear(&mut self, slot: usize) {
+        self.0[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// The first marked slot at or after `from`, without wrapping.
+    fn next(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = *self.0.get(word)? & (!0 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.0.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
+/// The calendar: two wheel levels and an overflow heap, selected by how far
+/// ahead of the cursor an instant lies.
+///
+/// Time is cut into aligned blocks of `1 << BLOCK_SHIFT` ns. With the
+/// cursor in block `c`:
+/// * the **fine** level holds block `c` — and anything scheduled behind the
+///   cursor, legal while `now` trails a partially drained slot, in the
+///   cursor slot — one slot per `1 << GRAN_SHIFT` ns;
+/// * **coarse** slot `k % SLOTS` holds block `k` for `c < k < c + SLOTS`,
+///   unordered, and cascades into the fine slots when the cursor enters `k`;
+/// * the **heap** takes what is `SLOTS` blocks or more ahead when scheduled
+///   (iperf stop instants, fleet `open_end`, backed-off RTOs) and hands a
+///   block's entries to the fine level at the same moment.
 ///
 /// Invariants:
-/// * every wheel entry `e` satisfies `base <= clamp(e.at) < base + HORIZON`
-///   (entries scheduled "behind" the cursor — legal while `now` trails a
-///   partially drained slot — are clamped into the cursor slot);
-/// * every heap entry is at `base + HORIZON` or later;
-/// * `base` is a multiple of `GRAN` and never decreases;
+/// * `base`, the cursor, is the start of a fine slot and never decreases;
+///   the fine slots behind it are empty;
+/// * a level's `Occupancy` marks every nonempty slot (the fine one may
+///   still mark the cursor slot after it drained);
 /// * while `sorted`, the cursor slot is in dispatch order, earliest at the
 ///   front; every other slot is unordered.
 struct Calendar<W: World> {
-    slots: Vec<VecDeque<Scheduled<W>>>,
+    fine: Vec<VecDeque<Scheduled<W>>>,
+    fine_map: Occupancy,
+    coarse: Vec<Vec<Scheduled<W>>>,
+    coarse_map: Occupancy,
+    /// Entries on the two wheel levels, cancelled ones included.
     wheel_len: usize,
     base: u64,
     /// The cursor slot has been put in dispatch order. A pop or a peek
@@ -255,8 +306,8 @@ struct Calendar<W: World> {
     sorted: bool,
     heap: BinaryHeap<Scheduled<W>>,
     /// Cancellation state of the queued events that have a handle;
-    /// cancelled events are removed lazily, when the cursor (or a heap
-    /// migration) reaches them ([`Engine::cancel`]).
+    /// cancelled events are removed lazily, when the cursor, a cascade or
+    /// a peek reaches them ([`Engine::cancel`]).
     tokens: Tokens,
     /// Memoized earliest-live-event instant (a sharded driver polls it
     /// every window round); invalidated by pops, cancellations and any
@@ -267,7 +318,10 @@ struct Calendar<W: World> {
 impl<W: World> Calendar<W> {
     fn new() -> Self {
         Calendar {
-            slots: (0..SLOTS).map(|_| VecDeque::new()).collect(),
+            fine: (0..SLOTS).map(|_| VecDeque::new()).collect(),
+            fine_map: Occupancy::default(),
+            coarse: (0..SLOTS).map(|_| Vec::new()).collect(),
+            coarse_map: Occupancy::default(),
             wheel_len: 0,
             base: 0,
             sorted: false,
@@ -281,58 +335,113 @@ impl<W: World> Calendar<W> {
         self.wheel_len + self.heap.len() - self.tokens.tombstones
     }
 
-    /// The wheel slot of instant `at` (already clamped to `base`).
+    /// The fine slot of instant `at`.
     fn slot_of(at: u64) -> usize {
-        ((at >> GRAN_SHIFT) as usize) % SLOTS
+        (at >> GRAN_SHIFT) as usize % SLOTS
     }
 
     fn push(&mut self, ev: Scheduled<W>) {
         if self.next_cache.is_some_and(|c| ev.at < c) {
             self.next_cache = None;
         }
-        let at = ev.at.as_nanos();
-        if at >= self.base.saturating_add(HORIZON) {
-            self.heap.push(ev);
-            return;
-        }
-        // Events at or behind the cursor window land in the cursor slot,
-        // where their real instant orders them.
-        let idx = Self::slot_of(at.max(self.base));
-        let slot = &mut self.slots[idx];
-        if self.sorted && idx == Self::slot_of(self.base) {
-            // Mostly a later instant than what remains: the deque moves the
-            // shorter side, so that insert costs nothing.
-            let pos = slot.partition_point(|e| e.dispatch_cmp(&ev) == Ordering::Less);
-            slot.insert(pos, ev);
+        let block = ev.at.as_nanos() >> BLOCK_SHIFT;
+        let cursor = self.base >> BLOCK_SHIFT;
+        if block <= cursor {
+            // One at or behind the cursor lands in the cursor slot, where
+            // its real instant orders it.
+            let idx = Self::slot_of(ev.at.as_nanos().max(self.base));
+            let slot = &mut self.fine[idx];
+            if self.sorted && idx == Self::slot_of(self.base) {
+                // Mostly a later instant than what remains: the deque moves
+                // the shorter side, so that insert costs nothing.
+                let pos = slot.partition_point(|e| e.dispatch_cmp(&ev) == Ordering::Less);
+                slot.insert(pos, ev);
+            } else {
+                slot.push_back(ev);
+            }
+            self.fine_map.set(idx);
+            self.wheel_len += 1;
+        } else if block - cursor < SLOTS as u64 {
+            let slot = block as usize % SLOTS;
+            self.coarse[slot].push(ev);
+            self.coarse_map.set(slot);
+            self.wheel_len += 1;
         } else {
-            slot.push_back(ev);
+            self.heap.push(ev);
         }
-        self.wheel_len += 1;
     }
 
-    /// Moves the cursor to `base` and pulls the heap entries the horizon
-    /// now covers.
-    fn advance_to(&mut self, base: u64) {
-        self.base = base;
+    /// Files an entry of the block the cursor has just entered in its fine
+    /// slot, unordered like any slot the cursor has not looked at.
+    #[inline]
+    fn cascade(&mut self, ev: Scheduled<W>) {
+        let idx = Self::slot_of(ev.at.as_nanos());
+        self.fine[idx].push_back(ev);
+        self.fine_map.set(idx);
+    }
+
+    /// Moves the cursor to the first nonempty fine slot at or after it;
+    /// `false` when the block has drained.
+    fn seek(&mut self) -> bool {
+        let cursor = Self::slot_of(self.base);
+        if !self.fine[cursor].is_empty() {
+            return true;
+        }
+        self.fine_map.clear(cursor);
+        let Some(idx) = self.fine_map.next(cursor + 1) else {
+            return false;
+        };
+        self.base = (self.base >> BLOCK_SHIFT << BLOCK_SHIFT) | (idx as u64) << GRAN_SHIFT;
         self.sorted = false;
-        let horizon = self.base.saturating_add(HORIZON);
+        true
+    }
+
+    /// The first occupied coarse block after `after`, if the level holds
+    /// one: a circular walk from `after`'s slot that stops at the cursor's.
+    fn next_coarse(&self, after: u64) -> Option<u64> {
+        let from = (after + 1) as usize % SLOTS;
+        let slot = self
+            .coarse_map
+            .next(from)
+            .or_else(|| self.coarse_map.next(0))?;
+        let block = after + 1 + ((slot + SLOTS - from) % SLOTS) as u64;
+        (block < (self.base >> BLOCK_SHIFT) + SLOTS as u64).then_some(block)
+    }
+
+    /// Moves the cursor to the start of `block` — the earliest that holds
+    /// anything, the fine level being empty — and hands the fine level
+    /// everything queued for it. Cancelled entries are released here and
+    /// never filed.
+    fn enter_block(&mut self, block: u64) {
+        self.base = block << BLOCK_SHIFT;
+        self.sorted = false;
+        let slot = block as usize % SLOTS;
+        self.coarse_map.clear(slot);
+        // Taken and put back, so the slot keeps its allocation.
+        let mut waiting = std::mem::take(&mut self.coarse[slot]);
+        for ev in waiting.drain(..) {
+            if self.tokens.reap(ev.token) {
+                self.wheel_len -= 1;
+            } else {
+                self.cascade(ev);
+            }
+        }
+        self.coarse[slot] = waiting;
         while let Some(top) = self.heap.peek() {
-            if top.at.as_nanos() >= horizon {
+            if top.at.as_nanos() >> BLOCK_SHIFT != block {
                 break;
             }
             let ev = self.heap.pop().expect("peeked entry pops");
-            if self.tokens.is_cancelled(ev.token) {
-                self.tokens.release(ev.token);
-                continue;
+            if !self.tokens.reap(ev.token) {
+                self.cascade(ev);
+                self.wheel_len += 1;
             }
-            self.slots[Self::slot_of(ev.at.as_nanos().max(self.base))].push_back(ev);
-            self.wheel_len += 1;
         }
     }
 
-    /// The nonempty cursor slot, in dispatch order.
+    /// The cursor slot, in dispatch order.
     fn cursor_slot(&mut self) -> &mut VecDeque<Scheduled<W>> {
-        let slot = &mut self.slots[Self::slot_of(self.base)];
+        let slot = &mut self.fine[Self::slot_of(self.base)];
         if !self.sorted {
             self.sorted = true;
             if slot.len() > 1 {
@@ -346,25 +455,25 @@ impl<W: World> Calendar<W> {
     /// Pops the globally earliest live event if its instant is `<= deadline`.
     fn pop_if(&mut self, deadline: SimTime) -> Option<Scheduled<W>> {
         loop {
-            if self.wheel_len == 0 {
-                // Fast-forward: jump the cursor straight to the heap head.
-                let top_at = self.heap.peek()?.at;
-                if top_at > deadline {
+            if !self.seek() {
+                // The next block that holds anything, coarse level or heap
+                // (no heap entry is in or behind the cursor's block) —
+                // entered only if the deadline reaches into it, so the
+                // cursor never strands far ahead of `now`.
+                let heap = self.heap.peek().map(|top| top.at.as_nanos() >> BLOCK_SHIFT);
+                let coarse = self.next_coarse(self.base >> BLOCK_SHIFT);
+                let block = coarse.into_iter().chain(heap).min()?;
+                if block << BLOCK_SHIFT > deadline.as_nanos() {
                     return None;
                 }
-                self.advance_to(top_at.as_nanos() & !(GRAN - 1));
-                continue;
-            }
-            if self.slots[Self::slot_of(self.base)].is_empty() {
-                // Advance the cursor one slot; the horizon moves with it.
-                self.advance_to(self.base + GRAN);
+                self.enter_block(block);
                 continue;
             }
             let slot = self.cursor_slot();
-            if slot.front().expect("slot is nonempty").at > deadline {
+            if slot.front().expect("seek stops at an entry").at > deadline {
                 return None;
             }
-            let ev = slot.pop_front().expect("slot is nonempty");
+            let ev = slot.pop_front().expect("seek stops at an entry");
             self.wheel_len -= 1;
             if self.tokens.release(ev.token) {
                 continue;
@@ -374,10 +483,10 @@ impl<W: World> Calendar<W> {
         }
     }
 
-    /// The instant of the earliest live event, without removing it. Advances
-    /// the cursor over empty slots and orders the slot it stops at (both
-    /// invisible to dispatch), and reaps the cancelled entries in front of
-    /// that event.
+    /// The instant of the earliest live event, without removing it. Moves
+    /// the cursor within its block and orders the slot it stops at (both
+    /// invisible to dispatch), and reaps the cancelled entries it finds at
+    /// the front of that slot or at the heap's head.
     fn peek_next_at(&mut self) -> Option<SimTime> {
         if let Some(c) = self.next_cache {
             return Some(c);
@@ -388,37 +497,50 @@ impl<W: World> Calendar<W> {
     }
 
     fn peek_next_at_uncached(&mut self) -> Option<SimTime> {
-        loop {
-            if self.wheel_len == 0 {
-                // Reap cancelled heap heads so the answer is a live event.
-                while let Some(top) = self.heap.peek() {
-                    if !self.tokens.is_cancelled(top.token) {
-                        return Some(top.at);
-                    }
-                    let ev = self.heap.pop().expect("peeked entry pops");
-                    self.tokens.release(ev.token);
-                }
-                return None;
-            }
-            if self.slots[Self::slot_of(self.base)].is_empty() {
-                self.advance_to(self.base + GRAN);
-                continue;
-            }
-            let front = self.cursor_slot().front().expect("slot is nonempty");
+        while self.seek() {
+            let front = self.cursor_slot().front().expect("seek stops at an entry");
             let (at, token) = (front.at, front.token);
-            if !self.tokens.is_cancelled(token) {
+            if !self.tokens.reap(token) {
                 return Some(at);
             }
-            self.tokens.release(token);
             self.cursor_slot().pop_front();
             self.wheel_len -= 1;
         }
+        // The block has drained. The answer lies beyond it and is read in
+        // place: a peek that entered a block would strand the cursor ahead
+        // of `now`, and every schedule until `now` caught up would crowd
+        // into the cursor slot.
+        while let Some(top) = self.heap.peek() {
+            if !self.tokens.reap(top.token) {
+                break;
+            }
+            self.heap.pop();
+        }
+        let heap = self.heap.peek().map(|top| top.at);
+        // Coarse blocks are in time order: the first with a live entry
+        // holds the level's earliest. Tombstones on the way are released,
+        // so no peek reads them twice.
+        let mut block = self.base >> BLOCK_SHIFT;
+        while let Some(next) = self.next_coarse(block) {
+            block = next;
+            let idx = block as usize % SLOTS;
+            let (slot, tokens) = (&mut self.coarse[idx], &mut self.tokens);
+            let held = slot.len();
+            slot.retain(|e| !tokens.reap(e.token));
+            self.wheel_len -= held - slot.len();
+            match slot.iter().map(|e| e.at).min() {
+                Some(at) => return Some(heap.map_or(at, |h| h.min(at))),
+                None => self.coarse_map.clear(idx),
+            }
+        }
+        heap
     }
 
     fn clear(&mut self) {
-        for s in &mut self.slots {
-            s.clear();
-        }
+        self.fine.iter_mut().for_each(VecDeque::clear);
+        self.coarse.iter_mut().for_each(Vec::clear);
+        self.fine_map = Occupancy::default();
+        self.coarse_map = Occupancy::default();
         self.wheel_len = 0;
         self.heap.clear();
         self.tokens.clear();
@@ -680,10 +802,10 @@ impl<W: World> Engine<W> {
     /// Cancels a pending typed event scheduled with
     /// [`Engine::schedule_last_from`]: the event is unlinked from the
     /// calendar (lazily — its token is flagged and the event dropped when
-    /// the cursor reaches it) and will never dispatch nor count as
-    /// executed; [`Engine::pending`] stops counting it at once. Cancelling
-    /// a handle twice, or after its event dispatched, is a no-op: the
-    /// handle's token generation no longer matches.
+    /// the cursor, a cascade or a peek reaches it) and will never dispatch
+    /// nor count as executed; [`Engine::pending`] stops counting it at once.
+    /// Cancelling a handle twice, or after its event dispatched, is a
+    /// no-op: the handle's token generation no longer matches.
     pub fn cancel(&mut self, handle: EventHandle) {
         if self.queue.tokens.cancel(handle) {
             self.queue.next_cache = None;
@@ -933,35 +1055,89 @@ mod tests {
         assert!(!eng.step(&mut w));
     }
 
-    /// Events far beyond the wheel horizon overflow into the heap band and
-    /// migrate back as the cursor advances — order is unaffected.
+    /// One block (a fine rotation) and one coarse rotation, in ns.
+    const BLOCK: u64 = 1 << BLOCK_SHIFT;
+    const ROTATION: u64 = BLOCK * SLOTS as u64;
+
+    /// Instants beyond the cursor's block wait on the coarse level, those a
+    /// coarse rotation or more ahead in the heap; both reach the fine level
+    /// when the cursor enters their block — order is unaffected.
     #[test]
-    fn heap_band_overflow_preserves_order() {
+    fn far_bands_preserve_order() {
         let mut eng: Engine<Log> = Engine::new();
         let mut w = Log(Vec::new());
-        // Far band (≫ 524 µs), scheduled first.
+        // Past the coarse rotation (≈ 268 ms), scheduled first.
+        eng.schedule(SimTime::from_millis(900), Tag::Mark(7));
+        eng.schedule(SimTime::from_millis(300), Tag::Mark(6));
+        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (0, 2));
+        // Coarse level (≫ 524 µs).
         eng.schedule(SimTime::from_millis(50), Tag::Mark(5));
         eng.schedule(SimTime::from_millis(10), Tag::Mark(3));
-        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (0, 2));
-        // Near band.
+        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (2, 2));
+        assert!(eng.queue.fine.iter().all(|slot| slot.is_empty()));
+        // Fine level.
         eng.schedule(SimTime::from_nanos(900), Tag::Mark(1));
         eng.schedule(SimTime::from_micros(200), Tag::Mark(2));
-        // Mid band: within the horizon of the second event but not the first.
+        // In the block of the 10 ms event, not in the cursor's.
         eng.schedule(
             SimTime::from_millis(10) + SimDuration::from_micros(100),
             Tag::Mark(4),
         );
         eng.run(&mut w);
-        assert_eq!(w.0, vec![1, 2, 3, 4, 5]);
+        assert_eq!(w.0, vec![1, 2, 3, 4, 5, 6, 7]);
     }
 
-    /// A handler scheduling into its own (partially drained) wheel slot and
-    /// beyond keeps the total order.
+    /// The last nanosecond of a block and the first of the next live on
+    /// different levels, as do the two sides of the coarse horizon.
+    #[test]
+    fn band_boundaries_are_exact() {
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        let fine = |eng: &Engine<Log>| eng.queue.fine.iter().map(|s| s.len()).sum::<usize>();
+        eng.schedule(SimTime::from_nanos(ROTATION), Tag::Mark(4));
+        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (0, 1));
+        eng.schedule(SimTime::from_nanos(ROTATION - 1), Tag::Mark(3));
+        eng.schedule(SimTime::from_nanos(BLOCK), Tag::Mark(2));
+        assert_eq!((eng.queue.wheel_len, fine(&eng)), (2, 0));
+        eng.schedule(SimTime::from_nanos(BLOCK - 1), Tag::Mark(1));
+        assert_eq!((eng.queue.wheel_len, fine(&eng)), (3, 1));
+        // A window ending on the block edge runs the near side only, even
+        // though looking for more entered nothing.
+        eng.run_window(&mut w, SimTime::from_nanos(BLOCK));
+        assert_eq!(w.0, vec![1]);
+        // One whose last instant is the edge enters the block, cascades
+        // it, and stops at the entry just past its end.
+        eng.schedule(SimTime::from_nanos(BLOCK + 5), Tag::Mark(20));
+        eng.run_window(&mut w, SimTime::from_nanos(BLOCK + 5));
+        assert_eq!(w.0, vec![1, 2]);
+        assert_eq!(fine(&eng), 1);
+        eng.run(&mut w);
+        assert_eq!(w.0, vec![1, 2, 20, 3, 4]);
+    }
+
+    /// With nothing else queued, a lone far event is found from the
+    /// occupancy maps: the cursor lands on its slot without visiting the
+    /// empty ones in between.
+    #[test]
+    fn a_lone_far_event_is_reached_by_jumping() {
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log(Vec::new());
+        let at = SimTime::from_millis(1);
+        eng.schedule(at, Tag::Mark(1));
+        assert_eq!(eng.next_event_at(), Some(at));
+        assert_eq!(eng.queue.base, 0, "a peek reads the coarse level in place");
+        assert!(eng.step(&mut w));
+        assert_eq!(eng.queue.base, at.as_nanos() >> GRAN_SHIFT << GRAN_SHIFT);
+        assert_eq!((eng.now(), eng.pending()), (at, 0));
+    }
+
+    /// A handler scheduling into its own (partially drained, already
+    /// ordered) slot keeps the total order.
     #[test]
     fn rescheduling_into_the_cursor_slot_is_ordered() {
         let mut eng: Engine<Log> = Engine::new();
         let mut w = Log(Vec::new());
-        // Both children land in the handler's own wheel slot; they are
+        // Both children are inserted into the handler's own slot; they are
         // ordered purely by (at, seq): 600 < 700.
         eng.schedule(
             SimTime::from_nanos(512),
@@ -1040,29 +1216,31 @@ mod tests {
     }
 
     /// A cancelled event never dispatches and never counts as executed —
-    /// in a wheel slot and (past `HORIZON`) in the heap alike — and
+    /// in a fine slot, on the coarse level and in the heap alike — and
     /// `pending()` is exact after every step.
     #[test]
     fn cancelled_events_never_dispatch() {
         let mut eng: Engine<Log> = Engine::new();
         let mut w = Log(Vec::new());
         let near = eng.schedule_last_from(1, SimTime::from_nanos(50), Tag::Mark(1));
-        let far_at = SimTime::from_nanos(HORIZON + 10_000_000);
-        let far = eng.schedule_last_from(1, far_at, Tag::Mark(2));
-        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (1, 1));
+        let mid = eng.schedule_last_from(1, SimTime::from_millis(10), Tag::Mark(2));
+        let far = eng.schedule_last_from(1, SimTime::from_nanos(2 * ROTATION), Tag::Mark(4));
+        assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (2, 1));
         eng.schedule_from(1, SimTime::from_nanos(60), Tag::Mark(3));
-        assert_eq!(eng.pending(), 3);
+        assert_eq!(eng.pending(), 4);
         eng.cancel(near);
-        assert_eq!(eng.pending(), 2, "a cancelled event leaves the live count");
+        assert_eq!(eng.pending(), 3, "a cancelled event leaves the live count");
+        eng.cancel(mid);
         eng.cancel(far);
         assert_eq!(eng.pending(), 1);
         eng.run(&mut w);
         assert_eq!(w.0, vec![3]);
         assert_eq!(eng.executed(), 1, "cancelled events do not execute");
         assert_eq!(eng.pending(), 0);
-        // The far tombstone was reaped when the run drained the heap.
+        // The run entered both far blocks and released the tombstones there.
         assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (0, 0));
         assert_eq!(eng.queue.tokens.tombstones, 0);
+        assert_eq!(eng.queue.tokens.free.len(), 3, "each slot came back once");
     }
 
     /// Cancelling a handle twice, or after its event dispatched, changes
@@ -1103,8 +1281,8 @@ mod tests {
         let mut w = Log(Vec::new());
         let tick = SimDuration::from_nanos(2_000);
         for round in 0..10_000u32 {
-            // In the wheel on even rounds, in the heap on odd ones.
-            let out = if round % 2 == 0 { 100_000 } else { 2 * HORIZON };
+            // On the fine level on even rounds, on the coarse on odd ones.
+            let out = if round % 2 == 0 { 100_000 } else { 2 * BLOCK };
             let deadline =
                 eng.schedule_last_from(7, eng.now() + SimDuration::from_nanos(out), Tag::Mark(0));
             eng.cancel(deadline);
@@ -1114,10 +1292,11 @@ mod tests {
         }
         assert_eq!(eng.executed(), 10_000);
         assert!(w.0.iter().all(|&m| m == 1), "no cancelled wake dispatched");
-        // Tombstones standing at once: 2·HORIZON / tick heap entries plus
-        // the wheel's; far below the 20 000 handles issued.
+        // Tombstones standing at once: those of the three blocks a coarse
+        // one can wait through, one per round of 2 000 ns; far below the
+        // 20 000 handles issued.
         let slots = eng.queue.tokens.slots.len();
-        assert!(slots <= 2 * (2 * HORIZON / 2_000) as usize, "{slots} slots");
+        assert!(slots <= (3 * BLOCK / 2_000) as usize, "{slots} slots");
         eng.run(&mut w);
         assert_eq!(eng.queue.tokens.free.len(), slots, "every slot came back");
     }
@@ -1129,7 +1308,7 @@ mod tests {
         let mut eng: Engine<Log> = Engine::new();
         assert_eq!(eng.next_event_at(), None);
         let h = eng.schedule_last_from(1, SimTime::from_nanos(40), Tag::Mark(1));
-        eng.schedule_from(1, SimTime::from_micros(700), Tag::Mark(2)); // heap band
+        eng.schedule_from(1, SimTime::from_micros(700), Tag::Mark(2)); // coarse level
         assert_eq!(eng.next_event_at(), Some(SimTime::from_nanos(40)));
         eng.cancel(h);
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(700)));
@@ -1140,5 +1319,11 @@ mod tests {
         let mut w = Log(Vec::new());
         eng.run(&mut w);
         assert_eq!(w.0, vec![2]);
+        // Only the heap left: a cancelled head is seen through as well.
+        let h3 = eng.schedule_last_from(2, SimTime::from_secs(1), Tag::Mark(4));
+        eng.schedule_from(1, SimTime::from_secs(2), Tag::Mark(5));
+        assert_eq!(eng.next_event_at(), Some(SimTime::from_secs(1)));
+        eng.cancel(h3);
+        assert_eq!(eng.next_event_at(), Some(SimTime::from_secs(2)));
     }
 }
