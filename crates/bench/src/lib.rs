@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 
 use capnet::{EventCounters, RoundCounters, SimOutcome, TraceDigest};
+use simkern::engine::CalendarStats;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -71,7 +72,8 @@ impl BenchReport {
     /// exact) followed by everything a [`SimOutcome`] says about the run
     /// that produced them — the trace digest as two 32-bit halves (metrics
     /// are `f64`, which holds those exactly), the event total, the shards
-    /// actually used, and every per-kind counter.
+    /// actually used, every per-kind counter (`ev_*`) and the event
+    /// calendars' exact work (`cal_*`).
     ///
     /// The counter structs are destructured without `..` on purpose: a
     /// field added to any of them fails to compile here until it is given
@@ -106,6 +108,16 @@ impl BenchReport {
             // Always 0 and going away with its last reader (see the field).
             rehome_bytes: _,
         } = out.rounds;
+        let CalendarStats {
+            near,
+            coarse,
+            overflow,
+            compares,
+            moved,
+            cascaded,
+            reaped,
+            max_slot,
+        } = out.calendar;
         let ledger = [
             ("trace_digest_hi", digest >> 32),
             ("trace_digest_lo", digest & 0xFFFF_FFFF),
@@ -126,6 +138,15 @@ impl BenchReport {
             ("ev_rounds", rounds),
             ("ev_empty_rounds", empty_rounds),
             ("ev_xshard_frames", xshard_frames),
+            // The event calendars' exact work, summed over the engines.
+            ("cal_near", near),
+            ("cal_coarse", coarse),
+            ("cal_overflow", overflow),
+            ("cal_compares", compares),
+            ("cal_moved", moved),
+            ("cal_cascaded", cascaded),
+            ("cal_reaped", reaped),
+            ("cal_max_slot", max_slot),
         ];
         self.entries.push(Entry {
             bench: bench.to_string(),

@@ -10,6 +10,7 @@ use crate::app::AppReports;
 use capnet_chaos::ChaosReport;
 use capnet_httpd::{FleetReport, HttpServerReport};
 use iperf::BandwidthReport;
+use simkern::engine::CalendarStats;
 use simkern::time::{SimDuration, SimTime};
 use updk::switch::SwitchStats;
 use updk::wire::ImpairmentStats;
@@ -172,6 +173,11 @@ pub struct SimOutcome {
     /// [`SimOutcome::counters`], these describe the driver rather than
     /// the simulation, so they legitimately vary across worker counts.
     pub rounds: RoundCounters,
+    /// What the event calendars did, summed over the run's engines
+    /// (`max_slot` is the largest of them): schedules by band, and the
+    /// exact work of keeping dispatch order. Like [`SimOutcome::rounds`]
+    /// this describes the engines that ran, so a sharded run's differs.
+    pub calendar: CalendarStats,
 }
 
 /// Assembles the [`SimOutcome`] of a finished run from its worlds — the
@@ -196,7 +202,27 @@ pub(super) fn collect_outcome(
     let mut rounds = RoundCounters::default();
     let mut impairment_stats = ImpairmentStats::default();
     let mut fault_stats = FaultStats::default();
+    let mut calendar = CalendarStats::default();
     for cell in cells.iter_mut() {
+        // Without `..`: a new counter does not compile until it is merged.
+        let CalendarStats {
+            near,
+            coarse,
+            overflow,
+            compares,
+            moved,
+            cascaded,
+            reaped,
+            max_slot,
+        } = cell.engine.calendar_stats();
+        calendar.near += near;
+        calendar.coarse += coarse;
+        calendar.overflow += overflow;
+        calendar.compares += compares;
+        calendar.moved += moved;
+        calendar.cascaded += cascaded;
+        calendar.reaped += reaped;
+        calendar.max_slot = calendar.max_slot.max(max_slot);
         counters.absorb(cell.sim.counters);
         impairment_stats.absorb(cell.sim.impairment_stats);
         fault_stats.absorb(cell.sim.fault_stats);
@@ -251,5 +277,6 @@ pub(super) fn collect_outcome(
         workers: cells.len(),
         lookahead_ns,
         rounds,
+        calendar,
     }
 }

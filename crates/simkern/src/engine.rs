@@ -122,6 +122,8 @@ struct Tokens {
     /// Cancelled events still physically queued (what [`Calendar::len`]
     /// subtracts).
     tombstones: usize,
+    /// Cancelled events released so far ([`CalendarStats::reaped`]).
+    reaped: u64,
 }
 
 impl Tokens {
@@ -173,6 +175,7 @@ impl Tokens {
         t.gen = t.gen.wrapping_add(1);
         self.free.push(token);
         self.tombstones -= usize::from(cancelled);
+        self.reaped += u64::from(cancelled);
         cancelled
     }
 
@@ -245,6 +248,32 @@ const SLOTS: usize = 512;
 /// blocks ≈ 268 ms.
 const BLOCK_SHIFT: u32 = GRAN_SHIFT + SLOTS.trailing_zeros();
 
+/// Exact work counters of one engine's calendar: where schedules went and
+/// what keeping the dispatch order cost. They describe the engine that ran
+/// — a sharded run sums its engines' — not the simulation, so unlike the
+/// event total they may differ between worker counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CalendarStats {
+    /// Schedules filed on the fine level: in the cursor's ≈ 524 µs block.
+    pub near: u64,
+    /// Schedules filed on the coarse level: up to ≈ 268 ms ahead.
+    pub coarse: u64,
+    /// Schedules further ahead than that, pushed onto the overflow heap.
+    pub overflow: u64,
+    /// Dispatch-order comparisons made ordering cursor slots and inserting
+    /// into ordered ones.
+    pub compares: u64,
+    /// Entries shifted by inserts into an ordered cursor slot.
+    pub moved: u64,
+    /// Entries handed to the fine level when the cursor entered their
+    /// block, from the coarse level or the heap.
+    pub cascaded: u64,
+    /// Cancelled entries released, wherever the calendar met them.
+    pub reaped: u64,
+    /// The most entries the slot under the cursor ever held.
+    pub max_slot: u64,
+}
+
 /// Which slots of one wheel level hold anything: lets the cursor jump to
 /// the next occupied slot instead of stepping over the empty ones.
 #[derive(Default)]
@@ -313,6 +342,8 @@ struct Calendar<W: World> {
     /// every window round); invalidated by pops, cancellations and any
     /// push that could undercut it.
     next_cache: Option<SimTime>,
+    /// All but `reaped`, which [`Tokens`] counts where it releases.
+    stats: CalendarStats,
 }
 
 impl<W: World> Calendar<W> {
@@ -328,6 +359,7 @@ impl<W: World> Calendar<W> {
             heap: BinaryHeap::new(),
             tokens: Tokens::default(),
             next_cache: None,
+            stats: CalendarStats::default(),
         }
     }
 
@@ -354,20 +386,29 @@ impl<W: World> Calendar<W> {
             if self.sorted && idx == Self::slot_of(self.base) {
                 // Mostly a later instant than what remains: the deque moves
                 // the shorter side, so that insert costs nothing.
-                let pos = slot.partition_point(|e| e.dispatch_cmp(&ev) == Ordering::Less);
+                let stats = &mut self.stats;
+                let pos = slot.partition_point(|e| {
+                    stats.compares += 1;
+                    e.dispatch_cmp(&ev) == Ordering::Less
+                });
+                stats.moved += pos.min(slot.len() - pos) as u64;
                 slot.insert(pos, ev);
+                stats.max_slot = stats.max_slot.max(slot.len() as u64);
             } else {
                 slot.push_back(ev);
             }
             self.fine_map.set(idx);
             self.wheel_len += 1;
+            self.stats.near += 1;
         } else if block - cursor < SLOTS as u64 {
             let slot = block as usize % SLOTS;
             self.coarse[slot].push(ev);
             self.coarse_map.set(slot);
             self.wheel_len += 1;
+            self.stats.coarse += 1;
         } else {
             self.heap.push(ev);
+            self.stats.overflow += 1;
         }
     }
 
@@ -378,6 +419,7 @@ impl<W: World> Calendar<W> {
         let idx = Self::slot_of(ev.at.as_nanos());
         self.fine[idx].push_back(ev);
         self.fine_map.set(idx);
+        self.stats.cascaded += 1;
     }
 
     /// Moves the cursor to the first nonempty fine slot at or after it;
@@ -444,9 +486,13 @@ impl<W: World> Calendar<W> {
         let slot = &mut self.fine[Self::slot_of(self.base)];
         if !self.sorted {
             self.sorted = true;
+            let stats = &mut self.stats;
+            stats.max_slot = stats.max_slot.max(slot.len() as u64);
             if slot.len() > 1 {
-                slot.make_contiguous()
-                    .sort_unstable_by(Scheduled::dispatch_cmp);
+                slot.make_contiguous().sort_unstable_by(|a, b| {
+                    stats.compares += 1;
+                    a.dispatch_cmp(b)
+                });
             }
         }
         slot
@@ -672,6 +718,15 @@ impl<W: World> Engine<W> {
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// What the calendar has done so far: schedules by band and the exact
+    /// work of keeping them in dispatch order.
+    pub fn calendar_stats(&self) -> CalendarStats {
+        CalendarStats {
+            reaped: self.queue.tokens.reaped,
+            ..self.queue.stats
+        }
     }
 
     /// Caps the number of events a run may execute, as a guard against

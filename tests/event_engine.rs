@@ -103,3 +103,45 @@ fn every_idle_poll_parks_on_the_paper_testbed_at_three_events_a_frame() {
         assert!(c.idle_polls > 4 * c.parks, "{mode}: the DUT polls: {c:?}");
     }
 }
+
+/// The exact complexity gate on the event calendar. The 128-leaf star's
+/// boot ARP exchange floods 128 × 128 broadcast copies: 129–258 deliveries
+/// plus the leaves' loop iterations land in each 1 024 ns calendar slot of
+/// the first ≈ 100 µs. A slot is ordered once, when the cursor gets to it
+/// (k log k comparisons), and drained from the front; re-scanning what is
+/// left of it on every pop examined 3 716 434 entries in this run, 72 per
+/// event. On the paper's two-node row every frame's delivery waits behind
+/// a TX queue deeper than one fine rotation: those schedules belong on the
+/// coarse wheel level, not in the overflow heap.
+#[test]
+fn the_calendar_costs_the_same_full_or_empty() {
+    use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
+
+    // The benchmark's `star128_fanin` at 1/100 length: the boot flood and
+    // the first windows, 36 ms of virtual time.
+    let out = ScenarioSpec::star(128)
+        .duration(SimDuration::from_millis(6))
+        .seed(7)
+        .run()
+        .unwrap();
+    let cal = out.calendar;
+    assert_eq!(out.events, 51_055, "the run this gate was sized on");
+    assert!(cal.max_slot >= 128, "the flood is in the run: {cal:?}");
+    assert!(
+        cal.compares <= 12 * out.events,
+        "{} comparisons for {} events: {cal:?}",
+        cal.compares,
+        out.events
+    );
+
+    let out = ScenarioSpec::paper(ScenarioKind::Scenario2Contended, TrafficMode::Server)
+        .duration(SimDuration::from_millis(40))
+        .run()
+        .unwrap();
+    let cal = out.calendar;
+    assert!(cal.coarse > 0, "deliveries behind the TX queue: {cal:?}");
+    // Only a deadline a whole coarse rotation (≈ 268 ms) ahead may overflow
+    // to the heap: an iperf client's stop instant, a fleet's `open_end`, a
+    // backed-off RTO. A 40 ms run has at most its few app clocks there.
+    assert!(cal.overflow <= 8, "{cal:?}");
+}
