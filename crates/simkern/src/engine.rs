@@ -412,16 +412,6 @@ impl<W: World> Calendar<W> {
         }
     }
 
-    /// Files an entry of the block the cursor has just entered in its fine
-    /// slot, unordered like any slot the cursor has not looked at.
-    #[inline]
-    fn cascade(&mut self, ev: Scheduled<W>) {
-        let idx = Self::slot_of(ev.at.as_nanos());
-        self.fine[idx].push_back(ev);
-        self.fine_map.set(idx);
-        self.stats.cascaded += 1;
-    }
-
     /// Moves the cursor to the first nonempty fine slot at or after it;
     /// `false` when the block has drained.
     fn seek(&mut self) -> bool {
@@ -451,32 +441,29 @@ impl<W: World> Calendar<W> {
     }
 
     /// Moves the cursor to the start of `block` — the earliest that holds
-    /// anything, the fine level being empty — and hands the fine level
-    /// everything queued for it. Cancelled entries are released here and
-    /// never filed.
+    /// anything, the fine level being empty — and files what waited for it,
+    /// on the coarse level or in the heap, in its fine slots: unordered,
+    /// like any slot the cursor has not looked at. Cancelled entries are
+    /// released here instead.
     fn enter_block(&mut self, block: u64) {
         self.base = block << BLOCK_SHIFT;
         self.sorted = false;
         let slot = block as usize % SLOTS;
         self.coarse_map.clear(slot);
-        // Taken and put back, so the slot keeps its allocation.
+        // The slot's allocation goes with its entries: it is next used a
+        // whole rotation from now.
         let mut waiting = std::mem::take(&mut self.coarse[slot]);
-        for ev in waiting.drain(..) {
-            if self.tokens.reap(ev.token) {
-                self.wheel_len -= 1;
-            } else {
-                self.cascade(ev);
-            }
+        self.wheel_len -= waiting.len();
+        while matches!(self.heap.peek(), Some(top) if top.at.as_nanos() >> BLOCK_SHIFT == block) {
+            waiting.extend(self.heap.pop());
         }
-        self.coarse[slot] = waiting;
-        while let Some(top) = self.heap.peek() {
-            if top.at.as_nanos() >> BLOCK_SHIFT != block {
-                break;
-            }
-            let ev = self.heap.pop().expect("peeked entry pops");
+        for ev in waiting {
             if !self.tokens.reap(ev.token) {
-                self.cascade(ev);
+                let idx = Self::slot_of(ev.at.as_nanos());
+                self.fine[idx].push_back(ev);
+                self.fine_map.set(idx);
                 self.wheel_len += 1;
+                self.stats.cascaded += 1;
             }
         }
     }
@@ -502,10 +489,9 @@ impl<W: World> Calendar<W> {
     fn pop_if(&mut self, deadline: SimTime) -> Option<Scheduled<W>> {
         loop {
             if !self.seek() {
-                // The next block that holds anything, coarse level or heap
-                // (no heap entry is in or behind the cursor's block) —
-                // entered only if the deadline reaches into it, so the
-                // cursor never strands far ahead of `now`.
+                // The next block that holds anything (a heap entry is
+                // always past the cursor's), entered only if the deadline
+                // reaches into it: the cursor must not strand ahead of `now`.
                 let heap = self.heap.peek().map(|top| top.at.as_nanos() >> BLOCK_SHIFT);
                 let coarse = self.next_coarse(self.base >> BLOCK_SHIFT);
                 let block = coarse.into_iter().chain(heap).min()?;
@@ -531,8 +517,8 @@ impl<W: World> Calendar<W> {
 
     /// The instant of the earliest live event, without removing it. Moves
     /// the cursor within its block and orders the slot it stops at (both
-    /// invisible to dispatch), and reaps the cancelled entries it finds at
-    /// the front of that slot or at the heap's head.
+    /// invisible to dispatch), and releases the cancelled entries it meets
+    /// before that event.
     fn peek_next_at(&mut self) -> Option<SimTime> {
         if let Some(c) = self.next_cache {
             return Some(c);

@@ -1,6 +1,7 @@
 //! Property tests of the simulation kernel's ordering laws.
 
 use proptest::prelude::*;
+use proptest::runner::TestCaseError;
 use simkern::engine::{Engine, EventHandle, OrderKey, World};
 use simkern::resource::{BusyResource, FifoMutex};
 use simkern::time::{SimDuration, SimTime};
@@ -266,7 +267,7 @@ impl CalendarOracle {
 
     /// One script step. Bit 7 of `op` gives a scheduled event children;
     /// bit 6 makes [`CalendarOracle::check`] peek afterwards.
-    fn apply(&mut self, (op, a, b, c): (u8, u8, u8, u8)) {
+    fn apply(&mut self, (op, a, b, c): (u8, u8, u8, u8)) -> Result<(), TestCaseError> {
         match op % 16 {
             0..=7 => {
                 let kids = if op & 0x80 != 0 { a >> 4 } else { 0 };
@@ -297,16 +298,17 @@ impl CalendarOracle {
             }
             _ => {
                 let ran = self.eng.step(&mut self.sut);
-                assert_eq!(ran, self.model.step(), "step's return value");
+                prop_assert_eq!(ran, self.model.step(), "step's return value");
             }
         }
+        Ok(())
     }
 
     /// Everything observable must agree. `next_event_at` moves the cursor
     /// and orders its slot (invisibly, if the calendar is right), so it is
     /// compared only when asked: peeking after every step would never leave
     /// a pop to do either by itself.
-    fn check(&mut self, peek: bool) -> Result<(), proptest::runner::TestCaseError> {
+    fn check(&mut self, peek: bool) -> Result<(), TestCaseError> {
         prop_assert_eq!(
             &self.sut.dispatched,
             &self.model.dispatched,
@@ -347,9 +349,8 @@ proptest! {
     ) {
         let mut oracle = CalendarOracle::new();
         for (i, &step) in script.iter().enumerate() {
-            oracle.apply(step);
             let peek = step.0 % 16 == 14 || step.0 & 0x40 != 0;
-            if let Err(e) = oracle.check(peek) {
+            if let Err(e) = oracle.apply(step).and_then(|()| oracle.check(peek)) {
                 prop_assert!(false, "after step {} of {:?}: {}", i, &script[..=i], e);
             }
         }
