@@ -34,7 +34,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A world drivable by the engine: the event vocabulary plus its interpreter.
 ///
@@ -320,9 +320,9 @@ impl Occupancy {
 /// * a level's `Occupancy` marks every nonempty slot (the fine one may
 ///   still mark the cursor slot after it drained);
 /// * while `sorted`, the cursor slot is in dispatch order, earliest at the
-///   front; every other slot is unordered.
+///   end; every other slot is unordered.
 struct Calendar<W: World> {
-    fine: Vec<VecDeque<Scheduled<W>>>,
+    fine: Vec<Vec<Scheduled<W>>>,
     fine_map: Occupancy,
     coarse: Vec<Vec<Scheduled<W>>>,
     coarse_map: Occupancy,
@@ -349,7 +349,7 @@ struct Calendar<W: World> {
 impl<W: World> Calendar<W> {
     fn new() -> Self {
         Calendar {
-            fine: (0..SLOTS).map(|_| VecDeque::new()).collect(),
+            fine: (0..SLOTS).map(|_| Vec::new()).collect(),
             fine_map: Occupancy::default(),
             coarse: (0..SLOTS).map(|_| Vec::new()).collect(),
             coarse_map: Occupancy::default(),
@@ -384,18 +384,19 @@ impl<W: World> Calendar<W> {
             let idx = Self::slot_of(ev.at.as_nanos().max(self.base));
             let slot = &mut self.fine[idx];
             if self.sorted && idx == Self::slot_of(self.base) {
-                // Mostly a later instant than what remains: the deque moves
-                // the shorter side, so that insert costs nothing.
+                // Ahead of the entries that dispatch before it — few of
+                // what remains do: a handler schedules an instant or two
+                // after `now`, so the insert moves next to nothing.
                 let stats = &mut self.stats;
                 let pos = slot.partition_point(|e| {
                     stats.compares += 1;
-                    e.dispatch_cmp(&ev) == Ordering::Less
+                    e.dispatch_cmp(&ev) == Ordering::Greater
                 });
-                stats.moved += pos.min(slot.len() - pos) as u64;
+                stats.moved += (slot.len() - pos) as u64;
                 slot.insert(pos, ev);
                 stats.max_slot = stats.max_slot.max(slot.len() as u64);
             } else {
-                slot.push_back(ev);
+                slot.push(ev);
             }
             self.fine_map.set(idx);
             self.wheel_len += 1;
@@ -460,7 +461,7 @@ impl<W: World> Calendar<W> {
         for ev in waiting {
             if !self.tokens.reap(ev.token) {
                 let idx = Self::slot_of(ev.at.as_nanos());
-                self.fine[idx].push_back(ev);
+                self.fine[idx].push(ev);
                 self.fine_map.set(idx);
                 self.wheel_len += 1;
                 self.stats.cascaded += 1;
@@ -468,17 +469,18 @@ impl<W: World> Calendar<W> {
         }
     }
 
-    /// The cursor slot, in dispatch order.
-    fn cursor_slot(&mut self) -> &mut VecDeque<Scheduled<W>> {
+    /// The cursor slot, in dispatch order: earliest last, so pops take the
+    /// end.
+    fn cursor_slot(&mut self) -> &mut Vec<Scheduled<W>> {
         let slot = &mut self.fine[Self::slot_of(self.base)];
         if !self.sorted {
             self.sorted = true;
             let stats = &mut self.stats;
             stats.max_slot = stats.max_slot.max(slot.len() as u64);
             if slot.len() > 1 {
-                slot.make_contiguous().sort_unstable_by(|a, b| {
+                slot.sort_unstable_by(|a, b| {
                     stats.compares += 1;
-                    a.dispatch_cmp(b)
+                    b.dispatch_cmp(a)
                 });
             }
         }
@@ -502,10 +504,10 @@ impl<W: World> Calendar<W> {
                 continue;
             }
             let slot = self.cursor_slot();
-            if slot.front().expect("seek stops at an entry").at > deadline {
+            if slot.last().expect("seek stops at an entry").at > deadline {
                 return None;
             }
-            let ev = slot.pop_front().expect("seek stops at an entry");
+            let ev = slot.pop().expect("seek stops at an entry");
             self.wheel_len -= 1;
             if self.tokens.release(ev.token) {
                 continue;
@@ -530,12 +532,12 @@ impl<W: World> Calendar<W> {
 
     fn peek_next_at_uncached(&mut self) -> Option<SimTime> {
         while self.seek() {
-            let front = self.cursor_slot().front().expect("seek stops at an entry");
-            let (at, token) = (front.at, front.token);
+            let next = self.cursor_slot().last().expect("seek stops at an entry");
+            let (at, token) = (next.at, next.token);
             if !self.tokens.reap(token) {
                 return Some(at);
             }
-            self.cursor_slot().pop_front();
+            self.cursor_slot().pop();
             self.wheel_len -= 1;
         }
         // The block has drained. The answer lies beyond it and is read in
@@ -569,7 +571,7 @@ impl<W: World> Calendar<W> {
     }
 
     fn clear(&mut self) {
-        self.fine.iter_mut().for_each(VecDeque::clear);
+        self.fine.iter_mut().for_each(Vec::clear);
         self.coarse.iter_mut().for_each(Vec::clear);
         self.fine_map = Occupancy::default();
         self.coarse_map = Occupancy::default();
@@ -1104,7 +1106,7 @@ mod tests {
     /// coarse rotation or more ahead in the heap; both reach the fine level
     /// when the cursor enters their block — order is unaffected.
     #[test]
-    fn far_bands_preserve_order() {
+    fn heap_band_overflow_preserves_order() {
         let mut eng: Engine<Log> = Engine::new();
         let mut w = Log(Vec::new());
         // Past the coarse rotation (≈ 268 ms), scheduled first.

@@ -11,8 +11,8 @@
 //! The kernel is deliberately small and generic:
 //!
 //! * [`time::SimTime`] / [`time::SimDuration`] — nanosecond virtual time.
-//! * [`engine::Engine`] — a typed calendar-queue event loop (timer-wheel
-//!   near band + heap overflow), generic over a user-supplied world type `W`
+//! * [`engine::Engine`] — a typed calendar-queue event loop (a two-level
+//!   timing wheel), generic over a user-supplied world type `W`
 //!   whose [`engine::World::Event`] enum is stored inline — the steady state
 //!   of a simulation schedules without allocating.
 //! * [`cost::CostModel`] — the Morello-calibrated cost constants (trampoline
