@@ -108,11 +108,12 @@ fn every_idle_poll_parks_on_the_paper_testbed_at_three_events_a_frame() {
 /// boot ARP exchange floods 128 × 128 broadcast copies: 129–258 deliveries
 /// plus the leaves' loop iterations land in each 1 024 ns calendar slot of
 /// the first ≈ 100 µs. A slot is ordered once, when the cursor gets to it
-/// (k log k comparisons), and drained from the front; re-scanning what is
-/// left of it on every pop examined 3 716 434 entries in this run, 72 per
-/// event. On the paper's two-node row every frame's delivery waits behind
-/// a TX queue deeper than one fine rotation: those schedules belong on the
-/// coarse wheel level, not in the overflow heap.
+/// (k log k comparisons), and drained from its end; a calendar that
+/// searched what is left of the slot on every pop would examine 3 716 434
+/// entries in this run, 72 per event. On the paper's two-node row every
+/// frame's delivery waits behind a TX queue deeper than one fine rotation:
+/// those schedules belong on the coarse wheel level, not in the overflow
+/// heap.
 #[test]
 fn the_calendar_costs_the_same_full_or_empty() {
     use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
