@@ -3,10 +3,12 @@
 //! The paper's subject is the boundary between applications, the TCP/IP
 //! library and the driver; in the simulation that boundary is the node's
 //! poll loop, and [`App`] is its application side: everything the loop
-//! needs from a workload — a step, a clock, the fds it owns, a report —
-//! and nothing about which workload it is. The five workload families
-//! (iperf receiver/sender, HTTP server/fleet, chaos campaign) implement it
-//! by delegating to their own inherent methods.
+//! needs from a workload — a step, a clock, a report — and nothing about
+//! which workload it is. Which fds are whose is not asked of the app: the
+//! stack records the caller it hands each one to ([`FStack::owner_of`]).
+//! The five workload families (iperf receiver/sender, HTTP server/fleet,
+//! chaos campaign) implement it by delegating to their own inherent
+//! methods.
 //!
 //! # Step order
 //!
@@ -22,7 +24,6 @@ use capnet_httpd::{
     FleetApp, FleetConfig, FleetReport, HttpServerApp, HttpServerConfig, HttpServerReport,
 };
 use cheri::{Capability, TaggedMemory};
-use chos::fdtable::Fd;
 use fstack::FStack;
 use iperf::{BandwidthReport, ClientApp, ServerApp};
 use simkern::time::{SimDuration, SimTime};
@@ -58,11 +59,6 @@ pub(crate) trait App {
         false
     }
 
-    /// Appends every fd whose stack events should make this app runnable
-    /// (dirty-fd routing). Re-read after each step that progressed, since
-    /// accepts and connects add entries.
-    fn fds(&mut self, _out: &mut Vec<Fd>) {}
-
     /// `true` when the Scenario 2 service mutex's app-cVM policy
     /// ([`crate::netsim::AppSched`]) decides whether this app steps on a
     /// turn. Only the iperf sender: the convoy forms on the write path,
@@ -94,11 +90,6 @@ impl App for ServerApp {
             .map_or((0, false), |o| (u64::from(o.ff_calls), o.progressed))
     }
 
-    fn fds(&mut self, out: &mut Vec<Fd>) {
-        out.push(self.listen_fd());
-        out.extend_from_slice(self.conn_fds());
-    }
-
     fn report(self: Box<Self>, end: SimTime, out: &mut AppReports) {
         out.servers.push(ServerApp::report(*self, end));
     }
@@ -120,10 +111,6 @@ impl App for ClientApp {
 
     fn has_clock(&self) -> bool {
         true
-    }
-
-    fn fds(&mut self, out: &mut Vec<Fd>) {
-        out.push(self.sock_fd());
     }
 
     fn sched_gated(&self) -> bool {
@@ -155,11 +142,6 @@ impl App for HttpServerApp {
         true
     }
 
-    fn fds(&mut self, out: &mut Vec<Fd>) {
-        out.push(self.listen_fd());
-        out.extend_from_slice(self.conn_fds());
-    }
-
     fn report(self: Box<Self>, end: SimTime, out: &mut AppReports) {
         out.http_servers.push(HttpServerApp::report(*self, end));
     }
@@ -183,10 +165,6 @@ impl App for FleetApp {
         true
     }
 
-    fn fds(&mut self, out: &mut Vec<Fd>) {
-        out.extend_from_slice(self.conn_fds());
-    }
-
     fn report(self: Box<Self>, end: SimTime, out: &mut AppReports) {
         out.http_fleets.push(FleetApp::report(*self, end));
     }
@@ -194,7 +172,7 @@ impl App for FleetApp {
 
 /// Campaigns ignore `mem` (the walker and bit-flip injector own private
 /// arenas) and their step is infallible — injected frames cannot raise an
-/// errno. They own no fds: rounds fire off the campaign clock alone.
+/// errno. They open no sockets: rounds fire off the campaign clock alone.
 impl App for ChaosApp {
     fn step(&mut self, stack: &mut FStack, _mem: &mut TaggedMemory, now: SimTime) -> (u64, bool) {
         let o = ChaosApp::step(self, stack, now);

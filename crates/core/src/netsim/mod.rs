@@ -94,9 +94,12 @@ pub enum NetEvent {
         /// The node's generation when the iteration was scheduled.
         epoch: u64,
     },
-    /// A parked node's scheduled wake tick (at a poll-lattice instant).
-    /// A wake is cancelled in place when a delivery moves it or the node
-    /// crashes; `epoch` is the witness that none dispatches stale.
+    /// A parked node's scheduled wake tick (at a poll-lattice instant),
+    /// filed under the order key the polling loop's iteration at that tick
+    /// would have carried, so it runs where that iteration would among the
+    /// events of its instant. A wake is cancelled in place when a delivery
+    /// moves it or the node crashes; `epoch` is the witness that none
+    /// dispatches stale.
     Wake {
         /// Node index.
         node: usize,
@@ -591,10 +594,7 @@ impl NetSim {
     /// Builds the app `spec` describes on `node`'s stack and files it in
     /// the node's step order.
     fn install(&mut self, node: NodeId, spec: AppSpec) -> Result<(), CapnetError> {
-        let n = &mut self.nodes[node.0];
-        let app = spec.start(&mut n.stack, SimTime::ZERO)?;
-        n.install(spec, app);
-        Ok(())
+        self.nodes[node.0].install(spec)
     }
 
     /// The RNG stream of the next `kind` app on `node`: the scenario seed

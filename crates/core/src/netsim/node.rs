@@ -4,6 +4,7 @@
 
 use super::{Ep, IsolationProfile, NetEvent, NetSim};
 use crate::app::{App, AppKind, AppSpec};
+use crate::CapnetError;
 use chos::fdtable::Fd;
 use fstack::loop_::{rx_phase, tx_phase};
 use fstack::{FStack, StackConfig};
@@ -115,7 +116,9 @@ pub(super) struct AppSlot {
     ordinal: usize,
     /// Installation sequence number on this node. A restart rebuilds in
     /// this order, so sockets are created — fds allocated — exactly as
-    /// the original installation created them.
+    /// the original installation created them. It is also the id the app
+    /// calls the stack under ([`FStack::set_caller`]): slot indices move
+    /// while apps are still being installed, this never does.
     installed: usize,
     /// "A step could progress" flag of the dirty-fd gate. On a gated host
     /// a set flag has an entry in [`Node::ready`], and the other way round.
@@ -141,7 +144,7 @@ pub(super) struct Node {
     pub(super) stack: FStack,
     /// Every installed app, **in step order**: kind-major
     /// ([`AppKind`]'s order), installation order within a kind. An index
-    /// into this list is the app's slot for dirty-fd routing.
+    /// into this list is the app's slot.
     pub(super) apps: Vec<AppSlot>,
     pub(super) profile: IsolationProfile,
     /// Loop turns taken, the ones a park folded away included.
@@ -159,10 +162,10 @@ pub(super) struct Node {
     /// mutex a second service node also takes (its wait depends on the
     /// other's turns). Resolved from configuration at `run()` start.
     pub(super) polls: bool,
-    /// fd → app slot for dirty-fd routing.
-    app_of_fd: Vec<Option<u32>>,
-    /// Scratch for draining the stack's dirty-fd set and for collecting an
-    /// app's fds (no per-turn alloc).
+    /// Installation sequence number → slot: turns the owner the stack
+    /// reports for a dirty fd ([`FStack::owner_of`]) into the app to step.
+    slot_of: Vec<u32>,
+    /// Scratch for draining the stack's dirty-fd set (no per-turn alloc).
     fd_scratch: Vec<Fd>,
     /// Gated hosts: the slots whose `runnable` flag is set, in the order
     /// they were flagged. Fed where a flag flips false → true, drained
@@ -230,7 +233,7 @@ impl Node {
             turns: 0,
             gated: false,
             polls: false,
-            app_of_fd: Vec::new(),
+            slot_of: Vec::new(),
             fd_scratch: Vec::new(),
             ready: Vec::new(),
             clocked: Vec::new(),
@@ -265,29 +268,35 @@ impl Node {
         self.apps.iter().filter(|s| s.spec.kind() == kind).count()
     }
 
-    /// Files a started app at the end of its kind's run in the step order.
-    pub(super) fn install(&mut self, spec: AppSpec, app: Box<dyn App>) {
+    /// Builds the app `spec` describes on this node's stack — its calls
+    /// made under the next installation sequence number — and files it at
+    /// the end of its kind's run in the step order.
+    pub(super) fn install(&mut self, spec: AppSpec) -> Result<(), CapnetError> {
+        let installed = self.apps.len();
+        self.stack.set_caller(installed as u32);
+        let app = spec.start(&mut self.stack, SimTime::ZERO)?;
         let kind = spec.kind();
         let at = self.apps.partition_point(|s| s.spec.kind() <= kind);
         let slot = AppSlot {
             ordinal: self.kind_count(kind),
-            installed: self.apps.len(),
+            installed,
             spec,
             app: Some(app),
             runnable: false,
         };
         self.apps.insert(at, slot);
+        Ok(())
     }
 
     /// Dirty-fd app gating (ideal hosts): seeds the app turn's lists and
-    /// maps each live app's fds, so stack changes route to their app.
+    /// maps each app's caller id to its slot, so the stack changes on an fd
+    /// route to the app that obtained it.
     pub(super) fn resolve_routing(&mut self) {
         self.gated = self.profile.per_ff_call_ns == 0 && !self.profile.s2_service;
         self.seed_turn();
-        for (si, slot) in self.apps.iter_mut().enumerate() {
-            if let Some(app) = slot.app.as_mut() {
-                route_fds(&mut self.app_of_fd, &mut self.fd_scratch, &mut **app, si);
-            }
+        self.slot_of = vec![0; self.apps.len()];
+        for (si, slot) in self.apps.iter().enumerate() {
+            self.slot_of[slot.installed] = si as u32;
         }
     }
 
@@ -337,7 +346,6 @@ impl Node {
             slot.app = None;
         }
         self.seed_turn();
-        self.app_of_fd.clear();
         let cfg = self.stack.config().clone();
         self.stack = FStack::with_socket_capacity(cfg, 0);
     }
@@ -359,28 +367,10 @@ impl Node {
         order.sort_unstable_by_key(|&si| self.apps[si].installed);
         for si in order {
             let slot = &mut self.apps[si];
+            self.stack.set_caller(slot.installed as u32);
             slot.app = slot.spec.start(&mut self.stack, now).ok();
         }
         self.resolve_routing();
-    }
-}
-
-/// Points every fd `app` owns at `slot` in the dirty-fd routing table
-/// (grown on demand, entries overwritten on fd reuse).
-fn route_fds(
-    app_of_fd: &mut Vec<Option<u32>>,
-    scratch: &mut Vec<Fd>,
-    app: &mut dyn App,
-    slot: usize,
-) {
-    scratch.clear();
-    app.fds(scratch);
-    for &fd in scratch.iter() {
-        let idx = fd as usize;
-        if idx >= app_of_fd.len() {
-            app_of_fd.resize(idx + 1, None);
-        }
-        app_of_fd[idx] = Some(slot as u32);
     }
 }
 
@@ -458,7 +448,7 @@ impl NetSim {
             stack,
             apps,
             gated,
-            app_of_fd,
+            slot_of,
             fd_scratch,
             ready,
             clocked,
@@ -470,7 +460,8 @@ impl NetSim {
             fd_scratch.clear();
             stack.take_dirty_fds(fd_scratch);
             for &fd in fd_scratch.iter() {
-                if let Some(&Some(si)) = app_of_fd.get(fd as usize) {
+                if let Some(id) = stack.owner_of(fd) {
+                    let si = slot_of[id as usize];
                     let slot = &mut apps[si as usize];
                     if !slot.runnable {
                         slot.runnable = true;
@@ -508,14 +499,11 @@ impl NetSim {
                 continue;
             }
             slot.runnable = false;
+            // The fds this step obtains are this app's.
+            stack.set_caller(slot.installed as u32);
             let (calls, moved) = app.step(stack, mem, now);
             ff_calls += calls;
             progressed |= moved;
-            if moved {
-                // Accepts and arrivals may have opened connections:
-                // refresh this app's fd routing.
-                route_fds(app_of_fd, fd_scratch, &mut **app, si);
-            }
         }
 
         // (iii) stack timers + TX ring.
@@ -612,7 +600,11 @@ impl NetSim {
 
     /// Puts parked node `i`'s one [`NetEvent::Wake`] at lattice tick `at`,
     /// cancelling in place the wake it supersedes — which is what keeps
-    /// `stale_wakes` at zero.
+    /// `stale_wakes` at zero. The wake carries the key the polling loop's
+    /// iteration at that tick would have carried — scheduled by this node
+    /// one period earlier — so it runs exactly where that iteration would
+    /// among the deliveries of its instant, and what it schedules is keyed
+    /// as that iteration's would be.
     fn schedule_wake(
         &mut self,
         i: usize,
@@ -626,8 +618,9 @@ impl NetSim {
         }
         node.epoch += 1;
         let epoch = node.epoch;
-        let handle =
-            engine.schedule_last_from(Self::node_origin(i), at, NetEvent::Wake { node: i, epoch });
+        let mut key = engine.make_key(Self::node_origin(i));
+        key.gen = at.as_nanos() - node.period;
+        let handle = engine.schedule_cancellable(at, key, NetEvent::Wake { node: i, epoch });
         node.wake = Some(PendingWake {
             handle,
             at,
@@ -697,17 +690,16 @@ impl NetSim {
         let readable = head.map_or(now, |ready| ready.max(now));
         let mut tick = Self::lattice_tick(node.anchor, readable, node.period);
         if tick == now {
-            // Readable at the very tick it arrives on. A wake is ordered
-            // after every delivery of its instant; the polling loop's
-            // iteration at this tick was scheduled one period ago by this
-            // node, and ran before any delivery scheduled later than that
-            // (DESIGN.md, *Same-instant order*) — such a frame waited for
-            // the next tick.
+            // Readable at the very tick it arrives on. This tick's wake
+            // would carry `(now − period, this node)` (`schedule_wake`); if
+            // that sorts before the delivery now running, the polling
+            // loop's iteration here has already run without the frame
+            // (DESIGN.md, *Same-instant order*) and the frame waits for the
+            // next tick. The test is exact, and it is also what keeps a
+            // wake from being filed at `now` ahead of the running event:
+            // the order has no past.
             let key = engine.current_key();
-            let polled = (
-                now.as_nanos().saturating_sub(node.period),
-                Self::node_origin(ni),
-            );
+            let polled = (now.as_nanos() - node.period, Self::node_origin(ni));
             if (key.gen, key.origin) > polled {
                 tick += SimDuration::from_nanos(node.period);
             }
@@ -809,68 +801,80 @@ mod tests {
         assert!(sim.nodes[hub].apps.iter().all(|s| !s.runnable));
     }
 
+    /// The hub of [`hub_with_five_apps`] as a charged host on a host NIC,
+    /// booted and left to go quiet — parked, or polling on under
+    /// [`POLLED_REFERENCE`] — then handed one frame per `(at, gen)` of
+    /// `deliveries`: delivered at `at` by the switch, from an event that ran
+    /// at `gen`. Returns the instant the hub's stack takes each frame in,
+    /// and the lattice `(anchor, period)` the quiet hub parked on.
+    fn frames_read_at(
+        polled: bool,
+        deliveries: &[(SimTime, u64)],
+    ) -> (Vec<SimTime>, (SimTime, u64)) {
+        use simkern::engine::OrderKey;
+        use updk::wire::Frame;
+
+        POLLED_REFERENCE.with(|f| f.set(polled));
+        let (mut sim, hub) = hub_with_five_apps();
+        sim.nodes[hub].profile.per_ff_call_ns = 400;
+        sim.resolve_caches();
+        let mut engine = Engine::new();
+        let boot = SimTime::from_nanos(97);
+        let ev = NetEvent::LoopIter {
+            node: hub,
+            epoch: 0,
+        };
+        engine.schedule_from(NetSim::node_origin(hub), boot, ev);
+        engine.run_until(&mut sim, SimTime::from_micros(50));
+        let node = &sim.nodes[hub];
+        assert_eq!(node.parked, !polled);
+        let lattice = (node.anchor, node.period);
+        for (n, &(at, gen)) in deliveries.iter().enumerate() {
+            let key = OrderKey {
+                gen,
+                origin: sim.switch_origin(0),
+                ctr: n as u64 + 1,
+            };
+            assert!(key.origin > NetSim::node_origin(hub));
+            let ev = NetEvent::Deliver {
+                dev: node.dev,
+                port: node.port,
+                at,
+                frame: Frame::new(vec![0; 60]),
+            };
+            engine.schedule_injected(at, key, ev);
+        }
+        let mut read = Vec::new();
+        while read.len() < deliveries.len() {
+            assert!(engine.step(&mut sim), "every frame is read eventually");
+            let taken = sim.nodes[hub].stack.stats().frames_in as usize;
+            read.resize(taken, engine.now());
+        }
+        POLLED_REFERENCE.with(|f| f.set(false));
+        (read, lattice)
+    }
+
+    /// The quiet hub's lattice and a tick of it well after the boot.
+    fn a_quiet_tick() -> (SimTime, u64) {
+        let (_, (anchor, period)) = frames_read_at(false, &[]);
+        assert!(
+            period > 1_672,
+            "the hazard needs an idle period longer than a minimum frame's flight, got {period} ns"
+        );
+        let tick = NetSim::lattice_tick(anchor, SimTime::from_micros(60), period);
+        (tick, period)
+    }
+
     /// *Same-instant order* (DESIGN.md): a frame readable on the very
     /// lattice tick it arrives on is read at that tick when its delivery
     /// sorts before the polling loop's iteration there — an event this
     /// node scheduled one period earlier — and at the next tick otherwise.
-    /// A wake is ordered after every delivery of its instant, so the
-    /// parked loop has to tell the two apart by the delivery's key; both
-    /// loops must read each frame at the same instant.
+    /// A wake carries that iteration's key, so a delivery that sorts after
+    /// it must not put one at the instant it runs in; both loops must read
+    /// each frame at the same instant.
     #[test]
     fn a_delivery_on_a_tick_is_read_when_the_polling_loop_would_read_it() {
-        use simkern::engine::OrderKey;
-        use updk::wire::Frame;
-
-        // A charged hub on a host NIC, booted and left to go quiet; then
-        // one frame delivered at `at` by the switch, from an event that
-        // ran at `gen`. Returns the instant the hub's stack takes it in.
-        let read_at = |polled: bool, delivery: Option<(SimTime, u64)>| {
-            POLLED_REFERENCE.with(|f| f.set(polled));
-            let (mut sim, hub) = hub_with_five_apps();
-            sim.nodes[hub].profile.per_ff_call_ns = 400;
-            sim.resolve_caches();
-            let mut engine = Engine::new();
-            let boot = SimTime::from_nanos(97);
-            let ev = NetEvent::LoopIter {
-                node: hub,
-                epoch: 0,
-            };
-            engine.schedule_from(NetSim::node_origin(hub), boot, ev);
-            engine.run_until(&mut sim, SimTime::from_micros(50));
-            let node = &sim.nodes[hub];
-            assert_eq!(node.parked, !polled);
-            let lattice = (node.anchor, node.period);
-            let mut read = None;
-            if let Some((at, gen)) = delivery {
-                let key = OrderKey {
-                    gen,
-                    gen_class: 0,
-                    origin: sim.switch_origin(0),
-                    ctr: 1,
-                };
-                assert!(key.origin > NetSim::node_origin(hub));
-                let ev = NetEvent::Deliver {
-                    dev: node.dev,
-                    port: node.port,
-                    at,
-                    frame: Frame::new(vec![0; 60]),
-                };
-                engine.schedule_injected(at, key, ev);
-                while sim.nodes[hub].stack.stats().frames_in == 0 {
-                    assert!(engine.step(&mut sim), "the frame is read eventually");
-                }
-                read = Some(engine.now());
-            }
-            POLLED_REFERENCE.with(|f| f.set(false));
-            (read, lattice)
-        };
-
-        let (_, (anchor, period)) = read_at(false, None);
-        assert!(
-            period > 1_672,
-            "the hazard needs an idle period longer than a minimum frame's              flight, got {period} ns"
-        );
-        let tick = NetSim::lattice_tick(anchor, SimTime::from_micros(60), period);
+        let (tick, period) = a_quiet_tick();
         let (t, p) = (tick.as_nanos(), SimDuration::from_nanos(period));
         let ns = SimDuration::from_nanos;
         let cases = [
@@ -886,11 +890,30 @@ mod tests {
             ("just before the tick: no tie", tick - ns(1), t - 2, tick),
         ];
         for (what, at, gen, expect) in cases {
-            let (polled, _) = read_at(true, Some((at, gen)));
-            let (parked, _) = read_at(false, Some((at, gen)));
-            assert_eq!(polled, Some(expect), "{what}: the polling loop");
+            let (polled, _) = frames_read_at(true, &[(at, gen)]);
+            let (parked, _) = frames_read_at(false, &[(at, gen)]);
+            assert_eq!(polled, [expect], "{what}: the polling loop");
             assert_eq!(parked, polled, "{what}: the parked loop");
         }
+    }
+
+    /// The same tie with a wake already standing on the tick: a first frame
+    /// arrives half a period early, so its wake lands on the tick; a second
+    /// is delivered on the tick itself by an event scheduled after the
+    /// polling loop's iteration there. That iteration runs before the second
+    /// delivery and reads one frame — and so must the wake that stands for
+    /// it, leaving the second frame to the following iteration.
+    #[test]
+    fn a_standing_wake_runs_where_the_polling_iteration_would() {
+        let (tick, period) = a_quiet_tick();
+        let t = tick.as_nanos();
+        let early = tick - SimDuration::from_nanos(period / 2);
+        let frames = [(early, early.as_nanos() - 1), (tick, t - period + 1)];
+        let (polled, _) = frames_read_at(true, &frames);
+        let (parked, _) = frames_read_at(false, &frames);
+        assert_eq!(polled[0], tick, "the polling loop reads the first frame");
+        assert!(polled[1] > tick, "and the second an iteration later");
+        assert_eq!(parked, polled, "the parked loop");
     }
 
     /// A charged host is not gated: every turn examines every slot.

@@ -197,22 +197,62 @@ pub struct FStack {
     /// applications owning these fds — a socket that is not here, has no
     /// due timer and saw no app call cannot make an application call
     /// return differently than on the previous turn.
-    dirty: Vec<Fd>,
-    dirty_flag: Vec<bool>,
+    dirty: FdSet,
     /// Sockets that may owe the wire output, a timer action or reaping at
     /// the next [`FStack::poll_tx`]: marked on input, on application
     /// tx-side calls (`ff_write`/`ff_close`/`ff_connect`/`ff_sendto`) and
     /// when an armed TCB timer comes due. `poll_tx` visits only these,
     /// in fd order — the same relative order the historical full-table
     /// scan used, so the emitted frame order is unchanged.
-    tx_hot: Vec<Fd>,
-    tx_hot_flag: Vec<bool>,
+    tx_hot: FdSet,
     /// Armed TCB timer deadlines, `(deadline, fd)`, lazily validated
     /// against [`FStack::armed`] (an entry is stale once the socket's
     /// armed deadline moved; stale entries are skipped on pop).
     timer_q: BinaryHeap<std::cmp::Reverse<(SimTime, Fd)>>,
     /// The deadline each socket currently has armed in [`FStack::timer_q`].
     armed: Vec<Option<SimTime>>,
+    /// The application the driver says is calling ([`FStack::set_caller`]).
+    caller: Option<u32>,
+    /// Which caller obtained each fd number, by fd ([`FStack::owner_of`]).
+    /// An entry outlives its socket — a reaped fd's last dirty mark must
+    /// still reach the application that closed it — and is overwritten
+    /// when the number is handed out again.
+    owner: Vec<Option<u32>>,
+}
+
+/// A set of fds in insertion order: a list for draining, a flag per fd so
+/// a second insert before the drain is a no-op.
+#[derive(Debug)]
+struct FdSet {
+    list: Vec<Fd>,
+    flag: Vec<bool>,
+}
+
+impl FdSet {
+    fn new(max_sockets: usize) -> Self {
+        FdSet {
+            list: Vec::new(),
+            flag: vec![false; max_sockets],
+        }
+    }
+
+    /// Adds `fd` unless it is already in, or beyond the socket table.
+    fn insert(&mut self, fd: Fd) {
+        if let Some(flag) = self.flag.get_mut(fd as usize) {
+            if !*flag {
+                *flag = true;
+                self.list.push(fd);
+            }
+        }
+    }
+
+    /// Empties the set, appending its fds to `out` in insertion order.
+    fn drain_into(&mut self, out: &mut Vec<Fd>) {
+        for &fd in &self.list {
+            self.flag[fd as usize] = false;
+        }
+        out.append(&mut self.list);
+    }
 }
 
 /// Maximum sockets per stack instance (F-Stack default scale).
@@ -243,12 +283,12 @@ impl FStack {
             ident: 1,
             next_ephemeral: 40_000,
             stats: StackStats::default(),
-            dirty: Vec::new(),
-            dirty_flag: vec![false; max_sockets],
-            tx_hot: Vec::new(),
-            tx_hot_flag: vec![false; max_sockets],
+            dirty: FdSet::new(max_sockets),
+            tx_hot: FdSet::new(max_sockets),
             timer_q: BinaryHeap::new(),
             armed: vec![None; max_sockets],
+            caller: None,
+            owner: Vec::new(),
         }
     }
 
@@ -256,24 +296,14 @@ impl FStack {
     /// and for the epoll instances watching it.
     fn mark_dirty(&mut self, fd: Fd) {
         self.epoll.touch(fd);
-        if let Some(flag) = self.dirty_flag.get_mut(fd as usize) {
-            if !*flag {
-                *flag = true;
-                self.dirty.push(fd);
-            }
-        }
+        self.dirty.insert(fd);
     }
 
     /// Flags `fd` for the next [`FStack::poll_tx`] visit (idempotent) and
     /// for the epoll instances watching it.
     fn mark_hot(&mut self, fd: Fd) {
         self.epoll.touch(fd);
-        if let Some(flag) = self.tx_hot_flag.get_mut(fd as usize) {
-            if !*flag {
-                *flag = true;
-                self.tx_hot.push(fd);
-            }
-        }
+        self.tx_hot.insert(fd);
     }
 
     /// Re-arms `fd`'s timer entry from its TCB's current earliest deadline
@@ -301,10 +331,36 @@ impl FStack {
     /// can actually make progress — every other app's next step is
     /// guaranteed to be the same no-op as its last.
     pub fn take_dirty_fds(&mut self, out: &mut Vec<Fd>) {
-        for &fd in &self.dirty {
-            self.dirty_flag[fd as usize] = false;
+        self.dirty.drain_into(out);
+    }
+
+    /// Names the application whose calls follow, until the next call: a
+    /// driver hosting several applications on one stack says which one it
+    /// is about to run, as each app cVM of the paper's Scenario 2 reaches
+    /// the F-Stack service through its own wrapper. `id` is the driver's
+    /// to choose; the stack only hands it back from [`FStack::owner_of`].
+    pub fn set_caller(&mut self, id: u32) {
+        self.caller = Some(id);
+    }
+
+    /// The caller that obtained `fd` from `ff_socket` or `ff_accept` — the
+    /// application a change on `fd` concerns. Still answered after the
+    /// socket is gone, until the number is handed out again; `None` for a
+    /// number never handed out under a caller (a connection still waiting
+    /// in a listener's backlog reports whoever held the number before).
+    pub fn owner_of(&self, fd: Fd) -> Option<u32> {
+        self.owner.get(fd as usize).copied().flatten()
+    }
+
+    /// Records the current caller as the owner of the fd being handed out.
+    fn stamp_owner(&mut self, fd: Fd) {
+        if let Some(id) = self.caller {
+            let idx = fd as usize;
+            if idx >= self.owner.len() {
+                self.owner.resize(idx + 1, None);
+            }
+            self.owner[idx] = Some(id);
         }
-        out.append(&mut self.dirty);
     }
 
     /// The interface configuration.
@@ -396,7 +452,9 @@ impl FStack {
     ///
     /// [`Errno::EMFILE`] when the socket table is full.
     pub fn ff_socket(&mut self, kind: SockType) -> Result<Fd, Errno> {
-        self.sockets.alloc(Socket::new(kind))
+        let fd = self.sockets.alloc(Socket::new(kind))?;
+        self.stamp_owner(fd);
+        Ok(fd)
     }
 
     /// `ff_bind(fd, {ip, port})` — the ip is implicitly the interface's.
@@ -468,7 +526,9 @@ impl FStack {
         let Socket::TcpListen { ready, .. } = sock else {
             return Err(Errno::EINVAL);
         };
-        ready.pop_front().ok_or(Errno::EAGAIN)
+        let child = ready.pop_front().ok_or(Errno::EAGAIN)?;
+        self.stamp_owner(child);
+        Ok(child)
     }
 
     /// `ff_connect(fd, {remote_ip, remote_port})` — non-blocking active
@@ -1179,13 +1239,11 @@ impl FStack {
         // lets the driver park: no input, no call, no due timer ⇒ no
         // output before the next deadline). Visiting them in fd order
         // reproduces the historical full-table scan's emission order.
-        if self.tx_hot.is_empty() && self.pending_tx.is_empty() {
+        if self.tx_hot.list.is_empty() && self.pending_tx.is_empty() {
             return Vec::new();
         }
-        let mut hot = std::mem::take(&mut self.tx_hot);
-        for &fd in &hot {
-            self.tx_hot_flag[fd as usize] = false;
-        }
+        let mut hot = Vec::new();
+        self.tx_hot.drain_into(&mut hot);
         hot.sort_unstable();
         let mut frames: Vec<FrameBuf> = Vec::new();
         type ConnKey = (u16, Ipv4Addr, u16);
@@ -1410,6 +1468,7 @@ impl FStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkern::time::SimDuration;
 
     fn stack() -> FStack {
         FStack::new(StackConfig::new(
@@ -1417,6 +1476,92 @@ mod tests {
             MacAddr::local(1),
             Ipv4Addr::new(10, 0, 0, 1),
         ))
+    }
+
+    /// The ownership contract a driver routes dirty fds by: `ff_socket` and
+    /// `ff_accept` stamp the fd they return with the current caller; a
+    /// connection waiting in a backlog is not yet anyone's, so its number
+    /// still reports whoever held it last; the stamp survives `ff_close`
+    /// and the reaper's final dirty mark, and changes only when the number
+    /// is handed out again; a stack never told a caller owns nothing.
+    #[test]
+    fn fds_belong_to_the_caller_that_obtained_them() {
+        let (srv_ip, cli_ip) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let mut srv = stack();
+        let mut cli = FStack::new(StackConfig::new("c", MacAddr::local(2), cli_ip));
+        srv.arp.insert_static(cli_ip, MacAddr::local(2));
+        cli.arp.insert_static(srv_ip, MacAddr::local(1));
+        let mut now = SimTime::from_millis(1);
+        fn pump(srv: &mut FStack, cli: &mut FStack, now: &mut SimTime) {
+            for _ in 0..12 {
+                *now += SimDuration::from_micros(50);
+                for f in cli.poll_tx(*now) {
+                    srv.input_buf(*now, &f);
+                }
+                for f in srv.poll_tx(*now) {
+                    cli.input_buf(*now, &f);
+                }
+            }
+        }
+
+        srv.set_caller(7);
+        let lfd = srv.ff_socket(SockType::Stream).unwrap();
+        srv.ff_bind(lfd, 80).unwrap();
+        srv.ff_listen(lfd, 4).unwrap();
+        assert_eq!(srv.owner_of(lfd), Some(7));
+        // Caller 3 opens and closes a socket: the number is free again and
+        // still carries its stamp.
+        srv.set_caller(3);
+        let spare = srv.ff_socket(SockType::Stream).unwrap();
+        srv.ff_close(spare).unwrap();
+        assert_eq!(srv.owner_of(spare), Some(3));
+
+        // A client connects; the child takes the freed number at SYN time
+        // and sits in the listener's queue under the stale stamp.
+        let c = cli.ff_socket(SockType::Stream).unwrap();
+        cli.ff_connect(c, (srv_ip, 80), now).unwrap();
+        pump(&mut srv, &mut cli, &mut now);
+        assert_eq!(srv.listen_queue_depths(lfd), Some((0, 1)));
+        assert_eq!(srv.owner_of(spare), Some(3), "queued: not yet handed out");
+        srv.set_caller(9);
+        assert_eq!(
+            srv.owner_of(spare),
+            Some(3),
+            "naming a caller stamps nothing"
+        );
+        let child = srv.ff_accept(lfd).unwrap();
+        assert_eq!(child, spare);
+        assert_eq!(srv.owner_of(child), Some(9));
+        assert_eq!(
+            srv.owner_of(lfd),
+            Some(7),
+            "the listener stays its opener's"
+        );
+
+        // Both ends close, under another caller on the server side; the
+        // reaper's last dirty mark on the fd still names caller 9.
+        let mut drained = Vec::new();
+        srv.take_dirty_fds(&mut drained);
+        srv.set_caller(5);
+        srv.ff_close(child).unwrap();
+        cli.ff_close(c).unwrap();
+        let floor = srv.socket_count() - 1;
+        pump(&mut srv, &mut cli, &mut now);
+        srv.poll_tx(now + SimDuration::from_secs(1)); // past 2MSL: a lingering end is reaped
+        assert_eq!(srv.socket_count(), floor, "the child was reaped");
+        drained.clear();
+        srv.take_dirty_fds(&mut drained);
+        assert!(drained.contains(&child), "the reaper marked the fd dirty");
+        assert_eq!(srv.owner_of(child), Some(9));
+
+        // Handed out again, the number is the new caller's.
+        assert_eq!(srv.ff_socket(SockType::Stream), Ok(child));
+        assert_eq!(srv.owner_of(child), Some(5));
+
+        // The client stack was never told a caller.
+        let d = cli.ff_socket(SockType::Stream).unwrap();
+        assert_eq!((cli.owner_of(c), cli.owner_of(d)), (None, None));
+        assert_eq!(cli.owner_of(1_000_000), None);
     }
 
     /// The `alloc_ephemeral_for` wraparound proof: with the whole

@@ -182,6 +182,16 @@ enum FailKind {
     Http503,
 }
 
+/// What became of an attempt to open a connection ([`FleetApp::open_conn`]).
+enum Open {
+    /// The socket is connecting and has its entry in `conns`.
+    Connecting,
+    /// No room: `max_open` reached or the socket table full.
+    Shed,
+    /// No ephemeral port free against the target; the socket was closed.
+    NoPort,
+}
+
 /// A failed connection waiting out its backoff before relaunch.
 #[derive(Debug, Clone, Copy)]
 struct Retry {
@@ -366,8 +376,6 @@ pub struct FleetApp {
     ok_at_ns: Vec<u64>,
     latencies_ns: Vec<u64>,
     last_activity: Option<SimTime>,
-    /// Reused fd list handed to the driver's dirty-routing cache.
-    fds: Vec<Fd>,
 }
 
 impl FleetApp {
@@ -421,16 +429,7 @@ impl FleetApp {
             ok_at_ns: Vec::new(),
             latencies_ns: Vec::new(),
             last_activity: None,
-            fds: Vec::new(),
         }
-    }
-
-    /// The open connection fds (dirty-fd routing; refreshed by the
-    /// driver after each progressing step).
-    pub fn conn_fds(&mut self) -> &[Fd] {
-        self.fds.clear();
-        self.fds.extend(self.conns.iter().map(|c| c.fd));
-        &self.fds
     }
 
     /// Open connection count.
@@ -554,18 +553,66 @@ impl FleetApp {
         // HTTP/1.0 clients are one-shot: no keep-alive, single request.
         let keep_alive = keep_alive && !http10;
         let reqs = if http10 { 1 } else { reqs };
-        if self.conns.len() >= self.cfg.max_open {
+        if let Open::Shed = self.open_conn(stack, now, (loris, keep_alive, http10, reqs, 0), out)? {
             self.shed += 1;
-            return Ok(());
+        }
+        Ok(())
+    }
+
+    /// Relaunches one failed connection whose backoff expired: the same
+    /// socket/connect path as [`FleetApp::launch`] but with the original
+    /// arrival's draws carried over — a retry consumes no RNG beyond the
+    /// jitter drawn when it was scheduled.
+    fn relaunch(
+        &mut self,
+        stack: &mut FStack,
+        now: SimTime,
+        retry: Retry,
+        out: &mut StepOutcome,
+    ) -> Result<(), Errno> {
+        let Retry {
+            attempt,
+            keep_alive,
+            http10,
+            reqs_left,
+            ..
+        } = retry;
+        match self.open_conn(
+            stack,
+            now,
+            (false, keep_alive, http10, reqs_left, attempt),
+            out,
+        )? {
+            Open::Connecting => {}
+            Open::Shed => {
+                self.shed += 1;
+                self.retry_giveups += 1;
+            }
+            // Port pressure is transient; burn another attempt.
+            Open::NoPort => self.maybe_retry(attempt, keep_alive, http10, reqs_left, now),
+        }
+        Ok(())
+    }
+
+    /// The socket path of a launch and of a relaunch, given what was drawn
+    /// for the connection as `(loris, keep_alive, http10, reqs_left,
+    /// attempt)`: `ff_socket`, `ff_connect`, epoll registration, and the
+    /// new entry in `conns`. Draws nothing itself.
+    fn open_conn(
+        &mut self,
+        stack: &mut FStack,
+        now: SimTime,
+        (loris, keep_alive, http10, reqs_left, attempt): (bool, bool, bool, u64, u32),
+        out: &mut StepOutcome,
+    ) -> Result<Open, Errno> {
+        if self.conns.len() >= self.cfg.max_open {
+            return Ok(Open::Shed);
         }
         out.ff_calls += 1;
         let fd = match stack.ff_socket(SockType::Stream) {
             Ok(fd) => fd,
-            Err(Errno::EMFILE) => {
-                // Socket table exhausted: shed this user.
-                self.shed += 1;
-                return Ok(());
-            }
+            // Socket table exhausted: shed this user.
+            Err(Errno::EMFILE) => return Ok(Open::Shed),
             Err(e) => return Err(e),
         };
         out.ff_calls += 1;
@@ -578,7 +625,7 @@ impl FleetApp {
                 self.addr_exhausted += 1;
                 out.ff_calls += 1;
                 stack.ff_close(fd)?;
-                return Ok(());
+                return Ok(Open::NoPort);
             }
             Err(e) => return Err(e),
         }
@@ -590,8 +637,8 @@ impl FleetApp {
             loris,
             keep_alive,
             http10,
-            attempt: 0,
-            reqs_left: reqs,
+            attempt,
+            reqs_left,
             out: Vec::new(),
             out_off: 0,
             inbuf: Vec::new(),
@@ -608,78 +655,7 @@ impl FleetApp {
         }
         out.progressed = true;
         self.last_activity = Some(now);
-        Ok(())
-    }
-
-    /// Relaunches one failed connection whose backoff expired: the same
-    /// socket/connect path as [`FleetApp::launch`] but with the original
-    /// arrival's draws carried over — a retry consumes no RNG beyond the
-    /// jitter drawn when it was scheduled.
-    fn relaunch(
-        &mut self,
-        stack: &mut FStack,
-        now: SimTime,
-        retry: Retry,
-        out: &mut StepOutcome,
-    ) -> Result<(), Errno> {
-        if self.conns.len() >= self.cfg.max_open {
-            self.shed += 1;
-            self.retry_giveups += 1;
-            return Ok(());
-        }
-        out.ff_calls += 1;
-        let fd = match stack.ff_socket(SockType::Stream) {
-            Ok(fd) => fd,
-            Err(Errno::EMFILE) => {
-                self.shed += 1;
-                self.retry_giveups += 1;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        out.ff_calls += 1;
-        match stack.ff_connect(fd, self.cfg.target, now) {
-            Ok(()) => {}
-            Err(Errno::EADDRNOTAVAIL) => {
-                self.addr_exhausted += 1;
-                out.ff_calls += 1;
-                stack.ff_close(fd)?;
-                // Port pressure is transient; burn another attempt.
-                self.maybe_retry(
-                    retry.attempt,
-                    retry.keep_alive,
-                    retry.http10,
-                    retry.reqs_left,
-                    now,
-                );
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        out.ff_calls += 1;
-        stack.ff_epoll_ctl_add(self.epfd, fd, EpollFlags::IN | EpollFlags::OUT)?;
-        self.conns.push(FleetConn {
-            fd,
-            state: CState::Connecting,
-            loris: false,
-            keep_alive: retry.keep_alive,
-            http10: retry.http10,
-            attempt: retry.attempt,
-            reqs_left: retry.reqs_left,
-            out: Vec::new(),
-            out_off: 0,
-            inbuf: Vec::new(),
-            sent_at: now,
-            think_until: now,
-            next_drip: now,
-        });
-        self.conns_started += 1;
-        if retry.http10 {
-            self.http10_conns += 1;
-        }
-        out.progressed = true;
-        self.last_activity = Some(now);
-        Ok(())
+        Ok(Open::Connecting)
     }
 
     /// Schedules a relaunch after a failure, if the budget allows:

@@ -230,13 +230,8 @@ impl HttpServerApp {
         })
     }
 
-    /// The listening socket (dirty-fd routing).
-    pub fn listen_fd(&self) -> Fd {
-        self.listen_fd
-    }
-
-    /// The open connection fds (refreshed by the driver after each
-    /// progressing step).
+    /// The open connection fds, for probes and tests: the stack itself
+    /// records which application obtained an fd (`FStack::owner_of`).
     pub fn conn_fds(&mut self) -> &[Fd] {
         self.fds.clear();
         self.fds.extend(self.conns.iter().map(|c| c.fd));

@@ -89,13 +89,6 @@ impl ClientApp {
         self.bytes
     }
 
-    /// The connection socket — the fd a dirty-fd-driven driver watches for
-    /// this app (SYN-ACKs, send-space openings, close progress all surface
-    /// as changes on it).
-    pub fn sock_fd(&self) -> Fd {
-        self.fd
-    }
-
     /// `true` when the app would act at `now` without any new stack event:
     /// the sending phase with the write gap elapsed (a write may proceed)
     /// or the stop instant reached (the close is owed). Together with the

@@ -69,19 +69,6 @@ impl ServerApp {
         self.bytes
     }
 
-    /// The listening socket — with [`ServerApp::conn_fds`], the fd set a
-    /// dirty-fd-driven driver watches to decide whether a step of this app
-    /// can make progress (all server progress is input-driven).
-    pub fn listen_fd(&self) -> Fd {
-        self.listen_fd
-    }
-
-    /// The open connection fds (refreshed by the driver after each
-    /// progressing step, since accepts add entries).
-    pub fn conn_fds(&self) -> &[Fd] {
-        &self.conns
-    }
-
     /// Open connection count.
     pub fn connections(&self) -> usize {
         self.conns.len()

@@ -16,17 +16,18 @@
 //!
 //! # Dispatch order
 //!
-//! Dispatch follows the total order `(at, class, key)`, where `class`
-//! separates ordinary events from [`Engine::schedule_last`] events and `key`
-//! is an [`OrderKey`] — the tie-break among same-instant, same-class events.
+//! Dispatch follows the total order `(at, key)`, where `key` is an
+//! [`OrderKey`] — the tie-break among same-instant events. An event that
+//! must run at a particular place among those of its instant is scheduled
+//! under the key of that place ([`Engine::schedule_cancellable`]).
 //!
 //! For plain [`Engine::schedule`] calls the key degenerates to a global
 //! sequence number, so ties stay FIFO exactly as the previous engine ordered
 //! them. Worlds that are **sharded across several engines** (the parallel
 //! `NetSim`) instead schedule through [`Engine::schedule_from`], which builds
 //! the key from *execution-invariant* components: the virtual instant the
-//! scheduling event ran, its class, the scheduling object's stable `origin`
-//! id, and a per-origin emission counter. Two engines partitioning the same
+//! scheduling event ran, the scheduling object's stable `origin` id, and a
+//! per-origin emission counter. Two engines partitioning the same
 //! world produce the same keys for the same events regardless of how the
 //! partition interleaves, which is what makes a sharded run's merge order —
 //! and therefore its wire behaviour — byte-identical to the single-engine
@@ -52,19 +53,16 @@ pub trait World: Sized {
 /// sequence number, preserving the legacy FIFO tie-break.
 const COMPAT_ORIGIN: u32 = u32::MAX;
 
-/// The execution-invariant tie-break among same-instant, same-class events.
+/// The execution-invariant tie-break among same-instant events.
 ///
 /// Components compare in order:
 ///
 /// 1. `gen` — the virtual instant of the event that *scheduled* this one
 ///    (events scheduled earlier in virtual time dispatch first);
-/// 2. `gen_class` — the class of the scheduling event (children of ordinary
-///    events precede children of `schedule_last` events at the same `gen`,
-///    mirroring the order their parents dispatched);
-/// 3. `origin` — the stable id of the scheduling object, assigned by the
+/// 2. `origin` — the stable id of the scheduling object, assigned by the
 ///    world (a sharded world must assign ids that are identical across
 ///    partitions);
-/// 4. `ctr` — the origin's monotone emission counter (a single handler
+/// 3. `ctr` — the origin's monotone emission counter (a single handler
 ///    emitting several events keeps their order).
 ///
 /// Every component is derived from the scheduling event's own (by induction,
@@ -74,8 +72,6 @@ const COMPAT_ORIGIN: u32 = u32::MAX;
 pub struct OrderKey {
     /// Virtual instant of the scheduling event.
     pub gen: u64,
-    /// Class of the scheduling event.
-    pub gen_class: u8,
     /// Stable id of the scheduling object (`u32::MAX` for plain
     /// schedules).
     pub origin: u32,
@@ -96,7 +92,7 @@ pub struct EventHandle {
 }
 
 /// The `token` of an event no [`EventHandle`] names — every event but those
-/// of [`Engine::schedule_last_from`]. Such events are never tested for
+/// of [`Engine::schedule_cancellable`]. Such events are never tested for
 /// cancellation.
 const NO_TOKEN: u32 = u32::MAX;
 
@@ -194,10 +190,6 @@ impl Tokens {
 
 struct Scheduled<W: World> {
     at: SimTime,
-    /// Tie-break class at equal instants: 0 for ordinary events, 1 for
-    /// [`Engine::schedule_last`] events (park/wake ticks that must observe
-    /// every same-instant delivery first).
-    class: u8,
     /// Slot of the token table naming this event, or [`NO_TOKEN`].
     token: u32,
     key: OrderKey,
@@ -205,13 +197,13 @@ struct Scheduled<W: World> {
 }
 
 impl<W: World> Scheduled<W> {
-    /// The dispatch order `(at, class, key)`. Strict: `(origin, ctr)` is
-    /// unique among queued events, so two entries never compare equal. Most
-    /// pairs differ in `at`, one `u64`; class and key are read on a tie.
+    /// The dispatch order `(at, key)`. Strict: `(origin, ctr)` is unique
+    /// among queued events, so two entries never compare equal. Most pairs
+    /// differ in `at`, one `u64`; the key is read on a tie.
     fn dispatch_cmp(&self, other: &Self) -> Ordering {
         self.at
             .cmp(&other.at)
-            .then_with(|| (self.class, self.key).cmp(&(other.class, other.key)))
+            .then_with(|| self.key.cmp(&other.key))
     }
 }
 
@@ -642,9 +634,6 @@ impl<W: World> Calendar<W> {
 pub struct Engine<W: World> {
     now: SimTime,
     seq: u64,
-    /// Class of the event currently dispatching (0 outside dispatch) — the
-    /// `gen_class` component of keys built for events it schedules.
-    cur_class: u8,
     /// Key of the event currently dispatching ([`Engine::current_key`]).
     cur_key: OrderKey,
     /// Per-origin emission counters for [`Engine::schedule_from`].
@@ -679,10 +668,8 @@ impl<W: World> Engine<W> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            cur_class: 0,
             cur_key: OrderKey {
                 gen: 0,
-                gen_class: 0,
                 origin: COMPAT_ORIGIN,
                 ctr: 0,
             },
@@ -725,11 +712,10 @@ impl<W: World> Engine<W> {
         self.event_cap = cap;
     }
 
-    fn push(&mut self, at: SimTime, class: u8, token: u32, key: OrderKey, event: W::Event) {
+    fn push(&mut self, at: SimTime, token: u32, key: OrderKey, event: W::Event) {
         let at = at.max(self.now);
         self.queue.push(Scheduled {
             at,
-            class,
             token,
             key,
             event,
@@ -742,7 +728,6 @@ impl<W: World> Engine<W> {
         self.seq += 1;
         OrderKey {
             gen: self.now.as_nanos(),
-            gen_class: self.cur_class,
             origin: COMPAT_ORIGIN,
             ctr: self.seq,
         }
@@ -764,7 +749,6 @@ impl<W: World> Engine<W> {
         self.origin_ctrs[idx] += 1;
         OrderKey {
             gen: self.now.as_nanos(),
-            gen_class: self.cur_class,
             origin,
             ctr: self.origin_ctrs[idx],
         }
@@ -777,7 +761,7 @@ impl<W: World> Engine<W> {
     /// a hardware completion that "already happened" is observed at poll time.
     pub fn schedule(&mut self, at: SimTime, ev: W::Event) {
         let key = self.compat_key();
-        self.push(at, 0, NO_TOKEN, key, ev);
+        self.push(at, NO_TOKEN, key, ev);
     }
 
     /// Schedules a typed event `delay` after the current instant.
@@ -792,42 +776,39 @@ impl<W: World> Engine<W> {
     /// matter how the world is sharded across engines.
     pub fn schedule_from(&mut self, origin: u32, at: SimTime, ev: W::Event) {
         let key = self.origin_key(origin);
-        self.push(at, 0, NO_TOKEN, key, ev);
+        self.push(at, NO_TOKEN, key, ev);
     }
 
-    /// Schedules a typed event at `at`, ordered **after** every ordinary
-    /// event at the same instant (regardless of scheduling order). Park/wake
-    /// ticks use this so a woken main loop observes every frame delivered at
-    /// its wake instant — exactly as the pre-park polling loop did, whose
-    /// self-reschedule always carried a later sequence number than any
-    /// same-instant delivery.
-    pub fn schedule_last(&mut self, at: SimTime, ev: W::Event) {
-        let key = self.compat_key();
-        self.push(at, 1, NO_TOKEN, key, ev);
-    }
-
-    /// [`Engine::schedule_last`] with an origin-tagged key
-    /// ([`Engine::schedule_from`]); returns a cancellation handle. This is
-    /// the one cancellable schedule — wake ticks are what a world
-    /// supersedes — so only its events carry a token; every other event
-    /// skips the cancellation test altogether.
-    pub fn schedule_last_from(&mut self, origin: u32, at: SimTime, ev: W::Event) -> EventHandle {
-        let key = self.origin_key(origin);
-        let handle = self.queue.tokens.issue();
-        self.push(at, 1, handle.slot, key, ev);
-        handle
-    }
-
-    /// Schedules a typed class-0 event carrying a key built by *another*
-    /// engine — how a sharded world injects a peer shard's cross-boundary
-    /// events so the merged dispatch order matches the single-engine run.
+    /// Schedules a typed event carrying a key built by *another* engine —
+    /// how a sharded world injects a peer shard's cross-boundary events so
+    /// the merged dispatch order matches the single-engine run.
     pub fn schedule_injected(&mut self, at: SimTime, key: OrderKey, ev: W::Event) {
-        self.push(at, 0, NO_TOKEN, key, ev);
+        self.push(at, NO_TOKEN, key, ev);
+    }
+
+    /// Schedules a typed event at `at` under a key the caller chose — it
+    /// dispatches at that key's place among the events of its instant,
+    /// whatever the scheduling order — and returns a cancellation handle.
+    /// This is the one cancellable schedule (a parked loop's wake tick,
+    /// keyed as the polling iteration it stands for, is what a world
+    /// supersedes), so only its events carry a token; every other event
+    /// skips the cancellation test altogether. A key at `now` must not
+    /// sort before [`Engine::current_key`]: the order has no past.
+    pub fn schedule_cancellable(
+        &mut self,
+        at: SimTime,
+        key: OrderKey,
+        ev: W::Event,
+    ) -> EventHandle {
+        let handle = self.queue.tokens.issue();
+        self.push(at, handle.slot, key, ev);
+        handle
     }
 
     /// Builds (and consumes) the next [`OrderKey`] for `origin` without
     /// scheduling anything locally — for events this world hands to a
-    /// *peer* engine ([`Engine::schedule_injected`]). The per-origin
+    /// *peer* engine ([`Engine::schedule_injected`]) or files under an
+    /// adjusted key ([`Engine::schedule_cancellable`]). The per-origin
     /// counter advances exactly as a local [`Engine::schedule_from`] would,
     /// so an origin emitting a mix of local and cross-engine events
     /// produces the same key sequence the single-engine run assigns.
@@ -843,7 +824,7 @@ impl<W: World> Engine<W> {
     }
 
     /// Cancels a pending typed event scheduled with
-    /// [`Engine::schedule_last_from`]: the event is unlinked from the
+    /// [`Engine::schedule_cancellable`]: the event is unlinked from the
     /// calendar (lazily — its token is flagged and the event dropped when
     /// the cursor, a cascade or a peek reaches it) and will never dispatch
     /// nor count as executed; [`Engine::pending`] stops counting it at once.
@@ -866,7 +847,6 @@ impl<W: World> Engine<W> {
 
     fn dispatch(&mut self, world: &mut W, ev: Scheduled<W>) {
         self.now = ev.at;
-        self.cur_class = ev.class;
         self.cur_key = ev.key;
         self.executed += 1;
         assert!(
@@ -876,7 +856,6 @@ impl<W: World> Engine<W> {
             self.now
         );
         world.handle(ev.event, self);
-        self.cur_class = 0;
     }
 
     /// Runs events with timestamps `<= deadline`, then stops.
@@ -968,6 +947,13 @@ mod tests {
                 Tag::Forever => eng.schedule_in(SimDuration::from_nanos(1), Tag::Forever),
             }
         }
+    }
+
+    /// A cancellable schedule under `origin`'s next key, as a world that
+    /// does not adjust the key makes it.
+    fn cancellable(eng: &mut Engine<Log>, origin: u32, at: SimTime, ev: Tag) -> EventHandle {
+        let key = eng.make_key(origin);
+        eng.schedule_cancellable(at, key, ev)
     }
 
     #[test]
@@ -1190,37 +1176,37 @@ mod tests {
         assert_eq!(w.0, vec![512, 3, 2]);
     }
 
+    /// A cancellable event dispatches at its key's place among the events
+    /// of its instant — before a later-keyed one, after an earlier-keyed
+    /// one — whether it was scheduled first or last.
     #[test]
-    fn schedule_last_orders_after_same_instant_events() {
-        struct W {
-            log: Vec<&'static str>,
-        }
-        enum Ev {
-            Ordinary,
-            Late,
-        }
-        impl World for W {
-            type Event = Ev;
-            fn handle(&mut self, ev: Ev, _: &mut Engine<Self>) {
-                self.log.push(match ev {
-                    Ev::Ordinary => "ordinary",
-                    Ev::Late => "late",
-                });
-            }
-        }
-        let mut eng = Engine::new();
-        let mut w = W { log: Vec::new() };
+    fn a_cancellable_event_dispatches_at_its_keys_place() {
         let t = SimTime::from_nanos(500);
-        // The late event is scheduled FIRST (lowest seq) yet runs last.
-        eng.schedule_last(t, Ev::Late);
-        eng.schedule(t, Ev::Ordinary);
-        eng.schedule(t, Ev::Ordinary);
-        eng.run(&mut w);
-        assert_eq!(w.log, vec!["ordinary", "ordinary", "late"]);
+        let key = |gen, origin| OrderKey {
+            gen,
+            origin,
+            ctr: 1,
+        };
+        for keyed_first in [true, false] {
+            let mut eng: Engine<Log> = Engine::new();
+            let mut w = Log(Vec::new());
+            if keyed_first {
+                eng.schedule_cancellable(t, key(40, 2), Tag::Mark(2));
+            }
+            eng.schedule_injected(t, key(40, 3), Tag::Mark(3));
+            eng.schedule_injected(t, key(39, 9), Tag::Mark(1));
+            // Plain schedules carry `gen = now = 0` here.
+            eng.schedule(t, Tag::Mark(0));
+            if !keyed_first {
+                eng.schedule_cancellable(t, key(40, 2), Tag::Mark(2));
+            }
+            eng.run(&mut w);
+            assert_eq!(w.0, vec![0, 1, 2, 3], "keyed first: {keyed_first}");
+        }
     }
 
-    /// Same-instant origin-keyed events order by (gen, gen_class, origin,
-    /// ctr) — not by scheduling order.
+    /// Same-instant origin-keyed events order by (gen, origin, ctr) — not by
+    /// scheduling order.
     #[test]
     fn origin_keys_order_same_instant_ties_invariantly() {
         let t = SimTime::from_nanos(100);
@@ -1248,7 +1234,6 @@ mod tests {
             t,
             OrderKey {
                 gen: 0,
-                gen_class: 0,
                 origin: 3,
                 ctr: 1,
             },
@@ -1265,9 +1250,9 @@ mod tests {
     fn cancelled_events_never_dispatch() {
         let mut eng: Engine<Log> = Engine::new();
         let mut w = Log(Vec::new());
-        let near = eng.schedule_last_from(1, SimTime::from_nanos(50), Tag::Mark(1));
-        let mid = eng.schedule_last_from(1, SimTime::from_millis(10), Tag::Mark(2));
-        let far = eng.schedule_last_from(1, SimTime::from_nanos(2 * ROTATION), Tag::Mark(4));
+        let near = cancellable(&mut eng, 1, SimTime::from_nanos(50), Tag::Mark(1));
+        let mid = cancellable(&mut eng, 1, SimTime::from_millis(10), Tag::Mark(2));
+        let far = cancellable(&mut eng, 1, SimTime::from_nanos(2 * ROTATION), Tag::Mark(4));
         assert_eq!((eng.queue.wheel_len, eng.queue.heap.len()), (2, 1));
         eng.schedule_from(1, SimTime::from_nanos(60), Tag::Mark(3));
         assert_eq!(eng.pending(), 4);
@@ -1293,15 +1278,15 @@ mod tests {
     fn stale_and_repeated_cancels_are_no_ops() {
         let mut eng: Engine<Log> = Engine::new();
         let mut w = Log(Vec::new());
-        let h = eng.schedule_last_from(1, SimTime::from_nanos(10), Tag::Mark(1));
+        let h = cancellable(&mut eng, 1, SimTime::from_nanos(10), Tag::Mark(1));
         eng.cancel(h);
         eng.cancel(h);
         assert_eq!(eng.pending(), 0, "the second cancel does not count again");
-        let ran = eng.schedule_last_from(1, SimTime::from_nanos(20), Tag::Mark(2));
+        let ran = cancellable(&mut eng, 1, SimTime::from_nanos(20), Tag::Mark(2));
         eng.run(&mut w);
         assert_eq!(w.0, vec![2]);
         // Both slots are free again; the next event reuses one of them.
-        let live = eng.schedule_last_from(1, SimTime::from_nanos(30), Tag::Mark(3));
+        let live = cancellable(&mut eng, 1, SimTime::from_nanos(30), Tag::Mark(3));
         assert_eq!(eng.queue.tokens.slots.len(), 2);
         eng.cancel(h);
         eng.cancel(ran);
@@ -1326,10 +1311,15 @@ mod tests {
         for round in 0..10_000u32 {
             // On the fine level on even rounds, on the coarse on odd ones.
             let out = if round % 2 == 0 { 100_000 } else { 2 * BLOCK };
-            let deadline =
-                eng.schedule_last_from(7, eng.now() + SimDuration::from_nanos(out), Tag::Mark(0));
+            let now = eng.now();
+            let deadline = cancellable(
+                &mut eng,
+                7,
+                now + SimDuration::from_nanos(out),
+                Tag::Mark(0),
+            );
             eng.cancel(deadline);
-            eng.schedule_last_from(7, eng.now() + tick, Tag::Mark(1));
+            cancellable(&mut eng, 7, now + tick, Tag::Mark(1));
             assert_eq!(eng.pending(), 1);
             assert!(eng.step(&mut w));
         }
@@ -1350,12 +1340,12 @@ mod tests {
     fn next_event_at_sees_through_cancellations() {
         let mut eng: Engine<Log> = Engine::new();
         assert_eq!(eng.next_event_at(), None);
-        let h = eng.schedule_last_from(1, SimTime::from_nanos(40), Tag::Mark(1));
+        let h = cancellable(&mut eng, 1, SimTime::from_nanos(40), Tag::Mark(1));
         eng.schedule_from(1, SimTime::from_micros(700), Tag::Mark(2)); // coarse level
         assert_eq!(eng.next_event_at(), Some(SimTime::from_nanos(40)));
         eng.cancel(h);
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(700)));
-        let h2 = eng.schedule_last_from(2, SimTime::from_micros(600), Tag::Mark(3));
+        let h2 = cancellable(&mut eng, 2, SimTime::from_micros(600), Tag::Mark(3));
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(600)));
         eng.cancel(h2);
         assert_eq!(eng.next_event_at(), Some(SimTime::from_micros(700)));
@@ -1363,7 +1353,7 @@ mod tests {
         eng.run(&mut w);
         assert_eq!(w.0, vec![2]);
         // Only the heap left: a cancelled head is seen through as well.
-        let h3 = eng.schedule_last_from(2, SimTime::from_secs(1), Tag::Mark(4));
+        let h3 = cancellable(&mut eng, 2, SimTime::from_secs(1), Tag::Mark(4));
         eng.schedule_from(1, SimTime::from_secs(2), Tag::Mark(5));
         assert_eq!(eng.next_event_at(), Some(SimTime::from_secs(1)));
         eng.cancel(h3);

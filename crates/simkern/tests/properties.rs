@@ -24,9 +24,11 @@ const GRAN: u64 = 1 << 10;
 const BLOCK: u64 = 512 * GRAN;
 const COARSE: u64 = 512 * BLOCK;
 
-/// The origin handler-time `schedule_from` children carry, and the first of
-/// the four origins the foreign (`schedule_injected`) keys use.
+/// The origin handler-time `schedule_from` children carry, the one their
+/// cancellable children are keyed under, and the first of the four origins
+/// the foreign keys use.
 const CHILD_ORIGIN: u32 = 3;
+const KEYED_CHILD_ORIGIN: u32 = 4;
 const FOREIGN_ORIGIN: u32 = 100;
 
 /// An oracle event: its id (assigned in schedule order on both sides) and
@@ -37,10 +39,11 @@ struct Ev {
 }
 
 /// What an event carrying `kids` schedules when it dispatches at `now`, as
-/// `(kind, at)` with kind 0 = `schedule`, 1 = `schedule_last`,
-/// 2 = `schedule_from(CHILD_ORIGIN)`: into the cursor slot at the current
-/// instant, after every ordinary event of that instant, a little later
-/// (same or next slot), and three blocks out on the coarse level.
+/// `(kind, at)` with kind 0 = `schedule`, 1 = `schedule_cancellable` under
+/// [`keyed_child`], 2 = `schedule_from(CHILD_ORIGIN)`: into the cursor slot
+/// at the current instant, there again under a key that sorts before
+/// everything the slot still holds, a little later (same or next slot), and
+/// three blocks out on the coarse level.
 fn kids_of(kids: u8, now: u64) -> impl Iterator<Item = (u8, u64)> {
     [
         (0, now),
@@ -54,16 +57,32 @@ fn kids_of(kids: u8, now: u64) -> impl Iterator<Item = (u8, u64)> {
     .map(|(_, kid)| kid)
 }
 
+/// The key of a handler-time cancellable child: the `n`-th, scheduled at
+/// `now` as if from one fine slot earlier — ahead of the running event's
+/// own key and of every entry left in the ordered cursor slot.
+fn keyed_child(now: u64, n: u64) -> OrderKey {
+    OrderKey {
+        gen: now.saturating_sub(GRAN),
+        origin: KEYED_CHILD_ORIGIN,
+        ctr: n,
+    }
+}
+
 /// The engine side of the oracle.
 struct Sut {
     dispatched: Vec<u32>,
     next_id: u32,
+    /// Every cancellation handle ever issued, in issue order — kept for
+    /// good, so a script cancels some twice, some after their event
+    /// dispatched, some after `clear` recycled their slot.
+    handles: Vec<EventHandle>,
 }
 impl World for Sut {
     type Event = Ev;
     fn handle(&mut self, ev: Ev, eng: &mut Engine<Self>) {
         self.dispatched.push(ev.id);
-        for (kind, at) in kids_of(ev.kids, eng.now().as_nanos()) {
+        let now = eng.now().as_nanos();
+        for (kind, at) in kids_of(ev.kids, now) {
             let child = Ev {
                 id: self.next_id,
                 kids: 0,
@@ -72,7 +91,10 @@ impl World for Sut {
             let at = SimTime::from_nanos(at);
             match kind {
                 0 => eng.schedule(at, child),
-                1 => eng.schedule_last(at, child),
+                1 => {
+                    let key = keyed_child(now, self.handles.len() as u64);
+                    self.handles.push(eng.schedule_cancellable(at, key, child));
+                }
                 _ => eng.schedule_from(CHILD_ORIGIN, at, child),
             }
         }
@@ -80,20 +102,21 @@ impl World for Sut {
 }
 
 /// The specification: a `BTreeMap` ordered by the dispatch order itself,
-/// `(at, class, OrderKey)`, with the engine's documented key rules — plain
+/// `(at, OrderKey)`, with the engine's documented key rules — plain
 /// schedules draw the global sequence number, origin-tagged ones their
-/// origin's counter, both stamped with the scheduling instant and the class
-/// of the event then dispatching.
+/// origin's counter, both stamped with the scheduling instant; a
+/// cancellable or injected event sits wherever the key it was given says.
 #[derive(Default)]
 struct Model {
     now: u64,
     executed: u64,
     seq: u64,
     origin_ctrs: BTreeMap<u32, u64>,
-    cur_class: u8,
-    queue: BTreeMap<(u64, u8, OrderKey), Ev>,
+    queue: BTreeMap<(u64, OrderKey), Ev>,
     dispatched: Vec<u32>,
     next_id: u32,
+    /// The position each of [`Sut::handles`] names, in the same order.
+    cancellable: Vec<(u64, OrderKey)>,
 }
 
 impl Model {
@@ -101,7 +124,6 @@ impl Model {
         self.seq += 1;
         OrderKey {
             gen: self.now,
-            gen_class: self.cur_class,
             origin: u32::MAX,
             ctr: self.seq,
         }
@@ -112,7 +134,6 @@ impl Model {
         *ctr += 1;
         OrderKey {
             gen: self.now,
-            gen_class: self.cur_class,
             origin,
             ctr: *ctr,
         }
@@ -120,8 +141,8 @@ impl Model {
 
     /// Queues an event (clamped to `now`, like the engine) and returns the
     /// position a later cancel removes.
-    fn insert(&mut self, at: u64, class: u8, key: OrderKey, kids: u8) -> (u64, u8, OrderKey) {
-        let pos = (at.max(self.now), class, key);
+    fn insert(&mut self, at: u64, key: OrderKey, kids: u8) -> (u64, OrderKey) {
+        let pos = (at.max(self.now), key);
         let id = self.next_id;
         self.next_id += 1;
         let clash = self.queue.insert(pos, Ev { id, kids });
@@ -130,21 +151,29 @@ impl Model {
     }
 
     fn step(&mut self) -> bool {
-        let Some(((at, class, _), ev)) = self.queue.pop_first() else {
+        let Some(((at, _), ev)) = self.queue.pop_first() else {
             return false;
         };
         self.now = at;
         self.executed += 1;
-        self.cur_class = class;
         self.dispatched.push(ev.id);
-        for (kind, at) in kids_of(ev.kids, at) {
-            let key = match kind {
-                0 | 1 => self.compat_key(),
-                _ => self.origin_key(CHILD_ORIGIN),
-            };
-            self.insert(at, u8::from(kind == 1), key, 0);
+        for (kind, at) in kids_of(ev.kids, self.now) {
+            match kind {
+                0 => {
+                    let key = self.compat_key();
+                    self.insert(at, key, 0);
+                }
+                1 => {
+                    let key = keyed_child(self.now, self.cancellable.len() as u64);
+                    let pos = self.insert(at, key, 0);
+                    self.cancellable.push(pos);
+                }
+                _ => {
+                    let key = self.origin_key(CHILD_ORIGIN);
+                    self.insert(at, key, 0);
+                }
+            }
         }
-        self.cur_class = 0;
         true
     }
 
@@ -152,7 +181,7 @@ impl Model {
         while self
             .queue
             .first_key_value()
-            .is_some_and(|(&(at, ..), _)| at <= deadline)
+            .is_some_and(|(&(at, _), _)| at <= deadline)
         {
             self.step();
         }
@@ -161,7 +190,7 @@ impl Model {
     fn next_event_at(&self) -> Option<SimTime> {
         self.queue
             .first_key_value()
-            .map(|(&(at, ..), _)| SimTime::from_nanos(at))
+            .map(|(&(at, _), _)| SimTime::from_nanos(at))
     }
 }
 
@@ -170,10 +199,6 @@ struct CalendarOracle {
     eng: Engine<Sut>,
     sut: Sut,
     model: Model,
-    /// Every cancellation handle ever issued, with the model position it
-    /// names — kept for good, so a script cancels some twice, some after
-    /// their event dispatched, some after `clear` recycled their slot.
-    handles: Vec<(EventHandle, (u64, u8, OrderKey))>,
     foreign_ctr: u64,
 }
 
@@ -184,9 +209,9 @@ impl CalendarOracle {
             sut: Sut {
                 dispatched: Vec::new(),
                 next_id: 0,
+                handles: Vec::new(),
             },
             model: Model::default(),
-            handles: Vec::new(),
             foreign_ctr: 0,
         }
     }
@@ -217,6 +242,21 @@ impl CalendarOracle {
         }
     }
 
+    /// A key some other engine built: everything but the `(origin, ctr)`
+    /// pair may equal a local key's components, and `gen` may lie before
+    /// `now` — by more than a fine slot when bit 7 of `jitter` is set, so
+    /// before every entry an ordered cursor slot holds.
+    fn foreign_key(&mut self, jitter: u8) -> OrderKey {
+        self.foreign_ctr += 1;
+        let now = self.model.now;
+        let gen = [0, now, now.saturating_sub(5)][usize::from(jitter % 3)];
+        OrderKey {
+            gen: gen.saturating_sub(u64::from(jitter >> 7) * 2 * GRAN),
+            origin: FOREIGN_ORIGIN + u32::from(jitter % 4),
+            ctr: self.foreign_ctr,
+        }
+    }
+
     fn schedule(&mut self, how: u8, at: u64, kids: u8, jitter: u8) {
         let ev = Ev {
             id: self.sut.next_id,
@@ -228,39 +268,45 @@ impl CalendarOracle {
             0 => {
                 self.eng.schedule(t, ev);
                 let key = self.model.compat_key();
-                self.model.insert(at, 0, key, kids);
+                self.model.insert(at, key, kids);
             }
             1 => {
                 let origin = u32::from(jitter % 3);
                 self.eng.schedule_from(origin, t, ev);
                 let key = self.model.origin_key(origin);
-                self.model.insert(at, 0, key, kids);
+                self.model.insert(at, key, kids);
             }
             2 => {
-                self.eng.schedule_last(t, ev);
-                let key = self.model.compat_key();
-                self.model.insert(at, 1, key, kids);
-            }
-            3 => {
+                // The wake's idiom: the origin's next key, re-stamped with
+                // the instant some earlier event would have scheduled it.
                 let origin = u32::from(jitter % 3);
-                let handle = self.eng.schedule_last_from(origin, t, ev);
-                let key = self.model.origin_key(origin);
-                let pos = self.model.insert(at, 1, key, kids);
-                self.handles.push((handle, pos));
-            }
-            _ => {
-                // A key some other engine built: everything but the
-                // (origin, ctr) pair may equal a local key's components.
-                self.foreign_ctr += 1;
+                let gen = at.saturating_sub(u64::from(jitter) * 16);
                 let key = OrderKey {
-                    gen: [0, self.model.now, self.model.now.saturating_sub(5)]
-                        [usize::from(jitter % 3)],
-                    gen_class: jitter >> 7,
-                    origin: FOREIGN_ORIGIN + u32::from(jitter % 4),
-                    ctr: self.foreign_ctr,
+                    gen,
+                    ..self.eng.make_key(origin)
                 };
-                self.eng.schedule_injected(t, key, ev);
-                self.model.insert(at, 0, key, kids);
+                self.sut
+                    .handles
+                    .push(self.eng.schedule_cancellable(t, key, ev));
+                let spec = OrderKey {
+                    gen,
+                    ..self.model.origin_key(origin)
+                };
+                assert_eq!(key, spec, "make_key draws the origin's counter");
+                let pos = self.model.insert(at, spec, kids);
+                self.model.cancellable.push(pos);
+            }
+            how => {
+                let key = self.foreign_key(jitter);
+                let pos = self.model.insert(at, key, kids);
+                if how == 3 {
+                    self.sut
+                        .handles
+                        .push(self.eng.schedule_cancellable(t, key, ev));
+                    self.model.cancellable.push(pos);
+                } else {
+                    self.eng.schedule_injected(t, key, ev);
+                }
             }
         }
     }
@@ -273,10 +319,10 @@ impl CalendarOracle {
                 let kids = if op & 0x80 != 0 { a >> 4 } else { 0 };
                 self.schedule(a, self.instant(b, c), kids, c);
             }
-            8 | 9 if !self.handles.is_empty() => {
-                let (handle, pos) = self.handles[usize::from(a) % self.handles.len()];
-                self.eng.cancel(handle);
-                self.model.queue.remove(&pos);
+            8 | 9 if !self.sut.handles.is_empty() => {
+                let i = usize::from(a) % self.sut.handles.len();
+                self.eng.cancel(self.sut.handles[i]);
+                self.model.queue.remove(&self.model.cancellable[i]);
             }
             12 => {
                 let deadline = self.instant(b, c);
@@ -317,6 +363,11 @@ impl CalendarOracle {
         prop_assert_eq!(self.eng.now().as_nanos(), self.model.now, "now()");
         prop_assert_eq!(self.eng.executed(), self.model.executed, "executed()");
         prop_assert_eq!(self.eng.pending(), self.model.queue.len(), "pending()");
+        prop_assert_eq!(
+            self.sut.handles.len(),
+            self.model.cancellable.len(),
+            "cancellable events issued"
+        );
         if peek {
             prop_assert_eq!(
                 self.eng.next_event_at(),
@@ -329,10 +380,12 @@ impl CalendarOracle {
 }
 
 proptest! {
-    /// **The calendar is a `BTreeMap` over `(at, class, OrderKey)`.** Every
-    /// way of scheduling (plain, origin-tagged, `_last`, cancellable,
-    /// injected with a foreign key), at instants aimed at every band
-    /// boundary, from outside and from inside handlers, with cancels that
+    /// **The calendar is a `BTreeMap` over `(at, OrderKey)`.** Every way of
+    /// scheduling (plain, origin-tagged, cancellable under a re-stamped
+    /// local key or a foreign one, injected with a foreign key — the given
+    /// keys reaching back before `now` and before what the ordered cursor
+    /// slot holds), at instants aimed at every band boundary, from outside
+    /// and from inside handlers, with cancels that
     /// come early, late and twice, interleaved with `step`, `run_until`,
     /// `run_window`, `next_event_at` and `clear`: after every single
     /// operation the engine has dispatched the same ids in the same order
