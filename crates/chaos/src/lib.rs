@@ -242,11 +242,6 @@ impl ChaosApp {
         self.finished
     }
 
-    /// `true` when a round should fire at (or before) `now`.
-    pub fn due(&self, now: SimTime) -> bool {
-        self.next_deadline(now).is_some_and(|d| d <= now)
-    }
-
     /// The instant the engine must wake this app, if any.
     pub fn next_deadline(&self, _now: SimTime) -> Option<SimTime> {
         if self.finished {
@@ -402,12 +397,11 @@ mod tests {
         );
         let mut stack = test_stack(Ipv4Addr::new(10, 0, 0, 4));
         // Unanchored app is due immediately; the first step only anchors.
-        assert!(app.due(SimTime::ZERO));
+        assert_eq!(app.next_deadline(SimTime::ZERO), Some(SimTime::ZERO));
         app.step(&mut stack, SimTime::ZERO);
         assert_eq!(app.report().rounds, 0);
         let start = SimTime::ZERO + SimDuration::from_millis(1);
-        assert!(!app.due(start - SimDuration::from_nanos(1)));
-        assert!(app.due(start));
+        assert_eq!(app.next_deadline(SimTime::ZERO), Some(start));
         // Stepping past two periods runs the catch-up rounds in one call.
         let out = app.step(&mut stack, start + SimDuration::from_micros(50));
         assert!(out.progressed);

@@ -36,25 +36,21 @@ pub(crate) trait App {
     /// loop neither charges its calls nor treats the turn as progress.
     fn step(&mut self, stack: &mut FStack, mem: &mut TaggedMemory, now: SimTime) -> (u64, bool);
 
-    /// `true` when a step at `now` would act without any new stack event.
-    /// With the stack's dirty-fd set this is the loop's complete "can a
-    /// step progress?" test on a gated host; purely input-driven apps keep
-    /// the default.
-    fn due(&self, _now: SimTime) -> bool {
-        false
-    }
-
-    /// The next instant the app acts on its own clock, which must wake a
-    /// parked node; `None` when everything left is input-driven.
+    /// The next instant the app acts on its own clock; `None` when
+    /// everything left is input-driven (the default). Exact: at or before
+    /// `now` precisely when a step at `now` would act without a new stack
+    /// event — with the stack's dirty-fd set, a gated host's complete "can
+    /// a step progress?" test — and otherwise the instant that must wake a
+    /// parked node.
     fn next_deadline(&self, _now: SimTime) -> Option<SimTime> {
         None
     }
 
     /// `true` when the app keeps a clock of its own — exactly when it
-    /// overrides [`App::due`] or [`App::next_deadline`]. A property of the
-    /// type, not of the moment: a gated host lists its clocked apps once
-    /// and asks only those `due` (every turn) and `next_deadline` (every
-    /// park), so an override behind a `false` here would never be heard.
+    /// overrides [`App::next_deadline`]. A property of the type, not of the
+    /// moment: a gated host lists its clocked apps once and asks only those
+    /// (every turn and every park), so an override behind a `false` here
+    /// would never be heard.
     fn has_clock(&self) -> bool {
         false
     }
@@ -101,10 +97,6 @@ impl App for ClientApp {
             .map_or((0, false), |o| (u64::from(o.ff_calls), o.progressed))
     }
 
-    fn due(&self, now: SimTime) -> bool {
-        ClientApp::due(self, now)
-    }
-
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
         ClientApp::next_deadline(self, now)
     }
@@ -129,11 +121,7 @@ impl App for HttpServerApp {
     }
 
     /// Lets the idle reaper fire on a gated host with no stack events
-    /// pending (false whenever the knob is off).
-    fn due(&self, now: SimTime) -> bool {
-        HttpServerApp::due(self, now)
-    }
-
+    /// pending (`None` whenever the knob is off).
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
         HttpServerApp::next_deadline(self, now)
     }
@@ -151,10 +139,6 @@ impl App for FleetApp {
     fn step(&mut self, stack: &mut FStack, mem: &mut TaggedMemory, now: SimTime) -> (u64, bool) {
         FleetApp::step(self, stack, mem, now)
             .map_or((0, false), |o| (u64::from(o.ff_calls), o.progressed))
-    }
-
-    fn due(&self, now: SimTime) -> bool {
-        FleetApp::due(self, now)
     }
 
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
@@ -177,10 +161,6 @@ impl App for ChaosApp {
     fn step(&mut self, stack: &mut FStack, _mem: &mut TaggedMemory, now: SimTime) -> (u64, bool) {
         let o = ChaosApp::step(self, stack, now);
         (u64::from(o.ff_calls), o.progressed)
-    }
-
-    fn due(&self, now: SimTime) -> bool {
-        ChaosApp::due(self, now)
     }
 
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {

@@ -173,7 +173,7 @@ pub(super) struct Node {
     ready: Vec<u32>,
     /// The live slots whose app keeps a clock of its own
     /// ([`App::has_clock`]), ascending. A gated host asks these — and no
-    /// other slot — `due` on every turn and `next_deadline` on every park.
+    /// other slot — for [`App::next_deadline`] on every turn and every park.
     clocked: Vec<u32>,
     /// The slots the app turn examines, ascending. A gated host rebuilds
     /// it every turn as `ready ∪ clocked`; a charged host steps every slot
@@ -203,10 +203,15 @@ pub(super) struct Node {
     /// lattice, so a woken loop observes the world at exactly the instants
     /// the unconditional polling loop would have.
     anchor: SimTime,
-    /// While parked: the lattice step in nanoseconds — what the idle
-    /// iteration that parked took (`next − now`), which is what every
-    /// iteration until the wake would have taken too.
+    /// While parked: the lattice step in nanoseconds — what an idle
+    /// iteration of this host takes, which is what every iteration until
+    /// the wake would have taken: `mainloop_idle_ns` on a gated host, the
+    /// idle iteration's own `next − now` on a charged one.
     period: u64,
+    /// While parked: the instant the iteration that parked ran — the one
+    /// that would have scheduled the polling loop's iteration at `anchor`
+    /// ([`Node::tick_gen`]).
+    parked_at: SimTime,
     /// `true` between a [`Fault::NodeCrash`] and its restart: the poll
     /// loop is dead, the stack is an empty husk, and arriving frames are
     /// discarded at the NIC.
@@ -244,6 +249,7 @@ impl Node {
             wake: None,
             anchor: SimTime::ZERO,
             period: 1,
+            parked_at: SimTime::ZERO,
             crashed: false,
         }
     }
@@ -372,6 +378,19 @@ impl Node {
         }
         self.resolve_routing();
     }
+
+    /// The `gen` of the polling loop's iteration at tick `t` of this park's
+    /// lattice: the instant the iteration before it ran, which scheduled
+    /// it. That is the turn that parked for the first tick, and one period
+    /// earlier for every later one — the two differ after a productive
+    /// turn, which lasts longer than the idle ones that follow it.
+    fn tick_gen(&self, t: SimTime) -> u64 {
+        if t == self.anchor {
+            self.parked_at.as_nanos()
+        } else {
+            t.as_nanos() - self.period
+        }
+    }
 }
 
 #[cfg(test)]
@@ -438,7 +457,7 @@ impl NetSim {
         let mut progressed = false;
         // Route the stack's changed fds to their owning apps. On a gated
         // (ideal) host only runnable apps step: an app with no changed fd
-        // and no due deadline would repeat its previous no-op step, so
+        // and no due clock would repeat its previous no-op step, so
         // skipping it is behaviourally invisible — the hub of an N-client
         // star examines O(frames received) server apps per poll instead of
         // all N. Charged hosts (per-call isolation, the S2 service loop)
@@ -471,8 +490,8 @@ impl NetSim {
             }
             // This turn's slots: the runnable ones and the clocked ones,
             // in slot (= step) order. Every other slot would fail the
-            // `runnable || due` test below — its `due` is the trait's
-            // constant `false` — so leaving it unvisited changes nothing,
+            // runnable-or-due test below — its clock is the trait's
+            // constant `None` — so leaving it unvisited changes nothing,
             // and the turn costs what is runnable, not what is installed.
             visit.clear();
             visit.append(ready);
@@ -493,9 +512,9 @@ impl NetSim {
             if !sched.allows(slot.ordinal, turn) && app.sched_gated() {
                 continue;
             }
-            // `due` lets an app's own clock fire on a gated host with no
-            // stack event pending.
-            if gated && !slot.runnable && !app.due(now) {
+            // An app's own clock fires it on a gated host with no stack
+            // event pending; a gated slot with neither is skipped.
+            if gated && !slot.runnable && app.next_deadline(now).is_none_or(|d| d > now) {
                 continue;
             }
             slot.runnable = false;
@@ -558,12 +577,23 @@ impl NetSim {
         // the service mutex (a loop rebooted inside its crashed
         // predecessor's last hold) took longer than the idle turns after
         // it will: it reschedules, and the next one parks.
+        //
+        // A gated host need not run that idle turn to know it. If this turn
+        // left the stack quiet and no app runnable, the turn at `next` could
+        // only read a frame that is a deadline (the RX head) or a delivery,
+        // step an app whose clock fired and send what a due timer owes —
+        // deadlines all; without them it is idle, lasts `mainloop_idle_ns`
+        // (no frames, no charged calls) and parks. So this turn parks on the
+        // lattice from `next`, and a deadline at or before `next` puts the
+        // wake on `next` itself. A charged host's idle period is set by the
+        // `ff_*` calls of its idle turn, which only running that turn tells.
         let idle = rx == 0 && n_tx == 0 && !progressed;
         if idle {
             self.counters.idle_polls += 1;
         }
         let node = &mut self.nodes[i];
-        let parkable = idle && !node.polls && !waited;
+        let quiet = idle || (node.gated && node.ready.is_empty() && node.stack.is_quiet());
+        let parkable = quiet && !node.polls && !waited;
         #[cfg(test)]
         let parkable = parkable && !POLLED_REFERENCE.with(std::cell::Cell::get);
         if parkable {
@@ -580,8 +610,14 @@ impl NetSim {
                 deadline = Some(deadline.map_or(d, |m| m.min(d)));
             }
             node.parked = true;
+            node.parked_at = now;
             node.anchor = next;
-            node.period = (next - now).as_nanos().max(1);
+            node.period = if node.gated {
+                self.costs.mainloop_idle_ns
+            } else {
+                (next - now).as_nanos()
+            }
+            .max(1);
             self.counters.parks += 1;
             debug_assert!(node.wake.is_none(), "parking with a wake still scheduled");
             if let Some(d) = deadline {
@@ -602,9 +638,9 @@ impl NetSim {
     /// cancelling in place the wake it supersedes — which is what keeps
     /// `stale_wakes` at zero. The wake carries the key the polling loop's
     /// iteration at that tick would have carried — scheduled by this node
-    /// one period earlier — so it runs exactly where that iteration would
-    /// among the deliveries of its instant, and what it schedules is keyed
-    /// as that iteration's would be.
+    /// at [`Node::tick_gen`] — so it runs exactly where that iteration
+    /// would among the deliveries of its instant, and what it schedules is
+    /// keyed as that iteration's would be.
     fn schedule_wake(
         &mut self,
         i: usize,
@@ -619,7 +655,7 @@ impl NetSim {
         node.epoch += 1;
         let epoch = node.epoch;
         let mut key = engine.make_key(Self::node_origin(i));
-        key.gen = at.as_nanos() - node.period;
+        key.gen = node.tick_gen(at);
         let handle = engine.schedule_cancellable(at, key, NetEvent::Wake { node: i, epoch });
         node.wake = Some(PendingWake {
             handle,
@@ -691,7 +727,7 @@ impl NetSim {
         let mut tick = Self::lattice_tick(node.anchor, readable, node.period);
         if tick == now {
             // Readable at the very tick it arrives on. This tick's wake
-            // would carry `(now − period, this node)` (`schedule_wake`); if
+            // would carry `(tick_gen(now), this node)` (`schedule_wake`); if
             // that sorts before the delivery now running, the polling
             // loop's iteration here has already run without the frame
             // (DESIGN.md, *Same-instant order*) and the frame waits for the
@@ -699,7 +735,7 @@ impl NetSim {
             // wake from being filed at `now` ahead of the running event:
             // the order has no past.
             let key = engine.current_key();
-            let polled = (now.as_nanos() - node.period, Self::node_origin(ni));
+            let polled = (node.tick_gen(now), Self::node_origin(ni));
             if (key.gen, key.origin) > polled {
                 tick += SimDuration::from_nanos(node.period);
             }
@@ -801,13 +837,16 @@ mod tests {
         assert!(sim.nodes[hub].apps.iter().all(|s| !s.runnable));
     }
 
-    /// The hub of [`hub_with_five_apps`] as a charged host on a host NIC,
-    /// booted and left to go quiet — parked, or polling on under
-    /// [`POLLED_REFERENCE`] — then handed one frame per `(at, gen)` of
-    /// `deliveries`: delivered at `at` by the switch, from an event that ran
-    /// at `gen`. Returns the instant the hub's stack takes each frame in,
-    /// and the lattice `(anchor, period)` the quiet hub parked on.
+    /// The hub of [`hub_with_five_apps`] on a host NIC, made a charged host
+    /// if `charged` (it is built gated), booted and left to go quiet
+    /// (parked, or polling on under [`POLLED_REFERENCE`]), then handed one
+    /// frame per `(at, gen)` of `deliveries`: delivered at `at` by the
+    /// switch, from an event that ran at `gen`. No frame is for the hub, so
+    /// reading one is all a turn does with it. Returns the instant the
+    /// hub's stack takes each frame in, and the lattice `(anchor, period)`
+    /// the hub is parked on once it has read the last one.
     fn frames_read_at(
+        charged: bool,
         polled: bool,
         deliveries: &[(SimTime, u64)],
     ) -> (Vec<SimTime>, (SimTime, u64)) {
@@ -816,8 +855,10 @@ mod tests {
 
         POLLED_REFERENCE.with(|f| f.set(polled));
         let (mut sim, hub) = hub_with_five_apps();
-        sim.nodes[hub].profile.per_ff_call_ns = 400;
-        sim.resolve_caches();
+        if charged {
+            sim.nodes[hub].profile.per_ff_call_ns = 400;
+            sim.resolve_caches();
+        }
         let mut engine = Engine::new();
         let boot = SimTime::from_nanos(97);
         let ev = NetEvent::LoopIter {
@@ -828,7 +869,6 @@ mod tests {
         engine.run_until(&mut sim, SimTime::from_micros(50));
         let node = &sim.nodes[hub];
         assert_eq!(node.parked, !polled);
-        let lattice = (node.anchor, node.period);
         for (n, &(at, gen)) in deliveries.iter().enumerate() {
             let key = OrderKey {
                 gen,
@@ -851,12 +891,13 @@ mod tests {
             read.resize(taken, engine.now());
         }
         POLLED_REFERENCE.with(|f| f.set(false));
-        (read, lattice)
+        let node = &sim.nodes[hub];
+        (read, (node.anchor, node.period))
     }
 
-    /// The quiet hub's lattice and a tick of it well after the boot.
+    /// The quiet charged hub's lattice and a tick of it well after the boot.
     fn a_quiet_tick() -> (SimTime, u64) {
-        let (_, (anchor, period)) = frames_read_at(false, &[]);
+        let (_, (anchor, period)) = frames_read_at(true, false, &[]);
         assert!(
             period > 1_672,
             "the hazard needs an idle period longer than a minimum frame's flight, got {period} ns"
@@ -890,8 +931,8 @@ mod tests {
             ("just before the tick: no tie", tick - ns(1), t - 2, tick),
         ];
         for (what, at, gen, expect) in cases {
-            let (polled, _) = frames_read_at(true, &[(at, gen)]);
-            let (parked, _) = frames_read_at(false, &[(at, gen)]);
+            let (polled, _) = frames_read_at(true, true, &[(at, gen)]);
+            let (parked, _) = frames_read_at(true, false, &[(at, gen)]);
             assert_eq!(polled, [expect], "{what}: the polling loop");
             assert_eq!(parked, polled, "{what}: the parked loop");
         }
@@ -909,11 +950,75 @@ mod tests {
         let t = tick.as_nanos();
         let early = tick - SimDuration::from_nanos(period / 2);
         let frames = [(early, early.as_nanos() - 1), (tick, t - period + 1)];
-        let (polled, _) = frames_read_at(true, &frames);
-        let (parked, _) = frames_read_at(false, &frames);
+        let (polled, _) = frames_read_at(true, true, &frames);
+        let (parked, _) = frames_read_at(true, false, &frames);
         assert_eq!(polled[0], tick, "the polling loop reads the first frame");
         assert!(polled[1] > tick, "and the second an iteration later");
         assert_eq!(parked, polled, "the parked loop");
+    }
+
+    /// The first tick after a productive park. A gated hub that reads a
+    /// frame parks at the end of that turn, which outlasts an idle one: its
+    /// lattice starts at `anchor`, where the turn ends, and the polling
+    /// loop's iteration there was scheduled by the turn that parked — not
+    /// one idle period before `anchor`, as on every later tick. A frame
+    /// delivered on `anchor` by an event that ran between those two
+    /// instants sorts after that iteration, so both loops read it a tick
+    /// later; a wake keyed `anchor − period` would read it at once.
+    #[test]
+    fn the_first_tick_after_a_productive_park_is_keyed_by_the_turn_that_parked() {
+        let first_at = SimTime::from_nanos(60_001);
+        let first = (first_at, first_at.as_nanos() - 1_672);
+        let (read, (anchor, period)) = frames_read_at(false, false, &[first]);
+        let parked_at = read[0].as_nanos();
+        assert_eq!(period, CostModel::morello().mainloop_idle_ns);
+        let polled_gen = anchor.as_nanos() - period;
+        assert!(
+            polled_gen > parked_at + 1,
+            "the reading turn outlasts an idle one"
+        );
+        let late = (anchor, parked_at + 1);
+        let (polled, _) = frames_read_at(false, true, &[first, late]);
+        let (parked, _) = frames_read_at(false, false, &[first, late]);
+        let p = SimDuration::from_nanos(period);
+        assert_eq!(polled, [read[0], anchor + p], "the polling loop");
+        assert_eq!(parked, polled, "the parked loop");
+    }
+
+    /// A gated host parks at the end of the turn that did the work when
+    /// that turn leaves the stack quiet: the hub reads an ARP request and
+    /// answers it in one turn, and no confirming idle turn follows — the
+    /// lattice starts where the turn ends and steps by the idle period.
+    #[test]
+    fn a_productive_turn_that_leaves_the_stack_quiet_parks() {
+        use fstack::arp::ArpPacket;
+        use fstack::ether::{EthHdr, EtherType};
+        use updk::wire::Frame;
+
+        let (mut sim, hub) = hub_with_five_apps();
+        let node = &sim.nodes[hub];
+        let asker = MacAddr::local(77);
+        let req = ArpPacket::request(asker, Ipv4Addr::new(10, 0, 0, 77), node.stack.config().ip);
+        let frame = EthHdr {
+            dst: MacAddr::BROADCAST,
+            src: asker,
+            ethertype: EtherType::Arp,
+        }
+        .build(&req.build());
+        let (dev, port) = (node.dev, node.port);
+        sim.devs[dev].deliver(port, SimTime::ZERO, Frame::new(frame));
+        let mut engine = Engine::new();
+        sim.loop_iter(hub, &mut engine);
+
+        let c = sim.counters;
+        assert_eq!((c.loop_polls, c.idle_polls, c.parks), (1, 0, 1), "{c:?}");
+        let node = &sim.nodes[hub];
+        assert_eq!(node.stack.stats().frames_out, 1, "the reply left");
+        assert!(node.parked && node.wake.is_none(), "nothing to wake for");
+        let costs = CostModel::morello();
+        let next = costs.mainloop_idle_ns + 2 * costs.mainloop_per_frame_ns;
+        assert_eq!(node.anchor, SimTime::from_nanos(next));
+        assert_eq!(node.period, costs.mainloop_idle_ns);
     }
 
     /// A charged host is not gated: every turn examines every slot.

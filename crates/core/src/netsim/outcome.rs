@@ -31,7 +31,10 @@ pub struct EventCounters {
     /// progress). The idle iterations a parked loop slept through are not
     /// executed and not counted. On every host but the two polling
     /// fallbacks (`DESIGN.md`, *Park/wake node loops*) an idle iteration
-    /// parks, so there this is [`EventCounters::parks`] under another name.
+    /// parks, so this is at most [`EventCounters::parks`] — equal where
+    /// every host is charged, far below it where an ideal host parks on
+    /// its productive turns and runs an idle one only when a wake finds
+    /// nothing to do.
     pub idle_polls: u64,
     /// Frame deliveries into NIC ports.
     pub deliveries: u64,
@@ -47,7 +50,9 @@ pub struct EventCounters {
     /// dropped. Superseded wakes are cancelled in place, so this is the
     /// witness that cancellation works: always zero.
     pub stale_wakes: u64,
-    /// Times an idle iteration parked the loop instead of rescheduling it.
+    /// Times an iteration parked the loop instead of rescheduling it: an
+    /// idle one on any host, and on an ideal (gated) host also one that did
+    /// work and left the stack quiet with no app runnable.
     pub parks: u64,
     /// Deliveries that scheduled or moved a parked node's wake: the first
     /// frame to reach a parked port, and any later one readable earlier

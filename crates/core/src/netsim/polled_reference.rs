@@ -118,9 +118,10 @@ fn polled_reference_paper_testbed() {
                             .expect("paper scenario runs")
                     });
                     assert!(out.trace.frames > 500, "{what}: traffic flowed");
-                    assert_eq!(
-                        out.counters.idle_polls, out.counters.parks,
-                        "{what}: every idle poll parks"
+                    let c = out.counters;
+                    assert!(
+                        c.idle_polls <= c.parks,
+                        "{what}: every idle poll parks, the ideal peer's productive turns too: {c:?}"
                     );
                     cases += 1;
                 }
@@ -132,20 +133,27 @@ fn polled_reference_paper_testbed() {
 
 /// Charged hosts on host NICs: bulk stars at five per-call isolation
 /// costs (idle periods from 900 ns to past the 1 672 ns a minimum frame
-/// needs to cross a cable) and the HTTP serving plane at three.
+/// needs to cross a cable) and the HTTP serving plane at three. Where
+/// every host is charged only idle turns park, and every one of them does.
 #[test]
 fn polled_reference_charged_stars() {
     let mut cases = 0;
     for leaves in [2, 4] {
         for cost in [0, 40, 200, 370, 1_000] {
             let what = format!("star{leaves} isolation {cost} ns");
-            assert_parked_equals_polled(&what, || {
+            let out = assert_parked_equals_polled(&what, || {
                 ScenarioSpec::star(leaves)
                     .duration(ms(15))
                     .isolation_cost(cost)
                     .run()
                     .expect("star runs")
             });
+            let c = out.counters;
+            if cost > 0 {
+                assert_eq!(c.idle_polls, c.parks, "{what}: {c:?}");
+            } else {
+                assert!(c.idle_polls < c.parks, "{what}: productive parks: {c:?}");
+            }
             cases += 1;
         }
     }
@@ -231,7 +239,7 @@ fn polled_reference_fallbacks_and_shards() {
     });
     assert_eq!(out.workers, 2, "really sharded");
     assert!(out.rounds.xshard_frames > 500, "traffic crossed the cut");
-    assert_eq!(out.counters.idle_polls, out.counters.parks);
+    assert!(out.counters.idle_polls <= out.counters.parks);
 }
 
 /// `services` S2 service loops on the ports of one 82576, each receiving
@@ -281,7 +289,7 @@ fn polled_reference_shared_mutex_and_crash_while_parked() {
     );
 
     let alone = assert_parked_equals_polled("a lone service", || s2_services(1, None));
-    assert_eq!(alone.counters.idle_polls, alone.counters.parks);
+    assert!(alone.counters.idle_polls <= alone.counters.parks);
     let crashed = assert_parked_equals_polled("crash while parked", || {
         s2_services(1, Some(SimDuration::from_millis(2)))
     });

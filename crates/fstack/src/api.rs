@@ -28,6 +28,7 @@ use cheri::{Capability, TaggedMemory};
 use chos::errno::Errno;
 use chos::fdtable::{Fd, FdTable};
 use simkern::time::SimTime;
+use simkern::FxHasher;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use updk::framebuf::{FrameBuf, FrameBufMut};
@@ -175,11 +176,11 @@ pub struct FStack {
     arp: ArpCache,
     sockets: FdTable<Socket>,
     /// TCP demux: (local port, remote ip, remote port) → fd.
-    conn_map: HashMap<(u16, Ipv4Addr, u16), Fd>,
+    conn_map: HashMap<(u16, Ipv4Addr, u16), Fd, FxHasher>,
     /// TCP listeners by local port.
-    listen_map: HashMap<u16, Fd>,
+    listen_map: HashMap<u16, Fd, FxHasher>,
     /// UDP demux by local port.
-    udp_map: HashMap<u16, Fd>,
+    udp_map: HashMap<u16, Fd, FxHasher>,
     /// Link-layer frames ready to transmit (ARP/ICMP replies etc.).
     pending_tx: VecDeque<FrameBuf>,
     /// IP packets (with Ethernet headroom still free) parked awaiting ARP
@@ -273,9 +274,9 @@ impl FStack {
             cfg,
             arp: ArpCache::new(),
             sockets: FdTable::with_capacity(max_sockets),
-            conn_map: HashMap::new(),
-            listen_map: HashMap::new(),
-            udp_map: HashMap::new(),
+            conn_map: HashMap::default(),
+            listen_map: HashMap::default(),
+            udp_map: HashMap::default(),
             pending_tx: VecDeque::new(),
             arp_wait: Vec::new(),
             epoll: EpollTable::new(),
@@ -332,6 +333,18 @@ impl FStack {
     /// guaranteed to be the same no-op as its last.
     pub fn take_dirty_fds(&mut self, out: &mut Vec<Fd>) {
         self.dirty.drain_into(out);
+    }
+
+    /// `true` when the stack owes its driver nothing: no fd changed for an
+    /// application since the last [`FStack::take_dirty_fds`], no fd waits
+    /// for a [`FStack::poll_tx`] visit, no link-layer frame is queued. A
+    /// quiet stack changes only when a frame arrives, an application calls
+    /// it, or a timer of [`FStack::next_timer_deadline`] falls due — so a
+    /// driver that knows no application will call it may park right after
+    /// the turn that left it quiet. (Packets awaiting ARP resolution wait
+    /// for input and do not count.)
+    pub fn is_quiet(&self) -> bool {
+        self.dirty.list.is_empty() && self.tx_hot.list.is_empty() && self.pending_tx.is_empty()
     }
 
     /// Names the application whose calls follow, until the next call: a
@@ -1476,6 +1489,48 @@ mod tests {
             MacAddr::local(1),
             Ipv4Addr::new(10, 0, 0, 1),
         ))
+    }
+
+    /// Each of the three things a quiet stack owes nothing of: an fd a
+    /// call left for the next `poll_tx` (the SYN of `ff_connect`), a queued
+    /// link-layer frame, an fd whose change the driver has not drained
+    /// (the SYN-ACK arriving).
+    #[test]
+    fn a_stack_is_quiet_once_poll_tx_and_the_driver_took_what_it_owed() {
+        let peer = Ipv4Addr::new(10, 0, 0, 2);
+        let mut s = stack();
+        s.arp.insert_static(peer, MacAddr::local(2));
+        assert!(s.is_quiet(), "a fresh stack");
+        let fd = s.ff_socket(SockType::Stream).unwrap();
+        s.ff_connect(fd, (peer, 80), SimTime::ZERO).unwrap();
+        assert!(!s.is_quiet(), "the SYN is owed");
+        let syn = s.poll_tx(SimTime::ZERO);
+        assert_eq!(syn.len(), 1);
+        assert!(s.is_quiet(), "the SYN left");
+
+        assert!(s.inject_raw_tx(&[0; 60]));
+        assert!(!s.is_quiet(), "a frame is queued");
+        assert_eq!(s.poll_tx(SimTime::ZERO).len(), 1);
+        assert!(s.is_quiet());
+
+        // The peer answers: SYN-ACK to our SYN.
+        let mut peer_stack = FStack::new(StackConfig::new("p", MacAddr::local(2), peer));
+        peer_stack
+            .arp
+            .insert_static(Ipv4Addr::new(10, 0, 0, 1), MacAddr::local(1));
+        let lfd = peer_stack.ff_socket(SockType::Stream).unwrap();
+        peer_stack.ff_bind(lfd, 80).unwrap();
+        peer_stack.ff_listen(lfd, 4).unwrap();
+        peer_stack.input_buf(SimTime::ZERO, &syn[0]);
+        for f in peer_stack.poll_tx(SimTime::ZERO) {
+            s.input_buf(SimTime::ZERO, &f);
+        }
+        assert!(!s.is_quiet(), "the connection changed");
+        let mut drained = Vec::new();
+        s.take_dirty_fds(&mut drained);
+        assert_eq!(drained, [fd]);
+        s.poll_tx(SimTime::ZERO);
+        assert!(s.is_quiet(), "the ACK left, the change was taken");
     }
 
     /// The ownership contract a driver routes dirty fds by: `ff_socket` and

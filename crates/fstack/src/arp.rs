@@ -4,6 +4,7 @@
 //! scenarios exercise it during connection setup, after which the cache
 //! serves the data path.
 
+use simkern::FxHasher;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use updk::nic::MacAddr;
@@ -108,7 +109,7 @@ impl ArpPacket {
 /// The neighbour cache.
 #[derive(Debug, Clone, Default)]
 pub struct ArpCache {
-    entries: HashMap<Ipv4Addr, MacAddr>,
+    entries: HashMap<Ipv4Addr, MacAddr, FxHasher>,
     requests_sent: u64,
 }
 

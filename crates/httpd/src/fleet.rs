@@ -357,6 +357,10 @@ pub struct FleetApp {
     conns: Vec<FleetConn>,
     /// Failed connections waiting out their backoff (insertion order).
     retry_queue: Vec<Retry>,
+    /// [`FleetApp::next_deadline`]: the earliest of the clocks above, which
+    /// only [`FleetApp::step`] moves — refreshed at its end (and at start),
+    /// so the answer costs nothing per turn or park.
+    clock: Option<SimTime>,
     conns_started: u64,
     conns_completed: u64,
     requests_ok: u64,
@@ -399,7 +403,7 @@ impl FleetApp {
             None => u64::MAX / 4,
         };
         let open_end = now + cfg.open_for;
-        FleetApp {
+        let mut fleet = FleetApp {
             label: label.into(),
             epfd,
             buf,
@@ -410,6 +414,7 @@ impl FleetApp {
             open_end,
             conns: Vec::new(),
             retry_queue: Vec::new(),
+            clock: None,
             conns_started: 0,
             conns_completed: 0,
             requests_ok: 0,
@@ -429,7 +434,9 @@ impl FleetApp {
             ok_at_ns: Vec::new(),
             latencies_ns: Vec::new(),
             last_activity: None,
-        }
+        };
+        fleet.clock = fleet.earliest_clock();
+        fleet
     }
 
     /// Open connection count.
@@ -437,22 +444,18 @@ impl FleetApp {
         self.conns.len()
     }
 
-    /// `true` when the app would act at `now` without any stack event:
-    /// an arrival is due, or a thinking connection's deadline passed.
-    pub fn due(&self, now: SimTime) -> bool {
-        (self.next_arrival <= now && self.next_arrival <= self.open_end)
-            || self.retry_queue.iter().any(|r| r.at <= now)
-            || self.conns.iter().any(|c| {
-                (c.state == CState::Thinking && c.think_until <= now)
-                    || (c.state == CState::Dripping && c.next_drip <= now)
-            })
+    /// The next instant the app acts on its own clock — at or before
+    /// `now` exactly when a step now would act without a stack event: the
+    /// pending arrival (while the open window lasts), the earliest retry,
+    /// think deadline or drip. `None` once all are exhausted — everything
+    /// else is wire-driven and the node may park.
+    pub fn next_deadline(&self, _now: SimTime) -> Option<SimTime> {
+        self.clock
     }
 
-    /// The next instant the app acts on its own clock: the pending
-    /// arrival (while the open window lasts) or the earliest think
-    /// deadline. `None` once both are exhausted — everything else is
-    /// wire-driven and the node may park.
-    pub fn next_deadline(&self, _now: SimTime) -> Option<SimTime> {
+    /// What [`FleetApp::next_deadline`] answers, computed: one walk over
+    /// the open connections.
+    fn earliest_clock(&self) -> Option<SimTime> {
         let mut d = if self.next_arrival <= self.open_end {
             Some(self.next_arrival)
         } else {
@@ -488,6 +491,20 @@ impl FleetApp {
     /// Unexpected socket errors (EAGAIN and expected failures are
     /// absorbed into the shed/error counters).
     pub fn step(
+        &mut self,
+        stack: &mut FStack,
+        mem: &mut TaggedMemory,
+        now: SimTime,
+    ) -> Result<StepOutcome, Errno> {
+        // Every clock lives in state only a step changes; a step that fails
+        // part-way has changed some of it too.
+        let out = self.run_step(stack, mem, now);
+        self.clock = self.earliest_clock();
+        out
+    }
+
+    /// [`FleetApp::step`] but for the clock.
+    fn run_step(
         &mut self,
         stack: &mut FStack,
         mem: &mut TaggedMemory,
@@ -1074,6 +1091,40 @@ impl FleetApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cheri::Perms;
+    use fstack::StackConfig;
+    use updk::nic::MacAddr;
+
+    /// The clock is computed where it moves: `start` schedules the first
+    /// arrival, and a step that launches it names the next one.
+    #[test]
+    fn every_step_refreshes_the_clock() {
+        let mut stack = FStack::new(StackConfig::new(
+            "leaf",
+            MacAddr::local(2),
+            Ipv4Addr::new(10, 0, 0, 2),
+        ));
+        let mut mem = TaggedMemory::new(1 << 16);
+        let buf = mem
+            .root_cap()
+            .try_restrict(0, 4_096)
+            .unwrap()
+            .try_restrict_perms(Perms::data())
+            .unwrap();
+        let cfg = FleetConfig {
+            target: (Ipv4Addr::new(10, 0, 0, 1), crate::HTTPD_PORT),
+            rate_per_sec: 10_000,
+            ..FleetConfig::default()
+        };
+        let mut fleet = FleetApp::start("fleet", &mut stack, buf, cfg, 7, SimTime::ZERO);
+        let first = fleet.next_deadline(SimTime::ZERO).expect("an arrival");
+        assert!(first > SimTime::ZERO);
+        fleet.step(&mut stack, &mut mem, first).unwrap();
+        assert_eq!(fleet.connections(), 1);
+        let next = fleet.next_deadline(first).expect("the next arrival");
+        assert!(next > first, "{next:?} after {first:?}");
+        assert_eq!(Some(next), fleet.earliest_clock());
+    }
 
     #[test]
     fn exp_sampler_is_deterministic_and_calibrated() {

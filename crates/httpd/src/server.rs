@@ -352,11 +352,6 @@ impl HttpServerApp {
         Ok(())
     }
 
-    /// `true` when the reaper would act at `now` without any stack event.
-    pub fn due(&self, now: SimTime) -> bool {
-        self.next_deadline(now).is_some_and(|d| d <= now)
-    }
-
     /// The next instant the idle reaper fires: the earliest
     /// `last_byte + timeout` over connections awaiting request bytes.
     /// `None` when the timeout is disabled or nothing is reapable — the

@@ -37,6 +37,12 @@ pub struct ClientApp {
     /// interval in the uncontended Scenario 2 measurement.
     write_gap: SimDuration,
     next_write_at: SimTime,
+    /// The last `ff_write` failed — the send buffer was full (`EAGAIN`) or
+    /// the socket errored — so the next one fails too until the fd
+    /// changes: send space opens only when an ACK is processed, which
+    /// marks the fd dirty and steps the app. Cleared by every step: a step
+    /// runs because its fd changed or its clock fired.
+    blocked: bool,
     /// Reused event vector for the connection-phase epoll poll.
     events: Vec<EpollEvent>,
 }
@@ -74,6 +80,7 @@ impl ClientApp {
             tracker: None,
             write_gap: SimDuration::ZERO,
             next_write_at: SimTime::ZERO,
+            blocked: false,
             events: Vec::new(),
         })
     }
@@ -87,21 +94,6 @@ impl ClientApp {
     /// Total bytes accepted by `ff_write`.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// `true` when the app would act at `now` without any new stack event:
-    /// the sending phase with the write gap elapsed (a write may proceed)
-    /// or the stop instant reached (the close is owed). Together with the
-    /// dirty-fd set this is the driver's complete "can a step progress?"
-    /// test.
-    pub fn due(&self, now: SimTime) -> bool {
-        match self.phase {
-            Phase::Running => {
-                let started = self.started.expect("running implies started");
-                now >= self.next_write_at || now - started >= self.duration
-            }
-            _ => false,
-        }
     }
 
     /// `true` once the connection is closed and the run is over.
@@ -121,6 +113,7 @@ impl ClientApp {
         now: SimTime,
     ) -> Result<StepOutcome, Errno> {
         let mut out = StepOutcome::default();
+        self.blocked = false;
         match self.phase {
             Phase::Connecting => {
                 out.ff_calls += 1;
@@ -169,13 +162,19 @@ impl ClientApp {
                                 break;
                             }
                         }
-                        Err(Errno::EAGAIN) => break,
+                        Err(Errno::EAGAIN) => {
+                            self.blocked = true;
+                            break;
+                        }
                         Err(Errno::EPIPE) => {
                             self.phase = Phase::Done;
                             out.progressed = true;
                             break;
                         }
-                        Err(e) => return Err(e),
+                        Err(e) => {
+                            self.blocked = true;
+                            return Err(e);
+                        }
                     }
                 }
             }
@@ -195,22 +194,25 @@ impl ClientApp {
         Ok(out)
     }
 
-    /// The next instant at which this app will act on its own (without an
-    /// inbound frame prompting it): the configured stop instant and, when a
-    /// write gap is set and still pending, the next write instant. `None`
-    /// outside the running phase — connecting, closing and done states only
-    /// move on stack events (frame arrival or stack timers), so the driver
-    /// may park the node's loop until one occurs.
-    pub fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
+    /// The next instant at which this app acts on its own clock, without a
+    /// stack event prompting it — at or before `now` exactly when a step
+    /// now would act. While running: the stop instant, or the next write
+    /// instant if that is earlier and the last write did not fail (a
+    /// failed write is retried when the fd changes, not on the clock; with
+    /// no write gap the next write instant has always passed). `None`
+    /// outside the running phase — connecting, closing and done states
+    /// only move on stack events (frame arrival or stack timers), so the
+    /// driver may park the node's loop until one occurs.
+    pub fn next_deadline(&self, _now: SimTime) -> Option<SimTime> {
         if self.phase != Phase::Running {
             return None;
         }
-        let started = self.started?;
-        let mut d = started + self.duration;
-        if self.next_write_at > now && self.next_write_at < d {
-            d = self.next_write_at;
-        }
-        Some(d)
+        let stop = self.started? + self.duration;
+        Some(if self.blocked {
+            stop
+        } else {
+            stop.min(self.next_write_at)
+        })
     }
 
     /// Produces the run summary at `now`.
@@ -223,5 +225,75 @@ impl ClientApp {
             elapsed: end - started,
             intervals: self.tracker.map(|t| t.finish(now)).unwrap_or_default(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cheri::Perms;
+    use fstack::StackConfig;
+    use updk::nic::MacAddr;
+
+    const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+    const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+
+    /// Exchanges frames between the two stacks, 50 µs a round.
+    fn pump(a: &mut FStack, b: &mut FStack, now: &mut SimTime, rounds: usize) {
+        for _ in 0..rounds {
+            *now += SimDuration::from_micros(50);
+            for f in a.poll_tx(*now) {
+                b.input_buf(*now, &f);
+            }
+            for f in b.poll_tx(*now) {
+                a.input_buf(*now, &f);
+            }
+        }
+    }
+
+    /// The sender's clock is exact: a step that filled the send buffer
+    /// leaves the stop instant as its deadline (the retry waits for the fd
+    /// to change), the next step forgets that, and with a write gap the
+    /// deadline is the next write.
+    #[test]
+    fn the_clock_waits_out_a_full_send_buffer_and_keeps_the_write_gap() {
+        let mut a = FStack::new(StackConfig::new("a", MacAddr::local(1), A));
+        let mut b = FStack::new(StackConfig::new("b", MacAddr::local(2), B));
+        a.arp_cache_mut().insert_static(B, MacAddr::local(2));
+        b.arp_cache_mut().insert_static(A, MacAddr::local(1));
+        let lfd = b.ff_socket(SockType::Stream).unwrap();
+        b.ff_bind(lfd, 5201).unwrap();
+        b.ff_listen(lfd, 4).unwrap();
+        let mut mem = TaggedMemory::new(1 << 16);
+        let payload = mem
+            .root_cap()
+            .try_restrict(0, 4_096)
+            .unwrap()
+            .try_restrict_perms(Perms::data())
+            .unwrap();
+        let mut now = SimTime::ZERO;
+        let duration = SimDuration::from_millis(100);
+        let mut app = ClientApp::start(&mut a, "tx", (B, 5201), payload, duration, now).unwrap();
+        assert_eq!(app.next_deadline(now), None, "connecting: input-driven");
+        pump(&mut a, &mut b, &mut now, 4);
+        assert!(app.step(&mut a, &mut mem, now).unwrap().progressed);
+        let stop = now + duration;
+        assert_eq!(
+            app.next_deadline(now),
+            Some(SimTime::ZERO),
+            "a write is owed"
+        );
+
+        // No write gap: the step writes until EAGAIN.
+        assert!(app.step(&mut a, &mut mem, now).unwrap().bytes > 0);
+        assert_eq!(app.next_deadline(now), Some(stop));
+
+        // ACKs open send space; the next step writes once under the gap.
+        let gap = SimDuration::from_millis(1);
+        app.set_write_gap(gap);
+        pump(&mut a, &mut b, &mut now, 4);
+        assert_eq!(app.next_deadline(now), Some(stop), "blocked until a step");
+        assert!(app.step(&mut a, &mut mem, now).unwrap().bytes > 0);
+        assert_eq!(app.next_deadline(now), Some(now + gap));
     }
 }

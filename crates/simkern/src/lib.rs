@@ -24,6 +24,7 @@
 //!   grant/release times in virtual time.
 //! * [`rng::SimRng`] — a small deterministic PRNG for measurement jitter and
 //!   workload randomness, so every experiment is reproducible from a seed.
+//! * [`FxHasher`] — a non-SipHash hasher for the frame path's lookup maps.
 //!
 //! # Example
 //!
@@ -56,12 +57,14 @@
 
 pub mod cost;
 pub mod engine;
+mod hash;
 pub mod resource;
 pub mod rng;
 pub mod time;
 
 pub use cost::CostModel;
 pub use engine::Engine;
+pub use hash::FxHasher;
 pub use resource::{BusyResource, FifoMutex, LockGrant};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -46,6 +46,7 @@ use crate::wire::Frame;
 use simkern::cost::CostModel;
 use simkern::resource::BusyResource;
 use simkern::time::{SimDuration, SimTime};
+use simkern::FxHasher;
 use std::collections::{HashMap, VecDeque};
 
 /// Aggregate counters of one [`LinkFabric`].
@@ -105,7 +106,7 @@ impl EgressPort {
 #[derive(Debug)]
 pub struct LinkFabric {
     ports: Vec<EgressPort>,
-    table: HashMap<MacAddr, usize>,
+    table: HashMap<MacAddr, usize, FxHasher>,
     queue_capacity: usize,
     stats: SwitchStats,
     failed: bool,
@@ -130,7 +131,7 @@ impl LinkFabric {
         assert!(queue_capacity > 0, "egress queue capacity must be nonzero");
         LinkFabric {
             ports: (0..ports).map(|_| EgressPort::default()).collect(),
-            table: HashMap::new(),
+            table: HashMap::default(),
             queue_capacity,
             stats: SwitchStats::default(),
             failed: false,

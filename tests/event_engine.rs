@@ -59,14 +59,16 @@ fn parking_collapses_idle_polls_and_counters_account_for_the_run() {
 /// The exact complexity gate on the paper's own testbed: all seven designs,
 /// DUT on either side, 40 ms of traffic. Under round-robin scheduling every
 /// host's idle period is a function of its own state, so **every** idle
-/// poll parks — charged DUTs behind the 82576's DMA model included — and a
-/// run costs three events per delivered frame (the delivery, the wake that
-/// reads it, the iteration after it that finds nothing and parks), where
-/// the spinning DUT took up to 15.5. Under the paper's barging policy the
-/// S2 service loop's idle period changes with the turn, so it keeps
+/// poll parks — charged DUTs behind the 82576's DMA model included — and an
+/// ideal host parks at the end of the turn that read a frame, so a frame
+/// costs its delivery and the wake that reads it: 2.0 events per delivered
+/// frame where both hosts are ideal, at most 2.67 where a charged DUT still
+/// runs its confirming idle turn (the spinning DUT took up to 15.5, the
+/// confirming turn on every host 3.1). Under the paper's barging policy
+/// the S2 service loop's idle period changes with the turn, so it keeps
 /// polling: the fallback has a witness too.
 #[test]
-fn every_idle_poll_parks_on_the_paper_testbed_at_three_events_a_frame() {
+fn every_idle_poll_parks_on_the_paper_testbed_at_most_2_67_events_a_frame() {
     use capnet::netsim::AppSched;
     use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 
@@ -86,9 +88,9 @@ fn every_idle_poll_parks_on_the_paper_testbed_at_three_events_a_frame() {
         for mode in [TrafficMode::Server, TrafficMode::Client] {
             let out = run(kind, mode, AppSched::RoundRobin);
             let c = out.counters;
-            assert_eq!(c.idle_polls, c.parks, "{kind} {mode}: {c:?}");
+            assert!(c.idle_polls <= c.parks, "{kind} {mode}: {c:?}");
             assert!(
-                out.events * 10 <= out.trace.frames * 31,
+                out.events * 100 <= out.trace.frames * 267,
                 "{kind} {mode}: {} events for {} frames",
                 out.events,
                 out.trace.frames
@@ -126,7 +128,7 @@ fn the_calendar_costs_the_same_full_or_empty() {
         .run()
         .unwrap();
     let cal = out.calendar;
-    assert_eq!(out.events, 51_055, "the run this gate was sized on");
+    assert_eq!(out.events, 44_458, "the run this gate was sized on");
     assert!(cal.max_slot >= 128, "the flood is in the run: {cal:?}");
     assert!(
         cal.compares <= 12 * out.events,
@@ -145,4 +147,23 @@ fn the_calendar_costs_the_same_full_or_empty() {
     // to the heap: an iperf client's stop instant, a fleet's `open_end`, a
     // backed-off RTO. A 40 ms run has at most its few app clocks there.
     assert!(cal.overflow <= 8, "{cal:?}");
+}
+
+/// The confirming idle turn is gone on ideal hosts: a gated host that
+/// leaves its stack quiet parks at the end of the turn that did the work,
+/// so an idle turn runs only where a wake found nothing to do — on the
+/// benchmark's `star128_fanin` at 1/100 length, one in a hundred polls at
+/// most (it was every other one).
+#[test]
+fn ideal_hosts_park_on_the_turn_that_did_the_work() {
+    use capnet::scenario::ScenarioSpec;
+
+    let out = ScenarioSpec::star(128)
+        .duration(SimDuration::from_millis(6))
+        .seed(7)
+        .run()
+        .unwrap();
+    let c = out.counters;
+    assert!(c.idle_polls * 100 <= c.loop_polls, "{c:?}");
+    assert!(c.idle_polls <= c.parks, "{c:?}");
 }
