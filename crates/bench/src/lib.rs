@@ -89,7 +89,13 @@ impl BenchReport {
             digest,
             frames,
             bytes,
+            ..
         } = out.trace;
+        assert_eq!(
+            bytes,
+            TraceDigest::RECORD_BYTES * frames,
+            "{bench}/{case}: the digest chain folds one fixed-size record per delivery"
+        );
         let EventCounters {
             loop_polls,
             app_visits,

@@ -32,15 +32,19 @@ struct XEvent {
     frame: Frame,
 }
 
-/// One deferred trace-digest fold of a sharded run: the delivery's
-/// identity plus the dispatch key it sorted under. Folding the merged,
-/// key-sorted log reproduces the byte-exact digest of the single-engine
-/// run (which folds inline, in dispatch order).
+/// One deferred trace-digest fold of a sharded run: the five values the
+/// digest folds for the delivery, hashed when it happened, plus the
+/// dispatch key it sorted under. Folding the merged, key-sorted log
+/// reproduces the exact digest of the single-engine run (which folds
+/// inline, in dispatch order).
 pub(super) struct DeliveryRecord {
     pub(super) at: SimTime,
     pub(super) key: OrderKey,
-    pub(super) dev: u32,
-    pub(super) port: u32,
+    pub(super) dev: usize,
+    pub(super) port: usize,
+    pub(super) len: usize,
+    pub(super) hash: u64,
+    /// Transitional: the per-byte fold needs the bytes at fold time.
     pub(super) frame: Frame,
 }
 
@@ -371,7 +375,8 @@ impl NetSim {
                 if !final_folds.is_empty() {
                     final_folds.sort_unstable_by_key(|r| (r.at, r.key));
                     for r in final_folds.drain(..) {
-                        trace.record(r.at, r.dev as usize, r.port as usize, r.frame.bytes());
+                        trace.fold(r.at, r.dev, r.port, r.len, r.hash);
+                        trace.fold_v1(r.at, r.dev, r.port, r.frame.bytes());
                     }
                 }
             }

@@ -10,11 +10,16 @@
 //! pinned digests and report orders are the values the five-parallel-vector
 //! driver produced before the apps were unified behind one `App` list.
 
+mod testutil;
+
 use capnet::netsim::{IsolationProfile, NetSim};
 use capnet::{Fault, SimOutcome};
 use capnet_httpd::{FleetConfig, HttpServerConfig};
 use simkern::time::{SimDuration, SimTime};
 use simkern::CostModel;
+use testutil::{
+    assert_digest, MIXED_HUB_CHARGED_DIGEST, MIXED_HUB_GATED_DIGEST, MIXED_HUB_RESTART_DIGEST,
+};
 
 const IPERF_PORT: u16 = 5201;
 const HTTP_PORT: u16 = 8080;
@@ -124,11 +129,7 @@ fn assert_pinned(v: Variant, digest: u64) -> SimOutcome {
     let run = |workers: usize| {
         let out = mixed_hub(Variant { workers, ..v });
         assert_eq!(out.workers, workers);
-        assert_eq!(
-            out.trace.digest, digest,
-            "workers={workers}: got {:#018x}",
-            out.trace.digest
-        );
+        assert_digest(&format!("mixed hub workers={workers}"), &out.trace, digest);
         assert_report_order(&out);
         out
     };
@@ -138,7 +139,7 @@ fn assert_pinned(v: Variant, digest: u64) -> SimOutcome {
 
 #[test]
 fn interleaved_kinds_step_kind_major_on_a_gated_host() {
-    let out = assert_pinned(Variant::default(), 0xf05f_c79a_11b5_f9ae);
+    let out = assert_pinned(Variant::default(), MIXED_HUB_GATED_DIGEST);
     assert!(out.servers.iter().all(|r| r.bytes > 0), "every flow ran");
     assert!(out.http_fleets[0].requests_ok > 0);
 }
@@ -151,7 +152,7 @@ fn interleaved_kinds_step_kind_major_on_a_charged_host() {
         hub_call_ns: 40,
         ..Variant::default()
     };
-    let out = assert_pinned(v, 0x122e_efec_ea4f_c86b);
+    let out = assert_pinned(v, MIXED_HUB_CHARGED_DIGEST);
     assert!(out.servers.iter().all(|r| r.bytes > 0), "every flow ran");
 }
 
@@ -167,7 +168,7 @@ fn restart_rebuilds_the_installed_apps_in_order() {
         crash_hub: true,
         ..Variant::default()
     };
-    let out = assert_pinned(v, 0x84d6_0853_09c7_fd22);
+    let out = assert_pinned(v, MIXED_HUB_RESTART_DIGEST);
     assert_eq!(out.fault_stats.node_crashes, 1);
     assert_eq!(out.fault_stats.node_restarts, 1);
     assert!(out.fault_stats.frames_to_dead > 0);

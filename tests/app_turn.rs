@@ -14,9 +14,12 @@
 //! list, the FIFO switch queues and the token-table cancel existed: none
 //! of the three may move a single delivered byte.
 
+mod testutil;
+
 use capnet::scenario::ScenarioSpec;
 use capnet::SimOutcome;
 use simkern::time::SimDuration;
+use testutil::{assert_digest, STAR16_DIGEST, STAR64_DIGEST};
 
 fn star(leaves: usize, workers: usize) -> SimOutcome {
     ScenarioSpec::star(leaves)
@@ -36,16 +39,8 @@ fn visits_per_poll(out: &SimOutcome) -> f64 {
 fn app_visits_per_poll_stay_flat_as_the_hub_fills() {
     let small = star(16, 1);
     let large = star(64, 1);
-    assert_eq!(
-        small.trace.digest, STAR16_DIGEST,
-        "star16: got {:#018x}",
-        small.trace.digest
-    );
-    assert_eq!(
-        large.trace.digest, STAR64_DIGEST,
-        "star64: got {:#018x}",
-        large.trace.digest
-    );
+    assert_digest("star16", &small.trace, STAR16_DIGEST);
+    assert_digest("star64", &large.trace, STAR64_DIGEST);
     let (s, l) = (visits_per_poll(&small), visits_per_poll(&large));
     // A leaf examines its one sender per poll; the hub examines the
     // receivers whose sockets changed — none on a poll that a stack timer
@@ -65,10 +60,7 @@ fn app_visits_are_identical_on_one_engine_and_two_shards() {
     let one = star(16, 1);
     let two = star(16, 2);
     assert_eq!((one.workers, two.workers), (1, 2));
-    assert_eq!(one.trace.digest, two.trace.digest);
+    assert_eq!(one.trace, two.trace);
     assert_eq!(one.counters.app_visits, two.counters.app_visits);
     assert_eq!(one.counters, two.counters);
 }
-
-const STAR16_DIGEST: u64 = 0x115c_10a4_baa3_36e2;
-const STAR64_DIGEST: u64 = 0xc4f4_9432_9174_d4a6;

@@ -24,7 +24,9 @@ use chos::errno::Errno;
 use chos::fdtable::Fd;
 use fstack::socket::SockType;
 use simkern::time::SimDuration;
-use testutil::{Side, TwoHost};
+use testutil::{
+    assert_digest, Side, TwoHost, KEEPALIVE_FEW_OPEN_DIGEST, KEEPALIVE_MANY_OPEN_DIGEST,
+};
 
 const PORT: u16 = 8080;
 
@@ -184,11 +186,7 @@ fn httpd_digest_identical_at_any_worker_count() {
             .run()
             .unwrap();
         assert!(out.workers > 1, "workers={workers}: plan stayed sharded");
-        assert_eq!(
-            out.trace.digest, base.trace.digest,
-            "workers={workers} digest diverged"
-        );
-        assert_eq!(out.trace.frames, base.trace.frames);
+        assert_eq!(out.trace, base.trace, "workers={workers} digest diverged");
         for (a, b) in base.http_fleets.iter().zip(&out.http_fleets) {
             assert_eq!(a, b, "workers={workers} fleet report diverged");
         }
@@ -346,9 +344,17 @@ fn hub_fds_per_wait(out: &capnet::SimOutcome) -> f64 {
 fn epoll_work_per_wait_does_not_grow_with_open_connections() {
     let few = keepalive_star(350_000);
     let many = keepalive_star(4_000_000);
-    assert_eq!(few.trace.digest, 0x8801_dec7_bf40_40b0);
+    assert_digest(
+        "keep-alive star, 350 µs think",
+        &few.trace,
+        KEEPALIVE_FEW_OPEN_DIGEST,
+    );
     assert_eq!(few.trace.frames, 13_993);
-    assert_eq!(many.trace.digest, 0x5da9_c736_c806_908e);
+    assert_digest(
+        "keep-alive star, 4 ms think",
+        &many.trace,
+        KEEPALIVE_MANY_OPEN_DIGEST,
+    );
     assert_eq!(many.trace.frames, 14_878);
 
     let (per_wait_few, per_wait_many) = (hub_fds_per_wait(&few), hub_fds_per_wait(&many));

@@ -10,6 +10,8 @@
 //! random topology lands in exactly one shard, co-location constraints
 //! hold, and plans are pure functions of the graph.
 
+mod testutil;
+
 use capnet::netsim::NetSim;
 use capnet::parallel::{LookaheadMatrix, Profitability, ROUND_COST_EVENTS};
 use capnet::scenario::ScenarioSpec;
@@ -17,6 +19,7 @@ use capnet::topology::{build_chain, partition_shards, ShardGraph};
 use capnet::SimOutcome;
 use proptest::prelude::*;
 use simkern::{CostModel, SimDuration};
+use testutil::{assert_digest, STAR8_DIGEST};
 use updk::wire::Impairments;
 
 /// Asserts the full equivalence contract between a `workers = 1` run and a
@@ -105,9 +108,10 @@ fn pinned_star_digest_holds_at_every_worker_count() {
                 .sack(false)
                 .run()
                 .expect("star runs");
-            assert_eq!(
-                o.trace.digest, 0xfa099c29f1e937d5,
-                "workers={workers} adaptive={adaptive} drifted off the pinned star8 digest"
+            assert_digest(
+                &format!("star8 workers={workers} adaptive={adaptive}"),
+                &o.trace,
+                STAR8_DIGEST,
             );
         }
     }
@@ -432,10 +436,8 @@ fn empty_fault_plan_leaves_the_pinned_digest_untouched() {
         .faults(capnet::FaultPlan::new())
         .run()
         .expect("star runs");
-    assert_eq!(
-        o.trace.digest, 0xfa099c29f1e937d5,
-        "an empty FaultPlan must not perturb a single byte"
-    );
+    // An empty FaultPlan must not perturb a single byte.
+    assert_digest("star8 empty fault plan", &o.trace, STAR8_DIGEST);
 }
 
 proptest! {

@@ -5,9 +5,14 @@
 //! that *intends* to alter wire behavior — and byte-identical at any
 //! worker count.
 
+mod testutil;
+
 use capnet::scenario::{fairness_index, ScenarioSpec};
 use capnet::CcAlgo;
 use simkern::SimDuration;
+use testutil::{
+    assert_digest, DUMBBELL2_DIGEST, LOSSY_CUBIC_SACK_STAR_DIGEST, RENO_VS_CUBIC_DUMBBELL_DIGEST,
+};
 use updk::wire::Impairments;
 
 const LOSSY_SEED: u64 = 77;
@@ -50,9 +55,10 @@ fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
         base.impairment_stats.lost > 0,
         "the lossy fabric actually dropped frames"
     );
-    assert_eq!(
-        base.trace.digest, 0x713744d4632534de,
-        "lossy CUBIC+SACK star trace drifted"
+    assert_digest(
+        "lossy CUBIC+SACK star",
+        &base.trace,
+        LOSSY_CUBIC_SACK_STAR_DIGEST,
     );
     // Same scenario with Reno: the CC choice genuinely reaches the wire
     // once loss makes the algorithms recover differently.
@@ -62,7 +68,7 @@ fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
         .run()
         .expect("reno star runs");
     assert_ne!(
-        base.trace.digest, reno.trace.digest,
+        base.trace, reno.trace,
         "CUBIC and Reno must diverge under loss"
     );
     // Adaptive selection is on by default, so these runs collapse back
@@ -135,9 +141,10 @@ fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
         .run()
         .expect("dumbbell runs");
     assert_eq!(out.servers.len(), 2);
-    assert_eq!(
-        out.trace.digest, 0x3afe5d066e8e0e51,
-        "Reno-vs-CUBIC lossy dumbbell trace drifted"
+    assert_digest(
+        "Reno-vs-CUBIC lossy dumbbell",
+        &out.trace,
+        RENO_VS_CUBIC_DUMBBELL_DIGEST,
     );
     let rates: Vec<f64> = out.servers.iter().map(|r| r.mbit_per_sec()).collect();
     let jain = fairness_index(&rates);
@@ -152,24 +159,22 @@ fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
         .run()
         .expect("all-reno dumbbell");
     assert_ne!(
-        out.trace.digest, all_reno.trace.digest,
+        out.trace, all_reno.trace,
         "mixing CUBIC in must change recovery behavior under loss"
     );
     // An all-default, drop-free run (empty algo slice) must reproduce the
     // repo's long-pinned classic dumbbell digest — the new plumbing
     // changes nothing unless asked.
     let classic = dumbbell(&[]).run().expect("classic dumbbell");
-    assert_eq!(
-        classic.trace.digest, 0x5a1adb9234ff72c8,
-        "default-CC dumbbell must keep the classic pinned digest"
-    );
+    assert_digest("default-CC dumbbell", &classic.trace, DUMBBELL2_DIGEST);
     // And with an explicit all-CUBIC mix but no loss, the flows never
     // leave slow start, so even the algorithm swap is invisible.
     let clean_cubic = dumbbell(&[CcAlgo::Cubic])
         .run()
         .expect("clean cubic dumbbell");
-    assert_eq!(
-        clean_cubic.trace.digest, 0x5a1adb9234ff72c8,
-        "drop-free dumbbell is rwnd-limited: CC choice is inert"
+    assert_digest(
+        "drop-free all-CUBIC dumbbell (rwnd-limited: CC choice is inert)",
+        &clean_cubic.trace,
+        DUMBBELL2_DIGEST,
     );
 }

