@@ -75,6 +75,10 @@ impl BenchReport {
     /// actually used, every per-kind counter (`ev_*`) and the event
     /// calendars' exact work (`cal_*`).
     ///
+    /// `trace_bytes` is what the digest's FNV-1a chain folded, one
+    /// [`TraceDigest::RECORD_BYTES`] record per delivered frame; a row
+    /// that says otherwise panics before it is written.
+    ///
     /// The counter structs are destructured without `..` on purpose: a
     /// field added to any of them fails to compile here until it is given
     /// a key, so no counter can miss the ledger.
@@ -89,7 +93,6 @@ impl BenchReport {
             digest,
             frames,
             bytes,
-            ..
         } = out.trace;
         assert_eq!(
             bytes,

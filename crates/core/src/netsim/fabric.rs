@@ -18,7 +18,7 @@ use updk::wire::Frame;
 /// the delivery then folds into one FNV-1a chain as a fixed 40-byte
 /// record: `(at_ns, dev, port, len, content_hash)`, each a little-endian
 /// `u64`, in dispatch order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceDigest {
     /// FNV-1a over the 40-byte record of every delivery.
     pub digest: u64,
@@ -29,9 +29,6 @@ pub struct TraceDigest {
     /// repo benchmark prices `core.trace_bytes` with an FNV-1a probe, which
     /// keeps that price exact; the content hash is separate work.
     pub bytes: u64,
-    /// Transitional shadow: the per-byte FNV-1a fold this digest replaces,
-    /// kept only to prove that both digests separate the same runs.
-    v1: u64,
 }
 
 /// The FNV-1a offset basis and prime.
@@ -44,34 +41,13 @@ impl Default for TraceDigest {
             digest: FNV_BASIS,
             frames: 0,
             bytes: 0,
-            v1: FNV_BASIS,
         }
     }
 }
 
-/// Transitional: equality under the per-byte fold and under the record
-/// fold must agree on every pair any test or ledger target compares.
-impl PartialEq for TraceDigest {
-    fn eq(&self, other: &Self) -> bool {
-        let v1 = self.v1 == other.v1 && self.frames == other.frames;
-        let v2 =
-            self.digest == other.digest && self.frames == other.frames && self.bytes == other.bytes;
-        assert_eq!(v1, v2, "digest v1 and v2 disagree: {self:?} vs {other:?}");
-        v2
-    }
-}
-
-impl Eq for TraceDigest {}
-
 impl TraceDigest {
     /// Bytes one delivery folds into the FNV-1a chain: five `u64`s.
     pub const RECORD_BYTES: u64 = 40;
-
-    /// Transitional: the per-byte FNV-1a digest of the same deliveries.
-    #[doc(hidden)]
-    pub fn v1(&self) -> u64 {
-        self.v1
-    }
 
     /// Folds one delivery's record into the chain. `hash` is the frame's
     /// `content_hash`; `dev` and `port` fold at full width.
@@ -86,24 +62,6 @@ impl TraceDigest {
         self.digest = d;
         self.frames += 1;
         self.bytes += Self::RECORD_BYTES;
-    }
-
-    /// Transitional: the per-byte fold this digest replaces.
-    pub(super) fn fold_v1(&mut self, at: SimTime, dev: usize, port: usize, frame: &[u8]) {
-        let fold = |d: u64, b: u8| (d ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        let mut d = self.v1;
-        for b in at.as_nanos().to_le_bytes() {
-            d = fold(d, b);
-        }
-        d = fold(d, dev as u8);
-        d = fold(d, port as u8);
-        for b in (frame.len() as u32).to_le_bytes() {
-            d = fold(d, b);
-        }
-        for &b in frame {
-            d = fold(d, b);
-        }
-        self.v1 = d;
     }
 }
 
@@ -131,6 +89,8 @@ fn content_hash(bytes: &[u8]) -> u64 {
         padded[..w.len()].copy_from_slice(w);
         u64::from_le_bytes(padded)
     };
+    // Distinct lane seeds (the first hex digits of π), so equal words in
+    // different lanes do not start from equal states.
     let mut lanes = [
         0x243F_6A88_85A3_08D3,
         0x1319_8A2E_0370_7344,
@@ -282,11 +242,9 @@ impl NetSim {
                 port,
                 len,
                 hash,
-                frame: frame.clone(),
             });
         } else {
             self.trace.fold(at, dev, port, len, hash);
-            self.trace.fold_v1(at, dev, port, frame.bytes());
         }
         if self.dev_owner[dev][port].is_some_and(|ni| self.nodes[ni].crashed) {
             // The wire carried the frame (it is in the digest), but the
@@ -315,7 +273,6 @@ mod tests {
         let mut t = TraceDigest::default();
         let at = SimTime::from_nanos(at);
         t.fold(at, dev, port, frame.len(), content_hash(frame));
-        t.fold_v1(at, dev, port, frame);
         t
     }
 
@@ -401,25 +358,14 @@ mod tests {
         );
     }
 
-    /// The bug the per-byte digest had: it folded `dev as u8` and
+    /// The per-byte digest this one replaced folded `dev as u8` and
     /// `port as u8`, so device 257 and port 256 aliased device 1 and
     /// port 0. The record folds both at full width.
     #[test]
     fn devices_and_ports_past_255_do_not_alias() {
         let frame = pattern(64);
-        let pairs = [
-            (
-                one_delivery(5, 1, 0, &frame),
-                one_delivery(5, 257, 0, &frame),
-            ),
-            (
-                one_delivery(5, 1, 0, &frame),
-                one_delivery(5, 1, 256, &frame),
-            ),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(a.v1, b.v1, "v1 aliases");
-            assert_ne!(a.digest, b.digest);
-        }
+        let first = one_delivery(5, 1, 0, &frame);
+        assert_ne!(first, one_delivery(5, 257, 0, &frame));
+        assert_ne!(first, one_delivery(5, 1, 256, &frame));
     }
 }

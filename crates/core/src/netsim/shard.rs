@@ -37,6 +37,7 @@ struct XEvent {
 /// dispatch key it sorted under. Folding the merged, key-sorted log
 /// reproduces the exact digest of the single-engine run (which folds
 /// inline, in dispatch order).
+#[derive(Clone, Copy)]
 pub(super) struct DeliveryRecord {
     pub(super) at: SimTime,
     pub(super) key: OrderKey,
@@ -44,8 +45,6 @@ pub(super) struct DeliveryRecord {
     pub(super) port: usize,
     pub(super) len: usize,
     pub(super) hash: u64,
-    /// Transitional: the per-byte fold needs the bytes at fold time.
-    pub(super) frame: Frame,
 }
 
 /// Per-shard execution context, present only while a sharded run drives
@@ -65,8 +64,8 @@ pub(super) struct ShardCtx {
     pub(super) rounds: RoundCounters,
     /// Deferred digest folds, in this shard's execution order (so the
     /// front is always the oldest). The driver drains and folds finalized
-    /// entries every round, bounding retained frames to roughly one
-    /// window's deliveries.
+    /// entries every round, so the log holds about one window's
+    /// deliveries, five values each and no frame.
     pub(super) log: std::collections::VecDeque<DeliveryRecord>,
 }
 
@@ -340,10 +339,10 @@ impl NetSim {
     /// and injects the cross-shard events generated in it — skipping the
     /// exchange sweep entirely on rounds where no shard produced any.
     /// Deferred digest entries older than every shard's next event are
-    /// final, so they fold into `trace` as the run goes — retained frames
-    /// stay bounded by a round's deliveries instead of the whole run's —
-    /// and the fold before the exit (every shard idle or past `stop`)
-    /// leaves the logs empty.
+    /// final, so they fold into `trace` as the run goes — the logs stay
+    /// bounded by a round's deliveries instead of the whole run's — and
+    /// the fold before the exit (every shard idle or past `stop`) leaves
+    /// the logs empty.
     fn drive_windows_sequential(
         cells: &mut [ShardRun],
         stop: SimTime,
@@ -364,7 +363,7 @@ impl NetSim {
             let min_next = nexts.iter().copied().min().unwrap_or(u64::MAX);
             // No shard can execute anything before `min_next`, so every
             // logged delivery strictly older than it is final: fold those
-            // now, in merged key order, and release their frames.
+            // now, in merged key order.
             if min_next > 0 {
                 for cell in cells.iter_mut() {
                     let log = &mut cell.sim.shard_ctx.as_mut().expect("shard ctx").log;
@@ -376,7 +375,6 @@ impl NetSim {
                     final_folds.sort_unstable_by_key(|r| (r.at, r.key));
                     for r in final_folds.drain(..) {
                         trace.fold(r.at, r.dev, r.port, r.len, r.hash);
-                        trace.fold_v1(r.at, r.dev, r.port, r.frame.bytes());
                     }
                 }
             }

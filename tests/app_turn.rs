@@ -10,9 +10,10 @@
 //! with N (10.76 at star16, 38.85 at star64 — 3.6×, counted on that commit
 //! with `apps.len()` per poll); now it is 0.66 and 0.64.
 //!
-//! The digests pinned below were recorded on the commit before the visit
-//! list, the FIFO switch queues and the token-table cancel existed: none
-//! of the three may move a single delivered byte.
+//! The star16/star64 digests pinned in `testutil` were first recorded on
+//! the commit before the visit list, the FIFO switch queues and the
+//! token-table cancel existed: none of the three may move a single
+//! delivered byte.
 
 mod testutil;
 

@@ -1,7 +1,7 @@
 //! The TCP protocol-fidelity scenarios: lossy-WAN goodput (SACK on/off)
 //! and mixed congestion-control dumbbell fairness. Like every scenario in
 //! this repository they are pure functions of their argument tuple — the
-//! digests pinned here are the seed values; update them only for a change
+//! digests they pin live in `testutil`; update them only for a change
 //! that *intends* to alter wire behavior — and byte-identical at any
 //! worker count.
 
