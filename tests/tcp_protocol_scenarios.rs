@@ -68,7 +68,7 @@ fn lossy_cubic_sack_star_is_pinned_and_shards_identically() {
         .run()
         .expect("reno star runs");
     assert_ne!(
-        base.trace, reno.trace,
+        base.trace.digest, reno.trace.digest,
         "CUBIC and Reno must diverge under loss"
     );
     // Adaptive selection is on by default, so these runs collapse back
@@ -159,7 +159,7 @@ fn reno_vs_cubic_dumbbell_is_pinned_and_fair_enough() {
         .run()
         .expect("all-reno dumbbell");
     assert_ne!(
-        out.trace, all_reno.trace,
+        out.trace.digest, all_reno.trace.digest,
         "mixing CUBIC in must change recovery behavior under loss"
     );
     // An all-default, drop-free run (empty algo slice) must reproduce the
