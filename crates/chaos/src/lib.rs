@@ -252,6 +252,12 @@ impl ChaosApp {
         Some(self.next_round.unwrap_or(SimTime::ZERO))
     }
 
+    /// The `ff_*` calls of a step with no round due: none — a campaign's
+    /// calls all belong to its rounds.
+    pub fn idle_calls(&self) -> u64 {
+        0
+    }
+
     /// Runs every due round: each fires one wire volley, one capability
     /// probe and one flip, per enabled family.
     pub fn step(&mut self, stack: &mut FStack, now: SimTime) -> ChaosStepOutcome {

@@ -46,6 +46,15 @@ pub(crate) trait App {
         None
     }
 
+    /// The `ff_*` calls a step makes when no fd the app owns has changed
+    /// and its [`App::next_deadline`] is not due — a step that finds
+    /// nothing to do, in the app's state as it stands. Exact, like the
+    /// deadline: a charged host parks on the turn that did the work
+    /// without running the idle turn after it, and charges each turn it
+    /// skips `per_ff_call_ns` for every call declared here. Debug builds
+    /// check it against every idle step a charged host runs.
+    fn idle_calls(&self) -> u64;
+
     /// `true` when the app keeps a clock of its own — exactly when it
     /// overrides [`App::next_deadline`]. A property of the type, not of the
     /// moment: a gated host lists its clocked apps once and asks only those
@@ -86,6 +95,10 @@ impl App for ServerApp {
             .map_or((0, false), |o| (u64::from(o.ff_calls), o.progressed))
     }
 
+    fn idle_calls(&self) -> u64 {
+        ServerApp::idle_calls(self)
+    }
+
     fn report(self: Box<Self>, end: SimTime, out: &mut AppReports) {
         out.servers.push(ServerApp::report(*self, end));
     }
@@ -95,6 +108,10 @@ impl App for ClientApp {
     fn step(&mut self, stack: &mut FStack, mem: &mut TaggedMemory, now: SimTime) -> (u64, bool) {
         ClientApp::step(self, stack, mem, now)
             .map_or((0, false), |o| (u64::from(o.ff_calls), o.progressed))
+    }
+
+    fn idle_calls(&self) -> u64 {
+        ClientApp::idle_calls(self)
     }
 
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
@@ -120,6 +137,10 @@ impl App for HttpServerApp {
             .map_or((0, false), |o| (u64::from(o.ff_calls), o.progressed))
     }
 
+    fn idle_calls(&self) -> u64 {
+        HttpServerApp::idle_calls(self)
+    }
+
     /// Lets the idle reaper fire on a gated host with no stack events
     /// pending (`None` whenever the knob is off).
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
@@ -139,6 +160,10 @@ impl App for FleetApp {
     fn step(&mut self, stack: &mut FStack, mem: &mut TaggedMemory, now: SimTime) -> (u64, bool) {
         FleetApp::step(self, stack, mem, now)
             .map_or((0, false), |o| (u64::from(o.ff_calls), o.progressed))
+    }
+
+    fn idle_calls(&self) -> u64 {
+        FleetApp::idle_calls(self)
     }
 
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
@@ -161,6 +186,10 @@ impl App for ChaosApp {
     fn step(&mut self, stack: &mut FStack, _mem: &mut TaggedMemory, now: SimTime) -> (u64, bool) {
         let o = ChaosApp::step(self, stack, now);
         (u64::from(o.ff_calls), o.progressed)
+    }
+
+    fn idle_calls(&self) -> u64 {
+        ChaosApp::idle_calls(self)
     }
 
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {

@@ -6,12 +6,13 @@ use super::{Ep, IsolationProfile, NetEvent, NetSim};
 use crate::app::{App, AppKind, AppSpec};
 use crate::CapnetError;
 use chos::fdtable::Fd;
-use fstack::loop_::{rx_phase, tx_phase};
+use fstack::loop_::{rx_phase, tx_phase, TurnScratch};
 use fstack::{FStack, StackConfig};
 use simkern::engine::{Engine, EventHandle};
 use simkern::time::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use updk::nic::MacAddr;
+use updk::wire::Frame;
 
 /// How contending app cVMs are scheduled against the Scenario 2 service
 /// loop.
@@ -120,8 +121,9 @@ pub(super) struct AppSlot {
     /// calls the stack under ([`FStack::set_caller`]): slot indices move
     /// while apps are still being installed, this never does.
     installed: usize,
-    /// "A step could progress" flag of the dirty-fd gate. On a gated host
-    /// a set flag has an entry in [`Node::ready`], and the other way round.
+    /// "A step could progress" flag of the dirty-fd gate (gated hosts
+    /// only). A set flag has an entry in [`Node::ready`], and the other way
+    /// round.
     runnable: bool,
 }
 
@@ -152,9 +154,10 @@ pub(super) struct Node {
     /// `true` when app steps are gated on the stack's dirty-fd set: ideal
     /// hosts only. A charged host (per-call isolation cost, the S2 service
     /// mutex) steps every app every turn, because the `ff_*` calls of even
-    /// a no-op step are part of the turn's accounted cost — which is also
-    /// what makes its idle period a constant it can park on. Resolved at
-    /// `run()` start.
+    /// a no-op step are part of the turn's accounted cost. Both kinds drain
+    /// the dirty-fd set at the start of the app turn, so both read
+    /// [`FStack::is_quiet`] the same way and park by one rule; they differ
+    /// only in which apps a turn steps. Resolved at `run()` start.
     gated: bool,
     /// `true` on the two kinds of host whose next idle period is not a
     /// function of their own state, so they never park: an S2 service node
@@ -167,6 +170,11 @@ pub(super) struct Node {
     slot_of: Vec<u32>,
     /// Scratch for draining the stack's dirty-fd set (no per-turn alloc).
     fd_scratch: Vec<Fd>,
+    /// The RX and TX bursts' vectors, empty between turns.
+    turn_scratch: TurnScratch,
+    /// The turn's frames for the wire, `(frame, departure)`, empty between
+    /// turns.
+    tx_out: Vec<(Frame, SimTime)>,
     /// Gated hosts: the slots whose `runnable` flag is set, in the order
     /// they were flagged. Fed where a flag flips false → true, drained
     /// into `visit` by the next app turn.
@@ -205,8 +213,9 @@ pub(super) struct Node {
     anchor: SimTime,
     /// While parked: the lattice step in nanoseconds — what an idle
     /// iteration of this host takes, which is what every iteration until
-    /// the wake would have taken: `mainloop_idle_ns` on a gated host, the
-    /// idle iteration's own `next − now` on a charged one.
+    /// the wake would have taken: `mainloop_idle_ns`, plus on a charged
+    /// host `per_ff_call_ns` for each of its apps' [`App::idle_calls`] and
+    /// on an S2 service node the mutex fast path ([`NetSim::idle_turn_ns`]).
     period: u64,
     /// While parked: the instant the iteration that parked ran — the one
     /// that would have scheduled the polling loop's iteration at `anchor`
@@ -240,6 +249,8 @@ impl Node {
             polls: false,
             slot_of: Vec::new(),
             fd_scratch: Vec::new(),
+            turn_scratch: TurnScratch::default(),
+            tx_out: Vec::new(),
             ready: Vec::new(),
             clocked: Vec::new(),
             visit: Vec::new(),
@@ -306,21 +317,24 @@ impl Node {
         }
     }
 
-    /// Seeds the app turn from the slots as they stand: every live app is
-    /// runnable (its first turn steps it), the clocked list names the live
-    /// apps with a clock, a dead slot is in no list. The only writer of
-    /// `ready`/`clocked` wholesale and the only place a flag is set without
-    /// a dirty fd — run start, crash (no slot is live: everything empties)
-    /// and restart all come through here, so flags and lists cannot drift
-    /// apart.
+    /// Seeds the app turn from the slots as they stand: on a gated host
+    /// every live app is runnable (its first turn steps it), the clocked
+    /// list names the live apps with a clock, a dead slot is in no list. The
+    /// only writer of `ready`/`clocked` wholesale and the only place a flag
+    /// is set without a dirty fd — run start, crash (no slot is live:
+    /// everything empties) and restart all come through here, so flags and
+    /// lists cannot drift apart. A charged host steps every slot every turn
+    /// and keeps no flags.
     fn seed_turn(&mut self) {
         self.ready.clear();
         self.clocked.clear();
         self.visit.clear();
         for (si, slot) in self.apps.iter_mut().enumerate() {
-            slot.runnable = slot.app.is_some();
+            slot.runnable = self.gated && slot.app.is_some();
             if let Some(app) = slot.app.as_ref() {
-                self.ready.push(si as u32);
+                if self.gated {
+                    self.ready.push(si as u32);
+                }
                 if app.has_clock() {
                     self.clocked.push(si as u32);
                 }
@@ -438,7 +452,7 @@ impl NetSim {
         let mem = &mut self.mems[mi];
 
         // (i) RX ring → stack.
-        let rx = rx_phase(&mut node.stack, dev, pi, mem, now).unwrap_or(0);
+        let rx = rx_phase(&mut node.stack, dev, pi, mem, now, &mut node.turn_scratch).unwrap_or(0);
 
         // (ii) the user-defined function: application steps, gated by the
         // app-cVM scheduling policy (RoundRobin steps everyone; Barging
@@ -455,14 +469,15 @@ impl NetSim {
         node.turns += 1;
         let mut ff_calls: u64 = 0;
         let mut progressed = false;
-        // Route the stack's changed fds to their owning apps. On a gated
-        // (ideal) host only runnable apps step: an app with no changed fd
-        // and no due clock would repeat its previous no-op step, so
-        // skipping it is behaviourally invisible — the hub of an N-client
-        // star examines O(frames received) server apps per poll instead of
-        // all N. Charged hosts (per-call isolation, the S2 service loop)
-        // step everything, because even a no-op step's ff_* calls carry an
-        // accounted cost there.
+        // Drain the stack's changed fds; on a gated (ideal) host, route
+        // them to their owning apps, and step only runnable apps: an app
+        // with no changed fd and no due clock would repeat its previous
+        // no-op step, so skipping it is behaviourally invisible — the hub
+        // of an N-client star examines O(frames received) server apps per
+        // poll instead of all N. Charged hosts (per-call isolation, the S2
+        // service loop) step everything, because even a no-op step's ff_*
+        // calls carry an accounted cost there; they drain the set all the
+        // same, so what is left in it after the turn was changed by it.
         let Node {
             stack,
             apps,
@@ -475,9 +490,9 @@ impl NetSim {
             ..
         } = node;
         let gated = *gated;
+        fd_scratch.clear();
+        stack.take_dirty_fds(fd_scratch);
         if gated {
-            fd_scratch.clear();
-            stack.take_dirty_fds(fd_scratch);
             for &fd in fd_scratch.iter() {
                 if let Some(id) = stack.owner_of(fd) {
                     let si = slot_of[id as usize];
@@ -498,6 +513,21 @@ impl NetSim {
             visit.extend(clocked.iter().filter(|&&si| !apps[si as usize].runnable));
             visit.sort_unstable();
         }
+        // A charged turn on which nothing reached any app — no fd changed,
+        // no clock due — is an idle turn for each of them: each step must
+        // make exactly the calls its `idle_calls` declares, which is what
+        // a park charges for the turns it skips. (Not under a turn-dependent
+        // policy: an app it held back may step on a change drained on an
+        // earlier turn. Such a loop never parks.)
+        #[cfg(debug_assertions)]
+        let idle_check = !gated
+            && !sched.turn_dependent()
+            && fd_scratch.is_empty()
+            && clocked.iter().all(|&si| {
+                let app = apps[si as usize].app.as_ref();
+                app.and_then(|a| a.next_deadline(now))
+                    .is_none_or(|d| d > now)
+            });
         self.counters.app_visits += visit.len() as u64;
         for &si in visit.iter() {
             let si = si as usize;
@@ -518,15 +548,44 @@ impl NetSim {
                 continue;
             }
             slot.runnable = false;
+            #[cfg(debug_assertions)]
+            let declared = app.idle_calls();
             // The fds this step obtains are this app's.
             stack.set_caller(slot.installed as u32);
             let (calls, moved) = app.step(stack, mem, now);
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                !idle_check || (calls, moved) == (declared, false),
+                "{:?} app #{} on {} at {now:?}: an idle step made {calls} ff_* calls \
+                 (progressed: {moved}), its idle_calls says {declared}",
+                slot.spec.kind(),
+                slot.installed,
+                node.name,
+            );
             ff_calls += calls;
             progressed |= moved;
         }
 
-        // (iii) stack timers + TX ring.
-        let tx = tx_phase(&mut node.stack, dev, pi, mem, now).unwrap_or_default();
+        // (iii) stack timers + TX ring. A driver error ends the burst; the
+        // frames sent before it still leave.
+        let mut tx = std::mem::take(&mut node.tx_out);
+        let _ = tx_phase(
+            &mut node.stack,
+            dev,
+            pi,
+            mem,
+            now,
+            &mut node.turn_scratch,
+            &mut tx,
+        );
+        // Pool conservation: RX and TX each return their mbufs within the
+        // turn.
+        debug_assert_eq!(
+            dev.stats(pi).bufs_in_use,
+            0,
+            "{}: a turn ended holding mbufs",
+            node.name
+        );
 
         // Wire propagation to whatever the port is cabled to (a peer NIC
         // directly, or a switch that forwards hop by hop). The endpoint was
@@ -541,10 +600,12 @@ impl NetSim {
             self.impairment_stats.blackholed += n_tx as u64;
         } else if let Some(to) = self.nodes[i].cabled {
             let origin = Self::node_origin(i);
-            for (frame, departure) in tx {
+            for (frame, departure) in tx.drain(..) {
                 self.transmit(engine, origin, to, departure, frame);
             }
         }
+        tx.clear();
+        self.nodes[i].tx_out = tx;
 
         // Iteration cost: loop work + per-call isolation charges.
         let work = self.costs.mainloop_idle_ns
@@ -562,41 +623,43 @@ impl NetSim {
             (now + work, false)
         };
 
-        // Quiescence: an iteration that did no work — no RX, no TX, no app
-        // progress — parks the loop instead of rescheduling it. Replayed at
-        // `next`, it would find the same stack and the same apps, make the
-        // same `ff_*` calls and take the same `next − now`, and so on for
-        // every tick until something reaches the host from outside or one
-        // of its own deadlines falls due; so that span is the step of a
-        // lattice the loop sleeps on, waking at the first tick at or after
-        // the earliest of: a stack timer, a clocked app's deadline, the
-        // instant the RX ring's head finishes its DMA, and — moved in by
+        // Quiescence: the loop parks instead of rescheduling once the turn
+        // at `next` would be idle — no RX, no TX, no app progress. Such a
+        // turn would find the same stack and the same apps, make each app's
+        // `idle_calls` and take the idle period, and so would every turn
+        // after it until something reaches the host from outside or one of
+        // its own deadlines falls due; so the loop sleeps on the lattice
+        // `next + k·period`, waking at the first tick at or after the
+        // earliest of: a stack timer, a clocked app's deadline, the instant
+        // the RX ring's head finishes its DMA, and — moved in by
         // `wake_on_delivery` — a frame reaching the port. What the skipped
         // iterations would have left in the model besides the clock is
-        // settled at the wake (`fold_skipped`). A turn that had to wait for
-        // the service mutex (a loop rebooted inside its crashed
+        // settled at the wake (`fold_skipped`).
+        //
+        // The turn at `next` is idle when this one was, and also when this
+        // one left the stack quiet with no app runnable: the stack's dirty
+        // set was drained before the app steps, so a quiet stack means
+        // nothing this turn did changed an fd for an app, and no output or
+        // link-layer frame is owed. That turn could then only read a frame
+        // that is a deadline (the RX head) or a delivery, step an app whose
+        // clock fired and send what a due timer owes — deadlines all. So
+        // one rule serves both kinds of host, and a turn that did the work
+        // parks without a confirming idle turn after it. A turn that had
+        // to wait for the service mutex (a loop rebooted inside its crashed
         // predecessor's last hold) took longer than the idle turns after
         // it will: it reschedules, and the next one parks.
-        //
-        // A gated host need not run that idle turn to know it. If this turn
-        // left the stack quiet and no app runnable, the turn at `next` could
-        // only read a frame that is a deadline (the RX head) or a delivery,
-        // step an app whose clock fired and send what a due timer owes —
-        // deadlines all; without them it is idle, lasts `mainloop_idle_ns`
-        // (no frames, no charged calls) and parks. So this turn parks on the
-        // lattice from `next`, and a deadline at or before `next` puts the
-        // wake on `next` itself. A charged host's idle period is set by the
-        // `ff_*` calls of its idle turn, which only running that turn tells.
         let idle = rx == 0 && n_tx == 0 && !progressed;
         if idle {
             self.counters.idle_polls += 1;
         }
-        let node = &mut self.nodes[i];
-        let quiet = idle || (node.gated && node.ready.is_empty() && node.stack.is_quiet());
+        let node = &self.nodes[i];
+        let quiet = idle || (node.ready.is_empty() && node.stack.is_quiet());
         let parkable = quiet && !node.polls && !waited;
         #[cfg(test)]
         let parkable = parkable && !POLLED_REFERENCE.with(std::cell::Cell::get);
         if parkable {
+            let period = self.idle_turn_ns(i);
+            let node = &mut self.nodes[i];
             // Stack timers, every app's own clock (client write-gap and
             // stop instants, fleet arrivals and think timers, the HTTP
             // server's idle reaper, chaos rounds) and a frame still mid-DMA
@@ -612,12 +675,7 @@ impl NetSim {
             node.parked = true;
             node.parked_at = now;
             node.anchor = next;
-            node.period = if node.gated {
-                self.costs.mainloop_idle_ns
-            } else {
-                (next - now).as_nanos()
-            }
-            .max(1);
+            node.period = period;
             self.counters.parks += 1;
             debug_assert!(node.wake.is_none(), "parking with a wake still scheduled");
             if let Some(d) = deadline {
@@ -625,13 +683,36 @@ impl NetSim {
                 self.schedule_wake(i, tick, false, engine);
             }
         } else {
-            let epoch = node.epoch;
+            let epoch = self.nodes[i].epoch;
             engine.schedule_from(
                 Self::node_origin(i),
                 next,
                 NetEvent::LoopIter { node: i, epoch },
             );
         }
+    }
+
+    /// How long an idle turn of node `i` takes, in nanoseconds: the loop's
+    /// own idle work, the per-call charge for every `ff_*` call its apps
+    /// make on a step that finds nothing changed ([`App::idle_calls`]; a
+    /// gated host's calls are free, so it does not ask), and on an S2
+    /// service node the uncontended acquisition of the service mutex.
+    /// Exactly the `next − now` such a turn computes.
+    fn idle_turn_ns(&self, i: usize) -> u64 {
+        let node = &self.nodes[i];
+        let per_call = node.profile.per_ff_call_ns;
+        let calls: u64 = if per_call == 0 {
+            0
+        } else {
+            let live = node.apps.iter().filter_map(|s| s.app.as_ref());
+            live.map(|a| a.idle_calls()).sum()
+        };
+        let fast_path = if node.profile.s2_service {
+            self.costs.mutex_fast_ns
+        } else {
+            0
+        };
+        (self.costs.mainloop_idle_ns + per_call * calls + fast_path).max(1)
     }
 
     /// Puts parked node `i`'s one [`NetEvent::Wake`] at lattice tick `at`,
@@ -985,40 +1066,49 @@ mod tests {
         assert_eq!(parked, polled, "the parked loop");
     }
 
-    /// A gated host parks at the end of the turn that did the work when
-    /// that turn leaves the stack quiet: the hub reads an ARP request and
+    /// Every host parks at the end of the turn that did the work when that
+    /// turn leaves the stack quiet: the hub reads an ARP request and
     /// answers it in one turn, and no confirming idle turn follows — the
-    /// lattice starts where the turn ends and steps by the idle period.
+    /// lattice starts where the turn ends and steps by the idle period. On
+    /// a charged hub that period is the one its idle turn would take: four
+    /// receivers and an HTTP server, two calls each.
     #[test]
     fn a_productive_turn_that_leaves_the_stack_quiet_parks() {
         use fstack::arp::ArpPacket;
         use fstack::ether::{EthHdr, EtherType};
         use updk::wire::Frame;
 
-        let (mut sim, hub) = hub_with_five_apps();
-        let node = &sim.nodes[hub];
-        let asker = MacAddr::local(77);
-        let req = ArpPacket::request(asker, Ipv4Addr::new(10, 0, 0, 77), node.stack.config().ip);
-        let frame = EthHdr {
-            dst: MacAddr::BROADCAST,
-            src: asker,
-            ethertype: EtherType::Arp,
-        }
-        .build(&req.build());
-        let (dev, port) = (node.dev, node.port);
-        sim.devs[dev].deliver(port, SimTime::ZERO, Frame::new(frame));
-        let mut engine = Engine::new();
-        sim.loop_iter(hub, &mut engine);
+        for per_call in [0, 40] {
+            let (mut sim, hub) = hub_with_five_apps();
+            sim.nodes[hub].profile.per_ff_call_ns = per_call;
+            sim.resolve_caches();
+            let node = &sim.nodes[hub];
+            assert_eq!(node.gated, per_call == 0);
+            let asker = MacAddr::local(77);
+            let req =
+                ArpPacket::request(asker, Ipv4Addr::new(10, 0, 0, 77), node.stack.config().ip);
+            let frame = EthHdr {
+                dst: MacAddr::BROADCAST,
+                src: asker,
+                ethertype: EtherType::Arp,
+            }
+            .build(&req.build());
+            let (dev, port) = (node.dev, node.port);
+            sim.devs[dev].deliver(port, SimTime::ZERO, Frame::new(frame));
+            let mut engine = Engine::new();
+            sim.loop_iter(hub, &mut engine);
 
-        let c = sim.counters;
-        assert_eq!((c.loop_polls, c.idle_polls, c.parks), (1, 0, 1), "{c:?}");
-        let node = &sim.nodes[hub];
-        assert_eq!(node.stack.stats().frames_out, 1, "the reply left");
-        assert!(node.parked && node.wake.is_none(), "nothing to wake for");
-        let costs = CostModel::morello();
-        let next = costs.mainloop_idle_ns + 2 * costs.mainloop_per_frame_ns;
-        assert_eq!(node.anchor, SimTime::from_nanos(next));
-        assert_eq!(node.period, costs.mainloop_idle_ns);
+            let c = sim.counters;
+            assert_eq!((c.loop_polls, c.idle_polls, c.parks), (1, 0, 1), "{c:?}");
+            let node = &sim.nodes[hub];
+            assert_eq!(node.stack.stats().frames_out, 1, "the reply left");
+            assert!(node.parked && node.wake.is_none(), "nothing to wake for");
+            let costs = CostModel::morello();
+            let calls = 5 * 2;
+            let next = costs.mainloop_idle_ns + 2 * costs.mainloop_per_frame_ns + per_call * calls;
+            assert_eq!(node.anchor, SimTime::from_nanos(next));
+            assert_eq!(node.period, costs.mainloop_idle_ns + per_call * calls);
+        }
     }
 
     /// A charged host is not gated: every turn examines every slot.

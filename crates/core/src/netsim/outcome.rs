@@ -31,10 +31,9 @@ pub struct EventCounters {
     /// progress). The idle iterations a parked loop slept through are not
     /// executed and not counted. On every host but the two polling
     /// fallbacks (`DESIGN.md`, *Park/wake node loops*) an idle iteration
-    /// parks, so this is at most [`EventCounters::parks`] — equal where
-    /// every host is charged, far below it where an ideal host parks on
-    /// its productive turns and runs an idle one only when a wake finds
-    /// nothing to do.
+    /// parks, so this is at most [`EventCounters::parks`] — far below it,
+    /// as every host parks on its productive turns and runs an idle one
+    /// only when a wake finds nothing to do.
     pub idle_polls: u64,
     /// Frame deliveries into NIC ports.
     pub deliveries: u64,
@@ -51,8 +50,8 @@ pub struct EventCounters {
     /// witness that cancellation works: always zero.
     pub stale_wakes: u64,
     /// Times an iteration parked the loop instead of rescheduling it: an
-    /// idle one on any host, and on an ideal (gated) host also one that did
-    /// work and left the stack quiet with no app runnable.
+    /// idle one, or one that did work and left the stack quiet with no app
+    /// runnable.
     pub parks: u64,
     /// Deliveries that scheduled or moved a parked node's wake: the first
     /// frame to reach a parked port, and any later one readable earlier

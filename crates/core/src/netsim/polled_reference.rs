@@ -133,8 +133,9 @@ fn polled_reference_paper_testbed() {
 
 /// Charged hosts on host NICs: bulk stars at five per-call isolation
 /// costs (idle periods from 900 ns to past the 1 672 ns a minimum frame
-/// needs to cross a cable) and the HTTP serving plane at three. Where
-/// every host is charged only idle turns park, and every one of them does.
+/// needs to cross a cable) and the HTTP serving plane at three. Charged
+/// hosts park on the turn that did the work as ideal ones do, so parks
+/// outnumber idle turns at every cost.
 #[test]
 fn polled_reference_charged_stars() {
     let mut cases = 0;
@@ -149,11 +150,7 @@ fn polled_reference_charged_stars() {
                     .expect("star runs")
             });
             let c = out.counters;
-            if cost > 0 {
-                assert_eq!(c.idle_polls, c.parks, "{what}: {c:?}");
-            } else {
-                assert!(c.idle_polls < c.parks, "{what}: productive parks: {c:?}");
-            }
+            assert!(c.idle_polls < c.parks, "{what}: productive parks: {c:?}");
             cases += 1;
         }
     }

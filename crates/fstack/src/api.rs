@@ -219,6 +219,18 @@ pub struct FStack {
     /// still reach the application that closed it — and is overwritten
     /// when the number is handed out again.
     owner: Vec<Option<u32>>,
+    /// [`FStack::poll_tx_into`]'s working vectors, kept empty between
+    /// polls so a steady-state poll allocates nothing.
+    tx_scratch: TxScratch,
+}
+
+/// The working vectors of one [`FStack::poll_tx_into`].
+#[derive(Debug, Default)]
+struct TxScratch {
+    /// The hot set, drained and sorted into fd order.
+    hot: Vec<Fd>,
+    /// Built IP packets and their next hops, before link-layer wrapping.
+    to_send: Vec<(Ipv4Addr, FrameBufMut)>,
 }
 
 /// A set of fds in insertion order: a list for draining, a flag per fd so
@@ -290,6 +302,7 @@ impl FStack {
             armed: vec![None; max_sockets],
             caller: None,
             owner: Vec::new(),
+            tx_scratch: TxScratch::default(),
         }
     }
 
@@ -1235,6 +1248,14 @@ impl FStack {
     /// are prepended in place. The returned [`FrameBuf`]s are shared
     /// views; the driver wraps them into wire frames without copying.
     pub fn poll_tx(&mut self, now: SimTime) -> Vec<FrameBuf> {
+        let mut frames = Vec::new();
+        self.poll_tx_into(now, &mut frames);
+        frames
+    }
+
+    /// [`FStack::poll_tx`], appending the frames to `frames`: with a
+    /// vector the caller keeps, a steady-state poll allocates nothing.
+    pub fn poll_tx_into(&mut self, now: SimTime, frames: &mut Vec<FrameBuf>) {
         // Promote due armed timers into the hot set (stale entries — the
         // socket's armed deadline moved since the push — are skipped).
         while let Some(&std::cmp::Reverse((d, fd))) = self.timer_q.peek() {
@@ -1253,17 +1274,17 @@ impl FStack {
         // output before the next deadline). Visiting them in fd order
         // reproduces the historical full-table scan's emission order.
         if self.tx_hot.list.is_empty() && self.pending_tx.is_empty() {
-            return Vec::new();
+            return;
         }
-        let mut hot = Vec::new();
+        let first = frames.len();
+        let mut hot = std::mem::take(&mut self.tx_scratch.hot);
+        let mut to_send = std::mem::take(&mut self.tx_scratch.to_send);
         self.tx_hot.drain_into(&mut hot);
         hot.sort_unstable();
-        let mut frames: Vec<FrameBuf> = Vec::new();
         type ConnKey = (u16, Ipv4Addr, u16);
         let mut reap: Vec<(Fd, Option<ConnKey>)> = Vec::new();
         let mut embryonic: Vec<(Fd, ConnKey)> = Vec::new();
         let mut giveups = 0u64;
-        let mut to_send: Vec<(Ipv4Addr, FrameBufMut)> = Vec::new();
         let mut ident = self.ident;
         let src_ip = self.cfg.ip;
         for &fd in &hot {
@@ -1319,11 +1340,12 @@ impl FStack {
             }
         }
         self.ident = ident;
-        for (dst, pkt) in to_send {
+        for (dst, pkt) in to_send.drain(..) {
             if let Some(frame) = self.wrap_or_park(dst, pkt) {
                 frames.push(frame);
             }
         }
+        self.tx_scratch.to_send = to_send;
         self.stats.conn_timeouts += giveups;
         for (fd, key) in reap {
             if let Some(k) = key {
@@ -1361,11 +1383,13 @@ impl FStack {
             self.arm_timer(fd);
             self.epoll.touch(fd);
         }
+        hot.clear();
+        self.tx_scratch.hot = hot;
         // Drain link-layer traffic last so ARP requests generated while
         // wrapping this iteration's packets leave in the same iteration.
         frames.extend(self.pending_tx.drain(..));
-        self.stats.frames_out = self.stats.frames_out.wrapping_add(frames.len() as u64);
-        frames
+        let sent = frames.len() - first;
+        self.stats.frames_out = self.stats.frames_out.wrapping_add(sent as u64);
     }
 
     // ------------------------------------------------------------------

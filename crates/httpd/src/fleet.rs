@@ -477,6 +477,18 @@ impl FleetApp {
         d
     }
 
+    /// The `ff_*` calls of a step that finds no fd changed and no clock
+    /// ([`FleetApp::next_deadline`]) due: no arrival or retry launches,
+    /// and each open connection makes the one call that finds it
+    /// unchanged — the readiness probe of a pending connect, the write
+    /// that finds no send space, the read that finds no response bytes,
+    /// the attacker's probe for a server-side close — except a thinking
+    /// one, which makes none.
+    pub fn idle_calls(&self) -> u64 {
+        let thinking = |c: &&FleetConn| c.state == CState::Thinking;
+        (self.conns.len() - self.conns.iter().filter(thinking).count()) as u64
+    }
+
     /// `true` once arrivals are exhausted and every connection (and
     /// pending retry) drained.
     pub fn is_done(&self, now: SimTime) -> bool {

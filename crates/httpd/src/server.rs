@@ -368,6 +368,13 @@ impl HttpServerApp {
             .min()
     }
 
+    /// The `ff_*` calls of a step that finds no fd changed and the idle
+    /// reaper ([`HttpServerApp::next_deadline`]) not due: the accept that
+    /// returns `EAGAIN` and the epoll wait that reports nothing to serve.
+    pub fn idle_calls(&self) -> u64 {
+        2
+    }
+
     /// Reads, parses and responds on every connection `events` flagged.
     fn service_ready(
         &mut self,

@@ -215,6 +215,20 @@ impl ClientApp {
         })
     }
 
+    /// The `ff_*` calls of a step that finds its fd unchanged and its
+    /// clock ([`ClientApp::next_deadline`]) not due: the connect phase's
+    /// epoll wait; while running, the write retried after a failed one (a
+    /// step inside the write gap makes none — a failed write always came
+    /// at or after the write instant, so a blocked sender is never inside
+    /// the gap); the closing phase's readiness probe; nothing once done.
+    pub fn idle_calls(&self) -> u64 {
+        match self.phase {
+            Phase::Connecting | Phase::Closing => 1,
+            Phase::Running => u64::from(self.blocked),
+            Phase::Done => 0,
+        }
+    }
+
     /// Produces the run summary at `now`.
     pub fn report(self, now: SimTime) -> BandwidthReport {
         let started = self.started.unwrap_or(now);

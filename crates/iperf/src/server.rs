@@ -115,6 +115,13 @@ impl ServerApp {
         Ok(out)
     }
 
+    /// The `ff_*` calls of a step that finds no connection and no fd
+    /// changed: the accept that returns `EAGAIN` and the epoll wait that
+    /// reports nothing to read.
+    pub fn idle_calls(&self) -> u64 {
+        2
+    }
+
     /// Drains every readable connection in `events` (split out so the
     /// caller can restore the reused event vector even on error).
     fn drain_ready(

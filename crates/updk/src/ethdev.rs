@@ -174,37 +174,68 @@ impl EthDev {
     /// Transmits a burst of frames whose bytes were already DMA-written
     /// into the paired mbufs, frees the buffers, and returns `(frame,
     /// departure_instant)` pairs for the scenario to propagate over the
-    /// wire. The capability window of each mbuf is re-derived (the DMA-read
-    /// check) but the wire gets the *shared* frame buffer: no read-back
-    /// copy, no fresh allocation.
+    /// wire ([`EthDev::tx_burst_shared_into`] into a fresh vector).
     ///
     /// # Errors
     ///
-    /// [`UpdkError::NotStarted`] when the link is down; capability faults
-    /// if an mbuf's data window is corrupt. Already-transmitted frames of
-    /// the burst are returned with the error-free prefix semantics of DPDK
-    /// (`nb_tx < nb_pkts`): we stop at the first failure.
+    /// As [`EthDev::tx_burst_shared_into`]; the frames it sent before the
+    /// failure are lost with the vector.
     pub fn tx_burst_shared(
         &mut self,
         port: usize,
         now: SimTime,
-        batch: Vec<(Mbuf, Frame)>,
+        mut batch: Vec<(Mbuf, Frame)>,
     ) -> Result<Vec<(Frame, SimTime)>, UpdkError> {
         let mut out = Vec::with_capacity(batch.len());
-        for (mbuf, frame) in batch {
-            // The DMA engine reads through the mbuf's capability: deriving
-            // the data window performs the tag/bounds check the paper's
-            // port relies on, without copying the bytes back out.
-            mbuf.data_cap().map_err(UpdkError::Cap)?;
-            debug_assert!(usize::from(mbuf.data_len()) <= frame.len());
-            let departure = self.nic.tx(port, now, &frame, &self.costs)?;
-            self.pools[port]
-                .as_mut()
-                .ok_or(UpdkError::PortNotConfigured)?
-                .free(mbuf);
-            out.push((frame, departure));
-        }
+        self.tx_burst_shared_into(port, now, &mut batch, &mut out)?;
         Ok(out)
+    }
+
+    /// Transmits the burst `batch` holds — frames whose bytes were already
+    /// DMA-written into the paired mbufs — and appends a `(frame,
+    /// departure_instant)` pair to `out` for each frame sent, for the
+    /// scenario to propagate over the wire. Every mbuf goes back to the
+    /// pool and `batch` is left empty, on success and on error alike. The
+    /// capability window of each mbuf is re-derived (the DMA-read check)
+    /// but the wire gets the *shared* frame buffer: no read-back copy, no
+    /// fresh allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`UpdkError::NotStarted`] when the link is down; capability faults
+    /// if an mbuf's data window is corrupt;
+    /// [`UpdkError::PortNotConfigured`] without a pool. The burst stops at
+    /// the first failure with the error-free prefix semantics of DPDK
+    /// (`nb_tx < nb_pkts`): the frames before it are in `out`, the rest
+    /// are dropped.
+    pub fn tx_burst_shared_into(
+        &mut self,
+        port: usize,
+        now: SimTime,
+        batch: &mut Vec<(Mbuf, Frame)>,
+        out: &mut Vec<(Frame, SimTime)>,
+    ) -> Result<(), UpdkError> {
+        let Some(pool) = self.pools.get_mut(port).and_then(Option::as_mut) else {
+            batch.clear(); // no pool to return them to: they cannot exist
+            return Err(UpdkError::PortNotConfigured);
+        };
+        let mut failed = Ok(());
+        for (mbuf, frame) in batch.drain(..) {
+            if failed.is_ok() {
+                // The DMA engine reads through the mbuf's capability:
+                // deriving the data window performs the tag/bounds check
+                // the paper's port relies on, without copying the bytes
+                // back out.
+                debug_assert!(usize::from(mbuf.data_len()) <= frame.len());
+                failed = mbuf
+                    .data_cap()
+                    .map_err(UpdkError::Cap)
+                    .and_then(|_| self.nic.tx(port, now, &frame, &self.costs))
+                    .map(|departure| out.push((frame, departure)));
+            }
+            pool.free(mbuf);
+        }
+        failed
     }
 
     /// Hands an arriving frame to the NIC (wire side; scenario calls this).
@@ -232,12 +263,12 @@ impl EthDev {
 
     /// Polls up to `max` DMA-complete frames, pairing each fresh mbuf (the
     /// capability-checked DMA write into packet memory) with the *shared*
-    /// frame buffer so the stack can parse by slicing instead of copying.
+    /// frame buffer so the stack can parse by slicing instead of copying
+    /// ([`EthDev::rx_burst_shared_into`] into a fresh vector).
     ///
     /// # Errors
     ///
-    /// [`UpdkError::PortNotConfigured`]; buffer starvation silently drops
-    /// the frame and counts an allocation failure, like real PMDs.
+    /// As [`EthDev::rx_burst_shared_into`].
     pub fn rx_burst_shared(
         &mut self,
         port: usize,
@@ -245,23 +276,54 @@ impl EthDev {
         max: usize,
         mem: &mut TaggedMemory,
     ) -> Result<Vec<(Mbuf, Frame)>, UpdkError> {
-        if self.pools.get(port).map(Option::is_none).unwrap_or(true) {
-            return Err(UpdkError::PortNotConfigured);
-        }
-        let frames = self.nic.rx_burst(port, now, max);
-        let mut out = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let pool = self.pools[port].as_mut().expect("checked above");
-            match pool.alloc() {
-                Ok(mut mbuf) => {
-                    mbuf.set_data(mem, frame.bytes()).map_err(UpdkError::Cap)?;
-                    mbuf.set_port(port as u16);
-                    out.push((mbuf, frame));
-                }
-                Err(_) => { /* starvation: frame dropped, failure counted */ }
-            }
-        }
+        let mut out = Vec::new();
+        self.rx_burst_shared_into(port, now, max, mem, &mut out)?;
         Ok(out)
+    }
+
+    /// Polls up to `max` DMA-complete frames into `out`, each paired with
+    /// a fresh mbuf holding its capability-checked DMA write into packet
+    /// memory; the *shared* frame buffer rides along so the stack can
+    /// parse by slicing instead of copying. The caller frees the mbufs.
+    ///
+    /// # Errors
+    ///
+    /// [`UpdkError::PortNotConfigured`], or a capability fault writing
+    /// packet memory — after which `out` holds what it held before the
+    /// call and the burst's mbufs are back in the pool. Buffer starvation
+    /// silently drops the frame and counts an allocation failure, like
+    /// real PMDs.
+    pub fn rx_burst_shared_into(
+        &mut self,
+        port: usize,
+        now: SimTime,
+        max: usize,
+        mem: &mut TaggedMemory,
+        out: &mut Vec<(Mbuf, Frame)>,
+    ) -> Result<(), UpdkError> {
+        let Some(pool) = self.pools.get_mut(port).and_then(Option::as_mut) else {
+            return Err(UpdkError::PortNotConfigured);
+        };
+        let first = out.len();
+        for _ in 0..max {
+            let Some(frame) = self.nic.rx_next(port, now) else {
+                break;
+            };
+            // Starvation: the frame is dropped and the failure counted.
+            let Ok(mut mbuf) = pool.alloc() else {
+                continue;
+            };
+            if let Err(fault) = mbuf.set_data(mem, frame.bytes()) {
+                pool.free(mbuf);
+                for (m, _) in out.drain(first..) {
+                    pool.free(m);
+                }
+                return Err(UpdkError::Cap(fault));
+            }
+            mbuf.set_port(port as u16);
+            out.push((mbuf, frame));
+        }
+        Ok(())
     }
 
     /// Combined statistics for `port`.
@@ -369,6 +431,26 @@ mod tests {
         dev.tx_burst_shared(0, SimTime::ZERO, vec![(m, frame)])
             .unwrap();
         assert_eq!(dev.stats(0).bufs_in_use, before);
+    }
+
+    /// A burst that fails — here on a link that went down — still
+    /// returns every mbuf to the pool and leaves the batch empty.
+    #[test]
+    fn a_failed_tx_burst_frees_every_mbuf() {
+        let (mut mem, _kmod, mut dev) = setup();
+        let mut batch = Vec::new();
+        for _ in 0..3 {
+            let mut m = dev.alloc_mbuf(0).unwrap();
+            let frame = Frame::new(vec![7; 60]);
+            m.set_data(&mut mem, frame.bytes()).unwrap();
+            batch.push((m, frame));
+        }
+        dev.stop();
+        let mut out = Vec::new();
+        let err = dev.tx_burst_shared_into(0, SimTime::ZERO, &mut batch, &mut out);
+        assert_eq!(err, Err(UpdkError::NotStarted));
+        assert!(batch.is_empty() && out.is_empty());
+        assert_eq!(dev.stats(0).bufs_in_use, 0);
     }
 
     #[test]

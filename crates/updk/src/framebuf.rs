@@ -7,8 +7,10 @@
 //!
 //! * **one storage block per frame**, taken from a thread-local recycling
 //!   pool ([`pool_stats`] counts the takes, reuses and fresh heap
-//!   allocations — the witness that the steady-state hot path allocates
-//!   nothing);
+//!   allocations). A block is the `Rc` box and its bytes in one heap
+//!   allocation, and the pool keeps it whole — reference counts included —
+//!   so a steady-state frame costs no heap allocation at all: not for its
+//!   bytes, and not at [`FrameBufMut::freeze`];
 //! * **headroom**: the stack writes the payload once at an offset and
 //!   *prepends* TCP/IP/Ethernet headers in place ([`FrameBufMut::prepend`]),
 //!   exactly how a DPDK driver fills the mbuf headroom;
@@ -18,7 +20,7 @@
 //!   instead of copying N kilobytes, and TCP's out-of-order reassembly
 //!   parks sub-slices of the received frame without copying them.
 //!
-//! When the last view drops, the storage returns to the pool. The pool is
+//! When the last view drops, the block returns to the pool. The pool is
 //! thread-local (the simulation is single-threaded by design), so no
 //! locking is involved and runs stay deterministic.
 
@@ -36,8 +38,14 @@ pub const BUF_CAPACITY: usize = 2048;
 /// the peak number of frames in flight.
 const POOL_MAX: usize = 16 * 1024;
 
+/// One storage block: the bytes of a frame and, around them, the `Rc`
+/// box that counts its views.
+type Block = Rc<[u8; BUF_CAPACITY]>;
+
 thread_local! {
-    static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    /// Uniquely owned blocks (strong count 1, no weak references), ready
+    /// to be written through [`Rc::get_mut`].
+    static POOL: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
     static FRESH: Cell<u64> = const { Cell::new(0) };
     static REUSED: Cell<u64> = const { Cell::new(0) };
     static RECYCLED: Cell<u64> = const { Cell::new(0) };
@@ -67,33 +75,25 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
-fn take_storage() -> Vec<u8> {
-    if let Some(v) = POOL.with(|p| p.borrow_mut().pop()) {
+fn take_block() -> Block {
+    if let Some(b) = POOL.with(|p| p.borrow_mut().pop()) {
         REUSED.with(|c| c.set(c.get() + 1));
-        v
+        b
     } else {
         FRESH.with(|c| c.set(c.get() + 1));
-        vec![0u8; BUF_CAPACITY]
+        Rc::new([0u8; BUF_CAPACITY])
     }
 }
 
-/// Storage that flows back into the pool when the last reference drops.
-#[derive(Debug)]
-struct PooledStorage(Vec<u8>);
-
-impl Drop for PooledStorage {
-    fn drop(&mut self) {
-        let v = std::mem::take(&mut self.0);
-        if v.capacity() >= BUF_CAPACITY {
-            POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                if pool.len() < POOL_MAX {
-                    RECYCLED.with(|c| c.set(c.get() + 1));
-                    pool.push(v);
-                }
-            });
+/// Files a block whose last view is dropping back into the pool.
+fn recycle(block: Block) {
+    POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        if pool.len() < POOL_MAX {
+            RECYCLED.with(|c| c.set(c.get() + 1));
+            pool.push(block);
         }
-    }
+    });
 }
 
 /// A mutable, pooled frame buffer under construction: payload appended at
@@ -115,7 +115,9 @@ impl Drop for PooledStorage {
 /// ```
 #[derive(Debug)]
 pub struct FrameBufMut {
-    storage: PooledStorage,
+    /// Holds the block, uniquely: nothing else can view a buffer under
+    /// construction. Its `off`/`len` are set at [`FrameBufMut::freeze`].
+    frame: FrameBuf,
     head: usize,
     tail: usize,
 }
@@ -130,10 +132,33 @@ impl FrameBufMut {
     pub fn with_headroom(headroom: usize) -> Self {
         assert!(headroom <= BUF_CAPACITY, "headroom {headroom} too large");
         FrameBufMut {
-            storage: PooledStorage(take_storage()),
+            frame: FrameBuf {
+                storage: Some(take_block()),
+                off: 0,
+                len: 0,
+            },
             head: headroom,
             tail: headroom,
         }
+    }
+
+    /// The whole block.
+    fn block(&self) -> &[u8; BUF_CAPACITY] {
+        self.frame
+            .storage
+            .as_deref()
+            .expect("an unfrozen buffer holds its block")
+    }
+
+    /// The whole block, writable: the buffer under construction is its
+    /// only owner.
+    fn block_mut(&mut self) -> &mut [u8; BUF_CAPACITY] {
+        let block = self
+            .frame
+            .storage
+            .as_mut()
+            .expect("an unfrozen buffer holds its block");
+        Rc::get_mut(block).expect("an unfrozen buffer's block is unshared")
     }
 
     /// Current data length.
@@ -158,13 +183,14 @@ impl FrameBufMut {
 
     /// The bytes written so far.
     pub fn as_slice(&self) -> &[u8] {
-        &self.storage.0[self.head..self.tail]
+        &self.block()[self.head..self.tail]
     }
 
     /// Mutable access to the bytes written so far (checksum fix-ups, the
     /// impairment model's byte flips).
     pub fn as_slice_mut(&mut self) -> &mut [u8] {
-        &mut self.storage.0[self.head..self.tail]
+        let (head, tail) = (self.head, self.tail);
+        &mut self.block_mut()[head..tail]
     }
 
     /// Appends `data` after the current contents.
@@ -175,7 +201,8 @@ impl FrameBufMut {
     pub fn append(&mut self, data: &[u8]) {
         let new_tail = self.tail + data.len();
         assert!(new_tail <= BUF_CAPACITY, "frame buffer overflow");
-        self.storage.0[self.tail..new_tail].copy_from_slice(data);
+        let tail = self.tail;
+        self.block_mut()[tail..new_tail].copy_from_slice(data);
         self.tail = new_tail;
     }
 
@@ -187,7 +214,8 @@ impl FrameBufMut {
     pub fn append_zeros(&mut self, n: usize) {
         let new_tail = self.tail + n;
         assert!(new_tail <= BUF_CAPACITY, "frame buffer overflow");
-        self.storage.0[self.tail..new_tail].fill(0);
+        let tail = self.tail;
+        self.block_mut()[tail..new_tail].fill(0);
         self.tail = new_tail;
     }
 
@@ -202,7 +230,8 @@ impl FrameBufMut {
     pub fn append_with(&mut self, n: usize, fill: impl FnOnce(&mut [u8])) {
         let new_tail = self.tail + n;
         assert!(new_tail <= BUF_CAPACITY, "frame buffer overflow");
-        fill(&mut self.storage.0[self.tail..new_tail]);
+        let tail = self.tail;
+        fill(&mut self.block_mut()[tail..new_tail]);
         self.tail = new_tail;
     }
 
@@ -216,7 +245,8 @@ impl FrameBufMut {
             .head
             .checked_sub(data.len())
             .expect("frame buffer headroom exhausted");
-        self.storage.0[new_head..self.head].copy_from_slice(data);
+        let head = self.head;
+        self.block_mut()[new_head..head].copy_from_slice(data);
         self.head = new_head;
     }
 
@@ -228,26 +258,29 @@ impl FrameBufMut {
         }
     }
 
-    /// Freezes into an immutable, cheaply clonable [`FrameBuf`] view.
+    /// Freezes into an immutable, cheaply clonable [`FrameBuf`] view. The
+    /// block moves into the view as it is: no allocation.
     pub fn freeze(self) -> FrameBuf {
-        let (off, len) = (self.head, self.tail - self.head);
-        FrameBuf {
-            storage: Some(Rc::new(self.storage)),
-            off: off as u32,
-            len: len as u32,
-        }
+        let FrameBufMut {
+            mut frame,
+            head,
+            tail,
+        } = self;
+        frame.off = head as u32;
+        frame.len = (tail - head) as u32;
+        frame
     }
 }
 
 /// An immutable, reference-counted view of (part of) a pooled frame
-/// buffer. Clones and [`FrameBuf::slice`]s share the storage; the storage
+/// buffer. Clones and [`FrameBuf::slice`]s share the block; the block
 /// returns to the pool when the last view drops.
 ///
 /// Dereferences to `[u8]`, so it drops into any `&[u8]` position.
 #[derive(Debug, Clone, Default)]
 pub struct FrameBuf {
-    /// `None` is the canonical empty buffer (no pooled storage held).
-    storage: Option<Rc<PooledStorage>>,
+    /// `None` is the canonical empty buffer (no pooled block held).
+    storage: Option<Block>,
     off: u32,
     len: u32,
 }
@@ -287,7 +320,7 @@ impl FrameBuf {
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
         match &self.storage {
-            Some(s) => &s.0[self.off as usize..(self.off + self.len) as usize],
+            Some(b) => &b[self.off as usize..(self.off + self.len) as usize],
             None => &[],
         }
     }
@@ -318,6 +351,17 @@ impl FrameBuf {
     /// Panics when `start` exceeds the view length.
     pub fn slice_from(&self, start: usize) -> FrameBuf {
         self.slice(start, self.len() - start)
+    }
+}
+
+/// The last view of a block files it back into the pool.
+impl Drop for FrameBuf {
+    fn drop(&mut self) {
+        if let Some(block) = self.storage.take() {
+            if Rc::strong_count(&block) == 1 {
+                recycle(block);
+            }
+        }
     }
 }
 
@@ -436,6 +480,19 @@ mod tests {
         let second = pool_stats();
         assert_eq!(second.fresh, after_drop.fresh, "steady state: no alloc");
         assert_eq!(second.reused, after_drop.reused + 1);
+    }
+
+    /// A block comes back whole: the `Rc` box a frozen view dropped is the
+    /// one the next take writes through, so neither the bytes nor the
+    /// reference counts cost a heap allocation in steady state.
+    #[test]
+    fn the_pool_keeps_the_rc_box_with_the_bytes() {
+        let f = FrameBuf::copy_from(b"first");
+        let block = Rc::as_ptr(f.storage.as_ref().unwrap());
+        drop(f);
+        let g = FrameBuf::copy_from(b"second");
+        assert_eq!(Rc::as_ptr(g.storage.as_ref().unwrap()), block);
+        assert_eq!(&g[..], b"second");
     }
 
     #[test]

@@ -269,18 +269,20 @@ impl Nic {
     /// so one peek at the head decides the whole poll: the ring is never
     /// drained and rebuilt, and an idle poll touches nothing.
     pub fn rx_burst(&mut self, port: usize, now: SimTime, max: usize) -> Vec<Frame> {
-        let p = &mut self.ports[port];
-        let mut out = Vec::new();
-        while out.len() < max {
-            match p.rx_ready.peek() {
-                Some((t, _)) if *t <= now => {
-                    let (_, f) = p.rx_ready.dequeue().expect("peeked entry present");
-                    out.push(f);
-                }
-                _ => break,
-            }
+        std::iter::from_fn(|| self.rx_next(port, now))
+            .take(max)
+            .collect()
+    }
+
+    /// The next frame of `port`'s RX ring if it is DMA-complete by `now`:
+    /// one receive of [`Nic::rx_burst`], for a caller that files each frame
+    /// where it wants it.
+    pub fn rx_next(&mut self, port: usize, now: SimTime) -> Option<Frame> {
+        let ring = &mut self.ports[port].rx_ready;
+        match ring.peek() {
+            Some((t, _)) if *t <= now => ring.dequeue().map(|(_, f)| f),
+            _ => None,
         }
-        out
     }
 
     /// Frames queued but not yet DMA-complete or polled.

@@ -78,3 +78,43 @@ fn steady_state_iperf_allocates_zero_frame_buffers() {
         "every taken buffer is recycled once the run tears down"
     );
 }
+
+/// Pool conservation: every frame-buffer block a run takes is back in the
+/// pool once the run and its outcome are dropped — on the paper's
+/// contended Table II row (a charged S2 service loop), a lossy star (the
+/// retransmission and out-of-order queues hold slices of received frames)
+/// and an HTTP star (connection churn, TIME_WAIT).
+#[test]
+fn every_frame_buffer_block_a_run_takes_comes_back() {
+    use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
+    use capnet_httpd::{FleetConfig, HttpServerConfig};
+    use updk::wire::Impairments;
+
+    let ms = SimDuration::from_millis;
+    let runs = [
+        (
+            "paper S2 contended",
+            ScenarioSpec::paper(ScenarioKind::Scenario2Contended, TrafficMode::Server),
+        ),
+        (
+            "lossy star",
+            ScenarioSpec::star(2).impairments(Impairments::lossy(20)),
+        ),
+        (
+            "httpd star",
+            ScenarioSpec::star(4).http(HttpServerConfig::default(), FleetConfig::default()),
+        ),
+    ];
+    for (what, spec) in runs {
+        let before = pool_stats();
+        drop(spec.duration(ms(20)).run().expect(what));
+        let after = pool_stats();
+        let taken = (after.fresh + after.reused) - (before.fresh + before.reused);
+        assert!(taken > 1_000, "{what}: frames flowed ({taken} blocks)");
+        assert_eq!(
+            after.recycled - before.recycled,
+            taken,
+            "{what}: every block taken came back"
+        );
+    }
+}
