@@ -5,7 +5,8 @@
 //! O(1) lookup; this generic table serves both.
 
 use crate::errno::Errno;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A file descriptor number.
 pub type Fd = i32;
@@ -29,7 +30,9 @@ pub type Fd = i32;
 #[derive(Debug, Clone)]
 pub struct FdTable<T> {
     slots: Vec<Option<T>>,
-    free: BTreeSet<Fd>,
+    /// The freed numbers below `slots.len()`, lowest on top: a heap in a
+    /// vector, so steady open/close churn allocates nothing.
+    free: BinaryHeap<Reverse<Fd>>,
     limit: usize,
 }
 
@@ -38,7 +41,7 @@ impl<T> FdTable<T> {
     pub fn with_capacity(limit: usize) -> Self {
         FdTable {
             slots: Vec::new(),
-            free: BTreeSet::new(),
+            free: BinaryHeap::new(),
             limit,
         }
     }
@@ -49,12 +52,11 @@ impl<T> FdTable<T> {
     ///
     /// [`Errno::EMFILE`] when the table is full.
     pub fn alloc(&mut self, entry: T) -> Result<Fd, Errno> {
-        if let Some(&fd) = self.free.iter().next() {
-            self.free.remove(&fd);
+        if let Some(Reverse(fd)) = self.free.pop() {
             self.slots[fd as usize] = Some(entry);
             return Ok(fd);
         }
-        if self.slots.len() >= self.limit {
+        if self.is_full() {
             return Err(Errno::EMFILE);
         }
         let fd = self.slots.len() as Fd;
@@ -70,7 +72,7 @@ impl<T> FdTable<T> {
     pub fn free(&mut self, fd: Fd) -> Result<T, Errno> {
         let slot = self.slots.get_mut(fd.max(0) as usize).ok_or(Errno::EBADF)?;
         let entry = slot.take().ok_or(Errno::EBADF)?;
-        self.free.insert(fd);
+        self.free.push(Reverse(fd));
         Ok(entry)
     }
 
@@ -93,6 +95,11 @@ impl<T> FdTable<T> {
     /// Number of open descriptors.
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
+    }
+
+    /// `true` when [`FdTable::alloc`] would fail with `EMFILE`.
+    pub fn is_full(&self) -> bool {
+        self.free.is_empty() && self.slots.len() >= self.limit
     }
 
     /// `true` if no descriptor is open.

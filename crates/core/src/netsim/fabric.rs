@@ -127,9 +127,10 @@ impl NetSim {
         frame: Frame,
         engine: &mut Engine<NetSim>,
     ) {
-        let outputs = self.switches[sw].ingress(sp, now, frame, &self.costs);
+        let mut outputs = std::mem::take(&mut self.switch_tx);
+        self.switches[sw].ingress_into(sp, now, frame, &self.costs, &mut outputs);
         let origin = self.switch_origin(sw);
-        for tx in outputs {
+        for tx in outputs.drain(..) {
             if !self.link_down.is_empty() && self.link_down.contains(&Ep::Sw(sw, tx.port)) {
                 // This egress cable is administratively down: the copy is
                 // blackholed at the switch's TX hop.
@@ -141,6 +142,7 @@ impl NetSim {
                 self.transmit(engine, origin, to, tx.departure, tx.frame);
             }
         }
+        self.switch_tx = outputs;
     }
 
     /// Puts a frame that left a TX hop at `departure` on the cable to

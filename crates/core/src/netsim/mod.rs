@@ -49,7 +49,7 @@ use std::net::Ipv4Addr;
 use updk::ethdev::EthDev;
 use updk::kmod::{BindingRegistry, PciAddress};
 use updk::nic::NicModel;
-use updk::switch::LinkFabric;
+use updk::switch::{LinkFabric, SwitchTx};
 use updk::wire::{Frame, ImpairmentStats, Impairments, Wire};
 
 /// Handle to a node in the simulation.
@@ -247,6 +247,8 @@ pub struct NetSim {
     link_down: std::collections::HashSet<Ep>,
     /// What the fault plan did (each fault tallied on its owner shard).
     fault_stats: FaultStats,
+    /// A switch hop's egress copies, empty between hops.
+    switch_tx: Vec<SwitchTx>,
 }
 
 impl std::fmt::Debug for NetSim {
@@ -298,6 +300,7 @@ impl NetSim {
             fault_plan: Vec::new(),
             faults: Vec::new(),
             link_down: std::collections::HashSet::new(),
+            switch_tx: Vec::new(),
             fault_stats: FaultStats::default(),
         }
     }

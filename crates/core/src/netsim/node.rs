@@ -663,8 +663,11 @@ impl NetSim {
             // Stack timers, every app's own clock (client write-gap and
             // stop instants, fleet arrivals and think timers, the HTTP
             // server's idle reaper, chaos rounds) and a frame still mid-DMA
-            // must wake a parked node; everything else is input-driven.
-            let mut deadline = node.stack.next_timer_deadline();
+            // must wake a parked node; everything else is input-driven. A
+            // reap-only deadline (a closed connection leaving TIME_WAIT)
+            // changes nothing a turn would see: it is settled by
+            // `fold_skipped`, not woken for.
+            let mut deadline = node.stack.next_wake_deadline();
             let clocks = node.clocked.iter().filter_map(|&si| {
                 let app = node.apps[si as usize].app.as_ref();
                 app.and_then(|a| a.next_deadline(now))
@@ -748,15 +751,25 @@ impl NetSim {
     /// Settles what parked node `i`'s lattice ticks before `upto` would
     /// have done had the loop polled through them: each is one more turn
     /// and, on an S2 service node, one more uncontended acquisition of the
-    /// service mutex held for the idle period. Runs wherever a park ends —
-    /// at the wake, at a crash, at the run horizon — so the modelled system
-    /// is the polling loop's; a no-op on a node that is not parked.
+    /// service mutex held for the idle period; and the stack reaps every
+    /// TCB whose reap-only deadline fell due by the last of them. Runs
+    /// wherever a park ends — at the wake, at a crash, at the run horizon
+    /// — so the modelled system is the polling loop's; a no-op on a node
+    /// that is not parked.
+    ///
+    /// The reaps stop at the last skipped tick, not at `upto`: a deadline
+    /// after it is the wake turn's own, reaped by that turn's TX phase
+    /// after its RX phase — a FIN retransmitted onto that tick still meets
+    /// the TIME_WAIT TCB, as in the polling loop.
     pub(super) fn fold_skipped(&mut self, i: usize, upto: SimTime) {
         let node = &mut self.nodes[i];
         if !node.parked {
             return;
         }
         let skipped = ticks_before(node.anchor, upto, node.period);
+        if skipped == 0 {
+            return;
+        }
         let period = SimDuration::from_nanos(node.period);
         if node.profile.s2_service {
             let m = self.s2_mutex.as_mut().expect("s2 mutex exists");
@@ -764,6 +777,7 @@ impl NetSim {
         }
         node.turns += skipped;
         node.anchor += period * skipped;
+        node.stack.settle_reaps(node.anchor - period);
     }
 
     /// A scheduled [`NetEvent::Wake`] dispatching: the parked node runs
@@ -841,6 +855,7 @@ mod tests {
     use super::*;
     use crate::netsim::NodeId;
     use capnet_httpd::HttpServerConfig;
+    use fstack::tcp::TcpState;
     use simkern::cost::CostModel;
 
     /// A 4-leaf star (no traffic sources) whose hub hosts four iperf
@@ -1064,6 +1079,123 @@ mod tests {
         let p = SimDuration::from_nanos(period);
         assert_eq!(polled, [read[0], anchor + p], "the polling loop");
         assert_eq!(parked, polled, "the parked loop");
+    }
+
+    /// The hub of [`hub_with_five_apps`] (gated), booted and left to go
+    /// quiet, holding one connection in TIME_WAIT whose 2MSL expires on a
+    /// tick `expiry` of its poll lattice: its active close ran outside the
+    /// loop against a bare peer stack, and the hub's last ACK was lost. On
+    /// that very tick the peer's retransmitted FIN is delivered, sorting
+    /// before the polling loop's iteration there. Returns the hub's
+    /// `(frames_out, rsts_out)` over the run and its TIME_WAIT state after.
+    fn fin_retransmitted_onto_the_expiry_tick(polled: bool) -> (u64, u64, Option<TcpState>) {
+        use fstack::socket::SockType;
+        use simkern::engine::OrderKey;
+        use updk::wire::Frame;
+
+        let (_, (anchor, period)) = frames_read_at(false, false, &[]);
+        let expiry = NetSim::lattice_tick(anchor, SimTime::from_millis(60), period);
+        let closed_at = expiry - SimDuration::from_millis(50);
+
+        POLLED_REFERENCE.with(|f| f.set(polled));
+        let (mut sim, hub) = hub_with_five_apps();
+        let mut engine = Engine::new();
+        let ev = NetEvent::LoopIter {
+            node: hub,
+            epoch: 0,
+        };
+        engine.schedule_from(NetSim::node_origin(hub), SimTime::from_nanos(97), ev);
+        engine.run_until(&mut sim, SimTime::from_micros(50));
+        if !polled {
+            assert_eq!(
+                (sim.nodes[hub].anchor, sim.nodes[hub].period),
+                (anchor, period)
+            );
+        }
+
+        let node = &mut sim.nodes[hub];
+        let (hub_mac, hub_ip) = (node.stack.config().mac, node.stack.config().ip);
+        let peer_ip = Ipv4Addr::new(10, 0, 0, 77);
+        let mut peer = FStack::new(StackConfig::new("peer", MacAddr::local(77), peer_ip));
+        peer.arp_cache_mut().insert_static(hub_ip, hub_mac);
+        node.stack
+            .arp_cache_mut()
+            .insert_static(peer_ip, MacAddr::local(77));
+        let lfd = peer.ff_socket(SockType::Stream).unwrap();
+        peer.ff_bind(lfd, 9_000).unwrap();
+        peer.ff_listen(lfd, 1).unwrap();
+        let fd = node.stack.ff_socket(SockType::Stream).unwrap();
+        let mut now = SimTime::from_millis(1);
+        node.stack.ff_connect(fd, (peer_ip, 9_000), now).unwrap();
+        let exchange = |hub: &mut FStack, peer: &mut FStack, now: SimTime| {
+            for f in hub.poll_tx(now) {
+                peer.input_buf(now, &f);
+            }
+            for f in peer.poll_tx(now) {
+                hub.input_buf(now, &f);
+            }
+        };
+        for _ in 0..3 {
+            now += SimDuration::from_micros(20);
+            exchange(&mut node.stack, &mut peer, now);
+        }
+        let pfd = peer.ff_accept(lfd).expect("handshake done");
+        node.stack.ff_close(fd).unwrap();
+        now += SimDuration::from_micros(20);
+        exchange(&mut node.stack, &mut peer, now); // our FIN, its ACK
+        peer.ff_close(pfd).unwrap();
+        let fin = peer.poll_tx(closed_at);
+        assert_eq!(fin.len(), 1, "the peer's FIN");
+        node.stack.input_buf(closed_at, &fin[0]);
+        assert_eq!(node.stack.poll_tx(closed_at).len(), 1, "our last ACK, lost");
+        assert_eq!(node.stack.tcp_state(fd), Some(TcpState::TimeWait));
+        assert_eq!(node.stack.next_timer_deadline(), Some(expiry));
+        node.stack.take_dirty_fds(&mut Vec::new());
+        let before = node.stack.stats();
+        let (dev, port) = (node.dev, node.port);
+
+        let key = OrderKey {
+            gen: expiry.as_nanos() - period - 1,
+            origin: sim.switch_origin(0),
+            ctr: 1,
+        };
+        let ev = NetEvent::Deliver {
+            dev,
+            port,
+            at: expiry,
+            frame: Frame::from_buf(fin[0].clone()),
+        };
+        engine.schedule_injected(expiry, key, ev);
+        engine.run_until(&mut sim, expiry + SimDuration::from_micros(20));
+        POLLED_REFERENCE.with(|f| f.set(false));
+        let stack = &sim.nodes[hub].stack;
+        let after = stack.stats();
+        (
+            after.frames_out - before.frames_out,
+            after.rsts_out - before.rsts_out,
+            stack.tcp_state(fd),
+        )
+    }
+
+    /// The expiry-tick tie: a 2MSL deadline on the very tick a parked host
+    /// wakes at is that turn's own, reaped by its TX phase after its RX
+    /// phase — so a FIN retransmitted onto the tick still meets the
+    /// TIME_WAIT TCB, which re-ACKs it and restarts 2MSL, exactly as in
+    /// the polling loop. Settling reaps through the wake instant would
+    /// free the TCB first and answer the FIN with a reset.
+    #[test]
+    fn a_fin_on_the_expiry_tick_meets_the_time_wait_tcb_in_both_loops() {
+        let polled = fin_retransmitted_onto_the_expiry_tick(true);
+        assert_eq!(
+            polled,
+            (1, 0, Some(TcpState::TimeWait)),
+            "the polling loop re-ACKs"
+        );
+        assert_eq!(
+            fin_retransmitted_onto_the_expiry_tick(false),
+            polled,
+            "the parked loop"
+        );
     }
 
     /// Every host parks at the end of the turn that did the work when that

@@ -179,6 +179,49 @@ fn polled_reference_charged_stars() {
     assert_eq!(cases, 13);
 }
 
+/// 2MSL inside the compared runs: close-per-request HTTP stars for 80 ms,
+/// past the 50 ms TIME_WAIT every leaf's active closes enter, so the
+/// expiries — reap-only deadlines a parked host settles instead of waking
+/// for — fall inside both runs, on ideal and charged hosts, at two seeds.
+/// Reaped TCB shells are reused by later connections on every leaf, and
+/// every stack's shell counts must agree between the two loops.
+#[test]
+fn polled_reference_close_per_request_through_2msl() {
+    let mut cases = 0;
+    for cost in [0, 200] {
+        for seed in [0xBEEF, 0xC105E] {
+            let what = format!("close-per-request star4 isolation {cost} ns seed {seed:#x}");
+            let out = assert_parked_equals_polled(&what, || {
+                ScenarioSpec::star(4)
+                    .duration(ms(80))
+                    .seed(seed)
+                    .isolation_cost(cost)
+                    .http(
+                        HttpServerConfig::default(),
+                        FleetConfig {
+                            rate_per_sec: 4_000,
+                            keep_alive_per_mille: 0,
+                            think_ns: 0,
+                            ..FleetConfig::default()
+                        },
+                    )
+                    .run()
+                    .expect("httpd star runs")
+            });
+            let ok: u64 = out.http_fleets.iter().map(|f| f.requests_ok).sum();
+            assert!(ok > 500, "{what}: requests completed ({ok})");
+            for (name, s) in out.stack_stats.iter().filter(|(n, _)| n != "hub") {
+                assert!(
+                    s.tcb_shells_reused > 0,
+                    "{what}: {name} reaped TIME_WAIT TCBs inside the run: {s:?}"
+                );
+            }
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 4);
+}
+
 /// The two hosts that keep polling, and the sharded driver.
 ///
 /// Under a turn-dependent policy the S2 service loop never parks — the

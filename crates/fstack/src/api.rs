@@ -29,6 +29,7 @@ use chos::errno::Errno;
 use chos::fdtable::{Fd, FdTable};
 use simkern::time::SimTime;
 use simkern::FxHasher;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use updk::framebuf::{FrameBuf, FrameBufMut};
@@ -131,6 +132,19 @@ pub struct StackStats {
     /// `epoll_fds_evaluated / epoll_waits` says whether a wait costs what
     /// is ready or what is registered.
     pub epoll_fds_evaluated: u64,
+    /// TCB shells newly allocated: a connection opened or accepted while
+    /// the stack's pool of freed shells was empty.
+    pub tcb_shells_fresh: u64,
+    /// TCB shells a connection took from that pool.
+    pub tcb_shells_reused: u64,
+    /// TCB shells put back into the pool as their connection was freed.
+    pub tcb_shells_recycled: u64,
+    /// The most TCBs that were live at once.
+    pub tcbs_peak: u64,
+    /// TCBs live when the counters were read, counted in the socket table
+    /// — so `tcb_shells_fresh + tcb_shells_reused` equals
+    /// `tcb_shells_recycled + tcbs_live` on a stack that loses no shell.
+    pub tcbs_live: u64,
 }
 
 impl StackStats {
@@ -206,12 +220,17 @@ pub struct FStack {
     /// in fd order — the same relative order the historical full-table
     /// scan used, so the emitted frame order is unchanged.
     tx_hot: FdSet,
-    /// Armed TCB timer deadlines, `(deadline, fd)`, lazily validated
-    /// against [`FStack::armed`] (an entry is stale once the socket's
-    /// armed deadline moved; stale entries are skipped on pop).
-    timer_q: BinaryHeap<std::cmp::Reverse<(SimTime, Fd)>>,
-    /// The deadline each socket currently has armed in [`FStack::timer_q`].
-    armed: Vec<Option<SimTime>>,
+    /// Every socket's armed TCB timer deadline.
+    timers: Timers,
+    /// Boxes of freed TCBs, with their buffer storage: the next connection
+    /// opened or accepted moves into one instead of allocating.
+    #[allow(
+        clippy::vec_box,
+        reason = "the boxes are the pooled resource: a freed TCB's heap block is reused"
+    )]
+    tcb_pool: Vec<Box<Tcb>>,
+    /// TCBs in the socket table, by the shell count (for `tcbs_peak`).
+    tcbs_live: u64,
     /// The application the driver says is calling ([`FStack::set_caller`]).
     caller: Option<u32>,
     /// Which caller obtained each fd number, by fd ([`FStack::owner_of`]).
@@ -224,6 +243,9 @@ pub struct FStack {
     tx_scratch: TxScratch,
 }
 
+/// A TCP demux key: (local port, remote ip, remote port).
+type ConnKey = (u16, Ipv4Addr, u16);
+
 /// The working vectors of one [`FStack::poll_tx_into`].
 #[derive(Debug, Default)]
 struct TxScratch {
@@ -231,6 +253,88 @@ struct TxScratch {
     hot: Vec<Fd>,
     /// Built IP packets and their next hops, before link-layer wrapping.
     to_send: Vec<(Ipv4Addr, FrameBufMut)>,
+    /// Dead TCBs to free, and whether the application still holds the fd
+    /// (it must then see the change).
+    reap: Vec<(Fd, ConnKey, bool)>,
+    /// Errored TCBs no application accepted yet (the embryonic sweep).
+    embryonic: Vec<(Fd, ConnKey)>,
+}
+
+/// Armed TCB timer deadlines, one per socket, in two heaps of
+/// `(deadline, fd)`: deadlines whose expiry may make the stack emit or
+/// change something an application sees, and *reap-only* ones
+/// ([`Tcb::reap_only`]), whose expiry only frees the TCB. Heap entries are
+/// validated lazily against [`Timers::armed`]: an entry is stale once its
+/// socket's armed deadline or class moved, and stale entries are skipped
+/// on pop.
+#[derive(Debug)]
+struct Timers {
+    /// The deadline each socket has armed, and whether it is reap-only.
+    armed: Vec<Option<(SimTime, bool)>>,
+    /// The heaps, indexed by `reap_only as usize`.
+    heaps: [BinaryHeap<Reverse<(SimTime, Fd)>>; 2],
+}
+
+impl Timers {
+    fn new(max_sockets: usize) -> Self {
+        Timers {
+            armed: vec![None; max_sockets],
+            heaps: Default::default(),
+        }
+    }
+
+    /// Arms `fd` at `armed` (no-op when unchanged; the superseded heap
+    /// entry goes stale).
+    fn arm(&mut self, fd: Fd, armed: Option<(SimTime, bool)>) {
+        let slot = &mut self.armed[fd as usize];
+        if *slot == armed {
+            return;
+        }
+        *slot = armed;
+        if let Some((d, reap_only)) = armed {
+            self.heaps[usize::from(reap_only)].push(Reverse((d, fd)));
+        }
+    }
+
+    /// The earliest valid deadline of one class, dropping stale entries
+    /// off the top of its heap.
+    fn earliest(&mut self, reap_only: bool) -> Option<SimTime> {
+        let heap = &mut self.heaps[usize::from(reap_only)];
+        while let Some(&Reverse((d, fd))) = heap.peek() {
+            if self.armed[fd as usize] == Some((d, reap_only)) {
+                return Some(d);
+            }
+            heap.pop();
+        }
+        None
+    }
+
+    /// `true` when one class may have a deadline at or before `upto` (its
+    /// heap's top, stale or not, is due): the cheap test in front of
+    /// [`Timers::take_due`].
+    #[inline]
+    fn maybe_due(&self, reap_only: bool, upto: SimTime) -> bool {
+        let top = self.heaps[usize::from(reap_only)].peek();
+        top.is_some_and(|&Reverse((d, _))| d <= upto)
+    }
+
+    /// Disarms every deadline of one class at or before `upto`, handing
+    /// each socket to `due` (stale entries on the way are dropped).
+    #[inline]
+    fn take_due(&mut self, reap_only: bool, upto: SimTime, due: &mut impl FnMut(Fd)) {
+        let heap = &mut self.heaps[usize::from(reap_only)];
+        while let Some(&Reverse((d, fd))) = heap.peek() {
+            if d > upto {
+                break;
+            }
+            heap.pop();
+            let slot = &mut self.armed[fd as usize];
+            if *slot == Some((d, reap_only)) {
+                *slot = None;
+                due(fd);
+            }
+        }
+    }
 }
 
 /// A set of fds in insertion order: a list for draining, a flag per fd so
@@ -298,8 +402,9 @@ impl FStack {
             stats: StackStats::default(),
             dirty: FdSet::new(max_sockets),
             tx_hot: FdSet::new(max_sockets),
-            timer_q: BinaryHeap::new(),
-            armed: vec![None; max_sockets],
+            timers: Timers::new(max_sockets),
+            tcb_pool: Vec::new(),
+            tcbs_live: 0,
             caller: None,
             owner: Vec::new(),
             tx_scratch: TxScratch::default(),
@@ -321,22 +426,55 @@ impl FStack {
     }
 
     /// Re-arms `fd`'s timer entry from its TCB's current earliest deadline
-    /// (no-op when unchanged; the superseded heap entry goes stale and is
-    /// skipped on pop).
+    /// and class (no-op when unchanged).
     fn arm_timer(&mut self, fd: Fd) {
-        let deadline = self
-            .sockets
-            .get(fd)
-            .and_then(Socket::tcb)
-            .and_then(Tcb::next_timer_deadline);
-        let slot = &mut self.armed[fd as usize];
-        if *slot == deadline {
-            return;
+        let tcb = self.sockets.get(fd).and_then(Socket::tcb);
+        let armed = tcb.and_then(|t| Some((t.next_timer_deadline()?, t.reap_only())));
+        self.timers.arm(fd, armed);
+    }
+
+    /// Puts `tcb` into a shell: a freed one from the pool, its storage
+    /// moved into the fresh value, or a new box when the pool is empty.
+    fn shell(&mut self, tcb: Tcb) -> Box<Tcb> {
+        self.tcbs_live += 1;
+        self.stats.tcbs_peak = self.stats.tcbs_peak.max(self.tcbs_live);
+        match self.tcb_pool.pop() {
+            Some(mut shell) => {
+                let old = std::mem::replace(&mut *shell, tcb);
+                shell.adopt_storage(old);
+                self.stats.tcb_shells_reused += 1;
+                shell
+            }
+            None => {
+                self.stats.tcb_shells_fresh += 1;
+                Box::new(tcb)
+            }
         }
-        *slot = deadline;
-        if let Some(d) = deadline {
-            self.timer_q.push(std::cmp::Reverse((d, fd)));
+    }
+
+    /// Frees `fd`'s socket-table slot, returning a TCB's shell to the pool.
+    fn release(&mut self, fd: Fd) -> Result<(), Errno> {
+        if let Socket::TcpConn(tcb) = self.sockets.free(fd)? {
+            self.tcbs_live -= 1;
+            self.tcb_pool.push(tcb);
+            self.stats.tcb_shells_recycled += 1;
         }
+        Ok(())
+    }
+
+    /// The socket behind an application's `fd`: [`Errno::EBADF`] for a
+    /// number that is not open — and for a TCB the application already
+    /// closed, which lingers in the table only for the protocol (FIN
+    /// handshake, TIME_WAIT) and keeps its number reserved until reaped.
+    fn open_socket(&self, fd: Fd) -> Result<&Socket, Errno> {
+        let sock = self.sockets.get(fd).filter(|s| !s.app_closed());
+        sock.ok_or(Errno::EBADF)
+    }
+
+    /// [`FStack::open_socket`], mutably.
+    fn open_socket_mut(&mut self, fd: Fd) -> Result<&mut Socket, Errno> {
+        let sock = self.sockets.get_mut(fd).filter(|s| !s.app_closed());
+        sock.ok_or(Errno::EBADF)
     }
 
     /// Drains the set of sockets whose application-visible state changed
@@ -396,7 +534,11 @@ impl FStack {
 
     /// Aggregate counters.
     pub fn stats(&self) -> StackStats {
-        self.stats
+        let live = self.sockets.iter().filter(|(_, s)| s.tcb().is_some());
+        StackStats {
+            tcbs_live: live.count() as u64,
+            ..self.stats
+        }
     }
 
     /// The neighbour cache (scenarios pre-seed it; tests inspect it).
@@ -497,7 +639,7 @@ impl FStack {
             return Err(Errno::EADDRINUSE);
         }
         let ip = self.cfg.ip;
-        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+        let sock = self.open_socket_mut(fd)?;
         match sock {
             Socket::TcpUnbound => {
                 *sock = Socket::TcpBound { local: (ip, port) };
@@ -519,7 +661,7 @@ impl FStack {
     /// [`Errno::EBADF`] / [`Errno::EDESTADDRREQ`] for unbound sockets /
     /// [`Errno::EINVAL`] for non-TCP or already-listening sockets.
     pub fn ff_listen(&mut self, fd: Fd, backlog: usize) -> Result<(), Errno> {
-        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+        let sock = self.open_socket_mut(fd)?;
         match sock {
             Socket::TcpBound { local } => {
                 let local = *local;
@@ -548,7 +690,7 @@ impl FStack {
     /// [`Errno::EAGAIN`] when none is ready; [`Errno::EINVAL`] for
     /// non-listeners.
     pub fn ff_accept(&mut self, fd: Fd) -> Result<Fd, Errno> {
-        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+        let sock = self.open_socket_mut(fd)?;
         let Socket::TcpListen { ready, .. } = sock else {
             return Err(Errno::EINVAL);
         };
@@ -579,7 +721,7 @@ impl FStack {
         _now: SimTime,
     ) -> Result<(), Errno> {
         let ip = self.cfg.ip;
-        match self.sockets.get(fd).ok_or(Errno::EBADF)? {
+        match self.open_socket(fd)? {
             Socket::TcpUnbound | Socket::TcpBound { .. } => {}
             Socket::TcpConn(_) => return Err(Errno::EISCONN),
             _ => return Err(Errno::EINVAL),
@@ -594,12 +736,12 @@ impl FStack {
             _ => (ip, self.alloc_ephemeral_for(remote)?),
         };
         let isn = self.next_isn();
-        let (cc, sack) = (self.cfg.cc, self.cfg.sack);
-        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
         let mut tcb = Tcb::connect(local, remote, isn, MSS);
-        tcb.set_cc(cc);
-        tcb.set_sack(sack);
-        *sock = Socket::TcpConn(Box::new(tcb));
+        tcb.set_cc(self.cfg.cc);
+        tcb.set_sack(self.cfg.sack);
+        let tcb = self.shell(tcb);
+        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+        *sock = Socket::TcpConn(tcb);
         self.conn_map.insert((local.1, remote.0, remote.1), fd);
         self.mark_hot(fd); // the SYN leaves on the next poll
         Ok(())
@@ -622,7 +764,7 @@ impl FStack {
         buf: &Capability,
         nbytes: u64,
     ) -> Result<u64, Errno> {
-        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+        let sock = self.open_socket_mut(fd)?;
         let tcb = sock.tcb_mut().ok_or(Errno::ENOTCONN)?;
         if tcb.state() == TcpState::Closed {
             return Err(if tcb.was_refused() {
@@ -667,7 +809,7 @@ impl FStack {
         buf: &Capability,
         nbytes: u64,
     ) -> Result<u64, Errno> {
-        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+        let sock = self.open_socket_mut(fd)?;
         let tcb = sock.tcb_mut().ok_or(Errno::ENOTCONN)?;
         if tcb.readable_bytes() == 0 {
             if tcb.was_refused() {
@@ -717,7 +859,7 @@ impl FStack {
         );
         let eph = self.alloc_ephemeral();
         let (udp_port, fd_needs_map) = {
-            let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+            let sock = self.open_socket_mut(fd)?;
             let Socket::Udp {
                 local,
                 tx,
@@ -763,7 +905,7 @@ impl FStack {
         fd: Fd,
         buf: &Capability,
     ) -> Result<(u64, (Ipv4Addr, u16)), Errno> {
-        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
+        let sock = self.open_socket_mut(fd)?;
         let Socket::Udp {
             rx, pending_err, ..
         } = sock
@@ -783,17 +925,18 @@ impl FStack {
     }
 
     /// `ff_close(fd)`: orderly close. The fd becomes invalid for the
-    /// application immediately — and leaves every epoll set it was
-    /// registered with, as on Linux, so no registration outlives its socket
-    /// into a reused fd number; the TCB lingers internally until the FIN
-    /// handshake finishes, then is reaped by [`FStack::poll_tx`].
+    /// application immediately — every `ff_*` call on it, a second
+    /// `ff_close` included, fails with `EBADF` — and leaves every epoll set
+    /// it was registered with, as on Linux, so no registration outlives its
+    /// socket into a reused fd number; the TCB lingers internally until the
+    /// FIN handshake and TIME_WAIT finish, keeping the number reserved,
+    /// then is reaped by [`FStack::poll_tx`].
     ///
     /// # Errors
     ///
     /// [`Errno::EBADF`].
     pub fn ff_close(&mut self, fd: Fd) -> Result<(), Errno> {
-        let sock = self.sockets.get_mut(fd).ok_or(Errno::EBADF)?;
-        self.epoll.forget(fd);
+        let sock = self.open_socket_mut(fd)?;
         match sock {
             Socket::TcpConn(tcb) => {
                 if tcb.state() == TcpState::Closed {
@@ -803,25 +946,26 @@ impl FStack {
                     // zombie the reaper is told to preserve.
                     let (local, remote) = tcb.endpoints();
                     self.conn_map.remove(&(local.1, remote.0, remote.1));
-                    return self.sockets.free(fd).map(|_| ());
+                } else {
+                    tcb.close();
+                    self.epoll.forget(fd);
+                    self.mark_hot(fd); // the FIN leaves on the next poll
+                    return Ok(()); // reaped when Closed
                 }
-                tcb.close();
-                self.mark_hot(fd); // the FIN leaves on the next poll
-                Ok(()) // reaped when Closed
             }
-            Socket::TcpListen { local, .. } => {
+            &mut Socket::TcpListen { local, .. } => {
                 self.listen_map.remove(&local.1);
-                self.sockets.free(fd).map(|_| ())
             }
-            Socket::Udp { local, .. } => {
-                if let Some((_, port)) = local {
-                    let port = *port;
-                    self.udp_map.remove(&port);
-                }
-                self.sockets.free(fd).map(|_| ())
+            &mut Socket::Udp {
+                local: Some((_, port)),
+                ..
+            } => {
+                self.udp_map.remove(&port);
             }
-            _ => self.sockets.free(fd).map(|_| ()),
+            _ => {}
         }
+        self.epoll.forget(fd);
+        self.release(fd)
     }
 
     // ------------------------------------------------------------------
@@ -845,7 +989,7 @@ impl FStack {
         fd: Fd,
         interest: EpollFlags,
     ) -> Result<(), Errno> {
-        self.sockets.get(fd).ok_or(Errno::EBADF)?;
+        self.open_socket(fd)?;
         self.epoll.add(epfd, fd, interest)
     }
 
@@ -853,8 +997,12 @@ impl FStack {
     ///
     /// # Errors
     ///
-    /// [`Errno::EBADF`] / [`Errno::ENOENT`].
+    /// [`Errno::EBADF`] (also for a TCB the application closed) /
+    /// [`Errno::ENOENT`].
     pub fn ff_epoll_ctl_del(&mut self, epfd: Fd, fd: Fd) -> Result<(), Errno> {
+        if self.sockets.get(fd).is_some_and(Socket::app_closed) {
+            return Err(Errno::EBADF);
+        }
         self.epoll.remove(epfd, fd)
     }
 
@@ -949,25 +1097,50 @@ impl FStack {
     }
 
     /// The earliest armed timer deadline across every connection: the
-    /// minimum of each TCB's [`Tcb::next_timer_deadline`]. A quiescence-
-    /// aware main loop parks when an iteration does no work, waking at the
-    /// first poll tick at or after this instant (or earlier, on frame
-    /// delivery to its port) — with the invariant that a stack whose
-    /// [`FStack::poll_tx`] just returned nothing produces no output before
-    /// this deadline unless a frame arrives first.
+    /// minimum of each TCB's [`Tcb::next_timer_deadline`] — the instant a
+    /// driver that polls the stack only when something is due must call
+    /// [`FStack::poll_tx`] next (unless a frame arrives first). Every
+    /// armed deadline has a heap entry and stale entries are dropped on
+    /// peek, so this is O(log n) amortized, not a walk over the sockets.
     pub fn next_timer_deadline(&mut self) -> Option<SimTime> {
-        // The armed-deadline heap replaces the historical all-sockets scan:
-        // every armed TCB deadline has a heap entry, stale entries (the
-        // socket's deadline has since moved) are dropped on peek, so the
-        // first valid entry is the minimum — O(log n) amortized instead of
-        // O(sockets) per park decision.
-        while let Some(&std::cmp::Reverse((d, fd))) = self.timer_q.peek() {
-            if self.armed[fd as usize] == Some(d) {
-                return Some(d);
-            }
-            self.timer_q.pop();
+        match (self.timers.earliest(false), self.timers.earliest(true)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        None
+    }
+
+    /// [`FStack::next_timer_deadline`] without the reap-only deadlines
+    /// ([`Tcb::reap_only`]): the earliest instant at which a stack whose
+    /// [`FStack::poll_tx`] just returned nothing can emit a frame or
+    /// change anything an application sees, unless a frame arrives or an
+    /// application calls first. A parked main loop wakes for this; the
+    /// reaps it sleeps through are settled by [`FStack::settle_reaps`].
+    pub fn next_wake_deadline(&mut self) -> Option<SimTime> {
+        self.timers.earliest(false)
+    }
+
+    /// Runs the reap pass of every reap-only deadline at or before
+    /// `upto`, as the [`FStack::poll_tx`] of a main-loop turn at `upto`
+    /// would have — for a driver that slept through those turns. Such a
+    /// pass emits nothing; call it only on a stack that owes
+    /// [`FStack::poll_tx`] nothing else: no fd waiting for a visit, no
+    /// link-layer frame queued, no wake deadline at or before `upto`.
+    pub fn settle_reaps(&mut self, upto: SimTime) {
+        if !self.timers.maybe_due(true, upto) {
+            return;
+        }
+        debug_assert!(
+            self.tx_hot.list.is_empty() && self.pending_tx.is_empty(),
+            "settling reaps on a stack that owes poll_tx a visit"
+        );
+        debug_assert!(
+            self.timers.earliest(false).is_none_or(|d| d > upto),
+            "settling reaps past a deadline that wakes"
+        );
+        self.promote_due(true, upto);
+        let mut none = Vec::new();
+        self.tx_pass(upto, &mut none);
+        debug_assert!(none.is_empty(), "a reap-only deadline emitted a frame");
     }
 
     // ------------------------------------------------------------------
@@ -1181,16 +1354,21 @@ impl FStack {
                 }
                 let isn = self.next_isn();
                 let local = (self.cfg.ip, seg.dst_port);
-                let mut tcb = Tcb::accept_from(local, (src, seg.src_port), &seg, isn, MSS);
-                tcb.set_cc(self.cfg.cc);
-                tcb.set_sack(self.cfg.sack);
-                let Ok(cfd) = self.sockets.alloc(Socket::TcpConn(Box::new(tcb))) else {
+                if self.sockets.is_full() {
                     // Socket table exhausted: same fate as a full backlog
                     // — the SYN vanishes (accounted) and the client's
                     // retransmission retries.
                     self.stats.listen_drops += 1;
                     return;
-                };
+                }
+                let mut tcb = Tcb::accept_from(local, (src, seg.src_port), &seg, isn, MSS);
+                tcb.set_cc(self.cfg.cc);
+                tcb.set_sack(self.cfg.sack);
+                let tcb = self.shell(tcb);
+                let cfd = self
+                    .sockets
+                    .alloc(Socket::TcpConn(tcb))
+                    .expect("the table has a free slot");
                 if let Some(Socket::TcpListen { backlog, .. }) = self.sockets.get_mut(lfd) {
                     backlog.push_back(cfd);
                 }
@@ -1256,18 +1434,30 @@ impl FStack {
     /// [`FStack::poll_tx`], appending the frames to `frames`: with a
     /// vector the caller keeps, a steady-state poll allocates nothing.
     pub fn poll_tx_into(&mut self, now: SimTime, frames: &mut Vec<FrameBuf>) {
-        // Promote due armed timers into the hot set (stale entries — the
-        // socket's armed deadline moved since the push — are skipped).
-        while let Some(&std::cmp::Reverse((d, fd))) = self.timer_q.peek() {
-            if d > now {
-                break;
-            }
-            self.timer_q.pop();
-            if self.armed[fd as usize] == Some(d) {
-                self.armed[fd as usize] = None; // consumed; re-armed below
-                self.mark_hot(fd);
-            }
+        self.promote_due(false, now);
+        self.promote_due(true, now);
+        self.tx_pass(now, frames);
+    }
+
+    /// Marks hot, as [`FStack::mark_hot`] does, every socket whose armed
+    /// deadline of one class is at or before `upto` (the entries are
+    /// consumed; the visit re-arms them).
+    #[inline]
+    fn promote_due(&mut self, reap_only: bool, upto: SimTime) {
+        if !self.timers.maybe_due(reap_only, upto) {
+            return;
         }
+        let (epoll, tx_hot) = (&mut self.epoll, &mut self.tx_hot);
+        self.timers.take_due(reap_only, upto, &mut |fd| {
+            epoll.touch(fd);
+            tx_hot.insert(fd);
+        });
+    }
+
+    /// Visits the hot set at `now` — output, expiries, reaping — and
+    /// drains the link-layer queue, appending the frames to `frames`.
+    #[inline]
+    fn tx_pass(&mut self, now: SimTime, frames: &mut Vec<FrameBuf>) {
         // Only sockets with input, app tx-side calls or due timers since
         // the last poll can owe the wire anything (the same invariant that
         // lets the driver park: no input, no call, no due timer ⇒ no
@@ -1279,11 +1469,10 @@ impl FStack {
         let first = frames.len();
         let mut hot = std::mem::take(&mut self.tx_scratch.hot);
         let mut to_send = std::mem::take(&mut self.tx_scratch.to_send);
+        let mut reap = std::mem::take(&mut self.tx_scratch.reap);
+        let mut embryonic = std::mem::take(&mut self.tx_scratch.embryonic);
         self.tx_hot.drain_into(&mut hot);
         hot.sort_unstable();
-        type ConnKey = (u16, Ipv4Addr, u16);
-        let mut reap: Vec<(Fd, Option<ConnKey>)> = Vec::new();
-        let mut embryonic: Vec<(Fd, ConnKey)> = Vec::new();
         let mut giveups = 0u64;
         let mut ident = self.ident;
         let src_ip = self.cfg.ip;
@@ -1314,8 +1503,9 @@ impl FStack {
                     // below).
                     if tcb.state() == TcpState::Closed {
                         let errored = tcb.was_refused() || tcb.was_reset() || tcb.was_timed_out();
-                        if !errored || tcb.app_closed() {
-                            reap.push((fd, Some((local.1, remote.0, remote.1))));
+                        let held = !tcb.app_closed();
+                        if !errored || !held {
+                            reap.push((fd, (local.1, remote.0, remote.1), held));
                         } else {
                             embryonic.push((fd, (local.1, remote.0, remote.1)));
                         }
@@ -1347,21 +1537,25 @@ impl FStack {
         }
         self.tx_scratch.to_send = to_send;
         self.stats.conn_timeouts += giveups;
-        for (fd, key) in reap {
-            if let Some(k) = key {
-                self.conn_map.remove(&k);
+        for (fd, key, held) in reap.drain(..) {
+            self.conn_map.remove(&key);
+            // Reaping changes the fd's readiness (to error) — an owning app
+            // still holding the fd observes it on its next dirty-driven
+            // step. One that closed it gave the number back: nothing of
+            // this is its business, and a mark would only buy it a no-op
+            // step.
+            if held {
+                self.mark_dirty(fd);
             }
-            // Reaping changes the fd's readiness (to error) — the owning
-            // app observes the close on its next dirty-driven step.
-            self.mark_dirty(fd);
-            self.sockets.free(fd).ok();
+            self.release(fd).ok();
         }
+        self.tx_scratch.reap = reap;
         // Embryonic sweep: a server-side TCB killed (exact-match RST or
         // rtx give-up) *before* the application accepted it has no owner
         // to observe the errno — if it is still parked in its listener's
         // backlog, unhook and free it so forged RSTs and dead dialers
         // cannot clog the accept queue with zombies.
-        for (fd, key) in embryonic {
+        for (fd, key) in embryonic.drain(..) {
             let Some(&lfd) = self.listen_map.get(&key.0) else {
                 continue;
             };
@@ -1372,9 +1566,10 @@ impl FStack {
                 backlog.remove(pos);
                 self.conn_map.remove(&key);
                 self.mark_dirty(lfd);
-                self.sockets.free(fd).ok();
+                self.release(fd).ok();
             }
         }
+        self.tx_scratch.embryonic = embryonic;
         // Re-arm the visited sockets' timer entries from their TCBs'
         // current earliest deadlines (reaped fds resolve to no deadline).
         // Their output pass may also have moved the TCB (TIME_WAIT expiry,
@@ -1561,8 +1756,8 @@ mod tests {
     /// `ff_accept` stamp the fd they return with the current caller; a
     /// connection waiting in a backlog is not yet anyone's, so its number
     /// still reports whoever held it last; the stamp survives `ff_close`
-    /// and the reaper's final dirty mark, and changes only when the number
-    /// is handed out again; a stack never told a caller owns nothing.
+    /// and the reap, and changes only when the number is handed out again;
+    /// a stack never told a caller owns nothing.
     #[test]
     fn fds_belong_to_the_caller_that_obtained_them() {
         let (srv_ip, cli_ip) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
@@ -1618,7 +1813,7 @@ mod tests {
         );
 
         // Both ends close, under another caller on the server side; the
-        // reaper's last dirty mark on the fd still names caller 9.
+        // FIN exchange's last dirty mark on the fd still names caller 9.
         let mut drained = Vec::new();
         srv.take_dirty_fds(&mut drained);
         srv.set_caller(5);
@@ -1630,7 +1825,10 @@ mod tests {
         assert_eq!(srv.socket_count(), floor, "the child was reaped");
         drained.clear();
         srv.take_dirty_fds(&mut drained);
-        assert!(drained.contains(&child), "the reaper marked the fd dirty");
+        assert!(
+            drained.contains(&child),
+            "the FIN exchange marked the fd dirty"
+        );
         assert_eq!(srv.owner_of(child), Some(9));
 
         // Handed out again, the number is the new caller's.

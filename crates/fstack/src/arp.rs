@@ -124,9 +124,12 @@ impl ArpCache {
         self.entries.get(&ip).copied()
     }
 
-    /// Learns (or refreshes) a mapping.
+    /// Learns (or refreshes) a mapping; the cache is written only when it
+    /// changes.
     pub fn learn(&mut self, ip: Ipv4Addr, mac: MacAddr) {
-        self.entries.insert(ip, mac);
+        if self.entries.get(&ip) != Some(&mac) {
+            self.entries.insert(ip, mac);
+        }
     }
 
     /// Installs a static entry (scenario pre-wiring).

@@ -30,6 +30,15 @@ impl SendBuffer {
         }
     }
 
+    /// Takes over `old`'s byte storage, emptied (this buffer must hold
+    /// nothing yet): its capacity is kept, its bytes are not.
+    pub fn adopt_storage(&mut self, old: SendBuffer) {
+        debug_assert!(self.data.is_empty(), "adopting storage into a used buffer");
+        let mut data = old.data;
+        data.clear();
+        self.data = data;
+    }
+
     /// Bytes buffered (unacked + unsent).
     pub fn len(&self) -> usize {
         self.data.len()
@@ -125,6 +134,22 @@ impl RecvBuffer {
             ooo: BTreeMap::new(),
             capacity,
         }
+    }
+
+    /// Takes over `old`'s in-order byte storage, emptied (this buffer must
+    /// hold nothing yet): its capacity is kept, its bytes are not.
+    pub fn adopt_storage(&mut self, old: RecvBuffer) {
+        debug_assert!(self.ready.is_empty(), "adopting storage into a used buffer");
+        let mut ready = old.ready;
+        ready.clear();
+        self.ready = ready;
+    }
+
+    /// Becomes [`RecvBuffer::new`]`(next_seq, capacity)`, keeping its
+    /// storage.
+    pub fn restart(&mut self, next_seq: u32) {
+        let old = std::mem::replace(self, RecvBuffer::new(next_seq, self.capacity));
+        self.adopt_storage(old);
     }
 
     /// The next expected sequence number (RCV.NXT) — what we ACK.

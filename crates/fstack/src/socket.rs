@@ -96,6 +96,13 @@ impl Socket {
         }
     }
 
+    /// `true` for a TCP connection its application already closed: it
+    /// lingers for the protocol (FIN handshake, TIME_WAIT) until reaped,
+    /// but its fd is no longer the application's.
+    pub fn app_closed(&self) -> bool {
+        self.tcb().is_some_and(Tcb::app_closed)
+    }
+
     /// The bound local endpoint, if any.
     pub fn local(&self) -> Option<(Ipv4Addr, u16)> {
         match self {

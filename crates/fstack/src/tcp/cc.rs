@@ -1,7 +1,8 @@
 //! Pluggable congestion control: a [`CongestionControl`] trait with
 //! [`Reno`] (slow start + congestion avoidance, fast retransmit/recovery)
 //! and [`Cubic`] (RFC 8312 window growth) implementations, selected per
-//! connection via [`CcAlgo`].
+//! connection via [`CcAlgo`] and held inline in the TCB as a
+//! [`Congestion`] — no allocation per connection.
 //!
 //! All arithmetic is deterministic across platforms: CUBIC's cube root is
 //! computed with a fixed-iteration Newton refinement over IEEE-754 basic
@@ -43,15 +44,6 @@ pub trait CongestionControl: std::fmt::Debug + Send {
 
     /// Short algorithm name for stats and reports.
     fn name(&self) -> &'static str;
-
-    /// Clones the algorithm state behind the object-safe interface.
-    fn clone_box(&self) -> Box<dyn CongestionControl>;
-}
-
-impl Clone for Box<dyn CongestionControl> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// Which congestion-control algorithm a connection (or scenario) uses.
@@ -66,10 +58,10 @@ pub enum CcAlgo {
 
 impl CcAlgo {
     /// Instantiates the algorithm for a connection with the given MSS.
-    pub fn build(self, mss: u32) -> Box<dyn CongestionControl> {
+    pub fn build(self, mss: u32) -> Congestion {
         match self {
-            CcAlgo::Reno => Box::new(Reno::new(mss)),
-            CcAlgo::Cubic => Box::new(Cubic::new(mss)),
+            CcAlgo::Reno => Congestion::Reno(Reno::new(mss)),
+            CcAlgo::Cubic => Congestion::Cubic(Cubic::new(mss)),
         }
     }
 
@@ -79,6 +71,70 @@ impl CcAlgo {
             CcAlgo::Reno => "reno",
             CcAlgo::Cubic => "cubic",
         }
+    }
+}
+
+/// One connection's congestion state: whichever [`CcAlgo`] built it,
+/// stored inline.
+#[derive(Debug, Clone)]
+pub enum Congestion {
+    /// [`CcAlgo::Reno`].
+    Reno(Reno),
+    /// [`CcAlgo::Cubic`].
+    Cubic(Cubic),
+}
+
+impl Congestion {
+    /// The algorithm this state runs.
+    pub fn algo(&self) -> CcAlgo {
+        match self {
+            Congestion::Reno(_) => CcAlgo::Reno,
+            Congestion::Cubic(_) => CcAlgo::Cubic,
+        }
+    }
+
+    fn get(&self) -> &dyn CongestionControl {
+        match self {
+            Congestion::Reno(cc) => cc,
+            Congestion::Cubic(cc) => cc,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut dyn CongestionControl {
+        match self {
+            Congestion::Reno(cc) => cc,
+            Congestion::Cubic(cc) => cc,
+        }
+    }
+}
+
+impl CongestionControl for Congestion {
+    fn cwnd(&self) -> u32 {
+        self.get().cwnd()
+    }
+
+    fn ssthresh(&self) -> u32 {
+        self.get().ssthresh()
+    }
+
+    fn in_recovery(&self) -> bool {
+        self.get().in_recovery()
+    }
+
+    fn on_ack(&mut self, now_us: u64, acked_bytes: u32) {
+        self.get_mut().on_ack(now_us, acked_bytes);
+    }
+
+    fn on_fast_retransmit(&mut self, now_us: u64) {
+        self.get_mut().on_fast_retransmit(now_us);
+    }
+
+    fn on_timeout(&mut self, now_us: u64) {
+        self.get_mut().on_timeout(now_us);
+    }
+
+    fn name(&self) -> &'static str {
+        self.get().name()
     }
 }
 
@@ -156,10 +212,6 @@ impl CongestionControl for Reno {
 
     fn name(&self) -> &'static str {
         "reno"
-    }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
     }
 }
 
@@ -334,10 +386,6 @@ impl CongestionControl for Cubic {
     fn name(&self) -> &'static str {
         "cubic"
     }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]
@@ -461,7 +509,7 @@ mod tests {
         assert_eq!(c.name(), "cubic");
         assert_eq!(r.cwnd(), c.cwnd());
         assert_eq!(CcAlgo::default(), CcAlgo::Reno);
-        // Box<dyn> clones preserve state.
+        // Clones preserve state.
         let mut r2 = r.clone();
         r2.on_ack(0, MSS);
         assert_eq!(r2.cwnd(), r.cwnd() + MSS);

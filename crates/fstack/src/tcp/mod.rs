@@ -12,7 +12,7 @@ pub mod cc;
 pub mod seq;
 pub mod tcb;
 
-pub use cc::{CcAlgo, CongestionControl, Cubic, Reno};
+pub use cc::{CcAlgo, Congestion, CongestionControl, Cubic, Reno};
 pub use tcb::{Tcb, TcpState};
 
 use crate::buffer::SendBuffer;

@@ -7,7 +7,7 @@
 //! matches how F-Stack drives the FreeBSD stack from the DPDK loop.
 
 use crate::buffer::{RecvBuffer, SendBuffer};
-use crate::tcp::cc::{CcAlgo, CongestionControl};
+use crate::tcp::cc::{CcAlgo, Congestion, CongestionControl};
 use crate::tcp::seq::{seq_ge, seq_gt, seq_le, seq_lt};
 use crate::tcp::{SackBlocks, SegPayload, TcpFlags, TcpOptions, TcpSegment, MAX_SACK_BLOCKS};
 use simkern::time::{SimDuration, SimTime};
@@ -111,8 +111,7 @@ pub struct Tcb {
     snd_nxt: u32,
     snd_wnd: u32,
     send_buf: SendBuffer,
-    cc: Box<dyn CongestionControl>,
-    cc_algo: CcAlgo,
+    cc: Congestion,
     fin_seq: Option<u32>,
     close_requested: bool,
 
@@ -222,7 +221,6 @@ impl Tcb {
             snd_wnd: u32::from(u16::MAX),
             send_buf: SendBuffer::new(iss.wrapping_add(1), SOCK_BUF),
             cc: CcAlgo::Reno.build(mss as u32),
-            cc_algo: CcAlgo::Reno,
             fin_seq: None,
             close_requested: false,
             recv_buf: RecvBuffer::new(0, SOCK_BUF),
@@ -326,18 +324,17 @@ impl Tcb {
 
     /// The congestion controller (read-only, for diagnostics).
     pub fn congestion(&self) -> &dyn CongestionControl {
-        self.cc.as_ref()
+        &self.cc
     }
 
     /// The congestion-control algorithm in use.
     pub fn cc_algo(&self) -> CcAlgo {
-        self.cc_algo
+        self.cc.algo()
     }
 
     /// Selects the congestion-control algorithm. Call before the first
     /// poll (the window state is rebuilt from scratch).
     pub fn set_cc(&mut self, algo: CcAlgo) {
-        self.cc_algo = algo;
         self.cc = algo.build(self.mss as u32);
     }
 
@@ -411,11 +408,10 @@ impl Tcb {
 
     /// Requests an orderly close (FIN after the buffer drains).
     pub fn close(&mut self) {
+        self.close_requested = true;
         if matches!(self.state, TcpState::SynSent | TcpState::Listen) {
             self.state = TcpState::Closed;
-            return;
         }
-        self.close_requested = true;
     }
 
     /// Hard-drops the connection (RST semantics, local side).
@@ -446,6 +442,33 @@ impl Tcb {
     /// (the app already gave the fd back), so the reaper may free it.
     pub fn app_closed(&self) -> bool {
         self.close_requested
+    }
+
+    /// `true` when the expiry of [`Tcb::next_timer_deadline`] can only
+    /// free this TCB: the application closed it, it drains TIME_WAIT, and
+    /// no retransmission, persist probe or ACK is owed. Such an expiry
+    /// emits nothing and no application can observe it before its next
+    /// call, so a parked driver need not wake for it.
+    pub fn reap_only(&self) -> bool {
+        self.close_requested
+            && self.state == TcpState::TimeWait
+            && self.rtx_deadline.is_none()
+            && self.persist_deadline.is_none()
+            && !self.ack_now
+            && self.ack_pending == 0
+            && !self.fast_rtx
+    }
+
+    /// Moves the buffer storage of `old` — a TCB whose connection is gone
+    /// — into this one, emptied, so the next connection's buffers grow
+    /// into memory the last one already took. Nothing else of `old`
+    /// carries over: a TCB with recycled storage behaves as a fresh one.
+    pub fn adopt_storage(&mut self, old: Tcb) {
+        self.send_buf.adopt_storage(old.send_buf);
+        self.recv_buf.adopt_storage(old.recv_buf);
+        let mut board = old.sack_scoreboard;
+        board.clear();
+        self.sack_scoreboard = board;
     }
 
     // ---- wire surface ----
@@ -542,12 +565,12 @@ impl Tcb {
         }
         if let Some(peer_mss) = seg.options.mss {
             self.mss = self.mss.min(usize::from(peer_mss));
-            self.cc = self.cc_algo.build(self.mss as u32);
+            self.cc = self.cc.algo().build(self.mss as u32);
         }
         self.peer_sack = seg.options.sack_permitted;
         self.snd_una = seg.ack;
         self.snd_wnd = u32::from(seg.window);
-        self.recv_buf = RecvBuffer::new(seg.seq.wrapping_add(1), SOCK_BUF);
+        self.recv_buf.restart(seg.seq.wrapping_add(1));
         self.state = TcpState::Established;
         self.rtx_deadline = None;
         self.backoff = 0;

@@ -355,6 +355,9 @@ pub struct FleetApp {
     /// Arrivals stop here.
     open_end: SimTime,
     conns: Vec<FleetConn>,
+    /// `(out, inbuf)` of finished connections, emptied: the next opened
+    /// connection takes them, capacity and all.
+    spare: Vec<(Vec<u8>, Vec<u8>)>,
     /// Failed connections waiting out their backoff (insertion order).
     retry_queue: Vec<Retry>,
     /// [`FleetApp::next_deadline`]: the earliest of the clocks above, which
@@ -413,6 +416,7 @@ impl FleetApp {
             next_arrival: now + SimDuration::from_nanos(gap),
             open_end,
             conns: Vec::new(),
+            spare: Vec::new(),
             retry_queue: Vec::new(),
             clock: None,
             conns_started: 0,
@@ -660,6 +664,7 @@ impl FleetApp {
         }
         out.ff_calls += 1;
         stack.ff_epoll_ctl_add(self.epfd, fd, EpollFlags::IN | EpollFlags::OUT)?;
+        let (out_buf, inbuf) = self.spare.pop().unwrap_or_default();
         self.conns.push(FleetConn {
             fd,
             state: CState::Connecting,
@@ -668,9 +673,9 @@ impl FleetApp {
             http10,
             attempt,
             reqs_left,
-            out: Vec::new(),
+            out: out_buf,
             out_off: 0,
-            inbuf: Vec::new(),
+            inbuf,
             sent_at: now,
             think_until: now,
             next_drip: now,
@@ -780,7 +785,10 @@ impl FleetApp {
         completed: bool,
         out: &mut StepOutcome,
     ) -> Result<(), Errno> {
-        let c = self.conns.swap_remove(i);
+        let mut c = self.conns.swap_remove(i);
+        c.out.clear();
+        c.inbuf.clear();
+        self.spare.push((c.out, c.inbuf));
         out.ff_calls += 1;
         stack.ff_close(c.fd)?;
         if completed {
@@ -995,10 +1003,8 @@ impl FleetApp {
                     break;
                 }
                 Ok(n) => {
-                    let chunk = mem
-                        .read_vec(&buf, buf.base(), n)
-                        .map_err(|_| Errno::EFAULT)?;
-                    self.conns[i].inbuf.extend_from_slice(&chunk);
+                    let chunk = mem.view(&buf, buf.base(), n).map_err(|_| Errno::EFAULT)?;
+                    self.conns[i].inbuf.extend_from_slice(chunk);
                     out.bytes += n;
                     out.progressed = true;
                     self.last_activity = Some(now);

@@ -236,19 +236,35 @@ pub fn build_503(retry_after_ms: u64, out: &mut Vec<u8>) {
     );
     // Retry-After is delay-seconds (RFC 9110 §10.2.3), rounded up so a
     // sub-second hint never says "now".
-    out.extend_from_slice(retry_after_ms.div_ceil(1000).to_string().as_bytes());
+    push_decimal(retry_after_ms.div_ceil(1000), out);
     out.extend_from_slice(b"\r\nConnection: close\r\n\r\n");
+}
+
+/// Appends `n` in decimal onto `out`, without an intermediate string.
+fn push_decimal(n: u64, out: &mut Vec<u8>) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Appends a full response (status line, `Content-Length`, `Connection`,
 /// body) onto `out`.
 pub fn build_response(status: u16, reason: &str, body: &[u8], close: bool, out: &mut Vec<u8>) {
     out.extend_from_slice(b"HTTP/1.1 ");
-    out.extend_from_slice(status.to_string().as_bytes());
+    push_decimal(u64::from(status), out);
     out.push(b' ');
     out.extend_from_slice(reason.as_bytes());
     out.extend_from_slice(b"\r\nContent-Length: ");
-    out.extend_from_slice(body.len().to_string().as_bytes());
+    push_decimal(body.len() as u64, out);
     out.extend_from_slice(if close {
         b"\r\nConnection: close\r\n\r\n".as_slice()
     } else {
@@ -312,6 +328,21 @@ mod tests {
             panic!("second response should parse");
         };
         assert_eq!((status, close), (429, true));
+    }
+
+    /// Status, length and Retry-After fields are written in decimal
+    /// without an intermediate string, byte for byte as `format!` would.
+    #[test]
+    fn decimal_fields_are_exact() {
+        for n in [0, 7, 10, 99, 404, 65_535, u64::MAX] {
+            let mut out = b"x".to_vec();
+            push_decimal(n, &mut out);
+            assert_eq!(out, format!("x{n}").into_bytes());
+        }
+        let mut wire = Vec::new();
+        build_503(1_001, &mut wire);
+        let field = b"Retry-After: 2\r\n";
+        assert!(wire.windows(field.len()).any(|w| w == field));
     }
 
     /// HTTP/1.0 close semantics are the inverse of 1.1's: implicit close

@@ -167,6 +167,9 @@ pub struct HttpServerApp {
     /// fd → index into `conns` ([`NO_CONN`] for fds that are not ours),
     /// kept right across `push` and `swap_remove`.
     conn_of_fd: Vec<u32>,
+    /// `(inbuf, out)` of closed connections, emptied: the next accepted
+    /// connection takes them, capacity and all.
+    spare: Vec<(Vec<u8>, Vec<u8>)>,
     buckets: HashMap<Ipv4Addr, Bucket>,
     accepted: u64,
     requests: u64,
@@ -212,6 +215,7 @@ impl HttpServerApp {
             cfg,
             conns: Vec::new(),
             conn_of_fd: Vec::new(),
+            spare: Vec::new(),
             buckets: HashMap::new(),
             accepted: 0,
             requests: 0,
@@ -274,11 +278,12 @@ impl HttpServerApp {
                     // while telling the client when to come back.
                     let overloaded =
                         self.cfg.max_conns > 0 && self.conns.len() >= self.cfg.max_conns;
+                    let (inbuf, out_buf) = self.spare.pop().unwrap_or_default();
                     let mut conn = Conn {
                         fd,
                         peer,
-                        inbuf: Vec::new(),
-                        out: Vec::new(),
+                        inbuf,
+                        out: out_buf,
                         out_off: 0,
                         served: 0,
                         close_after_flush: overloaded,
@@ -446,11 +451,14 @@ impl HttpServerApp {
         now: SimTime,
         out: &mut StepOutcome,
     ) -> Result<(), Errno> {
-        let c = self.conns.swap_remove(i);
+        let mut c = self.conns.swap_remove(i);
         self.conn_of_fd[c.fd as usize] = NO_CONN;
         if let Some(moved) = self.conns.get(i) {
             self.conn_of_fd[moved.fd as usize] = i as u32;
         }
+        c.inbuf.clear();
+        c.out.clear();
+        self.spare.push((c.inbuf, c.out));
         out.ff_calls += 1;
         stack.ff_close(c.fd)?;
         out.progressed = true;
@@ -480,10 +488,8 @@ impl HttpServerApp {
                     break;
                 }
                 Ok(n) => {
-                    let chunk = mem
-                        .read_vec(&buf, buf.base(), n)
-                        .map_err(|_| Errno::EFAULT)?;
-                    self.conns[i].inbuf.extend_from_slice(&chunk);
+                    let chunk = mem.view(&buf, buf.base(), n).map_err(|_| Errno::EFAULT)?;
+                    self.conns[i].inbuf.extend_from_slice(chunk);
                     self.conns[i].last_byte = now;
                     self.bytes_in += n;
                     out.bytes += n;
@@ -510,10 +516,10 @@ impl HttpServerApp {
                 match http::parse_request(&c.inbuf[consumed..]) {
                     ReqParse::Complete(req, used) => {
                         consumed += used;
+                        let route = self.cfg.routes.iter().position(|(p, _)| p == req.path);
                         let wants_close = req.close;
-                        let path = req.path.to_string();
                         self.requests += 1;
-                        self.respond(i, &path, wants_close, now);
+                        self.respond(i, route, wants_close, now);
                         out.progressed = true;
                     }
                     ReqParse::Partial => break,
@@ -539,9 +545,10 @@ impl HttpServerApp {
         Ok(false)
     }
 
-    /// Composes the response for one parsed request onto connection
-    /// `i`'s out buffer, applying rate limiting and the request budget.
-    fn respond(&mut self, i: usize, path: &str, client_close: bool, now: SimTime) {
+    /// Composes the response for one parsed request — for the route at
+    /// index `route`, `None` for an unknown path — onto connection `i`'s
+    /// out buffer, applying rate limiting and the request budget.
+    fn respond(&mut self, i: usize, route: Option<usize>, client_close: bool, now: SimTime) {
         let limited = self.cfg.bucket_capacity > 0 && {
             let cap_milli = u64::from(self.cfg.bucket_capacity) * 1000;
             let refill = u64::from(self.cfg.bucket_refill_per_sec) * 1000;
@@ -566,13 +573,7 @@ impl HttpServerApp {
             return;
         }
         let close = client_close || budget_exhausted;
-        let body = self
-            .cfg
-            .routes
-            .iter()
-            .find(|(p, _)| p == path)
-            .map(|(_, b)| b.as_slice());
-        match body {
+        match route.map(|r| self.cfg.routes[r].1.as_slice()) {
             Some(b) => {
                 http::build_response(200, "OK", b, close, &mut c.out);
                 self.ok += 1;

@@ -3,7 +3,7 @@
 //! Every constant here stands in for a number the paper measured (or implies)
 //! on the Arm Morello / CheriBSD testbed. The experiments never hard-code
 //! nanoseconds: they compose these fields, so sweeping a field is an ablation
-//! (see `bench/benches/ablation_locking.rs`).
+//! (see `examples/locking_sweep.rs`).
 //!
 //! Calibration targets, from the paper's §IV:
 //!

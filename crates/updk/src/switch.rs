@@ -200,41 +200,62 @@ impl LinkFabric {
         frame: Frame,
         costs: &CostModel,
     ) -> Vec<SwitchTx> {
+        let mut out = Vec::new();
+        self.ingress_into(port, now, frame, costs, &mut out);
+        out
+    }
+
+    /// [`LinkFabric::ingress`], appending the egress copies to `out`: with
+    /// a vector the caller keeps, switching a frame allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range ingress port.
+    pub fn ingress_into(
+        &mut self,
+        port: usize,
+        now: SimTime,
+        frame: Frame,
+        costs: &CostModel,
+        out: &mut Vec<SwitchTx>,
+    ) {
         assert!(port < self.ports.len(), "ingress on invalid port {port}");
         if self.failed {
             self.stats.fail_drops += 1;
-            return Vec::new();
+            return;
         }
         self.stats.ingress += 1;
         let (dst, src) = parse_macs(frame.bytes());
         // Learn the sender (never the broadcast address: a broadcast source
-        // is a malformed station and must not poison the table).
+        // is a malformed station and must not poison the table). The table
+        // is written only when a station appears or moves.
         if let Some(src) = src.filter(|s| !s.is_broadcast()) {
-            self.table.insert(src, port);
+            if self.table.get(&src) != Some(&port) {
+                self.table.insert(src, port);
+            }
         }
 
         let ready = now + SimDuration::from_nanos(costs.switch_latency_ns);
         if let Some(d) = dst.filter(|d| !d.is_broadcast()) {
             match self.table.get(&d).copied() {
-                Some(out) if out == port => {
+                Some(to) if to == port => {
                     // Destination is on the segment the frame came from: a
                     // real switch filters it.
                     self.stats.filtered += 1;
-                    return Vec::new();
+                    return;
                 }
-                Some(out) => {
+                Some(to) => {
                     // Counted only if the egress queue accepted the frame,
                     // so forwarded + flooded always equals copies emitted.
-                    let tx = self.egress(out, ready, frame, costs);
-                    if tx.is_some() {
+                    if let Some(tx) = self.egress(to, ready, frame, costs) {
                         self.stats.forwarded += 1;
+                        out.push(tx);
                     }
-                    return tx.into_iter().collect();
+                    return;
                 }
                 None => {} // unknown unicast: fall through to flood
             }
         }
-        let mut out = Vec::new();
         for p in 0..self.ports.len() {
             if p == port {
                 continue;
@@ -244,7 +265,6 @@ impl LinkFabric {
                 out.push(tx);
             }
         }
-        out
     }
 
     /// Queues `frame` on egress `port` (tail-dropping on overflow) and

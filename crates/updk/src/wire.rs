@@ -239,7 +239,7 @@ impl Impairments {
         if self.loss_per_mille > 0 && rng.chance_per_mille(u64::from(self.loss_per_mille)) {
             stats.lost = 1;
             return DeliveryPlan {
-                deliveries: Vec::new(),
+                deliveries: Deliveries::NONE,
                 stats,
             };
         }
@@ -262,7 +262,8 @@ impl Impairments {
         if corrupted {
             stats.corrupted = 1;
         }
-        let mut deliveries = vec![(at, corrupted)];
+        let mut deliveries = Deliveries::NONE;
+        deliveries.push((at, corrupted));
         if duplicated {
             stats.duplicated = 1;
             // The duplicate trails by one minimum-frame slot, uncorrupted
@@ -278,9 +279,49 @@ impl Impairments {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryPlan {
     /// `(arrival instant, corrupted?)` — empty when the frame was lost.
-    pub deliveries: Vec<(SimTime, bool)>,
+    pub deliveries: Deliveries,
     /// The per-frame counter increments this plan represents.
     pub stats: ImpairmentStats,
+}
+
+/// The `(arrival instant, corrupted?)` deliveries of one frame, held
+/// inline: none (lost), one, or the frame and its duplicate. Reads as a
+/// slice; iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deliveries {
+    len: u8,
+    /// `slots[len..]` stay at their initial value, so the derived
+    /// equality compares deliveries only.
+    slots: [(SimTime, bool); 2],
+}
+
+impl Deliveries {
+    const NONE: Deliveries = Deliveries {
+        len: 0,
+        slots: [(SimTime::ZERO, false); 2],
+    };
+
+    fn push(&mut self, delivery: (SimTime, bool)) {
+        self.slots[usize::from(self.len)] = delivery;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Deliveries {
+    type Target = [(SimTime, bool)];
+
+    fn deref(&self) -> &[(SimTime, bool)] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = (SimTime, bool);
+    type IntoIter = std::iter::Take<std::array::IntoIter<(SimTime, bool), 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().take(usize::from(self.len))
+    }
 }
 
 /// Counters of what an impaired link did over a run.
@@ -398,7 +439,7 @@ mod tests {
         for i in 0..1_000 {
             let at = SimTime::from_nanos(i * 100);
             let plan = imp.plan(&mut rng, at);
-            assert_eq!(plan.deliveries, vec![(at, false)]);
+            assert_eq!(plan.deliveries[..], [(at, false)]);
             assert_eq!(plan.stats.lost, 0);
         }
     }
@@ -438,7 +479,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let at = SimTime::from_micros(10);
         let plan = imp.plan(&mut rng, at);
-        assert_eq!(plan.deliveries, vec![(at + delay, false)]);
+        assert_eq!(plan.deliveries[..], [(at + delay, false)]);
         assert_eq!(plan.stats.reordered, 1);
     }
 

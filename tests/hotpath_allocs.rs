@@ -118,3 +118,47 @@ fn every_frame_buffer_block_a_run_takes_comes_back() {
         );
     }
 }
+
+/// TCB shell conservation under connection churn: a stack allocates a TCB
+/// (with its buffers) only when more connections are live than ever
+/// before, and takes every other one from the shells its reaped
+/// connections left — so across a close-per-request star, on every host,
+/// no shell is built beyond the peak of live TCBs, and every shell taken
+/// is either back in the pool or still live at the end.
+#[test]
+fn tcb_shells_are_recycled_and_conserved_under_churn() {
+    use capnet::scenario::ScenarioSpec;
+    use capnet_httpd::{FleetConfig, HttpServerConfig};
+
+    let out = ScenarioSpec::star(2)
+        .duration(SimDuration::from_millis(120))
+        .seed(0xC0FFEE)
+        .http(
+            HttpServerConfig::default(),
+            FleetConfig {
+                rate_per_sec: 8_000,
+                keep_alive_per_mille: 0,
+                think_ns: 0,
+                ..FleetConfig::default()
+            },
+        )
+        .run()
+        .expect("churn star runs");
+    let completed: u64 = out.http_fleets.iter().map(|f| f.conns_completed).sum();
+    assert!(completed > 1_000, "churn volume: {completed} connections");
+    for (name, s) in &out.stack_stats {
+        let taken = s.tcb_shells_fresh + s.tcb_shells_reused;
+        assert!(taken > 500, "{name}: connections churned ({taken})");
+        assert!(
+            s.tcb_shells_fresh <= s.tcbs_peak,
+            "{name}: {} shells built for at most {} live TCBs",
+            s.tcb_shells_fresh,
+            s.tcbs_peak
+        );
+        assert_eq!(
+            taken,
+            s.tcb_shells_recycled + s.tcbs_live,
+            "{name}: every shell taken is back in the pool or live: {s:?}"
+        );
+    }
+}

@@ -152,6 +152,16 @@ fn time_wait_churn_over_thousands_of_connections() {
         .find(|(name, _)| name == "hub")
         .expect("hub stack stats present");
     assert_eq!(hub_stats.listen_drops, 0, "backlog 64 absorbs this rate");
+    // A closed connection costs its host no turn of its own: its TIME_WAIT
+    // expiry is settled while the host is parked, and its reap marks
+    // nothing for the app that closed it. What idle turns remain are
+    // wakes that found nothing (3 of 25 109 turns here; 5 805 of 30 911
+    // when each reap cost an expiry wake and a confirming turn).
+    let c = out.counters;
+    assert!(
+        c.idle_polls * 8_000 <= c.loop_polls,
+        "closed connections cost idle turns: {c:?}"
+    );
 }
 
 /// The determinism contract extends to the serving plane: the same spec
@@ -322,7 +332,7 @@ fn hub_fds_per_wait(out: &capnet::SimOutcome) -> f64 {
         .iter()
         .find(|(name, _)| name == "hub")
         .expect("hub stack stats present");
-    assert!(hub.epoll_waits > 8_000, "the server polled all run long");
+    assert!(hub.epoll_waits > 7_500, "the server polled all run long");
     hub.epoll_fds_evaluated as f64 / hub.epoll_waits as f64
 }
 
