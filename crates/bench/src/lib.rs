@@ -76,8 +76,12 @@ impl BenchReport {
     /// calendars' exact work (`cal_*`).
     ///
     /// `trace_bytes` is what the digest's FNV-1a chain folded, one
-    /// [`TraceDigest::RECORD_BYTES`] record per delivered frame; a row
-    /// that says otherwise panics before it is written.
+    /// [`TraceDigest::RECORD_BYTES`] record per delivered frame, and every
+    /// frame the digest folded is one delivery the engines counted
+    /// (`ev_deliveries == trace_frames`, which on a sharded run checks the
+    /// merged delivery log against the per-engine counters) and executed
+    /// (`events >= trace_frames`); a row that says otherwise panics before
+    /// it is written.
     ///
     /// The counter structs are destructured without `..` on purpose: a
     /// field added to any of them fails to compile here until it is given
@@ -110,6 +114,14 @@ impl BenchReport {
             parks,
             wakes,
         } = out.counters;
+        assert_eq!(
+            deliveries, frames,
+            "{bench}/{case}: the digest folds each counted delivery exactly once"
+        );
+        assert!(
+            out.events >= frames,
+            "{bench}/{case}: every folded delivery is an executed event"
+        );
         let RoundCounters {
             rounds,
             empty_rounds,

@@ -18,9 +18,9 @@
 //! end: the reloaded capability must be dead and dereferencing it must
 //! raise [`cheri::FaultKind::Tag`].
 
-use crate::ChaosDigest;
 use cheri::{FlipEffect, TaggedMemory, CAP_GRANULE};
 use simkern::rng::SimRng;
+use simkern::Fnv1a;
 
 /// Bit-flip knobs.
 #[derive(Debug, Clone)]
@@ -101,7 +101,7 @@ impl BitFlipInjector {
     }
 
     /// Runs one round of strikes, folding each effect into `digest`.
-    pub fn round(&mut self, digest: &mut ChaosDigest) {
+    pub fn round(&mut self, digest: &mut Fnv1a) {
         for _ in 0..self.cfg.flips_per_round {
             // Half the strikes aim at the capability population (tagged
             // granules), half anywhere — so both detectable and silent
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn every_kill_is_detected_and_tags_never_mint() {
         let mut b = BitFlipInjector::new(BitFlipConfig::default(), 9);
-        let mut d = ChaosDigest::new();
+        let mut d = Fnv1a::default();
         for _ in 0..256 {
             b.round(&mut d);
         }
@@ -214,7 +214,7 @@ mod tests {
     fn rounds_are_deterministic_in_the_seed() {
         let run = |seed| {
             let mut b = BitFlipInjector::new(BitFlipConfig::default(), seed);
-            let mut d = ChaosDigest::new();
+            let mut d = Fnv1a::default();
             for _ in 0..64 {
                 b.round(&mut d);
             }

@@ -47,44 +47,9 @@ pub use walker::{CapabilityWalker, WalkerConfig, WalkerReport};
 
 use fstack::FStack;
 use simkern::time::{SimDuration, SimTime};
+use simkern::Fnv1a;
 use std::net::Ipv4Addr;
 use updk::nic::MacAddr;
-
-/// FNV-1a 64-bit accumulator — the same digest family the engine's trace
-/// uses, so campaign streams get the same byte-identity guarantees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosDigest(u64);
-
-impl ChaosDigest {
-    /// The FNV-1a offset basis.
-    pub fn new() -> ChaosDigest {
-        ChaosDigest(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds `bytes` into the digest.
-    pub fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// Folds a little-endian `u64` into the digest.
-    pub fn fold_u64(&mut self, v: u64) {
-        self.fold(&v.to_le_bytes());
-    }
-
-    /// The current value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for ChaosDigest {
-    fn default() -> Self {
-        ChaosDigest::new()
-    }
-}
 
 /// What one [`ChaosApp::step`] did — the same shape the HTTP apps report,
 /// so the engine charges isolation costs and schedules identically.
@@ -191,7 +156,7 @@ pub struct ChaosApp {
     forge: Option<TcpForgeApp>,
     walker: Option<CapabilityWalker>,
     bitflip: Option<BitFlipInjector>,
-    digest: ChaosDigest,
+    digest: Fnv1a,
     next_round: Option<SimTime>,
     rounds_done: u64,
     finished: bool,
@@ -230,7 +195,7 @@ impl ChaosApp {
             forge,
             walker,
             bitflip,
-            digest: ChaosDigest::new(),
+            digest: Fnv1a::default(),
             next_round: None,
             rounds_done: 0,
             finished: false,

@@ -15,7 +15,7 @@
 //! rejection in their `parse_drop_*` counters; the campaign asserts the
 //! sum is positive and nothing panics.
 
-use crate::{ChaosDigest, ChaosStepOutcome};
+use crate::ChaosStepOutcome;
 use fstack::arp::ArpPacket;
 use fstack::ether::{EthHdr, EtherType, ETH_HDR_LEN};
 use fstack::ip::{IpProto, Ipv4Hdr, IPV4_HDR_LEN};
@@ -23,6 +23,7 @@ use fstack::tcp::{TcpFlags, TcpOptions, TcpSegment};
 use fstack::udp::UdpDatagram;
 use fstack::FStack;
 use simkern::rng::SimRng;
+use simkern::Fnv1a;
 use std::net::Ipv4Addr;
 use updk::framebuf::FrameBuf;
 use updk::nic::MacAddr;
@@ -88,12 +89,7 @@ impl MalformedFrameApp {
     }
 
     /// Emits one round of mutated frames through `stack`'s transmit path.
-    pub fn round(
-        &mut self,
-        stack: &mut FStack,
-        digest: &mut ChaosDigest,
-        out: &mut ChaosStepOutcome,
-    ) {
+    pub fn round(&mut self, stack: &mut FStack, digest: &mut Fnv1a, out: &mut ChaosStepOutcome) {
         for _ in 0..self.cfg.frames_per_round {
             let class = self.rng.below(N_CLASSES);
             let frame = self.craft(class);
@@ -305,7 +301,7 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 7),
         );
         let mut victim = FStack::new(StackConfig::new("victim", MacAddr::local(1), victim_ip));
-        let mut digest = ChaosDigest::new();
+        let mut digest = Fnv1a::default();
         for class in 0..N_CLASSES {
             for _ in 0..32 {
                 let frame = attacker.craft(class);
@@ -345,7 +341,7 @@ mod tests {
             MacAddr::local(2),
             Ipv4Addr::new(10, 0, 0, 5),
         ));
-        let (mut da, mut db) = (ChaosDigest::new(), ChaosDigest::new());
+        let (mut da, mut db) = (Fnv1a::default(), Fnv1a::default());
         let (mut oa, mut ob) = (ChaosStepOutcome::default(), ChaosStepOutcome::default());
         for _ in 0..16 {
             a.round(&mut stack_a, &mut da, &mut oa);

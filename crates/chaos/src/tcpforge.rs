@@ -22,12 +22,13 @@
 //! legitimate traffic; the campaign asserts the victim's forgery
 //! counters moved while its serving counters kept climbing.
 
-use crate::{ChaosDigest, ChaosStepOutcome};
+use crate::ChaosStepOutcome;
 use fstack::ether::{EthHdr, EtherType};
 use fstack::ip::{IpProto, Ipv4Hdr};
 use fstack::tcp::{TcpFlags, TcpOptions, TcpSegment};
 use fstack::FStack;
 use simkern::rng::SimRng;
+use simkern::Fnv1a;
 use std::net::Ipv4Addr;
 use updk::framebuf::FrameBuf;
 use updk::nic::MacAddr;
@@ -101,12 +102,7 @@ impl TcpForgeApp {
 
     /// Emits one round of forged segments through `stack`'s transmit
     /// path.
-    pub fn round(
-        &mut self,
-        stack: &mut FStack,
-        digest: &mut ChaosDigest,
-        out: &mut ChaosStepOutcome,
-    ) {
+    pub fn round(&mut self, stack: &mut FStack, digest: &mut Fnv1a, out: &mut ChaosStepOutcome) {
         for _ in 0..self.cfg.frames_per_round {
             // Draws in fixed order: port, sequence, kind.
             let span = u64::from(self.cfg.ephemeral_hi.saturating_sub(self.cfg.ephemeral_lo)) + 1;
@@ -231,7 +227,7 @@ mod tests {
             MacAddr::local(9),
         );
         let mut atk = FStack::new(StackConfig::new("atk", MacAddr::local(9), client_ip));
-        let mut digest = ChaosDigest::new();
+        let mut digest = Fnv1a::default();
         let mut out = ChaosStepOutcome::default();
         forger.round(&mut atk, &mut digest, &mut out);
         now += simkern::time::SimDuration::from_micros(50);
@@ -270,7 +266,7 @@ mod tests {
             MacAddr::local(3),
             Ipv4Addr::new(10, 0, 0, 9),
         ));
-        let (mut da, mut db) = (ChaosDigest::new(), ChaosDigest::new());
+        let (mut da, mut db) = (Fnv1a::default(), Fnv1a::default());
         let (mut oa, mut ob) = (ChaosStepOutcome::default(), ChaosStepOutcome::default());
         for _ in 0..8 {
             a.round(&mut sa, &mut da, &mut oa);

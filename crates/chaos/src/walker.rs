@@ -15,13 +15,13 @@
 //! (mismatches are counted and must be zero), and the victim's memory
 //! must be bit-identical after every probe (corruptions must be zero).
 
-use crate::ChaosDigest;
 use cheri::{Capability, FaultKind, Perms, CAP_GRANULE};
 use intravisor::{validate_boundary_cap, CvmConfig, CvmId, Intravisor};
 use mavsim::frame::MavFrame;
 use mavsim::msg::{Heartbeat, MavMode, Message};
 use simkern::cost::CostModel;
 use simkern::rng::SimRng;
+use simkern::Fnv1a;
 
 /// Number of distinct probe classes the walker cycles through.
 const N_PROBES: u64 = 10;
@@ -146,7 +146,7 @@ impl CapabilityWalker {
     }
 
     /// Runs one round of probes, folding each verdict into `digest`.
-    pub fn round(&mut self, digest: &mut ChaosDigest) {
+    pub fn round(&mut self, digest: &mut Fnv1a) {
         for _ in 0..self.probes_per_round {
             let class = self.rng.below(N_PROBES);
             let (expected, actual) = self.probe(class);
@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn every_probe_class_faults_as_predicted() {
         let mut w = CapabilityWalker::new(WalkerConfig::default(), 11);
-        let mut digest = ChaosDigest::new();
+        let mut digest = Fnv1a::default();
         for class in 0..N_PROBES {
             for _ in 0..8 {
                 let (expected, actual) = w.probe(class);
@@ -331,7 +331,7 @@ mod tests {
     fn rounds_are_deterministic_in_the_seed() {
         let run = |seed| {
             let mut w = CapabilityWalker::new(WalkerConfig::default(), seed);
-            let mut d = ChaosDigest::new();
+            let mut d = Fnv1a::default();
             for _ in 0..32 {
                 w.round(&mut d);
             }
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn intravisor_logs_the_ddc_probes() {
         let mut w = CapabilityWalker::new(WalkerConfig::default(), 5);
-        let mut d = ChaosDigest::new();
+        let mut d = Fnv1a::default();
         for _ in 0..64 {
             w.round(&mut d);
         }

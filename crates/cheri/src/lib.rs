@@ -20,8 +20,6 @@
 //!   *Capability Out-of-Bounds* exception demonstrated in the paper's Fig. 3.
 //! * [`regfile::CompartmentCtx`] — a DDC/PCC pair, with sealed-pair
 //!   `CInvoke`-style domain transition used by the Intravisor's trampolines.
-//! * [`compress`] — CHERI-Concentrate-style compressed-bounds rounding, for
-//!   studying representability effects on allocator alignment.
 //!
 //! Every memory access performed by the network stack in this repository
 //! goes through [`memory::TaggedMemory`] with an explicit authorizing
@@ -53,7 +51,6 @@
 #![forbid(unsafe_code)]
 
 pub mod capability;
-pub mod compress;
 pub mod fault;
 pub mod memory;
 pub mod otype;

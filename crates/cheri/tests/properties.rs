@@ -5,7 +5,6 @@
 //! network stack uses the capabilities.
 
 use cheri::capability::Access;
-use cheri::compress::{representable_bounds, required_alignment, restrict_compressed};
 use cheri::{CapFault, Capability, FaultKind, Perms, TaggedMemory};
 use proptest::prelude::*;
 
@@ -135,27 +134,6 @@ proptest! {
         if addr + data.len() as u64 <= 4096 {
             mem.write(&root, addr, &data).unwrap();
             prop_assert_eq!(mem.read_vec(&root, addr, data.len() as u64).unwrap(), data);
-        }
-    }
-
-    /// Compressed bounds always contain the request, are aligned, and
-    /// respect the parent (or fault) — never silent amplification.
-    #[test]
-    fn compression_laws((b, l) in arb_region()) {
-        let (rb, rl) = representable_bounds(b, l);
-        prop_assert!(rb <= b);
-        prop_assert!(rb + rl >= b + l);
-        if rl > 0 {
-            let a = required_alignment(rl);
-            prop_assert_eq!(rb % a, 0);
-        }
-        let parent = Capability::root(0, MEM, Perms::data());
-        match restrict_compressed(&parent, b, l) {
-            Ok(c) => {
-                prop_assert!(c.is_subset_of(&parent));
-                prop_assert!(c.base() <= b && c.top() >= b + l);
-            }
-            Err(e) => prop_assert_eq!(e.kind(), FaultKind::Representability),
         }
     }
 

@@ -4,9 +4,9 @@
 //! CHERI-aware FreeBSD). The workload only exercises a narrow slice of the
 //! kernel — `clock_gettime(CLOCK_MONOTONIC_RAW)` for the measurements,
 //! `_umtx_op` for thread synchronization (CheriBSD's futex analog, which the
-//! Intravisor must translate musl `futex` calls into), file descriptors, and
-//! plain process isolation for the non-CHERI Baseline. This crate implements
-//! exactly that slice against the virtual clock of [`simkern`]:
+//! Intravisor must translate musl `futex` calls into) and file descriptors.
+//! This crate implements exactly that slice against the virtual clock of
+//! [`simkern`]:
 //!
 //! * [`errno::Errno`] — BSD error numbers as a typed error.
 //! * [`clock`] — the monotonic raw clock with configurable tick quantization
@@ -15,9 +15,6 @@
 //! * [`futex`] — the musl-side futex interface that the Intravisor proxies.
 //! * [`fdtable`] — POSIX lowest-free-fd descriptor tables.
 //! * [`syscall`] — the [`syscall::Kernel`] dispatcher tying it together.
-//! * [`process`] — MMU-style address-space isolation for the Baseline
-//!   scenario (one [`cheri::TaggedMemory`] per process, so cross-process
-//!   access is impossible by construction rather than by capability check).
 //!
 //! # Example
 //!
@@ -42,7 +39,6 @@ pub mod clock;
 pub mod errno;
 pub mod fdtable;
 pub mod futex;
-pub mod process;
 pub mod syscall;
 pub mod umtx;
 

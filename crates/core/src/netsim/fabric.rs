@@ -6,6 +6,7 @@ use super::shard::DeliveryRecord;
 use super::{Ep, NetEvent, NetSim};
 use simkern::engine::Engine;
 use simkern::time::SimTime;
+use simkern::Fnv1a;
 use updk::wire::Frame;
 
 /// A rolling digest over every frame delivery of a run: the
@@ -31,14 +32,10 @@ pub struct TraceDigest {
     pub bytes: u64,
 }
 
-/// The FNV-1a offset basis and prime.
-const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
 impl Default for TraceDigest {
     fn default() -> Self {
         TraceDigest {
-            digest: FNV_BASIS,
+            digest: Fnv1a::BASIS,
             frames: 0,
             bytes: 0,
         }
@@ -51,15 +48,14 @@ impl TraceDigest {
 
     /// Folds one delivery's record into the chain. `hash` is the frame's
     /// `content_hash`; `dev` and `port` fold at full width.
+    #[inline]
     pub(super) fn fold(&mut self, at: SimTime, dev: usize, port: usize, len: usize, hash: u64) {
         // Fold through a local so the chain stays in a register.
-        let mut d = self.digest;
+        let mut chain = Fnv1a(self.digest);
         for word in [at.as_nanos(), dev as u64, port as u64, len as u64, hash] {
-            for b in word.to_le_bytes() {
-                d = (d ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
+            chain.fold_u64(word);
         }
-        self.digest = d;
+        self.digest = chain.value();
         self.frames += 1;
         self.bytes += Self::RECORD_BYTES;
     }

@@ -44,6 +44,7 @@ use simkern::cost::CostModel;
 use simkern::engine::{Engine, World};
 use simkern::rng::SimRng;
 use simkern::time::{SimDuration, SimTime};
+use simkern::Fnv1a;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use updk::ethdev::EthDev;
@@ -519,7 +520,7 @@ impl NetSim {
     /// every other cable's — and of how the simulation is sharded.
     fn derive_port_rng(seed: u64, dev: usize, port: usize) -> SimRng {
         let mix = seed
-            ^ (dev as u64 + 1).wrapping_mul(0x0000_0100_0000_01B3)
+            ^ (dev as u64 + 1).wrapping_mul(Fnv1a::PRIME)
             ^ (port as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::seed_from_u64(mix)
     }
@@ -607,7 +608,7 @@ impl NetSim {
     fn app_seed(&self, node: NodeId, kind: AppKind, tag: u64) -> u64 {
         let slot = self.nodes[node.0].kind_count(kind);
         self.seed
-            ^ (node.0 as u64 + 1).wrapping_mul(0x0000_0100_0000_01B3)
+            ^ (node.0 as u64 + 1).wrapping_mul(Fnv1a::PRIME)
             ^ (slot as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ tag
     }

@@ -38,8 +38,8 @@ pub enum AppSched {
         /// The scheduling period in loop turns.
         period: u32,
     },
-    /// Explicit QoS (the paper's deferred future work, via
-    /// [`updk::qos`]-style weighted service): the second app cVM steps in
+    /// Explicit QoS (the paper's deferred future work) as weighted
+    /// service at the S2 service mutex: the second app cVM steps in
     /// proportion `weight_rest / weight_first` of the first's turns, in
     /// starvation-free convoys. `Weighted { 1, 1 }` behaves like
     /// [`AppSched::RoundRobin`]; `Weighted { 2, 1 }` gives the first cVM

@@ -304,11 +304,6 @@ impl Tcb {
         self.fin_rcvd && self.recv_buf.readable() == 0
     }
 
-    /// Free space in the send buffer.
-    pub fn send_space(&self) -> usize {
-        self.send_buf.free()
-    }
-
     /// `true` if the application may write.
     pub fn writable(&self) -> bool {
         self.is_established()
@@ -325,11 +320,6 @@ impl Tcb {
     /// The congestion controller (read-only, for diagnostics).
     pub fn congestion(&self) -> &dyn CongestionControl {
         &self.cc
-    }
-
-    /// The congestion-control algorithm in use.
-    pub fn cc_algo(&self) -> CcAlgo {
-        self.cc.algo()
     }
 
     /// Selects the congestion-control algorithm. Call before the first

@@ -188,15 +188,6 @@ impl Intravisor {
         &self.cvms[id.index()]
     }
 
-    /// Mutable compartment lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a foreign id.
-    pub fn cvm_mut(&mut self, id: CvmId) -> &mut Cvm {
-        &mut self.cvms[id.index()]
-    }
-
     /// Number of live compartments.
     pub fn cvm_count(&self) -> usize {
         self.cvms.len()

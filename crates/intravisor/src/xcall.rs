@@ -46,7 +46,6 @@ struct Service {
     data: Capability,
     #[allow(dead_code)] // kept for audit dumps
     otype: OType,
-    invocations: u64,
 }
 
 /// Registry of sealed-pair services.
@@ -75,7 +74,6 @@ impl ServiceTable {
             code,
             data,
             otype,
-            invocations: 0,
         });
         ServiceId(self.services.len() as u32 - 1)
     }
@@ -89,13 +87,13 @@ impl ServiceTable {
     /// nothing by invoking itself and the paper's wiring never does), plus
     /// any fault `CInvoke` raises on the pair.
     pub fn invoke(
-        &mut self,
+        &self,
         caller: CvmId,
         service: ServiceId,
         now: SimTime,
         costs: &CostModel,
     ) -> Result<XcallGrant, CapFault> {
-        let svc = &mut self.services[service.index()];
+        let svc = &self.services[service.index()];
         if svc.provider == caller {
             return Err(CapFault::new(
                 FaultKind::PermitInvoke,
@@ -108,7 +106,6 @@ impl ServiceTable {
         let caller_ctx = CompartmentCtx::new(Capability::null(), Capability::null());
         let mut rf = RegFile::new(caller_ctx);
         rf.invoke(&svc.code, &svc.data)?;
-        svc.invocations += 1;
         // One-way crossing: half the round-trip cost.
         let crossing = SimDuration::from_nanos(costs.xcall_ns / 2);
         Ok(XcallGrant {
@@ -122,21 +119,6 @@ impl ServiceTable {
     /// The name of a service.
     pub fn name(&self, id: ServiceId) -> &str {
         &self.services[id.index()].name
-    }
-
-    /// How many times a service has been entered.
-    pub fn invocations(&self, id: ServiceId) -> u64 {
-        self.services[id.index()].invocations
-    }
-
-    /// Number of registered services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// `true` if no services are registered.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
     }
 }
 

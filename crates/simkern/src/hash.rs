@@ -1,4 +1,5 @@
-//! A fast, non-cryptographic hasher for the per-frame lookup maps.
+//! Non-cryptographic hashes: a fast hasher for the per-frame lookup maps,
+//! and the FNV-1a chain every digest of a run folds into.
 
 use std::hash::{BuildHasher, Hasher};
 
@@ -64,6 +65,48 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The 64-bit FNV-1a hash: one xor and one multiply per byte, in order.
+/// Every digest that identifies a run — the trace digest, the chaos
+/// campaigns' outcome streams, the test harness's traces — folds into this
+/// one chain, so each shares its byte-identity guarantee. The tuple field
+/// is the running value: `Fnv1a(v)` resumes a chain stopped at `v`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(pub u64);
+
+impl Fnv1a {
+    /// The offset basis: the value of the empty input.
+    pub const BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+    /// The FNV prime.
+    pub const PRIME: u64 = 0x0000_0100_0000_01B3;
+
+    /// Folds `bytes` into the chain.
+    #[inline]
+    pub fn fold(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+        self.0 = h;
+    }
+
+    /// Folds `v` as its eight little-endian bytes.
+    #[inline]
+    pub fn fold_u64(&mut self, v: u64) {
+        self.fold(&v.to_le_bytes());
+    }
+
+    /// The current value.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(Self::BASIS)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,5 +128,23 @@ mod tests {
             m.insert(i, i * 3);
         }
         assert!((0..1_000).all(|i| m[&i] == i * 3));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_64_bit_vectors() {
+        let h = |bytes: &[u8]| {
+            let mut f = Fnv1a::default();
+            f.fold(bytes);
+            f.value()
+        };
+        assert_eq!(h(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(h(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(h(b"foobar"), 0x8594_4171_f739_67e8);
+        for v in [0, 1, 0x0102_0304_0506_0708, u64::MAX] {
+            let (mut a, mut b) = (Fnv1a::default(), Fnv1a::default());
+            a.fold_u64(v);
+            b.fold(&v.to_le_bytes());
+            assert_eq!(a, b);
+        }
     }
 }

@@ -25,6 +25,7 @@
 //! * [`rng::SimRng`] — a small deterministic PRNG for measurement jitter and
 //!   workload randomness, so every experiment is reproducible from a seed.
 //! * [`FxHasher`] — a non-SipHash hasher for the frame path's lookup maps.
+//! * [`Fnv1a`] — the FNV-1a chain every run digest folds into.
 //!
 //! # Example
 //!
@@ -64,7 +65,7 @@ pub mod time;
 
 pub use cost::CostModel;
 pub use engine::Engine;
-pub use hash::FxHasher;
+pub use hash::{Fnv1a, FxHasher};
 pub use resource::{BusyResource, FifoMutex, LockGrant};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

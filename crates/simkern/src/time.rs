@@ -66,11 +66,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole microseconds since boot (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since boot as a float, for reporting.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -25,9 +25,6 @@
 //! * [`switch`] — **LinkFabric**, an N-port learning switch (MAC table,
 //!   flood-on-unknown/broadcast, bounded per-port egress queues) that turns
 //!   pairwise cables into star/chain/dumbbell topologies.
-//! * [`qos`] — traffic metering and scheduling (token bucket, RFC 2697
-//!   srTCM, deficit round robin): the "DPDK QoS features" the paper defers
-//!   to future work.
 //! * [`ethdev`] — the DPDK-flavoured device API: configure, start,
 //!   `rx_burst_shared`, `tx_burst_shared`, stats.
 //!
@@ -70,7 +67,6 @@ pub mod kmod;
 pub mod mbuf;
 pub mod mempool;
 pub mod nic;
-pub mod qos;
 pub mod ring;
 pub mod switch;
 pub mod wire;

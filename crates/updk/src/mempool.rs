@@ -116,11 +116,6 @@ impl Mempool {
         self.capacity - self.available()
     }
 
-    /// Buffer size in bytes.
-    pub fn buf_size(&self) -> u64 {
-        self.buf_size
-    }
-
     /// Lifetime counters `(allocs, frees, alloc_failures)`.
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.allocs, self.frees, self.alloc_failures)

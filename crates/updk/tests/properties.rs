@@ -322,101 +322,6 @@ fn mbuf_prepend_adj_inverse() {
     }
 }
 
-mod qos_properties {
-    use proptest::prelude::*;
-    use simkern::time::SimTime;
-    use updk::qos::{Color, DrrScheduler, SrTcm, TokenBucket};
-    use updk::wire::Frame;
-
-    proptest! {
-        /// Token-bucket conservation: over any schedule of conformant
-        /// departures, bytes sent never exceed burst + rate × elapsed.
-        #[test]
-        fn bucket_never_exceeds_rate(
-            rate in 1_000u64..1_000_000_000,
-            burst in 10_000u64..100_000,
-            sizes in proptest::collection::vec(1u64..10_000, 1..200),
-        ) {
-            // Frames conform (size <= burst); oversize frames intentionally
-            // spill past the rate envelope (classic behavior) and are
-            // covered by the unit test instead.
-            let mut tb = TokenBucket::new(rate, burst);
-            let mut now = SimTime::ZERO;
-            let mut sent = 0u64;
-            for s in sizes {
-                now = tb.earliest_departure(now, s);
-                tb.consume(now, s);
-                sent += s;
-            }
-            let elapsed_s = now.as_nanos() as f64 / 1e9;
-            let cap = burst as f64 + rate as f64 * elapsed_s;
-            prop_assert!(
-                sent as f64 <= cap + 1.0,
-                "sent {sent} exceeds cap {cap:.0} (rate {rate}, burst {burst})"
-            );
-        }
-
-        /// Departure instants are monotone: conformance can never be
-        /// granted in the past relative to the request.
-        #[test]
-        fn bucket_departures_are_monotone(
-            sizes in proptest::collection::vec(1u64..5_000, 1..100),
-        ) {
-            let mut tb = TokenBucket::new(1_000_000, 3_000);
-            let mut now = SimTime::ZERO;
-            for s in sizes {
-                let dep = tb.earliest_departure(now, s);
-                prop_assert!(dep >= now);
-                tb.consume(dep, s);
-                now = dep;
-            }
-        }
-
-        /// DRR conservation: every enqueued frame is dequeued exactly
-        /// once, regardless of weights and sizes.
-        #[test]
-        fn drr_conserves_frames(
-            w0 in 1u32..16, w1 in 1u32..16,
-            sizes in proptest::collection::vec((0usize..2, 1usize..1_514), 1..200),
-        ) {
-            let mut s = DrrScheduler::new(&[w0, w1], 1_514);
-            let mut pushed = [0usize; 2];
-            for (flow, size) in &sizes {
-                s.enqueue(*flow, Frame::new(vec![0; *size]));
-                pushed[*flow] += 1;
-            }
-            let mut popped = [0usize; 2];
-            while let Some((flow, _)) = s.dequeue() {
-                popped[flow] += 1;
-            }
-            prop_assert_eq!(pushed, popped);
-            prop_assert_eq!(s.backlog(), 0);
-        }
-
-        /// srTCM marks are total and the green share never exceeds what
-        /// CIR allows over the offered window.
-        #[test]
-        fn srtcm_green_bounded_by_cir(
-            gap_us in 1u64..1_000,
-            n in 10usize..200,
-        ) {
-            let cir = 1_000_000u64; // 1 MB/s
-            let mut m = SrTcm::new(cir, 3_000, 3_000);
-            let mut green_bytes = 0u64;
-            let mut t = SimTime::ZERO;
-            for _ in 0..n {
-                if m.mark(t, 1_500) == Color::Green {
-                    green_bytes += 1_500;
-                }
-                t += simkern::SimDuration::from_micros(gap_us);
-            }
-            let elapsed_s = t.as_nanos() as f64 / 1e9;
-            let cap = 3_000.0 + cir as f64 * elapsed_s;
-            prop_assert!(green_bytes as f64 <= cap + 1.0);
-        }
-    }
-}
-
 proptest! {
     /// FrameBuf headroom builds round-trip arbitrary payloads: appending a
     /// payload and prepending arbitrary header layers in place yields

@@ -91,6 +91,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             );
         }
     }
-    println!("\ndone — see examples/table2_bandwidth.rs for the full table.");
+    println!("\ndone — see examples/full_report.rs for every table and figure.");
     Ok(())
 }

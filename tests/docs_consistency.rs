@@ -1,0 +1,265 @@
+//! The docs name only what exists. `README.md`, `DESIGN.md`, the verify
+//! skill and every `//!` module doc under `crates/*/src` are scanned for
+//! three kinds of reference, and each must resolve in the tree:
+//!
+//! * a backticked repo file path (`netsim/fabric.rs`, `BENCH_tcp.json`,
+//!   an optional `:line` suffix) must be the suffix of a file in the tree;
+//! * every `examples/<name>.rs` and `--example <name>`, fenced blocks
+//!   included, must be a file in `examples/`;
+//! * a backticked `<crate>::<path>` must walk module by module to
+//!   `src/<module>.rs` or `src/<module>/mod.rs`, and its first segment
+//!   that is not a module file must be declared `pub` (or `pub(crate)`)
+//!   in that crate.
+//!
+//! A plain file walk and substring search — no parser, no dependency — so
+//! a rename or deletion that leaves a dangling reference fails here.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Directories the walk skips: build output and VCS metadata.
+const SKIP_DIRS: &[&str] = &["target", ".git", ".bench_build"];
+
+/// Extensions that make a backticked span a file path.
+const FILE_EXTS: &[&str] = &["rs", "md", "toml", "json", "yml", "lock", "txt", "csv"];
+
+/// Workspace crates by the name a Rust path uses, with their directory.
+const CRATES: &[(&str, &str)] = &[
+    ("capnet", "core"),
+    ("capnet_bench", "bench"),
+    ("capnet_chaos", "chaos"),
+    ("capnet_httpd", "httpd"),
+    ("cheri", "cheri"),
+    ("chos", "chos"),
+    ("fstack", "fstack"),
+    ("intravisor", "intravisor"),
+    ("iperf", "iperf"),
+    ("mavsim", "mavsim"),
+    ("simkern", "simkern"),
+    ("updk", "updk"),
+];
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every file under `dir`, relative to the repo root, `/`-separated.
+fn walk(dir: &Path, out: &mut Vec<String>) {
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy();
+        if path.is_dir() {
+            if !SKIP_DIRS.contains(&name.as_ref()) {
+                walk(&path, out);
+            }
+        } else {
+            let rel = path.strip_prefix(root()).unwrap();
+            out.push(rel.to_string_lossy().replace('\\', "/"));
+        }
+    }
+}
+
+fn tree() -> Vec<String> {
+    let mut files = Vec::new();
+    walk(&root(), &mut files);
+    files
+}
+
+/// `(name, text)` of every scanned doc; a source file contributes only its
+/// `//!` lines.
+fn docs() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> =
+        ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"]
+            .iter()
+            .map(|f| (f.to_string(), fs::read_to_string(root().join(f)).unwrap()))
+            .collect();
+    for file in tree() {
+        let in_crate_src = file.starts_with("crates/") && file.split('/').nth(2) == Some("src");
+        if in_crate_src && file.ends_with(".rs") {
+            let text = fs::read_to_string(root().join(&file)).unwrap();
+            let module_doc: Vec<&str> = text
+                .lines()
+                .filter_map(|l| l.trim_start().strip_prefix("//!"))
+                .collect();
+            out.push((file, module_doc.join("\n")));
+        }
+    }
+    out
+}
+
+/// The backticked spans of `text` outside fenced blocks, line by line.
+fn code_spans(text: &str) -> Vec<&str> {
+    let mut spans = Vec::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        if !fenced {
+            spans.extend(line.split('`').skip(1).step_by(2));
+        }
+    }
+    spans
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The identifier at the start of `s`.
+fn ident(s: &str) -> &str {
+    &s[..s.find(|c| !is_ident(c)).unwrap_or(s.len())]
+}
+
+/// `span` as a file path, without a `:line` or `:line-line` suffix.
+fn as_file_path(span: &str) -> Option<&str> {
+    let path = match span.split_once(':') {
+        Some((p, line))
+            if !line.is_empty() && line.chars().all(|c| c.is_ascii_digit() || c == '-') =>
+        {
+            p
+        }
+        Some(_) => return None,
+        None => span,
+    };
+    let path_chars = |c: char| is_ident(c) || matches!(c, '.' | '/' | '-');
+    let ext = path.rsplit_once('.')?.1;
+    (path.chars().all(path_chars) && FILE_EXTS.contains(&ext)).then_some(path)
+}
+
+#[test]
+fn backticked_file_paths_name_files_in_the_tree() {
+    let files = tree();
+    let mut dangling = Vec::new();
+    for (doc, text) in docs() {
+        for path in code_spans(&text).into_iter().filter_map(as_file_path) {
+            let found = files
+                .iter()
+                .any(|f| f == path || f.ends_with(&format!("/{path}")));
+            if !found {
+                dangling.push(format!("{doc}: `{path}`"));
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "no such file:\n{}",
+        dangling.join("\n")
+    );
+}
+
+#[test]
+fn every_named_example_exists() {
+    let mut dangling = Vec::new();
+    for (doc, text) in docs() {
+        for (marker, suffix) in [("examples/", ".rs"), ("--example ", "")] {
+            for (at, _) in text.match_indices(marker) {
+                let rest = &text[at + marker.len()..];
+                let name = ident(rest);
+                if name.is_empty() || !rest[name.len()..].starts_with(suffix) {
+                    continue;
+                }
+                if !root().join(format!("examples/{name}.rs")).is_file() {
+                    dangling.push(format!("{doc}: {marker}{name}{suffix}"));
+                }
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "no such example:\n{}",
+        dangling.join("\n")
+    );
+}
+
+/// Whether any source file under `src` declares `name` as an item at some
+/// `pub` visibility (`pub(crate)` included: the docs may name internals).
+fn declares_pub(src: &Path, name: &str) -> bool {
+    let kinds = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let mut files = Vec::new();
+    walk(src, &mut files);
+    files.iter().filter(|f| f.ends_with(".rs")).any(|f| {
+        let text = fs::read_to_string(root().join(f)).unwrap();
+        text.lines()
+            .map(str::trim_start)
+            .filter(|line| line.starts_with("pub"))
+            .any(|line| {
+                kinds.iter().any(|kind| {
+                    let decl = format!("{kind} {name}");
+                    line.match_indices(&decl).any(|(at, _)| {
+                        line[..at].ends_with(' ') && !line[at + decl.len()..].starts_with(is_ident)
+                    })
+                })
+            })
+    })
+}
+
+/// Why `path` (`crate::seg::…`) does not resolve, or `None` if it does.
+fn unresolved(dir: &str, segments: &[&str]) -> Option<String> {
+    let src = root().join("crates").join(dir).join("src");
+    let mut module = src.clone();
+    for seg in segments {
+        if module.join(format!("{seg}.rs")).is_file() || module.join(seg).join("mod.rs").is_file() {
+            module = module.join(seg);
+        } else if declares_pub(&src, seg) {
+            return None;
+        } else {
+            return Some(format!("`{seg}` is neither a module file nor a pub item"));
+        }
+    }
+    None
+}
+
+#[test]
+fn crate_paths_name_modules_and_pub_items() {
+    let mut checked = 0;
+    let mut dangling = Vec::new();
+    for (doc, text) in docs() {
+        for span in code_spans(&text) {
+            for &(krate, dir) in CRATES {
+                let prefix = format!("{krate}::");
+                for (at, _) in span.match_indices(&prefix) {
+                    if span[..at].ends_with(is_ident) {
+                        continue;
+                    }
+                    let mut segments = Vec::new();
+                    let mut rest = &span[at + krate.len()..];
+                    while let Some(tail) = rest.strip_prefix("::") {
+                        let seg = ident(tail);
+                        if seg.is_empty() {
+                            rest = tail;
+                            break;
+                        }
+                        segments.push(seg);
+                        rest = &tail[seg.len()..];
+                    }
+                    // `a::b::{C, D}` checks `a::b::C` and `a::b::D`.
+                    let group = rest.strip_prefix('{').and_then(|g| g.split_once('}'));
+                    let mut paths: Vec<Vec<&str>> = match group {
+                        Some((items, _)) => items
+                            .split(',')
+                            .map(|item| [&segments[..], &[ident(item.trim())]].concat())
+                            .collect(),
+                        None => vec![segments],
+                    };
+                    paths.retain(|p| !p.is_empty() && !p.contains(&""));
+                    for path in paths {
+                        checked += 1;
+                        if let Some(why) = unresolved(dir, &path) {
+                            dangling.push(format!("{doc}: `{krate}::{}`: {why}", path.join("::")));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "the scan found no crate paths at all");
+    assert!(
+        dangling.is_empty(),
+        "dangling crate paths:\n{}",
+        dangling.join("\n")
+    );
+}

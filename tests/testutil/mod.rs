@@ -39,7 +39,7 @@ use fstack::socket::SockType;
 use fstack::tcp::TcpSegment;
 use fstack::{FStack, StackConfig};
 use simkern::rng::SimRng;
-use simkern::{CostModel, SimDuration, SimTime};
+use simkern::{CostModel, Fnv1a, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use updk::kmod::{BindingRegistry, PciAddress};
 use updk::nic::{MacAddr, NicModel};
@@ -124,27 +124,17 @@ impl Trace {
     /// FNV-1a over every event (instant, direction and payload bytes), so
     /// two traces compare with one `u64`.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut h = Fnv1a::default();
         for ev in &self.events {
-            for b in ev.at_ns.to_le_bytes() {
-                eat(b);
-            }
-            eat(match ev.dir {
+            h.fold_u64(ev.at_ns);
+            h.fold(&[match ev.dir {
                 Dir::AtoB => 0xA,
                 Dir::BtoA => 0xB,
-            });
-            for b in (ev.bytes.len() as u32).to_le_bytes() {
-                eat(b);
-            }
-            for &b in &ev.bytes {
-                eat(b);
-            }
+            }]);
+            h.fold(&(ev.bytes.len() as u32).to_le_bytes());
+            h.fold(&ev.bytes);
         }
-        h
+        h.value()
     }
 
     /// Asserts byte-identical traces, reporting the first divergence (event
