@@ -3,9 +3,10 @@
 //! Paper §III.B: *"After an initialization phase, a main-loop is executed,
 //! with the key tasks being: (i) process the ring buffers of the DPDK
 //! Ethernet driver; and, (ii) execute a user-defined function where calls to
-//! F-Stack API functions can be made."* [`iterate`] is one turn of that
-//! loop; the scenario driver supplies the user-defined function between
-//! iterations and propagates the returned frames over the wire.
+//! F-Stack API functions can be made."* One turn of that loop is
+//! [`rx_phase`], then the user-defined function, then [`tx_phase`]; the
+//! scenario driver (`netsim/node.rs`) runs the application step between
+//! them, prices the turn and propagates the returned frames over the wire.
 //!
 //! Scenario 2 additionally serializes the F-Stack API against the loop with
 //! a mutex: *"This scenario requires a mutex to coordinate the execution of
@@ -23,43 +24,6 @@ use updk::framebuf::FrameBuf;
 use updk::mbuf::Mbuf;
 use updk::wire::Frame;
 use updk::UpdkError;
-
-/// What one main-loop iteration did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IterationOutcome {
-    /// Frames handed to the NIC: `(frame, departure_instant)` — the driver
-    /// must propagate each to the cabled peer.
-    pub tx: Vec<(Frame, SimTime)>,
-    /// Frames received and processed.
-    pub rx: usize,
-    /// CPU time this iteration consumed (cost-model accounted).
-    pub cost: SimDuration,
-}
-
-/// Runs one main-loop iteration: drain RX ring → protocol input → TCP
-/// timers/output → TX ring.
-///
-/// # Errors
-///
-/// Driver errors ([`UpdkError`]), including capability faults in packet
-/// memory.
-pub fn iterate(
-    stack: &mut FStack,
-    dev: &mut EthDev,
-    port: usize,
-    mem: &mut TaggedMemory,
-    now: SimTime,
-    costs: &CostModel,
-) -> Result<IterationOutcome, UpdkError> {
-    let mut scratch = TurnScratch::default();
-    let mut tx = Vec::new();
-    let rx = rx_phase(stack, dev, port, mem, now, &mut scratch)?;
-    tx_phase(stack, dev, port, mem, now, &mut scratch, &mut tx)?;
-    let cost = SimDuration::from_nanos(
-        costs.mainloop_idle_ns + costs.mainloop_per_frame_ns * (rx as u64 + tx.len() as u64),
-    );
-    Ok(IterationOutcome { tx, rx, cost })
-}
 
 /// The vectors one main-loop iteration fills and empties again, kept by
 /// the loop's driver from turn to turn so a steady-state turn allocates
@@ -232,28 +196,27 @@ mod tests {
     }
 
     #[test]
-    fn idle_iteration_costs_idle_time() {
-        let (mut mem, mut dev, mut stack) = rig();
-        let costs = CostModel::morello();
-        let out = iterate(&mut stack, &mut dev, 0, &mut mem, SimTime::ZERO, &costs).unwrap();
-        assert_eq!(out.rx, 0);
-        assert!(out.tx.is_empty());
-        assert_eq!(out.cost.as_nanos(), costs.mainloop_idle_ns);
-    }
-
-    #[test]
     fn tx_path_emits_frames_with_departures() {
         let (mut mem, mut dev, mut stack) = rig();
-        let costs = CostModel::morello();
         // A connect generates an ARP request (no cache entry) on first poll.
         let fd = stack.ff_socket(SockType::Stream).unwrap();
         stack
             .ff_connect(fd, (Ipv4Addr::new(10, 0, 0, 2), 5201), SimTime::ZERO)
             .unwrap();
-        let out = iterate(&mut stack, &mut dev, 0, &mut mem, SimTime::ZERO, &costs).unwrap();
-        assert_eq!(out.tx.len(), 1, "ARP request frame");
-        assert!(out.cost.as_nanos() > costs.mainloop_idle_ns);
-        assert!(out.tx[0].1 > SimTime::ZERO);
+        let mut scratch = TurnScratch::default();
+        let mut out = Vec::new();
+        tx_phase(
+            &mut stack,
+            &mut dev,
+            0,
+            &mut mem,
+            SimTime::ZERO,
+            &mut scratch,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out.len(), 1, "ARP request frame");
+        assert!(out[0].1 > SimTime::ZERO);
     }
 
     /// TX starvation: a port whose pool holds 4 buffers, and a stack that
@@ -290,7 +253,6 @@ mod tests {
     #[test]
     fn rx_path_feeds_the_stack() {
         let (mut mem, mut dev, mut stack) = rig();
-        let costs = CostModel::morello();
         // Deliver a broadcast ARP request for our IP; the stack must answer.
         let req = crate::arp::ArpPacket::request(
             updk::nic::MacAddr::local(9),
@@ -304,17 +266,22 @@ mod tests {
         }
         .build(&req.build());
         dev.deliver(0, SimTime::ZERO, Frame::new(frame));
-        let out = iterate(
+        let now = SimTime::from_micros(50);
+        let mut scratch = TurnScratch::default();
+        let mut out = Vec::new();
+        let rx = rx_phase(&mut stack, &mut dev, 0, &mut mem, now, &mut scratch).unwrap();
+        tx_phase(
             &mut stack,
             &mut dev,
             0,
             &mut mem,
-            SimTime::from_micros(50),
-            &costs,
+            now,
+            &mut scratch,
+            &mut out,
         )
         .unwrap();
-        assert_eq!(out.rx, 1);
-        assert_eq!(out.tx.len(), 1, "ARP reply");
+        assert_eq!(rx, 1);
+        assert_eq!(out.len(), 1, "ARP reply");
         assert_eq!(stack.stats().frames_in, 1);
     }
 

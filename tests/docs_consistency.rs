@@ -9,7 +9,13 @@
 //! * a backticked `<crate>::<path>` must walk module by module to
 //!   `src/<module>.rs` or `src/<module>/mod.rs`, and its first segment
 //!   that is not a module file must be declared `pub` (or `pub(crate)`)
-//!   in that crate.
+//!   in that crate;
+//! * a backticked snake_case name of four or more words (a test, a
+//!   function, a field, a metric key) in README.md, DESIGN.md or the
+//!   verify skill must be (the prefix of) a `fn` under
+//!   `crates/ src/ tests/ examples/`, a struct field (`name:`) under
+//!   `crates/*/src`, or a word of a `BENCH_*.json`, `BENCHMARK.json` or
+//!   `benchmark/src` file.
 //!
 //! A plain file walk and substring search — no parser, no dependency — so
 //! a rename or deletion that leaves a dangling reference fails here.
@@ -260,6 +266,72 @@ fn crate_paths_name_modules_and_pub_items() {
     assert!(
         dangling.is_empty(),
         "dangling crate paths:\n{}",
+        dangling.join("\n")
+    );
+}
+
+/// Whether `text` holds `word` after a non-identifier character and
+/// followed by what `then` accepts.
+fn has_word(text: &str, word: &str, then: impl Fn(&str) -> bool) -> bool {
+    text.match_indices(word)
+        .any(|(at, _)| !text[..at].ends_with(is_ident) && then(&text[at + word.len()..]))
+}
+
+/// Every file of the tree under one of `dirs` that `keep` accepts,
+/// concatenated.
+fn corpus(files: &[String], dirs: &[&str], keep: impl Fn(&str) -> bool) -> String {
+    files
+        .iter()
+        .filter(|f| dirs.iter().any(|d| f.starts_with(d)) && keep(f))
+        .map(|f| fs::read_to_string(root().join(f)).unwrap())
+        .collect()
+}
+
+/// `word` is snake_case of four or more words.
+fn long_snake(word: &str) -> bool {
+    let parts: Vec<&str> = word.split('_').collect();
+    parts.len() >= 4
+        && parts.iter().all(|p| {
+            !p.is_empty()
+                && p.chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+        })
+}
+
+#[test]
+fn long_snake_case_names_resolve() {
+    let files = tree();
+    let rust = |f: &str| f.ends_with(".rs");
+    let fns = corpus(&files, &["crates/", "src/", "tests/", "examples/"], rust);
+    let fields = corpus(&files, &["crates/"], |f| {
+        rust(f) && f.split('/').nth(2) == Some("src")
+    });
+    let keys = corpus(&files, &["BENCH", "benchmark/src/"], |f| {
+        f.ends_with(".json") || f.starts_with("benchmark/")
+    });
+    let mut checked = 0;
+    let mut dangling = Vec::new();
+    // The first three docs are README.md, DESIGN.md and the verify skill.
+    for (doc, text) in docs().into_iter().take(3) {
+        for span in code_spans(&text) {
+            for name in span.split(|c| !is_ident(c)).filter(|w| long_snake(w)) {
+                checked += 1;
+                // A `fn` prefix counts: `cargo test` filters by substring.
+                let resolves = has_word(&fns, &format!("fn {name}"), |_| true)
+                    || has_word(&fields, name, |t| {
+                        t.starts_with(':') && !t.starts_with("::")
+                    })
+                    || has_word(&keys, name, |t| !t.starts_with(is_ident));
+                if !resolves {
+                    dangling.push(format!("{doc}: `{name}`"));
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "the scan found no long names at all");
+    assert!(
+        dangling.is_empty(),
+        "names no fn, field or metric key:\n{}",
         dangling.join("\n")
     );
 }

@@ -25,7 +25,7 @@ use chos::fdtable::Fd;
 use fstack::socket::SockType;
 use simkern::time::SimDuration;
 use testutil::{
-    assert_digest, Side, TwoHost, KEEPALIVE_FEW_OPEN_DIGEST, KEEPALIVE_MANY_OPEN_DIGEST,
+    assert_digest, assert_same_run, Lan, KEEPALIVE_FEW_OPEN_DIGEST, KEEPALIVE_MANY_OPEN_DIGEST,
 };
 
 const PORT: u16 = 8080;
@@ -36,18 +36,18 @@ const PORT: u16 = 8080;
 /// server's socket table is back to just the listener.
 #[test]
 fn accept_burst_overflows_backlog_without_stuck_tcbs() {
-    let mut net = TwoHost::new(0xACCE57);
-    let lfd = net.stack(Side::B).ff_socket(SockType::Stream).unwrap();
-    net.stack(Side::B).ff_bind(lfd, PORT).unwrap();
-    net.stack(Side::B).ff_listen(lfd, 3).unwrap();
+    let mut net = Lan::new(2);
+    let lfd = net.stack(1).ff_socket(SockType::Stream).unwrap();
+    net.stack(1).ff_bind(lfd, PORT).unwrap();
+    net.stack(1).ff_listen(lfd, 3).unwrap();
 
     // Launch the whole burst in one instant; nobody accepts yet.
     let mut cfds: Vec<Fd> = Vec::new();
     for _ in 0..10 {
-        let fd = net.stack(Side::A).ff_socket(SockType::Stream).unwrap();
+        let fd = net.stack(0).ff_socket(SockType::Stream).unwrap();
         let now = net.now;
-        net.stack(Side::A)
-            .ff_connect(fd, (testutil::IP_B, PORT), now)
+        net.stack(0)
+            .ff_connect(fd, (Lan::ip(1), PORT), now)
             .unwrap();
         cfds.push(fd);
     }
@@ -55,13 +55,13 @@ fn accept_burst_overflows_backlog_without_stuck_tcbs() {
         net.tick();
     }
 
-    let (incomplete, ready) = net.stack(Side::B).listen_queue_depths(lfd).unwrap();
+    let (incomplete, ready) = net.stack(1).listen_queue_depths(lfd).unwrap();
     assert_eq!(
         incomplete + ready,
         3,
         "the combined accept queue is capped at the backlog"
     );
-    let drops = net.stack(Side::B).stats().listen_drops;
+    let drops = net.stack(1).stats().listen_drops;
     assert!(
         drops >= 7,
         "7 of 10 SYNs (plus their retransmissions) must be shed, got {drops}"
@@ -69,7 +69,7 @@ fn accept_burst_overflows_backlog_without_stuck_tcbs() {
     // The hardening under test: a shed SYN allocates nothing, so the
     // server holds exactly the listener plus the 3 queued connections.
     assert_eq!(
-        net.stack(Side::B).socket_count(),
+        net.stack(1).socket_count(),
         1 + 3,
         "no TCB allocated for dropped SYNs"
     );
@@ -77,28 +77,28 @@ fn accept_burst_overflows_backlog_without_stuck_tcbs() {
     // Drain the queue: every queued connection is acceptable, then EAGAIN.
     let mut accepted = Vec::new();
     for _ in 0..3 {
-        accepted.push(net.stack(Side::B).ff_accept(lfd).unwrap());
+        accepted.push(net.stack(1).ff_accept(lfd).unwrap());
     }
-    assert!(net.stack(Side::B).ff_accept(lfd).is_err());
-    assert_eq!(net.stack(Side::B).listen_queue_depths(lfd), Some((0, 0)));
+    assert!(net.stack(1).ff_accept(lfd).is_err());
+    assert_eq!(net.stack(1).listen_queue_depths(lfd), Some((0, 0)));
 
     // Tear everything down (both sides, including the never-established
     // clients) and run far past 2 MSL: nothing may linger server-side.
     for &fd in &cfds {
-        let _ = net.stack(Side::A).ff_close(fd);
+        let _ = net.stack(0).ff_close(fd);
     }
     for &fd in &accepted {
-        let _ = net.stack(Side::B).ff_close(fd);
+        let _ = net.stack(1).ff_close(fd);
     }
     for _ in 0..60_000 {
         net.tick();
     }
     assert_eq!(
-        net.stack(Side::B).socket_count(),
+        net.stack(1).socket_count(),
         1,
         "only the listener survives the churn"
     );
-    assert_eq!(net.stack(Side::A).socket_count(), 0, "client table drained");
+    assert_eq!(net.stack(0).socket_count(), 0, "client table drained");
 }
 
 /// Close-per-request churn: two fleets drive thousands of sequential
@@ -196,10 +196,7 @@ fn httpd_digest_identical_at_any_worker_count() {
             .run()
             .unwrap();
         assert!(out.workers > 1, "workers={workers}: plan stayed sharded");
-        assert_eq!(out.trace, base.trace, "workers={workers} digest diverged");
-        for (a, b) in base.http_fleets.iter().zip(&out.http_fleets) {
-            assert_eq!(a, b, "workers={workers} fleet report diverged");
-        }
+        assert_same_run(&base, &out, &format!("workers={workers}"));
     }
 }
 
@@ -210,31 +207,31 @@ fn httpd_digest_identical_at_any_worker_count() {
 /// being fd-ascending — no higher fd was ever served again.
 #[test]
 fn server_drops_a_timed_out_connection_and_keeps_serving() {
-    let mut net = TwoHost::new(0x71AE0);
-    let srv_buf = net.app_buffer(Side::B);
+    let mut net = Lan::new(2);
+    let srv_buf = net.app_buffer(1);
     let mut server = HttpServerApp::start(
-        net.stack(Side::B),
+        net.stack(1),
         "srv",
         PORT,
         srv_buf,
         HttpServerConfig::default(),
     )
     .unwrap();
-    let buf = net.app_buffer(Side::A);
+    let buf = net.app_buffer(0);
     let mut request = Vec::new();
     build_request("/", false, &mut request);
 
     // One turn of the world: both stacks, then the server app.
-    fn turn(net: &mut TwoHost, server: &mut HttpServerApp) {
+    fn turn(net: &mut Lan, server: &mut HttpServerApp) {
         net.tick();
         let now = net.now;
-        let (stack, mem) = net.stack_and_mem(Side::B);
+        let (stack, mem) = net.stack_and_mem(1);
         server
             .step(stack, mem, now)
             .expect("a dead connection is the server's to clean up, not an error");
     }
-    fn send(net: &mut TwoHost, fd: Fd, buf: &cheri::Capability, bytes: &[u8]) {
-        let (stack, mem) = net.stack_and_mem(Side::A);
+    fn send(net: &mut Lan, fd: Fd, buf: &cheri::Capability, bytes: &[u8]) {
+        let (stack, mem) = net.stack_and_mem(0);
         mem.write(buf, buf.base(), bytes).unwrap();
         assert_eq!(
             stack.ff_write(mem, fd, buf, bytes.len() as u64),
@@ -245,10 +242,10 @@ fn server_drops_a_timed_out_connection_and_keeps_serving() {
     // Two keep-alive connections; the first accepted gets the lower fd.
     let mut cfds = Vec::new();
     for n in 1..=2 {
-        let fd = net.stack(Side::A).ff_socket(SockType::Stream).unwrap();
+        let fd = net.stack(0).ff_socket(SockType::Stream).unwrap();
         let now = net.now;
-        net.stack(Side::A)
-            .ff_connect(fd, (testutil::IP_B, PORT), now)
+        net.stack(0)
+            .ff_connect(fd, (Lan::ip(1), PORT), now)
             .unwrap();
         cfds.push(fd);
         for _ in 0..1_000 {
@@ -263,9 +260,9 @@ fn server_drops_a_timed_out_connection_and_keeps_serving() {
     // the wire: the response and every retransmission of it vanish.
     send(&mut net, cfds[0], &buf, &request);
     net.tick();
-    let (_, dark_port) = net.stack(Side::A).local_addr(cfds[0]).unwrap();
+    let (_, dark_port) = net.stack(0).local_addr(cfds[0]).unwrap();
     net.blackhole_tcp_port = Some(dark_port);
-    while net.stack(Side::B).stats().conn_timeouts == 0 {
+    while net.stack(1).stats().conn_timeouts == 0 {
         turn(&mut net, &mut server);
         net.now += SimDuration::from_millis(5);
         assert!(net.now.as_nanos() < 10_000_000_000, "no give-up in 10 s");
@@ -277,7 +274,7 @@ fn server_drops_a_timed_out_connection_and_keeps_serving() {
         "the timed-out connection is dropped"
     );
     assert_eq!(
-        net.stack(Side::B).tcp_state(fds[0]),
+        net.stack(1).tcp_state(fds[0]),
         None,
         "and its socket is closed"
     );
@@ -287,7 +284,7 @@ fn server_drops_a_timed_out_connection_and_keeps_serving() {
     let mut inbuf = Vec::new();
     for _ in 0..2_000 {
         turn(&mut net, &mut server);
-        let (stack, mem) = net.stack_and_mem(Side::A);
+        let (stack, mem) = net.stack_and_mem(0);
         match stack.ff_read(mem, cfds[1], &buf, buf.len()) {
             Ok(n) => inbuf.extend(mem.read_vec(&buf, buf.base(), n).unwrap()),
             Err(Errno::EAGAIN) => {}

@@ -1,10 +1,11 @@
 //! The sharded parallel `NetSim`'s headline contract: **wire behavior is
 //! byte-identical at any worker count**. Every scenario here runs at
 //! `workers = 1` (the classic single-engine loop), 2 and 4, and must
-//! produce the same delivery-trace digest byte for byte, the same per-kind
-//! event counters and the same executed-event total — the conservative
-//! lookahead windows, the barrier frame exchange and the order-key merge
-//! are pure implementation detail.
+//! produce the same delivery-trace digest byte for byte, the same reports,
+//! counters and stats (`testutil::assert_same_run`) and the same
+//! executed-event total, up to one event per fault per extra shard — the
+//! conservative lookahead windows, the barrier frame exchange and the
+//! order-key merge are pure implementation detail.
 //!
 //! The shard partitioner itself is property-tested below: every node of a
 //! random topology lands in exactly one shard, co-location constraints
@@ -19,29 +20,15 @@ use capnet::topology::{build_chain, partition_shards, ShardGraph};
 use capnet::SimOutcome;
 use proptest::prelude::*;
 use simkern::{CostModel, SimDuration};
-use testutil::{assert_digest, STAR8_DIGEST};
+use testutil::{assert_digest, assert_same_run, STAR8_DIGEST};
 use updk::wire::Impairments;
 
 /// Asserts the full equivalence contract between a `workers = 1` run and a
-/// sharded run of the same scenario.
+/// sharded run of the same unfaulted scenario: the same simulated world
+/// and the same executed-event total.
 fn assert_equivalent(base: &SimOutcome, out: &SimOutcome, what: &str) {
-    assert_eq!(
-        base.trace, out.trace,
-        "{what}: trace digest must be byte-identical at any worker count"
-    );
-    assert_eq!(
-        base.counters, out.counters,
-        "{what}: per-kind event counters must match"
-    );
+    assert_same_run(base, out, what);
     assert_eq!(base.events, out.events, "{what}: executed-event totals");
-    assert_eq!(base.ended_at, out.ended_at, "{what}: final virtual instant");
-    assert_eq!(base.servers, out.servers, "{what}: server reports");
-    assert_eq!(base.clients, out.clients, "{what}: client reports");
-    assert_eq!(base.switch_stats, out.switch_stats, "{what}: switch stats");
-    assert_eq!(
-        base.impairment_stats, out.impairment_stats,
-        "{what}: impairment totals"
-    );
 }
 
 fn star(workers: usize) -> SimOutcome {
@@ -306,10 +293,9 @@ fn scenario_helpers_still_run_single_engine() {
 /// crash/restart and a switch blip, riding a retrying HTTP serving plane.
 /// Fault events are scheduled on every shard (identical keys everywhere),
 /// so the wire trace, the fleet/server reports and the merged fault
-/// counters must all be byte-identical at any worker count. The raw
-/// executed-event total is *not* compared — each shard burns its own
-/// fault bookkeeping events; the wire is the contract, not the engine's
-/// internal event count.
+/// counters must all be byte-identical at any worker count, and the
+/// executed-event total grows by exactly one event per fault per extra
+/// shard.
 fn faulted_star(workers: usize) -> SimOutcome {
     let ms = SimDuration::from_millis;
     capnet::ScenarioSpec::star(8)
@@ -343,21 +329,18 @@ fn faulted_star(workers: usize) -> SimOutcome {
         .expect("faulted star runs")
 }
 
-fn assert_fault_equivalent(base: &SimOutcome, out: &SimOutcome, what: &str) {
-    assert_eq!(base.trace, out.trace, "{what}: wire trace");
-    assert_eq!(base.ended_at, out.ended_at, "{what}: final instant");
-    assert_eq!(base.http_fleets, out.http_fleets, "{what}: fleet reports");
+/// Asserts that a sharded run of a faulted scenario simulated the same
+/// world as the `workers = 1` run. Every shard dispatches every fault event
+/// (link state is shared knowledge; node and switch faults act on the
+/// owner only), so each of the plan's `faults` runs once per extra shard.
+fn assert_fault_equivalent(base: &SimOutcome, out: &SimOutcome, faults: u64, what: &str) {
+    assert_same_run(base, out, what);
+    let extra = faults * (out.workers as u64 - 1);
     assert_eq!(
-        base.http_servers, out.http_servers,
-        "{what}: server reports"
+        out.events,
+        base.events + extra,
+        "{what}: fault events per shard"
     );
-    assert_eq!(base.fault_stats, out.fault_stats, "{what}: fault counters");
-    assert_eq!(
-        base.impairment_stats, out.impairment_stats,
-        "{what}: blackhole tallies"
-    );
-    assert_eq!(base.stack_stats, out.stack_stats, "{what}: stack stats");
-    assert_eq!(base.switch_stats, out.switch_stats, "{what}: switch stats");
 }
 
 #[test]
@@ -376,7 +359,7 @@ fn faulted_star_is_byte_identical_at_any_worker_count() {
     for workers in [2usize, 4] {
         let out = faulted_star(workers);
         assert_eq!(out.workers, workers, "the plan used the requested shards");
-        assert_fault_equivalent(&base, &out, "faulted star8");
+        assert_fault_equivalent(&base, &out, 6, "faulted star8");
     }
 }
 
@@ -416,7 +399,7 @@ fn staggered_cut_edge_flaps_are_byte_identical() {
     assert_eq!(base.fault_stats.link_down_events, 8);
     assert_eq!(base.fault_stats.link_up_events, 8);
     for workers in [2usize, 4] {
-        assert_fault_equivalent(&base, &run(workers), "staggered flaps");
+        assert_fault_equivalent(&base, &run(workers), 16, "staggered flaps");
     }
 }
 

@@ -6,7 +6,7 @@ use capnet::netsim::{IsolationProfile, NetSim};
 use cheri::{Perms, TaggedMemory};
 use chos::Errno;
 use fstack::epoll::EpollFlags;
-use fstack::loop_::iterate;
+use fstack::loop_::{rx_phase, tx_phase, TurnScratch};
 use fstack::socket::SockType;
 use fstack::{FStack, StackConfig};
 use simkern::{CostModel, SimDuration, SimTime};
@@ -20,7 +20,6 @@ use updk::EthDev;
 /// event engine (which `capnet::netsim` covers).
 #[test]
 fn tcp_lifecycle_through_the_driver() {
-    let costs = CostModel::morello();
     let mut kmod = BindingRegistry::new();
     let mk = |bus: u8, kmod: &mut BindingRegistry| {
         let addr = PciAddress::new(bus, 0, 0);
@@ -75,15 +74,38 @@ fn tcp_lifecycle_through_the_driver() {
     let mut wrote = 0u64;
     let target = 256 * 1024u64;
 
+    // Each loop's driver keeps its turn scratch from turn to turn.
+    let (mut scratch_a, mut scratch_b) = (TurnScratch::default(), TurnScratch::default());
+    let mut tx = Vec::new();
     for _ in 0..40_000 {
         // A's loop iteration.
-        let out_a = iterate(&mut stack_a, &mut dev_a, 0, &mut mem_a, now, &costs).unwrap();
-        for (f, dep) in out_a.tx {
+        rx_phase(&mut stack_a, &mut dev_a, 0, &mut mem_a, now, &mut scratch_a).unwrap();
+        tx_phase(
+            &mut stack_a,
+            &mut dev_a,
+            0,
+            &mut mem_a,
+            now,
+            &mut scratch_a,
+            &mut tx,
+        )
+        .unwrap();
+        for (f, dep) in tx.drain(..) {
             dev_b.deliver(0, dep + SimDuration::from_micros(1), f);
         }
         // B's loop iteration.
-        let out_b = iterate(&mut stack_b, &mut dev_b, 0, &mut mem_b, now, &costs).unwrap();
-        for (f, dep) in out_b.tx {
+        rx_phase(&mut stack_b, &mut dev_b, 0, &mut mem_b, now, &mut scratch_b).unwrap();
+        tx_phase(
+            &mut stack_b,
+            &mut dev_b,
+            0,
+            &mut mem_b,
+            now,
+            &mut scratch_b,
+            &mut tx,
+        )
+        .unwrap();
+        for (f, dep) in tx.drain(..) {
             dev_a.deliver(0, dep + SimDuration::from_micros(1), f);
         }
         // Apps.

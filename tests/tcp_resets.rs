@@ -7,40 +7,15 @@
 //! connections (ECONNRESET), stray-segment resets, and the never-answer-
 //! RST-with-RST rule.
 
+mod testutil;
+
 use cheri::{Perms, TaggedMemory};
 use chos::Errno;
 use fstack::socket::SockType;
 use fstack::{FStack, StackConfig};
 use simkern::SimTime;
-use std::net::Ipv4Addr;
+use testutil::{pump, stack_pair, IP_A, IP_B};
 use updk::nic::MacAddr;
-
-const IP_A: Ipv4Addr = Ipv4Addr::new(10, 6, 0, 1);
-const IP_B: Ipv4Addr = Ipv4Addr::new(10, 6, 0, 2);
-
-fn stack_pair() -> (FStack, FStack) {
-    let mut a = FStack::new(StackConfig::new("a", MacAddr::local(1), IP_A));
-    let mut b = FStack::new(StackConfig::new("b", MacAddr::local(2), IP_B));
-    a.arp_cache_mut().insert_static(IP_B, MacAddr::local(2));
-    b.arp_cache_mut().insert_static(IP_A, MacAddr::local(1));
-    (a, b)
-}
-
-fn pump(now: SimTime, a: &mut FStack, b: &mut FStack) {
-    for _ in 0..6 {
-        let fa = a.poll_tx(now);
-        let fb = b.poll_tx(now);
-        if fa.is_empty() && fb.is_empty() {
-            break;
-        }
-        for f in fa {
-            b.input_buf(now, &f);
-        }
-        for f in fb {
-            a.input_buf(now, &f);
-        }
-    }
-}
 
 fn data_buf(mem: &mut TaggedMemory, base: u64) -> cheri::Capability {
     mem.root_cap()

@@ -10,7 +10,7 @@ mod testutil;
 
 use chos::Errno;
 use fstack::socket::SockType;
-use testutil::{Dir, TwoHost};
+use testutil::Lan;
 
 const PORT: u16 = 7300;
 /// More than the receiver can buffer (its socket buffer is 64 KiB).
@@ -50,31 +50,26 @@ fn parse_tcp(bytes: &[u8]) -> Option<TcpView> {
 
 #[test]
 fn zero_window_receiver_sees_only_one_byte_probes() {
-    let mut net = TwoHost::new(0xF10D);
-    let lfd = net
-        .stack(testutil::Side::B)
-        .ff_socket(SockType::Stream)
-        .unwrap();
-    net.stack(testutil::Side::B).ff_bind(lfd, PORT).unwrap();
-    net.stack(testutil::Side::B).ff_listen(lfd, 4).unwrap();
-    let cfd = net
-        .stack(testutil::Side::A)
-        .ff_socket(SockType::Stream)
-        .unwrap();
+    // Host 0 (A) is the client, host 1 (B) the server.
+    let mut net = Lan::new(2);
+    let lfd = net.stack(1).ff_socket(SockType::Stream).unwrap();
+    net.stack(1).ff_bind(lfd, PORT).unwrap();
+    net.stack(1).ff_listen(lfd, 4).unwrap();
+    let cfd = net.stack(0).ff_socket(SockType::Stream).unwrap();
     let now = net.now;
-    net.stack(testutil::Side::A)
-        .ff_connect(cfd, (testutil::IP_B, PORT), now)
+    net.stack(0)
+        .ff_connect(cfd, (Lan::ip(1), PORT), now)
         .unwrap();
 
     // Phase 1: flood. B accepts the connection but its app NEVER reads, so
     // the advertised window shrinks to zero and stays there.
-    let pay = net.app_buffer(testutil::Side::A);
+    let pay = net.app_buffer(0);
     let mut wrote = 0u64;
     for _ in 0..6_000 {
         net.tick();
         if wrote < TOTAL {
             let want = (TOTAL - wrote).min(pay.len());
-            let (stack, mem) = net.stack_and_mem(testutil::Side::A);
+            let (stack, mem) = net.stack_and_mem(0);
             match stack.ff_write(mem, cfd, &pay, want) {
                 Ok(n) => wrote += n,
                 // EPIPE covers the pre-established handshake window.
@@ -83,29 +78,28 @@ fn zero_window_receiver_sees_only_one_byte_probes() {
             }
         }
     }
-    let afd = net.stack(testutil::Side::B).ff_accept(lfd).unwrap();
+    let afd = net.stack(1).ff_accept(lfd).unwrap();
     let stalled = net
-        .trace
-        .events
+        .deliveries
         .iter()
         .rev()
-        .filter(|ev| ev.dir == Dir::BtoA)
-        .find_map(|ev| parse_tcp(&ev.bytes))
+        .filter(|d| d.host == 0)
+        .find_map(|d| parse_tcp(&d.bytes))
         .expect("B sent ACKs");
     assert_eq!(stalled.window, 0, "receiver is advertising a zero window");
 
     // Phase 2: hold the zero window for 40 ms of virtual time. Everything
     // A now puts on the wire must be a persist probe of at most one byte.
-    let mark = net.trace.events.len();
+    let mark = net.deliveries.len();
     for _ in 0..20_000 {
         net.tick();
     }
     let mut probes = 0usize;
-    for ev in &net.trace.events[mark..] {
-        if ev.dir != Dir::AtoB {
+    for d in &net.deliveries[mark..] {
+        if d.host != 1 {
             continue;
         }
-        let Some(t) = parse_tcp(&ev.bytes) else {
+        let Some(t) = parse_tcp(&d.bytes) else {
             continue;
         };
         assert!(!t.syn && !t.fin, "no handshake traffic during the stall");
@@ -125,10 +119,7 @@ fn zero_window_receiver_sees_only_one_byte_probes() {
         probes <= 10,
         "persist backoff bounds the probe rate: {probes}"
     );
-    let stats = net
-        .stack(testutil::Side::A)
-        .tcb_stats(cfd)
-        .expect("client TCB alive");
+    let stats = net.stack(0).tcb_stats(cfd).expect("client TCB alive");
     assert!(
         stats.persist_probes >= probes as u64,
         "probes came from the persist machinery ({} counted, {} on the wire)",
@@ -138,13 +129,13 @@ fn zero_window_receiver_sees_only_one_byte_probes() {
 
     // Phase 3: B drains; the window reopens and the rest of the transfer
     // completes — the stall was fully recoverable.
-    let sink = net.app_buffer(testutil::Side::B);
+    let sink = net.app_buffer(1);
     let mut received = 0u64;
     for _ in 0..60_000 {
         net.tick();
         if wrote < TOTAL {
             let want = (TOTAL - wrote).min(pay.len());
-            let (stack, mem) = net.stack_and_mem(testutil::Side::A);
+            let (stack, mem) = net.stack_and_mem(0);
             match stack.ff_write(mem, cfd, &pay, want) {
                 Ok(n) => wrote += n,
                 Err(Errno::EAGAIN) => {}
@@ -152,7 +143,7 @@ fn zero_window_receiver_sees_only_one_byte_probes() {
             }
         }
         loop {
-            let (stack, mem) = net.stack_and_mem(testutil::Side::B);
+            let (stack, mem) = net.stack_and_mem(1);
             match stack.ff_read(mem, afd, &sink, sink.len()) {
                 Ok(0) => break,
                 Ok(n) => received += n,

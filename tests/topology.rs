@@ -8,8 +8,10 @@ mod testutil;
 use capnet::netsim::NetSim;
 use capnet::scenario::{fairness_index, ScenarioSpec};
 use capnet::topology::build_chain;
+use fstack::socket::SockType;
 use simkern::{CostModel, SimDuration};
-use testutil::{assert_digest, SwitchedSegment, DUMBBELL2_DIGEST, STAR8_DIGEST};
+use testutil::{assert_digest, Lan, DUMBBELL2_DIGEST, STAR8_DIGEST};
+use updk::nic::MacAddr;
 use updk::wire::Impairments;
 
 fn star(leaves: usize, ms: u64, seed: u64) -> ScenarioSpec {
@@ -164,8 +166,41 @@ fn chain_of_switches_carries_line_rate() {
 #[test]
 fn arp_resolves_across_a_switched_segment_without_duplicates() {
     let n = 4;
-    let mut seg = SwitchedSegment::new(n);
-    let got = seg.mesh_udp(9100, 4_000);
+    let port = 9100;
+    let mut seg = Lan::new(n);
+    let mut rx_fds = Vec::with_capacity(n);
+    for i in 0..n {
+        let pay = seg.app_buffer(i);
+        let (stack, mem) = seg.stack_and_mem(i);
+        let rfd = stack.ff_socket(SockType::Dgram).unwrap();
+        stack.ff_bind(rfd, port).unwrap();
+        rx_fds.push(rfd);
+        // One datagram to every other host, each unique by its
+        // (sender, receiver) payload: a full mesh of ARP resolutions.
+        let tfd = stack.ff_socket(SockType::Dgram).unwrap();
+        for j in (0..n).filter(|&j| j != i) {
+            let dgram = [b"mesh:".as_slice(), &[i as u8, j as u8]].concat();
+            mem.write(&pay, pay.base(), &dgram).unwrap();
+            let to = (Lan::ip(j), port);
+            stack
+                .ff_sendto(mem, tfd, &pay, dgram.len() as u64, to)
+                .unwrap();
+        }
+    }
+    let mut got = vec![Vec::new(); n];
+    for _ in 0..4_000 {
+        seg.tick();
+        for (i, &rfd) in rx_fds.iter().enumerate() {
+            let sink = seg.app_buffer(i);
+            let (stack, mem) = seg.stack_and_mem(i);
+            while let Ok((len, _from)) = stack.ff_recvfrom(mem, rfd, &sink) {
+                got[i].push(mem.read_vec(&sink, sink.base(), len).unwrap());
+            }
+        }
+        if got.iter().all(|g| g.len() >= n - 1) && seg.quiesced() {
+            break;
+        }
+    }
 
     // Every datagram arrived exactly once.
     for (i, inbox) in got.iter().enumerate() {
@@ -175,7 +210,12 @@ fn arp_resolves_across_a_switched_segment_without_duplicates() {
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                assert!(seg.resolved(i, j), "host {i} did not resolve host {j}");
+                let mac = seg.stack(i).arp_cache_mut().lookup(Lan::ip(j));
+                assert_eq!(
+                    mac,
+                    Some(MacAddr::local(j as u8 + 1)),
+                    "host {i} → host {j}"
+                );
             }
         }
     }
