@@ -48,8 +48,6 @@ fn retry_fleet() -> FleetConfig {
         keep_alive_per_mille: 300,
         requests_per_conn: 4,
         retry_budget: 3,
-        retry_backoff_base: SimDuration::from_millis(2),
-        retry_backoff_cap: SimDuration::from_millis(50),
         ..FleetConfig::default()
     }
 }

@@ -65,14 +65,15 @@ pub struct ChaosStepOutcome {
     pub progressed: bool,
 }
 
+/// Delay from a campaign's first step to its first round: lets ARP and
+/// handshakes settle so the adversary hits a warm stack.
+const WARM_UP: SimDuration = SimDuration::from_millis(1);
+
 /// A campaign: which injector families run, and the pacing they share.
 ///
 /// Defaults enable nothing — each family is opted in with its sub-config.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Delay before the first round (default 1 ms — lets ARP/handshakes
-    /// settle so the adversary hits a warm stack).
-    pub start_after: SimDuration,
     /// Gap between rounds (default 50 µs).
     pub period: SimDuration,
     /// Total rounds to run (default 200).
@@ -90,7 +91,6 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
-            start_after: SimDuration::from_millis(1),
             period: SimDuration::from_micros(50),
             rounds: 200,
             wire: None,
@@ -233,7 +233,7 @@ impl ChaosApp {
         }
         let Some(mut next) = self.next_round else {
             // First step: anchor the campaign clock.
-            self.next_round = Some(now + self.cfg.start_after);
+            self.next_round = Some(now + WARM_UP);
             out.progressed = true;
             return out;
         };

@@ -580,13 +580,6 @@ impl FStack {
         self.sockets.get(fd)?.local()
     }
 
-    /// The remote `(ip, port)` of `fd`'s connection, if it is a connected
-    /// TCP socket — what `getpeername` reports, and what per-client
-    /// policies (rate limiting) key on.
-    pub fn remote_addr(&self, fd: Fd) -> Option<(Ipv4Addr, u16)> {
-        self.sockets.get(fd)?.tcb().map(|t| t.endpoints().1)
-    }
-
     /// Accept-queue depths of a listening socket as
     /// `(incomplete, established)` — the accounting split `ff_accept`
     /// works from. `None` for non-listeners.

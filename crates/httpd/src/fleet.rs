@@ -53,28 +53,17 @@ pub struct FleetConfig {
     /// Request paths, chosen uniformly per request.
     pub paths: Vec<String>,
     /// Probability (‰) that an arrival is a **slow-loris attacker**:
-    /// a connection that drip-feeds its request header a few bytes at a
+    /// a connection that drip-feeds its request header one byte at a
     /// time, withholds the final `CRLF CRLF`, and holds the socket open
     /// until the server sheds it. 0 disables the adversarial mode and
     /// leaves the RNG stream untouched (digest-compatible).
     pub loris_per_mille: u64,
-    /// Bytes sent per drip on a loris connection.
-    pub loris_drip_bytes: usize,
-    /// Gap between drips on a loris connection.
+    /// Gap between drips on a loris connection (one byte per drip).
     pub loris_drip_interval: SimDuration,
     /// Per-connection retry budget after a failure (refused, reset,
     /// early EOF, partition timeout, overload 503). 0 disables retries
     /// entirely — and consumes no RNG, keeping pre-retry digests intact.
     pub retry_budget: u32,
-    /// Exponential backoff base: attempt `n` waits a uniformly drawn
-    /// ("full jitter") delay in `[0, min(cap, base · 2ⁿ))`.
-    pub retry_backoff_base: SimDuration,
-    /// Ceiling on the backoff window.
-    pub retry_backoff_cap: SimDuration,
-    /// Probability (‰) that an arrival is a legacy **HTTP/1.0** client:
-    /// one request, no `Connection` header, the version's implicit close.
-    /// 0 disables the mix and leaves the RNG stream untouched.
-    pub http10_per_mille: u64,
 }
 
 impl Default for FleetConfig {
@@ -89,15 +78,17 @@ impl Default for FleetConfig {
             max_open: 128,
             paths: vec!["/".to_string()],
             loris_per_mille: 0,
-            loris_drip_bytes: 1,
             loris_drip_interval: SimDuration::from_millis(5),
             retry_budget: 0,
-            retry_backoff_base: SimDuration::from_millis(2),
-            retry_backoff_cap: SimDuration::from_millis(50),
-            http10_per_mille: 0,
         }
     }
 }
+
+/// Retry backoff base: attempt `n` waits a uniformly drawn ("full
+/// jitter") delay in `[0, min(RETRY_BACKOFF_CAP_NS, base · 2ⁿ))`.
+const RETRY_BACKOFF_BASE_NS: u64 = 2_000_000;
+/// Ceiling on the retry backoff window.
+const RETRY_BACKOFF_CAP_NS: u64 = 50_000_000;
 
 /// A deterministic exponential sample with mean `mean_ns`.
 ///
@@ -147,8 +138,6 @@ struct FleetConn {
     loris: bool,
     /// Keep-alive (multi-request) vs close-per-request.
     keep_alive: bool,
-    /// Legacy HTTP/1.0 client (single request, implicit close).
-    http10: bool,
     /// Which attempt this connection is (0 = the original arrival).
     attempt: u32,
     /// Requests still to issue on this connection (incl. the current).
@@ -200,7 +189,6 @@ struct Retry {
     /// Attempt number the relaunch will carry.
     attempt: u32,
     keep_alive: bool,
-    http10: bool,
     /// Request budget to resume with.
     reqs_left: u64,
 }
@@ -216,7 +204,7 @@ pub struct FleetReport {
     pub conns_completed: u64,
     /// Requests answered 200.
     pub requests_ok: u64,
-    /// Requests answered non-200 (404s, 429s).
+    /// Requests answered non-200 (404s, 503s).
     pub non200: u64,
     /// Connections refused (RST to our SYN).
     pub refused: u64,
@@ -246,8 +234,6 @@ pub struct FleetReport {
     /// Failures abandoned because the retry budget was exhausted (or the
     /// relaunch itself was shed).
     pub retry_giveups: u64,
-    /// Connections that spoke HTTP/1.0 (the legacy-client mix).
-    pub http10_conns: u64,
     /// Virtual-time instants (ns since boot) of every 200, sorted — the
     /// recovery-analysis series (time-to-first-success after a heal,
     /// goodput inside a partition window).
@@ -319,7 +305,6 @@ impl FleetReport {
             agg.http503 += r.http503;
             agg.retries += r.retries;
             agg.retry_giveups += r.retry_giveups;
-            agg.http10_conns += r.http10_conns;
             agg.ok_at_ns.extend_from_slice(&r.ok_at_ns);
             agg.latencies_ns.extend_from_slice(&r.latencies_ns);
             agg.elapsed = agg.elapsed.max(r.elapsed);
@@ -379,7 +364,6 @@ pub struct FleetApp {
     http503: u64,
     retries: u64,
     retry_giveups: u64,
-    http10_conns: u64,
     ok_at_ns: Vec<u64>,
     latencies_ns: Vec<u64>,
     last_activity: Option<SimTime>,
@@ -434,7 +418,6 @@ impl FleetApp {
             http503: 0,
             retries: 0,
             retry_giveups: 0,
-            http10_conns: 0,
             ok_at_ns: Vec::new(),
             latencies_ns: Vec::new(),
             last_activity: None,
@@ -579,14 +562,7 @@ impl FleetApp {
         } else {
             1
         };
-        // Appended last so enabling the legacy mix leaves every earlier
-        // draw in the stream untouched; 0 (the default) draws nothing.
-        let http10 =
-            self.cfg.http10_per_mille > 0 && self.rng.chance_per_mille(self.cfg.http10_per_mille);
-        // HTTP/1.0 clients are one-shot: no keep-alive, single request.
-        let keep_alive = keep_alive && !http10;
-        let reqs = if http10 { 1 } else { reqs };
-        if let Open::Shed = self.open_conn(stack, now, (loris, keep_alive, http10, reqs, 0), out)? {
+        if let Open::Shed = self.open_conn(stack, now, (loris, keep_alive, reqs, 0), out)? {
             self.shed += 1;
         }
         Ok(())
@@ -606,36 +582,30 @@ impl FleetApp {
         let Retry {
             attempt,
             keep_alive,
-            http10,
             reqs_left,
             ..
         } = retry;
-        match self.open_conn(
-            stack,
-            now,
-            (false, keep_alive, http10, reqs_left, attempt),
-            out,
-        )? {
+        match self.open_conn(stack, now, (false, keep_alive, reqs_left, attempt), out)? {
             Open::Connecting => {}
             Open::Shed => {
                 self.shed += 1;
                 self.retry_giveups += 1;
             }
             // Port pressure is transient; burn another attempt.
-            Open::NoPort => self.maybe_retry(attempt, keep_alive, http10, reqs_left, now),
+            Open::NoPort => self.maybe_retry(attempt, keep_alive, reqs_left, now),
         }
         Ok(())
     }
 
     /// The socket path of a launch and of a relaunch, given what was drawn
-    /// for the connection as `(loris, keep_alive, http10, reqs_left,
-    /// attempt)`: `ff_socket`, `ff_connect`, epoll registration, and the
-    /// new entry in `conns`. Draws nothing itself.
+    /// for the connection as `(loris, keep_alive, reqs_left, attempt)`:
+    /// `ff_socket`, `ff_connect`, epoll registration, and the new entry in
+    /// `conns`. Draws nothing itself.
     fn open_conn(
         &mut self,
         stack: &mut FStack,
         now: SimTime,
-        (loris, keep_alive, http10, reqs_left, attempt): (bool, bool, bool, u64, u32),
+        (loris, keep_alive, reqs_left, attempt): (bool, bool, u64, u32),
         out: &mut StepOutcome,
     ) -> Result<Open, Errno> {
         if self.conns.len() >= self.cfg.max_open {
@@ -670,7 +640,6 @@ impl FleetApp {
             state: CState::Connecting,
             loris,
             keep_alive,
-            http10,
             attempt,
             reqs_left,
             out: out_buf,
@@ -684,9 +653,6 @@ impl FleetApp {
         if loris {
             self.loris_conns += 1;
         }
-        if http10 {
-            self.http10_conns += 1;
-        }
         out.progressed = true;
         self.last_activity = Some(now);
         Ok(Open::Connecting)
@@ -698,14 +664,7 @@ impl FleetApp {
     /// stays in deterministic schedule order). With the budget at 0 (the
     /// default) nothing is drawn and the RNG stream — and every
     /// pre-retry digest — is untouched.
-    fn maybe_retry(
-        &mut self,
-        attempt: u32,
-        keep_alive: bool,
-        http10: bool,
-        reqs_left: u64,
-        now: SimTime,
-    ) {
+    fn maybe_retry(&mut self, attempt: u32, keep_alive: bool, reqs_left: u64, now: SimTime) {
         if self.cfg.retry_budget == 0 {
             return;
         }
@@ -713,15 +672,14 @@ impl FleetApp {
             self.retry_giveups += 1;
             return;
         }
-        let base = self.cfg.retry_backoff_base.as_nanos().max(1);
-        let cap = self.cfg.retry_backoff_cap.as_nanos().max(base);
-        let window = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
-        let delay = self.rng.below(window.max(1));
+        let window = RETRY_BACKOFF_BASE_NS
+            .saturating_mul(1u64 << attempt.min(20))
+            .min(RETRY_BACKOFF_CAP_NS);
+        let delay = self.rng.below(window);
         self.retry_queue.push(Retry {
             at: now + SimDuration::from_nanos(delay),
             attempt: attempt + 1,
             keep_alive,
-            http10,
             reqs_left: reqs_left.max(1),
         });
         self.retries += 1;
@@ -745,12 +703,11 @@ impl FleetApp {
             FailKind::Http503 => self.http503 += 1,
         }
         let c = &self.conns[i];
-        let (attempt, keep_alive, http10, reqs_left) =
-            (c.attempt, c.keep_alive, c.http10, c.reqs_left.max(1));
+        let (attempt, keep_alive, reqs_left) = (c.attempt, c.keep_alive, c.reqs_left.max(1));
         // A 503 is an orderly HTTP exchange; the wire-level failures are
         // not.
         self.finish_conn(stack, i, kind == FailKind::Http503, out)?;
-        self.maybe_retry(attempt, keep_alive, http10, reqs_left, now);
+        self.maybe_retry(attempt, keep_alive, reqs_left, now);
         Ok(())
     }
 
@@ -765,13 +722,7 @@ impl FleetApp {
         let close = !c.keep_alive || c.reqs_left == 1;
         c.out.clear();
         c.out_off = 0;
-        if c.http10 {
-            // Legacy client: bare HTTP/1.0, no Connection header — the
-            // server must apply the version's implicit close.
-            http::build_request10(&self.cfg.paths[path_i], &mut c.out);
-        } else {
-            http::build_request(&self.cfg.paths[path_i], close, &mut c.out);
-        }
+        http::build_request(&self.cfg.paths[path_i], close, &mut c.out);
         c.state = CState::Sending;
         c.sent_at = now;
     }
@@ -831,7 +782,7 @@ impl FleetApp {
                     self.last_activity = Some(now);
                     if self.conns[i].loris {
                         // Attacker path: same composed request, but fed a
-                        // few bytes at a time with the terminator held back.
+                        // byte at a time with the terminator held back.
                         let c = &mut self.conns[i];
                         c.state = CState::Dripping;
                         c.next_drip = now;
@@ -906,7 +857,7 @@ impl FleetApp {
 
     /// One slow-loris turn on connection `i`: detect a server-side shed
     /// (EOF/reset means the idle-header reaper won), otherwise drip the
-    /// next few header bytes — never the final `CRLF CRLF` — and hold.
+    /// next header byte — never the final `CRLF CRLF` — and hold.
     /// The attacker gives up when the open window closes.
     fn drip(
         &mut self,
@@ -950,9 +901,7 @@ impl FleetApp {
         let withheld = 4.min(self.conns[i].out.len());
         let limit = self.conns[i].out.len() - withheld;
         let pending = limit.saturating_sub(self.conns[i].out_off);
-        let chunk = pending
-            .min(self.cfg.loris_drip_bytes.max(1))
-            .min(buf.len() as usize);
+        let chunk = pending.min(1);
         if chunk > 0 {
             let c = &self.conns[i];
             mem.write(&buf, buf.base(), &c.out[c.out_off..c.out_off + chunk])
@@ -1098,7 +1047,6 @@ impl FleetApp {
             http503: self.http503,
             retries: self.retries,
             retry_giveups: self.retry_giveups,
-            http10_conns: self.http10_conns,
             ok_at_ns: ok_at,
             latencies_ns: latencies,
             elapsed: end - self.started,

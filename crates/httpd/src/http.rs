@@ -87,11 +87,12 @@ enum ConnHdr {
 }
 
 /// Scans header lines (between the first line and the blank line) for
-/// `Connection` and `Content-Length`, tolerating optional spaces after
-/// the colon.
-fn scan_headers(head: &[u8]) -> (ConnHdr, Option<usize>) {
+/// `Connection` and `Content-Length` (0 when absent), tolerating optional
+/// spaces after the colon. `None` when a `Content-Length` is not a number
+/// that fits in `usize`: the message cannot be framed.
+fn scan_headers(head: &[u8]) -> Option<(ConnHdr, usize)> {
     let mut conn = ConnHdr::Absent;
-    let mut content_length = None;
+    let mut content_length = 0;
     for line in head.split(|&b| b == b'\n').skip(1) {
         let line = line.strip_suffix(b"\r").unwrap_or(line);
         if starts_with_ci(line, b"connection:") {
@@ -105,10 +106,10 @@ fn scan_headers(head: &[u8]) -> (ConnHdr, Option<usize>) {
             };
         } else if starts_with_ci(line, b"content-length:") {
             let v = line[b"content-length:".len()..].trim_ascii();
-            content_length = std::str::from_utf8(v).ok().and_then(|s| s.parse().ok());
+            content_length = std::str::from_utf8(v).ok()?.parse().ok()?;
         }
     }
-    (conn, content_length)
+    Some((conn, content_length))
 }
 
 /// Parses one request head from the front of `buf`.
@@ -136,8 +137,10 @@ pub fn parse_request(buf: &[u8]) -> ReqParse<'_> {
         return ReqParse::Bad;
     }
     let http10 = version == "HTTP/1.0";
-    let (conn, content_length) = scan_headers(head);
-    if content_length.is_some_and(|n| n > 0) {
+    let Some((conn, content_length)) = scan_headers(head) else {
+        return ReqParse::Bad;
+    };
+    if content_length > 0 {
         // The serving plane is GET-only; a request body is out of scope.
         return ReqParse::Bad;
     }
@@ -186,14 +189,17 @@ pub fn parse_response(buf: &[u8]) -> RespParse {
     let Ok(status) = code.parse::<u16>() else {
         return RespParse::Bad;
     };
-    let (conn, content_length) = scan_headers(head);
+    let Some((conn, body)) = scan_headers(head) else {
+        return RespParse::Bad;
+    };
     let close = match conn {
         ConnHdr::Close => true,
         ConnHdr::KeepAlive => false,
         ConnHdr::Absent => version == "HTTP/1.0",
     };
-    let body = content_length.unwrap_or(0);
-    let total = end + body;
+    let Some(total) = end.checked_add(body) else {
+        return RespParse::Bad;
+    };
     if buf.len() < total {
         return RespParse::Partial;
     }
@@ -215,16 +221,6 @@ pub fn build_request(path: &str, close: bool, out: &mut Vec<u8>) {
         out.extend_from_slice(b"Connection: close\r\n");
     }
     out.extend_from_slice(b"\r\n");
-}
-
-/// Appends an HTTP/1.0 request head for `path` onto `out`: no
-/// `Connection` header, so the version's implicit-close default applies
-/// (the legacy-client mix [`crate::FleetConfig::http10_per_mille`]
-/// drives through the serving plane).
-pub fn build_request10(path: &str, out: &mut Vec<u8>) {
-    out.extend_from_slice(b"GET ");
-    out.extend_from_slice(path.as_bytes());
-    out.extend_from_slice(b" HTTP/1.0\r\nHost: capnet\r\n\r\n");
 }
 
 /// Appends a `503 Service Unavailable` with a `Retry-After` hint onto
@@ -313,7 +309,7 @@ mod tests {
     fn response_roundtrip_with_body() {
         let mut wire = Vec::new();
         build_response(200, "OK", b"hello", false, &mut wire);
-        build_response(429, "Too Many Requests", b"", true, &mut wire);
+        build_response(404, "Not Found", b"", true, &mut wire);
         let RespParse::Complete {
             status,
             close,
@@ -327,7 +323,7 @@ mod tests {
         let RespParse::Complete { status, close, .. } = parse_response(&wire[consumed..]) else {
             panic!("second response should parse");
         };
-        assert_eq!((status, close), (429, true));
+        assert_eq!((status, close), (404, true));
     }
 
     /// Status, length and Retry-After fields are written in decimal
@@ -349,9 +345,8 @@ mod tests {
     /// unless the client opts into `Connection: keep-alive`.
     #[test]
     fn http10_defaults_to_close() {
-        let mut wire = Vec::new();
-        build_request10("/a", &mut wire);
-        let ReqParse::Complete(r, used) = parse_request(&wire) else {
+        let wire = b"GET /a HTTP/1.0\r\nHost: capnet\r\n\r\n";
+        let ReqParse::Complete(r, used) = parse_request(wire) else {
             panic!("1.0 request should parse");
         };
         assert!(r.http10);
@@ -398,5 +393,30 @@ mod tests {
             parse_response(&wire),
             RespParse::Complete { consumed, .. } if consumed == wire.len()
         ));
+    }
+
+    /// A `Content-Length` near `usize::MAX` cannot overflow the framing
+    /// arithmetic: the response is refused, not wrapped (or a panic in a
+    /// debug build).
+    #[test]
+    fn an_overflowing_content_length_is_bad() {
+        let max = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", usize::MAX);
+        assert_eq!(parse_response(max.as_bytes()), RespParse::Bad);
+        let over = format!("HTTP/1.1 200 OK\r\nContent-Length: {}0\r\n\r\n", usize::MAX);
+        assert_eq!(parse_response(over.as_bytes()), RespParse::Bad);
+        let req = format!("GET / HTTP/1.1\r\nContent-Length: {}0\r\n\r\n", usize::MAX);
+        assert_eq!(parse_request(req.as_bytes()), ReqParse::Bad);
+    }
+
+    /// A `Content-Length` that is not a number frames nothing: both
+    /// parsers refuse it instead of reading it as absent.
+    #[test]
+    fn an_unparseable_content_length_is_bad() {
+        for v in ["x", "", "-1", "1 2"] {
+            let resp = format!("HTTP/1.1 200 OK\r\nContent-Length: {v}\r\n\r\n");
+            assert_eq!(parse_response(resp.as_bytes()), RespParse::Bad, "{v:?}");
+            let req = format!("GET / HTTP/1.1\r\nContent-Length: {v}\r\n\r\n");
+            assert_eq!(parse_request(req.as_bytes()), ReqParse::Bad, "{v:?}");
+        }
     }
 }

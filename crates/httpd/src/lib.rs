@@ -8,9 +8,9 @@
 //!
 //! * [`server::HttpServerApp`] — an HTTP/1.1 static server on
 //!   `ff_socket`/`ff_bind`/`ff_listen`/`ff_accept`/`ff_read`/`ff_write`
-//!   and `ff_epoll`: a small route table, keep-alive with pipelined
-//!   request parsing, per-client token-bucket rate limiting and bounded
-//!   connection lifetimes;
+//!   and `ff_epoll`: one route (`GET /`), keep-alive with pipelined
+//!   request parsing, an overload watermark answered with `503` and an
+//!   idle-header reaper against slow-loris clients;
 //! * [`fleet::FleetApp`] — an **open-loop** client fleet: seeded Poisson
 //!   connection arrivals, heavy-tailed think times, and a configurable
 //!   churn mix (close-per-request vs keep-alive), so one leaf node

@@ -1,6 +1,6 @@
 //! The HTTP/1.1 server application: accept, parse (pipelined), respond
-//! from a static route table, rate-limit per client, bound connection
-//! lifetimes.
+//! (`GET /` is 200, any other path 404), shed idle and overload
+//! connections.
 //!
 //! Poll-mode like the iperf apps: the scenario driver calls
 //! [`HttpServerApp::step`] when one of the app's fds changed. Server
@@ -13,9 +13,8 @@
 //! Close discipline: the server honours `Connection: close` in its
 //! response framing but leaves the active close to the client (the
 //! `lingering_close` discipline real servers use), so TIME_WAIT lands on
-//! the client side — **except** for policy closes (rate-limited requests
-//! and connections that exhausted their request budget), which the
-//! server initiates itself. Both halves of the 2MSL story get exercised.
+//! the client side — **except** for an overload 503, an idle-header shed
+//! or a protocol error, which the server initiates itself.
 
 use crate::http::{self, ReqParse};
 use crate::StepOutcome;
@@ -26,81 +25,44 @@ use fstack::epoll::{EpollEvent, EpollFlags};
 use fstack::socket::SockType;
 use fstack::FStack;
 use simkern::time::{SimDuration, SimTime};
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
 
 /// Serving-plane configuration.
 #[derive(Debug, Clone)]
 pub struct HttpServerConfig {
     /// Listen backlog handed to `ff_listen` (incomplete + established).
     pub backlog: usize,
-    /// Static routes: `(path, body)`. Unknown paths get a 404.
-    pub routes: Vec<(String, Vec<u8>)>,
-    /// Requests served per connection before the server closes it
-    /// (`Connection: close` on the final response). 0 = unbounded.
-    pub max_requests_per_conn: u32,
-    /// Token-bucket burst capacity per client IP, in requests.
-    /// 0 disables rate limiting.
-    pub bucket_capacity: u32,
-    /// Token-bucket sustained refill per client IP, requests/second.
-    pub bucket_refill_per_sec: u32,
     /// Idle-header-read timeout: a connection that has gone this long
     /// without delivering a byte while the server is still waiting for a
     /// complete request is shed (slow-loris defence). `ZERO` disables.
     pub idle_header_timeout: SimDuration,
     /// Graceful-degradation watermark: accepted connections beyond this
     /// many already open are answered `503 Service Unavailable` (with a
-    /// `Retry-After` hint of [`HttpServerConfig::retry_after`]) and
-    /// closed, instead of being serviced. 0 disables.
+    /// `Retry-After: 1` hint) and closed, instead of being serviced.
+    /// 0 disables.
     pub max_conns: usize,
-    /// The `Retry-After` delay advertised on overload 503s.
-    pub retry_after: SimDuration,
 }
 
 impl Default for HttpServerConfig {
     fn default() -> Self {
         HttpServerConfig {
             backlog: 64,
-            routes: vec![("/".to_string(), b"capnet-httpd\n".to_vec())],
-            max_requests_per_conn: 0,
-            bucket_capacity: 0,
-            bucket_refill_per_sec: 0,
             idle_header_timeout: SimDuration::ZERO,
             max_conns: 0,
-            retry_after: SimDuration::from_millis(1000),
         }
     }
 }
 
-/// Per-client token bucket, integer millitokens (deterministic: no
-/// floats anywhere near the digest).
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    tokens_milli: u64,
-    last_ns: u64,
-}
-
-impl Bucket {
-    /// Refills from elapsed time, then tries to spend one request.
-    fn allow(&mut self, now_ns: u64, cap_milli: u64, refill_milli_per_sec: u64) -> bool {
-        let dt = now_ns.saturating_sub(self.last_ns);
-        self.last_ns = now_ns;
-        let add = (u128::from(dt) * u128::from(refill_milli_per_sec) / 1_000_000_000) as u64;
-        self.tokens_milli = (self.tokens_milli + add).min(cap_milli);
-        if self.tokens_milli >= 1000 {
-            self.tokens_milli -= 1000;
-            true
-        } else {
-            false
-        }
-    }
-}
+/// The one route: the path served 200 with [`BODY`]; any other is a 404.
+const ROUTE: &str = "/";
+/// The body `GET /` answers.
+const BODY: &[u8] = b"capnet-httpd\n";
+/// The `Retry-After` delay advertised on overload 503s, in milliseconds.
+const RETRY_AFTER_MS: u64 = 1_000;
 
 /// One accepted connection's state.
 #[derive(Debug)]
 struct Conn {
     fd: Fd,
-    peer: Ipv4Addr,
     /// Received-but-unparsed request bytes (pipelining buffer).
     inbuf: Vec<u8>,
     /// Composed-but-unsent response bytes.
@@ -131,10 +93,8 @@ pub struct HttpServerReport {
     pub ok: u64,
     /// 404 responses.
     pub not_found: u64,
-    /// 429 responses (token bucket empty).
-    pub rate_limited: u64,
-    /// Connections the server closed by policy (rate limit / request
-    /// budget / protocol error).
+    /// Connections the server closed itself (overload 503, idle-header
+    /// shed, protocol error).
     pub server_closed: u64,
     /// Connections shed by the idle-header-read timeout (slow-loris
     /// clients holding sockets open with drip-fed partial requests).
@@ -170,12 +130,10 @@ pub struct HttpServerApp {
     /// `(inbuf, out)` of closed connections, emptied: the next accepted
     /// connection takes them, capacity and all.
     spare: Vec<(Vec<u8>, Vec<u8>)>,
-    buckets: HashMap<Ipv4Addr, Bucket>,
     accepted: u64,
     requests: u64,
     ok: u64,
     not_found: u64,
-    rate_limited: u64,
     server_closed: u64,
     idle_shed: u64,
     overloaded: u64,
@@ -216,12 +174,10 @@ impl HttpServerApp {
             conns: Vec::new(),
             conn_of_fd: Vec::new(),
             spare: Vec::new(),
-            buckets: HashMap::new(),
             accepted: 0,
             requests: 0,
             ok: 0,
             not_found: 0,
-            rate_limited: 0,
             server_closed: 0,
             idle_shed: 0,
             overloaded: 0,
@@ -267,10 +223,6 @@ impl HttpServerApp {
             out.ff_calls += 1;
             match stack.ff_accept(self.listen_fd) {
                 Ok(fd) => {
-                    let peer = stack
-                        .remote_addr(fd)
-                        .map(|(ip, _)| ip)
-                        .unwrap_or(Ipv4Addr::UNSPECIFIED);
                     // Over the graceful-degradation watermark the server
                     // still accepts — leaving the SYN to rot would just
                     // push the client into RTO — but answers a 503 with
@@ -281,7 +233,6 @@ impl HttpServerApp {
                     let (inbuf, out_buf) = self.spare.pop().unwrap_or_default();
                     let mut conn = Conn {
                         fd,
-                        peer,
                         inbuf,
                         out: out_buf,
                         out_off: 0,
@@ -291,7 +242,7 @@ impl HttpServerApp {
                         last_byte: now,
                     };
                     if overloaded {
-                        http::build_503(self.cfg.retry_after.as_nanos() / 1_000_000, &mut conn.out);
+                        http::build_503(RETRY_AFTER_MS, &mut conn.out);
                         self.overloaded += 1;
                         self.server_closed += 1;
                     }
@@ -516,10 +467,10 @@ impl HttpServerApp {
                 match http::parse_request(&c.inbuf[consumed..]) {
                     ReqParse::Complete(req, used) => {
                         consumed += used;
-                        let route = self.cfg.routes.iter().position(|(p, _)| p == req.path);
-                        let wants_close = req.close;
+                        let found = req.path == ROUTE;
+                        let close = req.close;
                         self.requests += 1;
-                        self.respond(i, route, wants_close, now);
+                        self.respond(i, found, close);
                         out.progressed = true;
                     }
                     ReqParse::Partial => break,
@@ -545,49 +496,17 @@ impl HttpServerApp {
         Ok(false)
     }
 
-    /// Composes the response for one parsed request — for the route at
-    /// index `route`, `None` for an unknown path — onto connection `i`'s
-    /// out buffer, applying rate limiting and the request budget.
-    fn respond(&mut self, i: usize, route: Option<usize>, client_close: bool, now: SimTime) {
-        let limited = self.cfg.bucket_capacity > 0 && {
-            let cap_milli = u64::from(self.cfg.bucket_capacity) * 1000;
-            let refill = u64::from(self.cfg.bucket_refill_per_sec) * 1000;
-            let peer = self.conns[i].peer;
-            let bucket = self.buckets.entry(peer).or_insert(Bucket {
-                tokens_milli: cap_milli,
-                last_ns: now.as_nanos(),
-            });
-            !bucket.allow(now.as_nanos(), cap_milli, refill)
-        };
+    /// Composes the response for one parsed request — 200 with [`BODY`]
+    /// when `found`, else 404 — onto connection `i`'s out buffer.
+    fn respond(&mut self, i: usize, found: bool, close: bool) {
         let c = &mut self.conns[i];
         c.served += 1;
-        let budget_exhausted =
-            self.cfg.max_requests_per_conn > 0 && c.served >= self.cfg.max_requests_per_conn;
-        if limited {
-            // Over-rate clients get a 429 and a server-initiated close:
-            // backpressure plus churn, the overload shape we measure.
-            http::build_response(429, "Too Many Requests", b"", true, &mut c.out);
-            c.close_after_flush = true;
-            self.rate_limited += 1;
-            self.server_closed += 1;
-            return;
-        }
-        let close = client_close || budget_exhausted;
-        match route.map(|r| self.cfg.routes[r].1.as_slice()) {
-            Some(b) => {
-                http::build_response(200, "OK", b, close, &mut c.out);
-                self.ok += 1;
-            }
-            None => {
-                http::build_response(404, "Not Found", b"", close, &mut c.out);
-                self.not_found += 1;
-            }
-        }
-        if budget_exhausted && !client_close {
-            // The request budget is a server policy: announce the close
-            // and initiate it (the client may still be mid-pipeline).
-            c.close_after_flush = true;
-            self.server_closed += 1;
+        if found {
+            http::build_response(200, "OK", BODY, close, &mut c.out);
+            self.ok += 1;
+        } else {
+            http::build_response(404, "Not Found", b"", close, &mut c.out);
+            self.not_found += 1;
         }
     }
 
@@ -641,7 +560,6 @@ impl HttpServerApp {
             requests: self.requests,
             ok: self.ok,
             not_found: self.not_found,
-            rate_limited: self.rate_limited,
             server_closed: self.server_closed,
             idle_shed: self.idle_shed,
             overloaded: self.overloaded,

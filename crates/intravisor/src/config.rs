@@ -1,32 +1,19 @@
 //! Compartment configuration.
 //!
-//! Mirrors the paper's deployment knobs: cVMs run in *hybrid* mode (legacy
-//! pointers bounded by the DDC) today, with *pure* (purecap) mode as the
-//! natural extension; each cVM gets a fixed region split into a code window
-//! (PCC material) and a data window (DDC material).
-
-/// CHERI compilation/execution mode of a compartment (paper §II.A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CvmMode {
-    /// Hybrid: only annotated pointers are capabilities; everything else is
-    /// bounded by the compartment DDC. This is what the paper evaluates.
-    #[default]
-    Hybrid,
-    /// Purecap: every pointer is a capability. Supported by the model for
-    /// forward-looking experiments.
-    Pure,
-}
+//! Mirrors the paper's deployment: each cVM runs in *hybrid* mode (legacy
+//! pointers bounded by the DDC, the only mode the paper evaluates) in a
+//! fixed region split into a code window (PCC material) and a data window
+//! (DDC material).
 
 /// Builder-style configuration for one cVM.
 ///
 /// # Example
 ///
 /// ```
-/// use intravisor::{CvmConfig, CvmMode};
+/// use intravisor::CvmConfig;
 /// let cfg = CvmConfig::new("fstack-svc")
 ///     .mem_size(256 * 1024)
-///     .code_size(8 * 1024)
-///     .mode(CvmMode::Hybrid);
+///     .code_size(8 * 1024);
 /// assert_eq!(cfg.name(), "fstack-svc");
 /// assert_eq!(cfg.mem_size_bytes(), 256 * 1024);
 /// ```
@@ -35,7 +22,6 @@ pub struct CvmConfig {
     name: String,
     mem_size: u64,
     code_size: u64,
-    mode: CvmMode,
 }
 
 impl CvmConfig {
@@ -50,7 +36,6 @@ impl CvmConfig {
             name: name.into(),
             mem_size: Self::DEFAULT_MEM,
             code_size: Self::DEFAULT_CODE,
-            mode: CvmMode::Hybrid,
         }
     }
 
@@ -81,12 +66,6 @@ impl CvmConfig {
         self
     }
 
-    /// Sets the CHERI mode.
-    pub fn mode(mut self, mode: CvmMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// The compartment name.
     pub fn name(&self) -> &str {
         &self.name
@@ -102,11 +81,6 @@ impl CvmConfig {
     pub fn code_size_bytes(&self) -> u64 {
         self.code_size
     }
-
-    /// The CHERI mode.
-    pub fn cvm_mode(&self) -> CvmMode {
-        self.mode
-    }
 }
 
 #[cfg(test)]
@@ -118,18 +92,13 @@ mod tests {
         let c = CvmConfig::new("x");
         assert_eq!(c.mem_size_bytes(), CvmConfig::DEFAULT_MEM);
         assert_eq!(c.code_size_bytes(), CvmConfig::DEFAULT_CODE);
-        assert_eq!(c.cvm_mode(), CvmMode::Hybrid);
     }
 
     #[test]
     fn builder_chains() {
-        let c = CvmConfig::new("x")
-            .mem_size(1 << 16)
-            .code_size(1 << 12)
-            .mode(CvmMode::Pure);
+        let c = CvmConfig::new("x").mem_size(1 << 16).code_size(1 << 12);
         assert_eq!(c.mem_size_bytes(), 1 << 16);
         assert_eq!(c.code_size_bytes(), 1 << 12);
-        assert_eq!(c.cvm_mode(), CvmMode::Pure);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod proxy;
 pub mod trampoline;
 pub mod xcall;
 
-pub use config::{CvmConfig, CvmMode};
+pub use config::CvmConfig;
 pub use cvm::{Cvm, CvmId};
 pub use trampoline::TrampolineOutcome;
 pub use xcall::{ServiceId, XcallGrant};
@@ -260,7 +260,7 @@ impl Intravisor {
             Perms::data() | Perms::INVOKE,
         )
         .seal(&sealer)?;
-        Ok(self.services.register(name, provider, code, data, ot))
+        Ok(self.services.register(name, provider, code, data))
     }
 
     /// Performs a cross-compartment call from `caller` into the service —

@@ -5,12 +5,12 @@
 //! correctly handles the capabilities and mediates the access to the OS"
 //! (paper §II.B). The table has two jobs:
 //!
-//! 1. **policy** — each cVM is only allowed the syscalls its role needs
-//!    (an application cVM has no business asking for NIC mappings);
+//! 1. **policy** — default-deny: a cVM gets time, sleep and own-thread
+//!    sync, and nothing else (no cVM has business asking for NIC
+//!    mappings);
 //! 2. **translation** — musl-libc semantics differ from CheriBSD's; the
 //!    canonical example the paper gives is `futex` → `_umtx_op`.
 
-use crate::cvm::CvmId;
 use chos::errno::Errno;
 use chos::syscall::Syscall;
 
@@ -21,69 +21,23 @@ pub enum ProxyVerdict {
     Forward,
     /// Translate musl semantics to CheriBSD first (futex→umtx).
     Translate,
-    /// Refuse: the cVM's profile does not include this syscall.
+    /// Refuse: no cVM is allowed this syscall.
     Deny(Errno),
 }
 
-/// Per-cVM syscall profiles — which slice of the OS a compartment may see.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyscallProfile {
-    /// Applications: time, sleep, own-thread sync. The default.
-    #[default]
-    App,
-    /// Network service cVMs additionally manage device memory at boot.
-    NetService,
-    /// Measurement harness cVMs (everything App has; kept distinct so
-    /// experiments can tighten it).
-    Harness,
-}
-
-/// The proxy table: profile per cVM, verdict per (profile, syscall).
-#[derive(Debug, Clone, Default)]
-pub struct ProxyTable {
-    profiles: Vec<(CvmId, SyscallProfile)>,
-}
-
-impl ProxyTable {
-    /// Creates an empty table (every cVM defaults to [`SyscallProfile::App`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Assigns `profile` to `cvm`.
-    pub fn set_profile(&mut self, cvm: CvmId, profile: SyscallProfile) {
-        if let Some(slot) = self.profiles.iter_mut().find(|(id, _)| *id == cvm) {
-            slot.1 = profile;
-        } else {
-            self.profiles.push((cvm, profile));
-        }
-    }
-
-    /// The profile assigned to `cvm`.
-    pub fn profile(&self, cvm: CvmId) -> SyscallProfile {
-        self.profiles
-            .iter()
-            .find(|(id, _)| *id == cvm)
-            .map(|(_, p)| *p)
-            .unwrap_or_default()
-    }
-
-    /// Decides what to do with syscall `sc` from `cvm`.
-    pub fn verdict(&self, cvm: CvmId, sc: &Syscall) -> ProxyVerdict {
-        let _profile = self.profile(cvm);
-        match sc {
-            // Time and sleep are universal.
-            Syscall::ClockGettime(_) | Syscall::Nanosleep(_) | Syscall::GetPid => {
-                ProxyVerdict::Forward
-            }
-            // CheriBSD-native umtx is forwarded.
-            Syscall::UmtxWait { .. } | Syscall::UmtxWake { .. } => ProxyVerdict::Forward,
-            // musl futex must be translated — the paper's adaptation.
-            Syscall::Futex(_) => ProxyVerdict::Translate,
-            // `Syscall` is non-exhaustive: anything the proxy does not know
-            // is denied, never forwarded — default-deny is the whole point.
-            _ => ProxyVerdict::Deny(Errno::ENOSYS),
-        }
+/// Decides what to do with syscall `sc`. Every cVM sees the same slice
+/// of the OS: time, sleep and own-thread sync.
+pub fn verdict(sc: &Syscall) -> ProxyVerdict {
+    match sc {
+        // Time and sleep are universal.
+        Syscall::ClockGettime(_) | Syscall::Nanosleep(_) | Syscall::GetPid => ProxyVerdict::Forward,
+        // CheriBSD-native umtx is forwarded.
+        Syscall::UmtxWait { .. } | Syscall::UmtxWake { .. } => ProxyVerdict::Forward,
+        // musl futex must be translated — the paper's adaptation.
+        Syscall::Futex(_) => ProxyVerdict::Translate,
+        // `Syscall` is non-exhaustive: anything the proxy does not know
+        // is denied, never forwarded — default-deny is the whole point.
+        _ => ProxyVerdict::Deny(Errno::ENOSYS),
     }
 }
 
@@ -93,56 +47,29 @@ mod tests {
     use chos::clock::ClockId;
     use chos::futex::FutexOp;
 
-    fn id(n: u32) -> CvmId {
-        // CvmId construction is crate-private; go through the Intravisor in
-        // integration tests. Here we use the crate-internal constructor.
-        CvmId::new(n)
-    }
-
     #[test]
     fn futex_is_translated_not_forwarded() {
-        let t = ProxyTable::new();
-        let v = t.verdict(
-            id(0),
-            &Syscall::Futex(FutexOp::Wake {
-                uaddr: 0x1,
-                count: 1,
-            }),
-        );
+        let v = verdict(&Syscall::Futex(FutexOp::Wake {
+            uaddr: 0x1,
+            count: 1,
+        }));
         assert_eq!(v, ProxyVerdict::Translate);
     }
 
     #[test]
     fn time_and_umtx_are_forwarded() {
-        let t = ProxyTable::new();
         assert_eq!(
-            t.verdict(id(0), &Syscall::ClockGettime(ClockId::MonotonicRaw)),
+            verdict(&Syscall::ClockGettime(ClockId::MonotonicRaw)),
             ProxyVerdict::Forward
         );
         assert_eq!(
-            t.verdict(
-                id(0),
-                &Syscall::UmtxWake {
-                    addr: 0x1,
-                    count: 1
-                }
-            ),
+            verdict(&Syscall::UmtxWake {
+                addr: 0x1,
+                count: 1
+            }),
             ProxyVerdict::Forward
         );
-        assert_eq!(
-            t.verdict(id(0), &Syscall::Nanosleep(10)),
-            ProxyVerdict::Forward
-        );
-        assert_eq!(t.verdict(id(0), &Syscall::GetPid), ProxyVerdict::Forward);
-    }
-
-    #[test]
-    fn profiles_are_assignable() {
-        let mut t = ProxyTable::new();
-        assert_eq!(t.profile(id(3)), SyscallProfile::App);
-        t.set_profile(id(3), SyscallProfile::NetService);
-        assert_eq!(t.profile(id(3)), SyscallProfile::NetService);
-        t.set_profile(id(3), SyscallProfile::Harness);
-        assert_eq!(t.profile(id(3)), SyscallProfile::Harness);
+        assert_eq!(verdict(&Syscall::Nanosleep(10)), ProxyVerdict::Forward);
+        assert_eq!(verdict(&Syscall::GetPid), ProxyVerdict::Forward);
     }
 }

@@ -13,7 +13,7 @@
 //! kernel work, and routes the call through the [`crate::proxy`] table.
 
 use crate::cvm::CvmId;
-use crate::proxy::{ProxyTable, ProxyVerdict};
+use crate::proxy::{self, ProxyVerdict};
 use crate::Intravisor;
 use chos::syscall::{Syscall, SyscallOutcome};
 use simkern::time::{SimDuration, SimTime};
@@ -35,9 +35,7 @@ pub struct TrampolineOutcome {
 /// Cost structure (all virtual): `trampoline_ns` for the full
 /// save/`blrs`/restore round trip, then the kernel's own cost from `chos`.
 pub fn run(iv: &mut Intravisor, id: CvmId, now: SimTime, sc: Syscall) -> TrampolineOutcome {
-    // A static table suffices: verdicts depend on (profile, syscall) only.
-    let table = ProxyTable::new();
-    let verdict = table.verdict(id, &sc);
+    let verdict = proxy::verdict(&sc);
     let (kernel, cvm, costs) = iv.kernel_and_cvm(id);
     cvm.note_syscall();
     let crossing_ns = costs.trampoline_ns;

@@ -10,7 +10,7 @@
 
 use crate::cvm::CvmId;
 use cheri::regfile::RegFile;
-use cheri::{CapFault, Capability, CompartmentCtx, FaultKind, OType};
+use cheri::{CapFault, Capability, CompartmentCtx, FaultKind};
 use simkern::cost::CostModel;
 use simkern::time::{SimDuration, SimTime};
 
@@ -44,8 +44,6 @@ struct Service {
     provider: CvmId,
     code: Capability,
     data: Capability,
-    #[allow(dead_code)] // kept for audit dumps
-    otype: OType,
 }
 
 /// Registry of sealed-pair services.
@@ -66,14 +64,12 @@ impl ServiceTable {
         provider: CvmId,
         code: Capability,
         data: Capability,
-        otype: OType,
     ) -> ServiceId {
         self.services.push(Service {
             name: name.into(),
             provider,
             code,
             data,
-            otype,
         });
         ServiceId(self.services.len() as u32 - 1)
     }

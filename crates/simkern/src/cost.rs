@@ -47,8 +47,6 @@ pub struct CostModel {
     pub timer_tick_ns: u64,
     /// A generic native syscall entry/exit (CheriBSD, non-compartmentalized).
     pub syscall_ns: u64,
-    /// Plain function call overhead inside one compartment.
-    pub call_ns: u64,
     /// Copying one byte between user buffers (memcpy steady-state).
     pub copy_ns_per_byte_x1000: u64,
 
@@ -60,8 +58,6 @@ pub struct CostModel {
     /// A cross-cVM wrapper call (Scenario 2 app → F-Stack service cVM):
     /// sealed-pair invoke, argument capability re-derivation, return.
     pub xcall_ns: u64,
-    /// Validating one capability argument at a compartment boundary.
-    pub cap_check_ns: u64,
     /// Uncontended mutex lock+unlock pair (atomic fast path, no kernel).
     /// Together with the bookkeeping around it this is the "≈ 125 ns mutex
     /// handling" the paper's 152× slowdown is measured against.
@@ -121,11 +117,9 @@ impl CostModel {
             clock_gettime_ns: 60,
             timer_tick_ns: 25,
             syscall_ns: 140,
-            call_ns: 4,
             copy_ns_per_byte_x1000: 45, // 0.045 ns/B ≈ 22 GB/s memcpy
             trampoline_ns: 125,
             xcall_ns: 170,
-            cap_check_ns: 6,
             mutex_fast_ns: 30,
             umtx_block_ns: 2_600,
             umtx_wake_ns: 1_900,
@@ -151,11 +145,9 @@ impl CostModel {
             clock_gettime_ns: 0,
             timer_tick_ns: 0,
             syscall_ns: 0,
-            call_ns: 0,
             copy_ns_per_byte_x1000: 0,
             trampoline_ns: 0,
             xcall_ns: 0,
-            cap_check_ns: 0,
             mutex_fast_ns: 0,
             umtx_block_ns: 0,
             umtx_wake_ns: 0,

@@ -16,7 +16,6 @@
 //! the hardware bus arbiter and a fair futex-backed mutex implement.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// A serially reusable resource with a busy-until horizon (single-server
 /// FIFO queue). Used for the PCI bus and for wire serialization.
@@ -128,13 +127,9 @@ pub struct FifoMutex {
     acquisitions: u64,
     contentions: u64,
     total_wait: SimDuration,
-    recent_waits: VecDeque<SimDuration>,
 }
 
 impl FifoMutex {
-    /// How many recent waits [`FifoMutex::recent_waits`] retains.
-    const RECENT: usize = 64;
-
     /// Creates a mutex with the given fast-path, block and wake costs (ns).
     pub fn new(fast_ns: u64, block_ns: u64, wake_ns: u64) -> Self {
         FifoMutex {
@@ -145,7 +140,6 @@ impl FifoMutex {
             acquisitions: 0,
             contentions: 0,
             total_wait: SimDuration::ZERO,
-            recent_waits: VecDeque::with_capacity(Self::RECENT),
         }
     }
 
@@ -166,10 +160,6 @@ impl FifoMutex {
         self.next_free = released_at;
         let wait = acquired_at - now;
         self.total_wait += wait;
-        if self.recent_waits.len() == Self::RECENT {
-            self.recent_waits.pop_front();
-        }
-        self.recent_waits.push_back(wait);
         LockGrant {
             acquired_at,
             released_at,
@@ -182,10 +172,9 @@ impl FifoMutex {
     /// sole owner taking the lock at `first` and again at each release,
     /// every critical section plus fast path lasting `period`. Leaves the
     /// mutex exactly as `n` calls `acquire(first + j·period, period −
-    /// fast_ns)` would — `acquisitions`, `next_free`, `n` zero entries
-    /// through the `recent_waits` window — at a cost bounded by the
-    /// window, not by `n`. A poll loop that sleeps through its idle
-    /// iterations settles the acquisitions they would have made with this.
+    /// fast_ns)` would — `acquisitions` and `next_free` — in O(1). A poll
+    /// loop that sleeps through its idle iterations settles the
+    /// acquisitions they would have made with this.
     pub fn acquire_uncontended_run(&mut self, first: SimTime, period: SimDuration, n: u64) {
         if n == 0 {
             return;
@@ -197,12 +186,6 @@ impl FifoMutex {
         );
         self.acquisitions += n;
         self.next_free = first + period * n;
-        for _ in 0..n.min(Self::RECENT as u64) {
-            if self.recent_waits.len() == Self::RECENT {
-                self.recent_waits.pop_front();
-            }
-            self.recent_waits.push_back(SimDuration::ZERO);
-        }
     }
 
     /// Total acquisitions so far.
@@ -218,11 +201,6 @@ impl FifoMutex {
     /// Sum of all waiting time.
     pub fn total_wait(&self) -> SimDuration {
         self.total_wait
-    }
-
-    /// The most recent waits (bounded window), oldest first.
-    pub fn recent_waits(&self) -> impl Iterator<Item = SimDuration> + '_ {
-        self.recent_waits.iter().copied()
     }
 
     /// The instant the lock next becomes free.
@@ -297,10 +275,8 @@ mod tests {
         assert_eq!(m.contentions(), 2);
     }
 
-    /// The bulk form is the loop it replaces: same counters, same horizon,
-    /// same waits window — from a fresh lock, after a contended history
-    /// (nonzero waits that the zeros must push out in order), across the
-    /// window size, and for `n = 0`.
+    /// The bulk form is the loop it replaces: same counters, same horizon
+    /// — from a fresh lock, after a contended history, and for `n = 0`.
     #[test]
     fn an_uncontended_run_equals_that_many_single_acquisitions() {
         let period = SimDuration::from_nanos(1_730);
@@ -323,18 +299,8 @@ mod tests {
                 assert_eq!(bulk.acquisitions(), one.acquisitions());
                 assert_eq!(bulk.contentions(), one.contentions());
                 assert_eq!(bulk.total_wait(), one.total_wait());
-                assert_eq!(bulk.next_free(), one.next_free());
-                assert!(bulk.recent_waits().eq(one.recent_waits()), "n = {n}");
+                assert_eq!(bulk.next_free(), one.next_free(), "n = {n}");
             }
         }
-    }
-
-    #[test]
-    fn recent_waits_window_is_bounded() {
-        let mut m = FifoMutex::new(0, 0, 0);
-        for i in 0..200 {
-            m.acquire(SimTime::from_nanos(i), SimDuration::ZERO);
-        }
-        assert!(m.recent_waits().count() <= 64);
     }
 }

@@ -218,7 +218,6 @@ fn loris_connections_are_shed_by_the_idle_reaper() {
             FleetConfig {
                 rate_per_sec: 2_000,
                 loris_per_mille: 500,
-                loris_drip_bytes: 1,
                 loris_drip_interval: SimDuration::from_millis(8),
                 ..FleetConfig::default()
             },

@@ -10,12 +10,14 @@
 //!   `src/<module>.rs` or `src/<module>/mod.rs`, and its first segment
 //!   that is not a module file must be declared `pub` (or `pub(crate)`)
 //!   in that crate;
-//! * a backticked snake_case name of four or more words (a test, a
-//!   function, a field, a metric key) in README.md, DESIGN.md or the
-//!   verify skill must be (the prefix of) a `fn` under
+//! * a backticked snake_case name of two or more words (a test, a
+//!   function, a field, a metric key, a file or package) in README.md,
+//!   DESIGN.md or the verify skill must be (the prefix of) a `fn` under
 //!   `crates/ src/ tests/ examples/`, a struct field (`name:`) under
-//!   `crates/*/src`, or a word of a `BENCH_*.json`, `BENCHMARK.json` or
-//!   `benchmark/src` file.
+//!   `crates/*/src`, a word of a `BENCH_*.json`, `BENCHMARK.json` or
+//!   `benchmark/src` file, the stem of a file in the tree, or a `[package]
+//!   name` (`-` read as `_`) — or one of the few std and lint names in
+//!   [`NOT_OURS`].
 //!
 //! A plain file walk and substring search — no parser, no dependency — so
 //! a rename or deletion that leaves a dangling reference fails here.
@@ -287,10 +289,18 @@ fn corpus(files: &[String], dirs: &[&str], keep: impl Fn(&str) -> bool) -> Strin
         .collect()
 }
 
-/// `word` is snake_case of four or more words.
-fn long_snake(word: &str) -> bool {
+/// Names the docs cite that belong to std or rustc, not to this tree.
+const NOT_OURS: &[&str] = &[
+    // `<[T]>::sort_unstable_by`, which orders a calendar slot.
+    "sort_unstable_by",
+    // The lint in `#![forbid(unsafe_code)]`.
+    "unsafe_code",
+];
+
+/// `word` is snake_case of two or more words.
+fn multi_word_snake(word: &str) -> bool {
     let parts: Vec<&str> = word.split('_').collect();
-    parts.len() >= 4
+    parts.len() >= 2
         && parts.iter().all(|p| {
             !p.is_empty()
                 && p.chars()
@@ -309,15 +319,34 @@ fn long_snake_case_names_resolve() {
     let keys = corpus(&files, &["BENCH", "benchmark/src/"], |f| {
         f.ends_with(".json") || f.starts_with("benchmark/")
     });
+    let stems: Vec<&str> = files
+        .iter()
+        .filter_map(|f| Path::new(f).file_stem()?.to_str())
+        .collect();
+    let packages: Vec<String> = files
+        .iter()
+        .filter(|f| f.ends_with("Cargo.toml"))
+        .filter_map(|f| {
+            let toml = fs::read_to_string(root().join(f)).unwrap();
+            let package = toml.split("[package]").nth(1)?;
+            let line = package
+                .lines()
+                .find(|l| l.trim_start().starts_with("name"))?;
+            Some(line.split('"').nth(1)?.replace('-', "_"))
+        })
+        .collect();
     let mut checked = 0;
     let mut dangling = Vec::new();
     // The first three docs are README.md, DESIGN.md and the verify skill.
     for (doc, text) in docs().into_iter().take(3) {
         for span in code_spans(&text) {
-            for name in span.split(|c| !is_ident(c)).filter(|w| long_snake(w)) {
+            for name in span.split(|c| !is_ident(c)).filter(|w| multi_word_snake(w)) {
                 checked += 1;
                 // A `fn` prefix counts: `cargo test` filters by substring.
-                let resolves = has_word(&fns, &format!("fn {name}"), |_| true)
+                let resolves = NOT_OURS.contains(&name)
+                    || stems.contains(&name)
+                    || packages.iter().any(|p| p == name)
+                    || has_word(&fns, &format!("fn {name}"), |_| true)
                     || has_word(&fields, name, |t| {
                         t.starts_with(':') && !t.starts_with("::")
                     })
@@ -331,7 +360,7 @@ fn long_snake_case_names_resolve() {
     assert!(checked > 0, "the scan found no long names at all");
     assert!(
         dangling.is_empty(),
-        "names no fn, field or metric key:\n{}",
+        "names no fn, field, metric key, file or package:\n{}",
         dangling.join("\n")
     );
 }

@@ -13,13 +13,17 @@
 //!   server that one connection, not every connection behind it;
 //! * a serving turn costs what is **ready**, not what is open
 //!   (`epoll_fds_evaluated / epoll_waits` flat in the open-connection
-//!   count), on a keep-alive star whose trace digest is pinned.
+//!   count), on a keep-alive star whose trace digest is pinned;
+//! * the answers outside input can reach but no fleet sends — a 404, a
+//!   bare HTTP/1.0 request, a connection over `max_conns` — come back
+//!   byte for byte as the server's constants say.
 
 mod testutil;
 
 use capnet::scenario::ScenarioSpec;
 use capnet_httpd::http::{build_request, parse_response, RespParse};
 use capnet_httpd::{FleetConfig, HttpServerApp, HttpServerConfig};
+use cheri::Capability;
 use chos::errno::Errno;
 use chos::fdtable::Fd;
 use fstack::socket::SockType;
@@ -200,6 +204,67 @@ fn httpd_digest_identical_at_any_worker_count() {
     }
 }
 
+/// The server app on host 1 of a two-host [`Lan`], and the app buffer of
+/// host 0, where a test's raw `ff_*` clients run.
+fn served_lan(cfg: HttpServerConfig) -> (Lan, HttpServerApp, Capability) {
+    let mut net = Lan::new(2);
+    let srv_buf = net.app_buffer(1);
+    let server = HttpServerApp::start(net.stack(1), "srv", PORT, srv_buf, cfg).unwrap();
+    let buf = net.app_buffer(0);
+    (net, server, buf)
+}
+
+/// One turn of the world: both stacks, then the server app.
+fn turn(net: &mut Lan, server: &mut HttpServerApp) {
+    net.tick();
+    let now = net.now;
+    let (stack, mem) = net.stack_and_mem(1);
+    server
+        .step(stack, mem, now)
+        .expect("a dead connection is the server's to clean up, not an error");
+}
+
+/// A client connection from host 0, given 1 000 turns to be accepted.
+fn connect(net: &mut Lan, server: &mut HttpServerApp) -> Fd {
+    let fd = net.stack(0).ff_socket(SockType::Stream).unwrap();
+    let now = net.now;
+    net.stack(0)
+        .ff_connect(fd, (Lan::ip(1), PORT), now)
+        .unwrap();
+    for _ in 0..1_000 {
+        turn(net, server);
+    }
+    fd
+}
+
+fn send(net: &mut Lan, fd: Fd, buf: &Capability, bytes: &[u8]) {
+    let (stack, mem) = net.stack_and_mem(0);
+    mem.write(buf, buf.base(), bytes).unwrap();
+    assert_eq!(
+        stack.ff_write(mem, fd, buf, bytes.len() as u64),
+        Ok(bytes.len() as u64)
+    );
+}
+
+/// Reads client connection `fd` until one whole response has arrived.
+fn read_response(net: &mut Lan, server: &mut HttpServerApp, fd: Fd, buf: &Capability) -> String {
+    let mut inbuf = Vec::new();
+    for _ in 0..2_000 {
+        turn(net, server);
+        let (stack, mem) = net.stack_and_mem(0);
+        match stack.ff_read(mem, fd, buf, buf.len()) {
+            Ok(n) => inbuf.extend(mem.read_vec(buf, buf.base(), n).unwrap()),
+            Err(Errno::EAGAIN) => {}
+            Err(e) => panic!("read failed: {e:?}"),
+        }
+        if let RespParse::Complete { consumed, .. } = parse_response(&inbuf) {
+            assert_eq!(consumed, inbuf.len(), "one response at a time");
+            return String::from_utf8(inbuf).unwrap();
+        }
+    }
+    panic!("fd {fd} was never answered");
+}
+
 /// A peer that vanishes with a response in flight makes the server's TCB
 /// give up retransmitting; `ff_read` then reports `ETIMEDOUT`. That is a
 /// dead connection like a reset — the server drops it and keeps serving.
@@ -207,50 +272,14 @@ fn httpd_digest_identical_at_any_worker_count() {
 /// being fd-ascending — no higher fd was ever served again.
 #[test]
 fn server_drops_a_timed_out_connection_and_keeps_serving() {
-    let mut net = Lan::new(2);
-    let srv_buf = net.app_buffer(1);
-    let mut server = HttpServerApp::start(
-        net.stack(1),
-        "srv",
-        PORT,
-        srv_buf,
-        HttpServerConfig::default(),
-    )
-    .unwrap();
-    let buf = net.app_buffer(0);
+    let (mut net, mut server, buf) = served_lan(HttpServerConfig::default());
     let mut request = Vec::new();
     build_request("/", false, &mut request);
-
-    // One turn of the world: both stacks, then the server app.
-    fn turn(net: &mut Lan, server: &mut HttpServerApp) {
-        net.tick();
-        let now = net.now;
-        let (stack, mem) = net.stack_and_mem(1);
-        server
-            .step(stack, mem, now)
-            .expect("a dead connection is the server's to clean up, not an error");
-    }
-    fn send(net: &mut Lan, fd: Fd, buf: &cheri::Capability, bytes: &[u8]) {
-        let (stack, mem) = net.stack_and_mem(0);
-        mem.write(buf, buf.base(), bytes).unwrap();
-        assert_eq!(
-            stack.ff_write(mem, fd, buf, bytes.len() as u64),
-            Ok(bytes.len() as u64)
-        );
-    }
 
     // Two keep-alive connections; the first accepted gets the lower fd.
     let mut cfds = Vec::new();
     for n in 1..=2 {
-        let fd = net.stack(0).ff_socket(SockType::Stream).unwrap();
-        let now = net.now;
-        net.stack(0)
-            .ff_connect(fd, (Lan::ip(1), PORT), now)
-            .unwrap();
-        cfds.push(fd);
-        for _ in 0..1_000 {
-            turn(&mut net, &mut server);
-        }
+        cfds.push(connect(&mut net, &mut server));
         assert_eq!(server.connections(), n);
     }
     let fds = server.conn_fds().to_vec();
@@ -281,21 +310,56 @@ fn server_drops_a_timed_out_connection_and_keeps_serving() {
 
     // The survivor — the higher fd — still gets its 200.
     send(&mut net, cfds[1], &buf, &request);
-    let mut inbuf = Vec::new();
-    for _ in 0..2_000 {
-        turn(&mut net, &mut server);
-        let (stack, mem) = net.stack_and_mem(0);
-        match stack.ff_read(mem, cfds[1], &buf, buf.len()) {
-            Ok(n) => inbuf.extend(mem.read_vec(&buf, buf.base(), n).unwrap()),
-            Err(Errno::EAGAIN) => {}
-            Err(e) => panic!("survivor read failed: {e:?}"),
-        }
-        if let RespParse::Complete { status, .. } = parse_response(&inbuf) {
-            assert_eq!(status, 200);
-            return;
-        }
-    }
-    panic!("the surviving connection was never answered");
+    let ok = read_response(&mut net, &mut server, cfds[1], &buf);
+    assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
+}
+
+/// A raw `ff_*` client against one server with `max_conns: 1`: `GET /`
+/// is a 200 carrying the one body, any other path a counted 404, a bare
+/// HTTP/1.0 request is answered `Connection: close`, and a second
+/// concurrent connection gets the overload 503 with `Retry-After: 1`.
+#[test]
+fn server_answers_what_outside_clients_send() {
+    let (mut net, mut server, buf) = served_lan(HttpServerConfig {
+        max_conns: 1,
+        ..HttpServerConfig::default()
+    });
+    let a = connect(&mut net, &mut server);
+    assert_eq!(server.connections(), 1);
+    let mut ask = |request: &[u8]| {
+        send(&mut net, a, &buf, request);
+        read_response(&mut net, &mut server, a, &buf)
+    };
+    let ok = ask(b"GET / HTTP/1.1\r\n\r\n");
+    assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
+    assert!(ok.ends_with("\r\n\r\ncapnet-httpd\n"), "{ok}");
+    assert!(ok.contains("Connection: keep-alive"), "{ok}");
+    let nope = ask(b"GET /nope HTTP/1.1\r\n\r\n");
+    assert!(nope.starts_with("HTTP/1.1 404 Not Found\r\n"), "{nope}");
+    let legacy = ask(b"GET / HTTP/1.0\r\n\r\n");
+    assert!(legacy.starts_with("HTTP/1.1 200 OK\r\n"), "{legacy}");
+    assert!(legacy.contains("\r\nConnection: close\r\n"), "{legacy}");
+
+    // The first connection is still open: the second is over the mark.
+    let b = connect(&mut net, &mut server);
+    let shed = read_response(&mut net, &mut server, b, &buf);
+    assert!(
+        shed.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+        "{shed}"
+    );
+    assert!(shed.contains("\r\nRetry-After: 1\r\n"), "{shed}");
+    assert!(shed.contains("\r\nConnection: close\r\n"), "{shed}");
+
+    let report = server.report(net.now);
+    assert_eq!(
+        (
+            report.requests,
+            report.ok,
+            report.not_found,
+            report.overloaded
+        ),
+        (3, 2, 1, 1)
+    );
 }
 
 /// The keep-alive star of the complexity test: four fleets, every
