@@ -13,11 +13,13 @@
 //! instances (segments built, checksummed, delivered; the receiver drains),
 //! while the *timing* of each call is composed on the virtual clock from
 //! the calibrated cost model: trampolined or native `clock_gettime`,
-//! `ff_write` work (fixed + per-byte copy + heavy-tail jitter), and for
-//! Scenario 2 the sealed-pair cross-call plus the service mutex with its
-//! background contenders (the F-Stack main loop, and in the contended
-//! variant a second application cVM).
+//! `ff_write` work (fixed + per-byte copy + heavy-tail jitter), and, when
+//! the scenario's [`Layout`] puts the app outside F-Stack's domain, one
+//! sealed crossing per domain change plus the service mutex with its
+//! background contenders (the F-Stack main loop, and when two apps share
+//! the service, the second app).
 
+use crate::scenario::{Component, Layout, ScenarioKind};
 use crate::stats::{iqr_filter, Summary};
 use crate::CapnetError;
 use cheri::{Capability, Perms, TaggedMemory};
@@ -34,65 +36,11 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use updk::nic::MacAddr;
 
-/// The isolation design under measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LatencyScenario {
-    /// No CHERI, single process: native syscalls, intra-process `ff_write`.
-    Baseline,
-    /// Scenario 1: the stack lives with the app in one cVM — `ff_write` is
-    /// a local call, but the measurement clock crosses the trampoline.
-    Scenario1,
-    /// Scenario 2 with one app cVM; inter-write gap enlarged per the paper.
-    Scenario2Uncontended,
-    /// Scenario 2 with the F-Stack loop busy and a second app contending.
-    Scenario2Contended,
-    /// Extension (paper future work (i)): DPDK split from F-Stack — one
-    /// more sealed crossing on the write path (the packet hand-off rides a
-    /// lock-free SPSC ring, so no second mutex).
-    Scenario3,
-    /// Extension (paper future work (ii)): the entire stack separated —
-    /// app / F-Stack / DPDK / NIC-register proxy, three crossings total.
-    Scenario4,
-}
-
-impl LatencyScenario {
-    /// Paper-style label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LatencyScenario::Baseline => "Baseline",
-            LatencyScenario::Scenario1 => "Scenario 1",
-            LatencyScenario::Scenario2Uncontended => "Scenario 2 (uncontended)",
-            LatencyScenario::Scenario2Contended => "Scenario 2 (contended)",
-            LatencyScenario::Scenario3 => "Scenario 3 (ext: DPDK split)",
-            LatencyScenario::Scenario4 => "Scenario 4 (ext: full split)",
-        }
-    }
-
-    /// Sealed cross-compartment hand-offs *inside* the service chain, past
-    /// the app→service entry crossing (0 for the paper's scenarios).
-    fn inner_crossings(&self) -> u64 {
-        match self {
-            LatencyScenario::Baseline
-            | LatencyScenario::Scenario1
-            | LatencyScenario::Scenario2Uncontended
-            | LatencyScenario::Scenario2Contended => 0,
-            LatencyScenario::Scenario3 => 1,
-            LatencyScenario::Scenario4 => 2,
-        }
-    }
-}
-
-impl fmt::Display for LatencyScenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// The measured distribution for one scenario.
 #[derive(Debug, Clone)]
 pub struct FfWriteRun {
     /// Which design was measured.
-    pub scenario: LatencyScenario,
+    pub scenario: ScenarioKind,
     /// Iterations executed.
     pub iterations: usize,
     /// Box-plot summary after IQR outlier removal.
@@ -106,8 +54,8 @@ impl fmt::Display for FfWriteRun {
         let s = &self.summary;
         write!(
             f,
-            "{:<26} mean={:>8.1}ns std={:>7.1}ns q1={:>7} med={:>7} q3={:>7} (n={}, {:.1}% outliers removed)",
-            self.scenario.label(),
+            "{:<34} mean={:>8.1}ns std={:>7.1}ns q1={:>7} med={:>7} q3={:>7} (n={}, {:.1}% outliers removed)",
+            self.scenario,
             s.mean,
             s.std,
             s.q1,
@@ -122,7 +70,7 @@ impl fmt::Display for FfWriteRun {
 /// Payload per `ff_write` — one MSS, as the bulk path uses.
 const WRITE_BYTES: u64 = 1448;
 
-/// Background mutex contenders for the Scenario 2 variants.
+/// Background mutex contenders: the F-Stack loop, and a second app.
 struct Background {
     next_loop: SimTime,
     loop_hold_ns: u64,
@@ -176,46 +124,64 @@ impl Background {
 /// Everything the measurement loop needs, per scenario.
 struct Rig {
     mem: TaggedMemory,
-    /// Present in the CHERI scenarios; carries kernel + cVMs.
+    /// Present when the layout's domains are cVMs; carries kernel + cVMs.
     iv: Option<Intravisor>,
-    /// Present in the Baseline; the direct kernel.
+    /// Present when they are MMU processes; the direct kernel.
     kernel: Option<Kernel>,
     app_cvm: Option<CvmId>,
-    service: Option<ServiceId>,
+    /// The F-Stack service, its mutex and that mutex's other contenders,
+    /// present when the app calls F-Stack across a domain boundary.
+    service: Option<(ServiceId, ServiceMutex, Background)>,
     sender: FStack,
     receiver: FStack,
     send_fd: chos::fdtable::Fd,
     recv_fd: chos::fdtable::Fd,
     payload: Capability,
     recv_buf: Capability,
-    mutex: Option<ServiceMutex>,
-    background: Option<Background>,
     costs: CostModel,
     rng: SimRng,
-    /// Inter-iteration gap (enlarged for the uncontended S2 run).
+    /// Inter-iteration gap (enlarged for one app behind a service).
     gap: SimDuration,
 }
 
+/// The cVM that hosts a domain, named after the domain's first component.
+fn cvm_config(lead: Component) -> CvmConfig {
+    let (name, kib) = match lead {
+        Component::App => ("iperf-app", 64),
+        Component::App2 => ("iperf-app-2", 64),
+        Component::FStack => ("fstack-svc", 128),
+        Component::Dpdk => ("updk-svc", 128),
+        Component::NicProxy => ("nic-proxy", 64),
+    };
+    CvmConfig::new(name).mem_size(kib * 1024)
+}
+
+/// Boots one cVM per domain of `layout`, in the layout's order.
+fn boot(layout: &Layout, costs: &CostModel) -> Result<(Intravisor, Vec<CvmId>), CapnetError> {
+    let mut iv = Intravisor::new(1 << 21, costs.clone());
+    let cvms = layout
+        .domains
+        .iter()
+        .map(|domain| iv.create_cvm(cvm_config(domain[0])))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((iv, cvms))
+}
+
 impl Rig {
-    fn build(scenario: LatencyScenario, costs: CostModel, seed: u64) -> Result<Rig, CapnetError> {
-        let cheri_mode = scenario != LatencyScenario::Baseline;
-        let (mut mem, iv, kernel, app_cvm) = if cheri_mode {
-            let mut iv = Intravisor::new(1 << 21, costs.clone());
-            let app = iv.create_cvm(CvmConfig::new("iperf-app").mem_size(64 * 1024))?;
-            (TaggedMemory::new(1 << 21), Some(iv), None, Some(app))
+    fn build(layout: &Layout, costs: CostModel, seed: u64) -> Result<Rig, CapnetError> {
+        let mut mem = TaggedMemory::new(1 << 21);
+        let (mut iv, kernel, cvms) = if layout.cheri {
+            let (iv, cvms) = boot(layout, &costs)?;
+            (Some(iv), None, cvms)
         } else {
-            (
-                TaggedMemory::new(1 << 21),
-                None,
-                Some(Kernel::new(costs.clone())),
-                None,
-            )
+            (None, Some(Kernel::new(costs.clone())), Vec::new())
         };
+        let domain_cvm = |c: Component| layout.domain_of(c).and_then(|d| cvms.get(d).copied());
+        let app_cvm = domain_cvm(Component::App);
         // NOTE: the stacks live in `mem` (the network data plane); the
         // Intravisor's own memory holds the cVM control plane. On the real
         // system both are one address space; splitting them here only
         // affects which arena the capability checks index.
-        let mut iv = iv;
         let (payload, recv_buf) = if let (Some(iv), Some(app)) = (iv.as_mut(), app_cvm) {
             // App-owned buffers: capabilities bounded to the app cVM region.
             let p = iv.cvm_alloc(app, WRITE_BYTES, 16)?;
@@ -273,58 +239,17 @@ impl Rig {
         }
         let recv_fd = receiver.ff_accept(lfd)?;
 
-        // Scenario 2 machinery.
-        let (service, mutex, background, gap) = match scenario {
-            LatencyScenario::Baseline | LatencyScenario::Scenario1 => {
-                (None, None, None, SimDuration::from_micros(2))
-            }
-            LatencyScenario::Scenario2Uncontended
-            | LatencyScenario::Scenario3
-            | LatencyScenario::Scenario4 => {
-                let iv_ref = iv.as_mut().expect("cheri mode");
-                let svc_cvm =
-                    iv_ref.create_cvm(CvmConfig::new("fstack-svc").mem_size(128 * 1024))?;
-                // The deeper splits get their own service compartments; the
-                // write path crosses into them via SPSC rings (costed as
-                // inner crossings in the measurement loop).
-                if scenario.inner_crossings() >= 1 {
-                    let _updk =
-                        iv_ref.create_cvm(CvmConfig::new("updk-svc").mem_size(128 * 1024))?;
-                }
-                if scenario.inner_crossings() >= 2 {
-                    let _nic =
-                        iv_ref.create_cvm(CvmConfig::new("nic-proxy").mem_size(64 * 1024))?;
-                }
-                let svc = iv_ref.register_service(svc_cvm, "ff-api")?;
-                // The service loop is nearly idle: brief lock holds, long
-                // period — and the measured app enlarges its inter-write
-                // gap, per the paper's protocol.
-                let bg = Background {
-                    next_loop: SimTime::ZERO,
-                    loop_hold_ns: 150,
-                    loop_gap_ns: 20_000,
-                    next_app: None,
-                    app_hold_ns: 0,
-                    app_gap_ns: 0,
-                    rng: SimRng::seed_from_u64(seed ^ 0xB6),
-                };
-                (
-                    Some(svc),
-                    Some(ServiceMutex::new(&costs)),
-                    Some(bg),
-                    SimDuration::from_micros(30),
-                )
-            }
-            LatencyScenario::Scenario2Contended => {
-                let iv_ref = iv.as_mut().expect("cheri mode");
-                let svc_cvm =
-                    iv_ref.create_cvm(CvmConfig::new("fstack-svc").mem_size(128 * 1024))?;
-                let _third =
-                    iv_ref.create_cvm(CvmConfig::new("iperf-app-2").mem_size(64 * 1024))?;
-                let svc = iv_ref.register_service(svc_cvm, "ff-api")?;
+        // The service, when `ff_*` calls leave the app's domain.
+        let (service, gap) = if layout.crossings() == 0 {
+            (None, SimDuration::from_micros(2))
+        } else {
+            let svc_cvm = domain_cvm(Component::FStack).expect("a split layout boots cVMs");
+            let iv = iv.as_mut().expect("a split layout boots cVMs");
+            let id = iv.register_service(svc_cvm, "ff-api")?;
+            let (background, gap) = if layout.apps() > 1 {
                 // The loop is saturated serving two flows and the second
                 // app writes back-to-back: long holds, short gaps.
-                let bg = Background {
+                let contended = Background {
                     next_loop: SimTime::ZERO,
                     loop_hold_ns: costs.s2_loop_hold_ns,
                     loop_gap_ns: 900,
@@ -333,13 +258,23 @@ impl Rig {
                     app_gap_ns: 2_600,
                     rng: SimRng::seed_from_u64(seed ^ 0xB7),
                 };
-                (
-                    Some(svc),
-                    Some(ServiceMutex::new(&costs)),
-                    Some(bg),
-                    SimDuration::from_micros(2),
-                )
-            }
+                (contended, SimDuration::from_micros(2))
+            } else {
+                // The service loop is nearly idle: brief lock holds, long
+                // period — and the measured app enlarges its inter-write
+                // gap, per the paper's protocol.
+                let idle = Background {
+                    next_loop: SimTime::ZERO,
+                    loop_hold_ns: 150,
+                    loop_gap_ns: 20_000,
+                    next_app: None,
+                    app_hold_ns: 0,
+                    app_gap_ns: 0,
+                    rng: SimRng::seed_from_u64(seed ^ 0xB6),
+                };
+                (idle, SimDuration::from_micros(30))
+            };
+            (Some((id, ServiceMutex::new(&costs), background)), gap)
         };
 
         Ok(Rig {
@@ -354,8 +289,6 @@ impl Rig {
             recv_fd,
             payload,
             recv_buf,
-            mutex,
-            background,
             costs,
             rng: SimRng::seed_from_u64(seed),
             gap,
@@ -423,12 +356,16 @@ impl Rig {
 ///
 /// Propagates configuration failures; measurement itself is infallible.
 pub fn measure(
-    scenario: LatencyScenario,
+    scenario: ScenarioKind,
     iterations: usize,
     costs: CostModel,
     seed: u64,
 ) -> Result<FfWriteRun, CapnetError> {
-    let mut rig = Rig::build(scenario, costs, seed)?;
+    let layout = scenario.layout();
+    // Sealed hand-offs past the app → F-Stack entry; the payload rides
+    // SPSC rings through them before `ff_write` can return.
+    let inner = SimDuration::from_nanos(costs.xcall_ns * layout.crossings().saturating_sub(1));
+    let mut rig = Rig::build(layout, costs, seed)?;
     let mut samples = Vec::with_capacity(iterations);
     let mut now = SimTime::from_millis(10);
 
@@ -436,31 +373,19 @@ pub fn measure(
         // t0 = clock_gettime(...)
         let (reading0, t) = rig.clock(now);
 
-        // ff_write(fd, buf, nbytes) — timing path per scenario…
+        // ff_write(fd, buf, nbytes) — a local call, or a crossing into the
+        // service and its mutex…
         let work = rig.ff_work();
-        let t_done = match scenario {
-            LatencyScenario::Baseline | LatencyScenario::Scenario1 => t + work,
-            LatencyScenario::Scenario2Uncontended
-            | LatencyScenario::Scenario2Contended
-            | LatencyScenario::Scenario3
-            | LatencyScenario::Scenario4 => {
-                let iv = rig.iv.as_mut().expect("cheri mode");
-                let svc = rig.service.expect("service registered");
-                let app = rig.app_cvm.expect("app cvm");
-                let grant = iv.xcall(app, svc, t)?;
-                let entered = grant.entered_at;
-                let mutex = rig.mutex.as_mut().expect("s2 mutex");
-                if let Some(bg) = rig.background.as_mut() {
-                    bg.replay(mutex, entered);
-                }
-                let g = mutex.acquire(entered, work);
-                // Deeper splits hand the payload onward through sealed
-                // SPSC crossings before ff_write can return.
-                let inner =
-                    SimDuration::from_nanos(rig.costs.xcall_ns * scenario.inner_crossings());
-                // Return crossing mirrors the entry crossing.
-                g.released_at + inner + grant.crossing
-            }
+        let t_done = if let Some((svc, mutex, background)) = rig.service.as_mut() {
+            let iv = rig.iv.as_mut().expect("a service runs in a cVM");
+            let app = rig.app_cvm.expect("app cvm");
+            let grant = iv.xcall(app, *svc, t)?;
+            background.replay(mutex, grant.entered_at);
+            let g = mutex.acquire(grant.entered_at, work);
+            // Return crossing mirrors the entry crossing.
+            g.released_at + inner + grant.crossing
+        } else {
+            t + work
         };
         // …and the real call, for correctness of the data path.
         match rig
@@ -497,41 +422,21 @@ pub fn measure(
     })
 }
 
-/// Runs Figs. 4–6 in one sweep (shared iteration count and seed).
+/// Measures each of `kinds` in order, with a shared iteration count and
+/// seed.
 ///
 /// # Errors
 ///
 /// Propagates the first scenario failure.
-pub fn run_all(
+pub fn run_scenarios(
+    kinds: &[ScenarioKind],
     iterations: usize,
     costs: CostModel,
     seed: u64,
 ) -> Result<Vec<FfWriteRun>, CapnetError> {
-    [
-        LatencyScenario::Baseline,
-        LatencyScenario::Scenario1,
-        LatencyScenario::Scenario2Uncontended,
-        LatencyScenario::Scenario2Contended,
-    ]
-    .into_iter()
-    .map(|s| measure(s, iterations, costs.clone(), seed))
-    .collect()
-}
-
-/// Measures the extension scenarios (paper §VI future work): Scenario 3
-/// (DPDK split) and Scenario 4 (full stack separation).
-///
-/// # Errors
-///
-/// Propagates the first scenario failure.
-pub fn run_extensions(
-    iterations: usize,
-    costs: CostModel,
-    seed: u64,
-) -> Result<Vec<FfWriteRun>, CapnetError> {
-    [LatencyScenario::Scenario3, LatencyScenario::Scenario4]
-        .into_iter()
-        .map(|s| measure(s, iterations, costs.clone(), seed))
+    kinds
+        .iter()
+        .map(|&kind| measure(kind, iterations, costs.clone(), seed))
         .collect()
 }
 
@@ -541,14 +446,14 @@ mod tests {
 
     const ITERS: usize = 4_000;
 
-    fn run(s: LatencyScenario) -> FfWriteRun {
+    fn run(s: ScenarioKind) -> FfWriteRun {
         measure(s, ITERS, CostModel::morello(), 42).unwrap()
     }
 
     #[test]
     fn fig4_scenario1_costs_about_125ns_more_than_baseline() {
-        let base = run(LatencyScenario::Baseline);
-        let s1 = run(LatencyScenario::Scenario1);
+        let base = run(ScenarioKind::BaselineSingleProcess);
+        let s1 = run(ScenarioKind::Scenario1);
         let delta = s1.summary.mean - base.summary.mean;
         assert!(
             (delta - 125.0).abs() < 45.0,
@@ -558,8 +463,8 @@ mod tests {
 
     #[test]
     fn fig5_s2_uncontended_adds_about_200ns_over_s1() {
-        let s1 = run(LatencyScenario::Scenario1);
-        let s2 = run(LatencyScenario::Scenario2Uncontended);
+        let s1 = run(ScenarioKind::Scenario1);
+        let s2 = run(ScenarioKind::Scenario2Uncontended);
         let delta = s2.summary.mean - s1.summary.mean;
         assert!(
             (delta - 200.0).abs() < 80.0,
@@ -569,8 +474,8 @@ mod tests {
 
     #[test]
     fn fig6_contention_costs_tens_of_microseconds() {
-        let s2u = run(LatencyScenario::Scenario2Uncontended);
-        let s2c = run(LatencyScenario::Scenario2Contended);
+        let s2u = run(ScenarioKind::Scenario2Uncontended);
+        let s2c = run(ScenarioKind::Scenario2Contended);
         let overhead = s2c.summary.mean - s2u.summary.mean;
         assert!(
             (12_000.0..30_000.0).contains(&overhead),
@@ -581,7 +486,7 @@ mod tests {
     #[test]
     fn boxes_collapse_for_fast_scenarios() {
         // The paper: >50% identical results, p25 = p75 for Baseline/S1.
-        let base = run(LatencyScenario::Baseline);
+        let base = run(ScenarioKind::BaselineSingleProcess);
         assert!(
             base.summary.q3 - base.summary.q1 <= 50,
             "baseline IQR {} should be tiny",
@@ -592,8 +497,8 @@ mod tests {
     #[test]
     fn scenario3_adds_one_inner_crossing_over_s2() {
         let costs = CostModel::morello();
-        let s2 = run(LatencyScenario::Scenario2Uncontended);
-        let s3 = run(LatencyScenario::Scenario3);
+        let s2 = run(ScenarioKind::Scenario2Uncontended);
+        let s3 = run(ScenarioKind::Scenario3);
         let delta = s3.summary.mean - s2.summary.mean;
         let expect = costs.xcall_ns as f64;
         assert!(
@@ -605,8 +510,8 @@ mod tests {
     #[test]
     fn scenario4_adds_two_inner_crossings_over_s2() {
         let costs = CostModel::morello();
-        let s2 = run(LatencyScenario::Scenario2Uncontended);
-        let s4 = run(LatencyScenario::Scenario4);
+        let s2 = run(ScenarioKind::Scenario2Uncontended);
+        let s4 = run(ScenarioKind::Scenario4);
         let delta = s4.summary.mean - s2.summary.mean;
         let expect = 2.0 * costs.xcall_ns as f64;
         assert!(
@@ -620,10 +525,10 @@ mod tests {
         // Isolation depth must cost monotonically: S2u ≤ S3 ≤ S4, and all
         // of them far below the contended S2 (isolation is cheap next to
         // contention — the paper's central quantitative message).
-        let s2u = run(LatencyScenario::Scenario2Uncontended);
-        let s3 = run(LatencyScenario::Scenario3);
-        let s4 = run(LatencyScenario::Scenario4);
-        let s2c = run(LatencyScenario::Scenario2Contended);
+        let s2u = run(ScenarioKind::Scenario2Uncontended);
+        let s3 = run(ScenarioKind::Scenario3);
+        let s4 = run(ScenarioKind::Scenario4);
+        let s2c = run(ScenarioKind::Scenario2Contended);
         assert!(s2u.summary.mean <= s3.summary.mean);
         assert!(s3.summary.mean <= s4.summary.mean);
         assert!(s4.summary.mean < s2c.summary.mean / 4.0);
@@ -631,11 +536,51 @@ mod tests {
 
     #[test]
     fn outlier_fraction_is_paperlike() {
-        let s1 = run(LatencyScenario::Scenario1);
+        let s1 = run(ScenarioKind::Scenario1);
         assert!(
             s1.removed_fraction < 0.2,
             "removed {:.1}%",
             s1.removed_fraction * 100.0
         );
+    }
+
+    /// The rig boots one cVM per domain of the layout, in the layout's
+    /// order, and registers the F-Stack service only when `ff_*` calls
+    /// cross into it; MMU-process layouts boot none.
+    #[test]
+    fn the_rig_boots_one_cvm_per_domain() {
+        use ScenarioKind::*;
+        let expected: [(ScenarioKind, &[&str]); 7] = [
+            (BaselineTwoProcess, &[]),
+            (Scenario1, &["iperf-app"]),
+            (BaselineSingleProcess, &[]),
+            (Scenario2Uncontended, &["iperf-app", "fstack-svc"]),
+            (
+                Scenario2Contended,
+                &["iperf-app", "fstack-svc", "iperf-app-2"],
+            ),
+            (Scenario3, &["iperf-app", "fstack-svc", "updk-svc"]),
+            (
+                Scenario4,
+                &["iperf-app", "fstack-svc", "updk-svc", "nic-proxy"],
+            ),
+        ];
+        let costs = CostModel::morello();
+        for (kind, names) in expected {
+            let layout = kind.layout();
+            let rig = Rig::build(layout, costs.clone(), 1).unwrap();
+            assert_eq!(rig.iv.is_some(), layout.cheri, "{kind}");
+            assert_eq!(rig.service.is_some(), layout.crossings() > 0, "{kind}");
+            let mut booted = Vec::new();
+            if layout.cheri {
+                let (iv, cvms) = boot(layout, &costs).unwrap();
+                assert_eq!(iv.cvm_count(), cvms.len(), "{kind}");
+                booted = cvms
+                    .iter()
+                    .map(|&id| iv.cvm(id).name().to_string())
+                    .collect();
+            }
+            assert_eq!(booted, names, "{kind}");
+        }
     }
 }

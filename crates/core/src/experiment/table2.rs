@@ -125,7 +125,7 @@ pub fn run_scenarios(
     let mut blocks = Vec::new();
     for &kind in kinds {
         let mut block = Block {
-            scenario: kind.label().to_string(),
+            scenario: kind.to_string(),
             server: Vec::new(),
             client: Vec::new(),
         };

@@ -1,16 +1,15 @@
 //! The paper's system designs (§III) as runnable simulation topologies.
 //!
-//! * **Baseline** — no CHERI: MMU-isolated processes. Two-process form
-//!   (compared against Scenario 1) and single-process form (compared
-//!   against Scenario 2).
-//! * **Scenario 1** — the whole stack (iperf + F-Stack + DPDK) replicated
-//!   into two cVMs, one per Ethernet port; the only crossings are musl
-//!   syscall trampolines.
-//! * **Scenario 2** — applications split from one F-Stack/DPDK service
-//!   cVM; every `ff_*` call crosses compartments and takes the service
-//!   mutex. Evaluated uncontended (one app cVM) and contended (two).
-//! * **Scenario 3** *(paper future work (i), implemented as an extension)* —
-//!   DPDK split from F-Stack as well: two service crossings per call.
+//! Each design is one [`Layout`], read through [`ScenarioKind::layout`]:
+//! which of the app, F-Stack, DPDK and the NIC-register proxy share a
+//! protection domain, and how many of the 82576's ports it drives. The
+//! table holds the paper's Baseline (two-process and single-process),
+//! Scenario 1 (the whole stack per cVM, one per port) and Scenario 2 (apps
+//! split from one F-Stack/DPDK service, uncontended and contended), and
+//! its two future-work splits as extensions: Scenario 3 (DPDK split from
+//! F-Stack) and Scenario 4 (every component in its own cVM). The per-call
+//! crossings and their cost, the flows per port and the Figs. 4–6 rig are
+//! derived from the partition.
 //!
 //! Traffic always runs against ideal measurement hosts cabled to the DUT's
 //! 82576 ports, mirroring the paper's server (receiver) and client (sender)
@@ -43,13 +42,138 @@ pub enum ScenarioKind {
     Scenario2Uncontended,
     /// Two app cVMs contending on the service mutex.
     Scenario2Contended,
-    /// Extension: app + F-Stack cVM + DPDK cVM (three-way split).
+    /// Extension (paper future work (i)): app + F-Stack cVM + DPDK cVM.
     Scenario3,
     /// Extension (paper future work (ii), "separation of the entire
     /// stack"): app, F-Stack, DPDK and the NIC-register proxy each in
-    /// their own cVM — three crossings on every `ff_*` call path.
+    /// their own cVM.
     Scenario4,
 }
+
+/// One software component of the DUT's network path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Component {
+    /// The iperf application.
+    App,
+    /// The second iperf application, contending for the same service.
+    App2,
+    /// The F-Stack TCP/IP library.
+    FStack,
+    /// The DPDK poll-mode driver.
+    Dpdk,
+    /// The proxy that owns the NIC's registers.
+    NicProxy,
+}
+
+use Component::{App, App2, Dpdk, FStack, NicProxy};
+
+/// A §III design as data: the partition of [`Component`]s into protection
+/// domains, and what the testbed needs to run it. Everything else about a
+/// scenario is derived from these fields.
+#[derive(Debug, Clone, Copy)]
+pub struct Layout {
+    /// The Table II label.
+    pub label: &'static str,
+    /// The 82576 ports in use; the layout is replicated on each.
+    pub ports: usize,
+    /// `true` when the domains are cVMs, `false` when MMU processes.
+    pub cheri: bool,
+    /// The DUT apps' report labels: port by port, app by app within one.
+    pub dut_labels: &'static [&'static str],
+    /// The protection domains, in the order their cVMs are created.
+    pub domains: &'static [&'static [Component]],
+}
+
+impl Layout {
+    /// The index of the domain holding `component`, if the layout has it.
+    pub fn domain_of(&self, component: Component) -> Option<usize> {
+        self.domains.iter().position(|d| d.contains(&component))
+    }
+
+    /// Compartment crossings per `ff_*` call: the domain changes along the
+    /// call's path, app → F-Stack → DPDK → NIC proxy.
+    pub fn crossings(&self) -> u64 {
+        let path = [App, FStack, Dpdk, NicProxy].map(|c| self.domain_of(c));
+        path.windows(2).filter(|w| w[0] != w[1]).count() as u64
+    }
+
+    /// The apps on each port, one iperf flow each.
+    pub fn apps(&self) -> usize {
+        self.domains
+            .iter()
+            .flat_map(|d| d.iter())
+            .filter(|c| matches!(c, App | App2))
+            .count()
+    }
+
+    /// The DUT hosts' charge: one `xcall_ns` per crossing, plus the
+    /// service mutex's fast path whenever the app calls into a service.
+    /// The deeper splits add crossings but no further mutexes: their
+    /// compartment-to-compartment packet hand-offs ride single-producer/
+    /// single-consumer rings (as DPDK's do), which need no lock.
+    pub fn profile(&self, costs: &CostModel) -> IsolationProfile {
+        let crossings = self.crossings();
+        let s2_service = crossings > 0;
+        let mutex_ns = if s2_service { costs.mutex_fast_ns } else { 0 };
+        IsolationProfile {
+            per_ff_call_ns: crossings * costs.xcall_ns + mutex_ns,
+            s2_service,
+        }
+    }
+}
+
+/// The whole stack in one domain.
+const MONOLITH: &[&[Component]] = &[&[App, FStack, Dpdk, NicProxy]];
+
+const BASELINE_TWO_PROCESS: Layout = Layout {
+    label: "Baseline (two processes)",
+    ports: 2,
+    cheri: false,
+    dut_labels: &["cVM1", "cVM2"],
+    domains: MONOLITH,
+};
+const BASELINE_SINGLE_PROCESS: Layout = Layout {
+    label: "Baseline (single process)",
+    ports: 1,
+    cheri: false,
+    dut_labels: &["Baseline"],
+    domains: MONOLITH,
+};
+const SCENARIO_1: Layout = Layout {
+    label: "Scenario 1",
+    ports: 2,
+    cheri: true,
+    dut_labels: &["cVM1", "cVM2"],
+    domains: MONOLITH,
+};
+const SCENARIO_2_UNCONTENDED: Layout = Layout {
+    label: "Scenario 2 (uncontended)",
+    ports: 1,
+    cheri: true,
+    dut_labels: &["cVM2"],
+    domains: &[&[App], &[FStack, Dpdk, NicProxy]],
+};
+const SCENARIO_2_CONTENDED: Layout = Layout {
+    label: "Scenario 2 (contended)",
+    ports: 1,
+    cheri: true,
+    dut_labels: &["cVM2", "cVM3"],
+    domains: &[&[App], &[FStack, Dpdk, NicProxy], &[App2]],
+};
+const SCENARIO_3: Layout = Layout {
+    label: "Scenario 3 (extension)",
+    ports: 1,
+    cheri: true,
+    dut_labels: &["cVM1"],
+    domains: &[&[App], &[FStack], &[Dpdk, NicProxy]],
+};
+const SCENARIO_4: Layout = Layout {
+    label: "Scenario 4 (extension: full split)",
+    ports: 1,
+    cheri: true,
+    dut_labels: &["cVM1"],
+    domains: &[&[App], &[FStack], &[Dpdk], &[NicProxy]],
+};
 
 impl ScenarioKind {
     /// All scenarios in Table II order (the extensions last).
@@ -65,31 +189,23 @@ impl ScenarioKind {
         ]
     }
 
-    /// The label used in Table II.
-    pub fn label(&self) -> &'static str {
+    /// The design's compartment layout.
+    pub fn layout(self) -> &'static Layout {
         match self {
-            ScenarioKind::BaselineTwoProcess => "Baseline (two processes)",
-            ScenarioKind::BaselineSingleProcess => "Baseline (single process)",
-            ScenarioKind::Scenario1 => "Scenario 1",
-            ScenarioKind::Scenario2Uncontended => "Scenario 2 (uncontended)",
-            ScenarioKind::Scenario2Contended => "Scenario 2 (contended)",
-            ScenarioKind::Scenario3 => "Scenario 3 (extension)",
-            ScenarioKind::Scenario4 => "Scenario 4 (extension: full split)",
+            ScenarioKind::BaselineTwoProcess => &BASELINE_TWO_PROCESS,
+            ScenarioKind::BaselineSingleProcess => &BASELINE_SINGLE_PROCESS,
+            ScenarioKind::Scenario1 => &SCENARIO_1,
+            ScenarioKind::Scenario2Uncontended => &SCENARIO_2_UNCONTENDED,
+            ScenarioKind::Scenario2Contended => &SCENARIO_2_CONTENDED,
+            ScenarioKind::Scenario3 => &SCENARIO_3,
+            ScenarioKind::Scenario4 => &SCENARIO_4,
         }
-    }
-
-    /// `true` when both Ethernet ports of the 82576 are in use.
-    pub fn dual_port(&self) -> bool {
-        matches!(
-            self,
-            ScenarioKind::BaselineTwoProcess | ScenarioKind::Scenario1
-        )
     }
 }
 
 impl fmt::Display for ScenarioKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+        f.pad(self.layout().label)
     }
 }
 
@@ -640,7 +756,6 @@ impl ScenarioSpec {
                     .into(),
             ));
         }
-        let costs = &self.costs;
         let mut sim = self.new_sim();
         let dut_dev = sim.add_dev(NicModel::Dual82576)?;
         let traffic = self.duration;
@@ -648,40 +763,11 @@ impl ScenarioSpec {
         // part.
         let run_for = self.duration + SimDuration::from_millis(30);
 
-        // Per-`ff_*`-call crossing charge for the scenario.
-        let per_call = match kind {
-            ScenarioKind::BaselineTwoProcess
-            | ScenarioKind::BaselineSingleProcess
-            | ScenarioKind::Scenario1 => 0,
-            ScenarioKind::Scenario2Uncontended | ScenarioKind::Scenario2Contended => {
-                costs.xcall_ns + costs.mutex_fast_ns
-            }
-            // The deeper splits add crossings but no further mutexes: the
-            // compartment-to-compartment packet hand-offs ride single-
-            // producer/single-consumer rings (as DPDK's do), which need no
-            // lock.
-            ScenarioKind::Scenario3 => 2 * costs.xcall_ns + costs.mutex_fast_ns,
-            ScenarioKind::Scenario4 => 3 * costs.xcall_ns + costs.mutex_fast_ns,
-        };
-        let s2_service = matches!(
-            kind,
-            ScenarioKind::Scenario2Uncontended
-                | ScenarioKind::Scenario2Contended
-                | ScenarioKind::Scenario3
-                | ScenarioKind::Scenario4
-        );
-        let profile = IsolationProfile {
-            per_ff_call_ns: per_call,
-            s2_service,
-        };
+        let layout = kind.layout();
+        let profile = layout.profile(&self.costs);
+        let flows = layout.apps();
 
-        let ports: usize = if kind.dual_port() { 2 } else { 1 };
-        let flows: usize = match kind {
-            ScenarioKind::Scenario2Contended => 2,
-            _ => 1,
-        };
-
-        for port in 0..ports {
+        for port in 0..layout.ports {
             let peer_dev = sim.add_dev(NicModel::Host)?;
             sim.link(dut_dev, port, peer_dev, 0)?;
             let dut = sim.add_node(
@@ -702,12 +788,7 @@ impl ScenarioSpec {
             sim.configure_node(peer, self.node_config());
             for flow in 0..flows {
                 let svc_port = 5201 + flow as u16;
-                let dut_label = match kind {
-                    ScenarioKind::Scenario2Contended => format!("cVM{}", flow + 2),
-                    ScenarioKind::Scenario2Uncontended => "cVM2".to_string(),
-                    ScenarioKind::BaselineSingleProcess => "Baseline".to_string(),
-                    _ => format!("cVM{}", port + 1),
-                };
+                let dut_label = layout.dut_labels[port * flows + flow];
                 match mode {
                     TrafficMode::Server => {
                         sim.add_server(dut, dut_label, svc_port)?;
@@ -897,14 +978,37 @@ pub fn fairness_index(mbits: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// Every scenario property the runs read is derived from the
+    /// layout's partition; this is the table it must come to, in
+    /// [`ScenarioKind::all`] order.
     #[test]
-    fn labels_and_port_counts() {
-        assert!(ScenarioKind::Scenario1.dual_port());
-        assert!(ScenarioKind::BaselineTwoProcess.dual_port());
-        assert!(!ScenarioKind::Scenario2Contended.dual_port());
-        assert!(!ScenarioKind::Scenario4.dual_port());
-        assert_eq!(ScenarioKind::all().len(), 7);
-        assert!(ScenarioKind::Scenario1.to_string().contains("Scenario 1"));
+    fn layouts_derive_crossings_ports_service_and_labels() {
+        use ScenarioKind::*;
+        let costs = CostModel::morello();
+        // (kind, crossings, ports, s2_service, DUT labels)
+        let table: [(ScenarioKind, u64, usize, bool, &[&str]); 7] = [
+            (BaselineTwoProcess, 0, 2, false, &["cVM1", "cVM2"]),
+            (Scenario1, 0, 2, false, &["cVM1", "cVM2"]),
+            (BaselineSingleProcess, 0, 1, false, &["Baseline"]),
+            (Scenario2Uncontended, 1, 1, true, &["cVM2"]),
+            (Scenario2Contended, 1, 1, true, &["cVM2", "cVM3"]),
+            (Scenario3, 2, 1, true, &["cVM1"]),
+            (Scenario4, 3, 1, true, &["cVM1"]),
+        ];
+        assert_eq!(ScenarioKind::all(), table.map(|row| row.0));
+        for (kind, crossings, ports, s2_service, labels) in table {
+            let layout = kind.layout();
+            assert_eq!(layout.crossings(), crossings, "{kind}");
+            assert_eq!(layout.ports, ports, "{kind}");
+            assert_eq!(layout.dut_labels, labels, "{kind}");
+            assert_eq!(layout.dut_labels.len(), ports * layout.apps(), "{kind}");
+            let profile = layout.profile(&costs);
+            let mutex_ns = if s2_service { costs.mutex_fast_ns } else { 0 };
+            let per_call = crossings * costs.xcall_ns + mutex_ns;
+            assert_eq!(profile.per_ff_call_ns, per_call, "{kind}");
+            assert_eq!(profile.s2_service, s2_service, "{kind}");
+        }
+        assert_eq!(Scenario1.to_string(), "Scenario 1");
         assert_eq!(TrafficMode::Server.to_string(), "Server");
     }
 

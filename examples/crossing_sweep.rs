@@ -6,9 +6,10 @@
 //! occupies ≈12.3 µs of 1 Gbit/s wire: the crossing hides under the
 //! serialization time. This sweep scales the crossing cost (as slower
 //! hardware, software fault isolation, or deeper capability revocation
-//! checks would) and reruns Table II's single-port rows for Scenario 2,
-//! 3 and 4 until the ceiling gives way — mapping the *boundary* of the
-//! paper's claim instead of just its interior.
+//! checks would) and reruns Table II's one-app, single-port rows, one
+//! column per layout in order of the crossings an `ff_*` call pays, until
+//! the ceiling gives way — mapping the *boundary* of the paper's claim
+//! instead of just its interior.
 //!
 //! Run with: `cargo run --release --example crossing_sweep`
 
@@ -26,24 +27,32 @@ fn bw(kind: ScenarioKind, costs: &CostModel) -> f64 {
 }
 
 fn main() {
+    let mut kinds: Vec<ScenarioKind> = ScenarioKind::all()
+        .into_iter()
+        .filter(|k| k.layout().ports == 1 && k.layout().apps() == 1)
+        .collect();
+    kinds.sort_by_key(|k| k.layout().crossings());
+
     let base = CostModel::morello();
-    println!("TCP goodput (Mbit/s, single port) vs cross-compartment call cost\n");
-    println!(
-        "{:>10}  {:>10}  {:>10}  {:>10}  {:>10}",
-        "xcall", "Baseline", "Scenario2", "Scenario3", "Scenario4"
-    );
+    println!("TCP goodput (Mbit/s, single port) vs cross-compartment call cost");
+    println!("columns: crossings per ff_* call");
+    for kind in &kinds {
+        println!("  {}: {kind}", kind.layout().crossings());
+    }
+    print!("\n{:>10}", "xcall");
+    for kind in &kinds {
+        print!("  {:>10}", kind.layout().crossings());
+    }
+    println!();
     for mult in [1u64, 4, 16, 64, 128, 256, 512] {
         let mut costs = base.clone();
         costs.xcall_ns = base.xcall_ns * mult;
         costs.mutex_fast_ns = base.mutex_fast_ns * mult;
-        let b = bw(ScenarioKind::BaselineSingleProcess, &costs);
-        let s2 = bw(ScenarioKind::Scenario2Uncontended, &costs);
-        let s3 = bw(ScenarioKind::Scenario3, &costs);
-        let s4 = bw(ScenarioKind::Scenario4, &costs);
-        println!(
-            "{:>7} ns  {:>10.0}  {:>10.0}  {:>10.0}  {:>10.0}",
-            costs.xcall_ns, b, s2, s3, s4
-        );
+        print!("{:>7} ns", costs.xcall_ns);
+        for &kind in &kinds {
+            print!("  {:>10.0}", bw(kind, &costs));
+        }
+        println!();
     }
     println!("\nreading: at the Morello-calibrated 170 ns every split rides the");
     println!("941 Mbit/s ceiling — the paper's claim. The deeper splits fall off");

@@ -8,7 +8,6 @@
 //! Run with: `cargo run --release --example full_report`
 //! (pass `--quick` for shorter measurement windows).
 
-use capnet::experiment::figs::LatencyScenario;
 use capnet::experiment::{fig3, figs, table1, table2};
 use capnet::netsim::AppSched;
 use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
@@ -123,33 +122,33 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Figs. 4–6.
     eprintln!("[4/7] Figs. 4-6 ({iters} iterations per scenario)…");
-    let runs = figs::run_all(iters, costs, 0xF1C5)?;
+    let runs = figs::run_scenarios(
+        &[
+            ScenarioKind::BaselineSingleProcess,
+            ScenarioKind::Scenario1,
+            ScenarioKind::Scenario2Uncontended,
+            ScenarioKind::Scenario2Contended,
+        ],
+        iters,
+        costs,
+        0xF1C5,
+    )?;
     writeln!(report, "\nFIGS. 4-6: ff_write() EXECUTION TIME")?;
     for r in &runs {
         writeln!(report, "{r}")?;
-        writeln!(
-            csv,
-            "figs,{},mean_ns,{:.1},",
-            r.scenario.label(),
-            r.summary.mean
-        )?;
+        writeln!(csv, "figs,{},mean_ns,{:.1},", r.scenario, r.summary.mean)?;
     }
     // Figs. 4–5 zoom the fast scenarios onto a sub-microsecond axis; Fig. 6
     // sets uncontended against contended on a microsecond one.
     writeln!(report, "\nFigs. 4-5 (zoom 0..1500 ns):")?;
-    for r in runs.iter().take(3) {
+    for r in &runs[..3] {
         let plot = ascii_boxplot(&r.summary, 0, 1_500, 56);
-        writeln!(report, "{:<26} |{plot}|", r.scenario.label())?;
+        writeln!(report, "{:<34} |{plot}|", r.scenario)?;
     }
     writeln!(report, "\nFig. 6 (0..40000 ns):")?;
-    for r in runs.iter().filter(|r| {
-        matches!(
-            r.scenario,
-            LatencyScenario::Scenario2Uncontended | LatencyScenario::Scenario2Contended
-        )
-    }) {
+    for r in &runs[2..] {
         let plot = ascii_boxplot(&r.summary, 0, 40_000, 56);
-        writeln!(report, "{:<26} |{plot}|", r.scenario.label())?;
+        writeln!(report, "{:<34} |{plot}|", r.scenario)?;
     }
     let d1 = runs[1].summary.mean - runs[0].summary.mean;
     let d2 = runs[2].summary.mean - runs[1].summary.mean;
@@ -167,15 +166,19 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Extension: S3/S4 latency ladder.
     eprintln!("[5/7] extension scenarios S3/S4…");
-    let ext = figs::run_extensions(iters.min(100_000), CostModel::morello(), 0xF1C5)?;
+    let ext = figs::run_scenarios(
+        &[ScenarioKind::Scenario3, ScenarioKind::Scenario4],
+        iters.min(100_000),
+        CostModel::morello(),
+        0xF1C5,
+    )?;
     writeln!(report, "\nEXTENSIONS: DEEPER SPLITS (paper future work)")?;
     for r in &ext {
         writeln!(report, "{r}")?;
         writeln!(
             csv,
             "figs_ext,{},mean_ns,{:.1},",
-            r.scenario.label(),
-            r.summary.mean
+            r.scenario, r.summary.mean
         )?;
     }
     let s2u = runs[2].summary.mean;

@@ -18,15 +18,15 @@
 //!
 //! Run with: `cargo run --release --example locking_sweep`
 
-use capnet::experiment::figs::{measure, LatencyScenario};
+use capnet::experiment::figs::measure;
+use capnet::scenario::ScenarioKind;
 use simkern::CostModel;
 
 const ITERATIONS: usize = 20_000;
 
 /// Contended Scenario 2 `ff_write` latency `(mean, median)` in ns.
 fn contended(costs: CostModel, seed: u64) -> (f64, u64) {
-    let run =
-        measure(LatencyScenario::Scenario2Contended, ITERATIONS, costs, seed).expect("measure");
+    let run = measure(ScenarioKind::Scenario2Contended, ITERATIONS, costs, seed).expect("measure");
     (run.summary.mean, run.summary.median)
 }
 

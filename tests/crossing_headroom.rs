@@ -2,12 +2,23 @@
 //!
 //! At Morello's ≈170 ns sealed-crossing cost, every compartment split
 //! rides the 941 Mbit/s ceiling (the paper's result). These tests pin the
-//! *headroom* of that claim: crossings can grow ~64× before any split
-//! leaves the ceiling, and when they do grow past it, the deeper splits
-//! (which pay more crossings per call) degrade first and in order.
+//! *headroom* of that claim over the one-app, single-port layouts:
+//! crossings can grow ~64× before any split leaves the ceiling, and when
+//! they do grow past it, the layouts that pay more crossings per call
+//! degrade first and in order.
 
 use capnet::scenario::{ScenarioKind, ScenarioSpec, TrafficMode};
 use simkern::{CostModel, SimDuration};
+
+/// The one-app, single-port layouts, fewest crossings first.
+fn single_port_layouts() -> Vec<ScenarioKind> {
+    let mut kinds: Vec<ScenarioKind> = ScenarioKind::all()
+        .into_iter()
+        .filter(|k| k.layout().ports == 1 && k.layout().apps() == 1)
+        .collect();
+    kinds.sort_by_key(|k| k.layout().crossings());
+    kinds
+}
 
 fn bw(kind: ScenarioKind, costs: &CostModel) -> f64 {
     ScenarioSpec::paper(kind, TrafficMode::Server)
@@ -30,11 +41,7 @@ fn scaled(mult: u64) -> CostModel {
 #[test]
 fn all_splits_hold_the_ceiling_with_16x_crossing_headroom() {
     let costs = scaled(16);
-    for kind in [
-        ScenarioKind::Scenario2Uncontended,
-        ScenarioKind::Scenario3,
-        ScenarioKind::Scenario4,
-    ] {
+    for kind in single_port_layouts() {
         let mbit = bw(kind, &costs);
         assert!(
             (mbit - 941.0).abs() < 25.0,
@@ -46,18 +53,23 @@ fn all_splits_hold_the_ceiling_with_16x_crossing_headroom() {
 #[test]
 fn past_the_headroom_deeper_splits_degrade_first() {
     let costs = scaled(256);
-    let s2 = bw(ScenarioKind::Scenario2Uncontended, &costs);
-    let s3 = bw(ScenarioKind::Scenario3, &costs);
-    let s4 = bw(ScenarioKind::Scenario4, &costs);
+    let kinds = single_port_layouts();
+    let crossings: Vec<u64> = kinds.iter().map(|k| k.layout().crossings()).collect();
+    assert_eq!(crossings, [0, 1, 2, 3], "{kinds:?}");
+    let mbit: Vec<f64> = kinds.iter().map(|&k| bw(k, &costs)).collect();
+    // The monolithic layout pays no crossings and must not care.
     assert!(
-        s2 > s3 && s3 > s4,
-        "ordering: S2 {s2:.0} > S3 {s3:.0} > S4 {s4:.0}"
+        (mbit[0] - 941.0).abs() < 25.0,
+        "{}: {:.0} Mbit/s",
+        kinds[0],
+        mbit[0]
     );
+    for (pair, bw) in kinds.windows(2).zip(mbit.windows(2)) {
+        assert!(bw[0] > bw[1], "{pair:?}: {bw:.0?} Mbit/s");
+    }
+    let deepest = mbit[mbit.len() - 1];
     assert!(
-        s4 < 700.0,
-        "the full split is clearly off the ceiling: {s4:.0}"
+        deepest < 700.0,
+        "the full split is clearly off the ceiling: {deepest:.0}"
     );
-    // The monolithic baseline does not pay crossings and must not care.
-    let b = bw(ScenarioKind::BaselineSingleProcess, &costs);
-    assert!((b - 941.0).abs() < 25.0, "baseline unaffected: {b:.0}");
 }

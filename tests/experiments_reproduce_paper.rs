@@ -5,7 +5,7 @@
 //! who wins, by roughly what factor, and where the crossovers fall.
 
 use capnet::experiment::{fig3, figs, table1, table2};
-use capnet::scenario::ScenarioKind;
+use capnet::scenario::ScenarioKind::{self, *};
 use simkern::{CostModel, SimDuration};
 
 #[test]
@@ -116,13 +116,14 @@ fn fig3_violation_and_matrix() {
 fn figs_4_5_6_deltas_match_the_paper() {
     const N: usize = 30_000;
     let costs = CostModel::morello();
-    let runs = figs::run_all(N, costs, 7).unwrap();
-    let (base, s1, s2u, s2c) = (
-        &runs[0].summary,
-        &runs[1].summary,
-        &runs[2].summary,
-        &runs[3].summary,
-    );
+    let kinds = [
+        BaselineSingleProcess,
+        Scenario1,
+        Scenario2Uncontended,
+        Scenario2Contended,
+    ];
+    let runs = figs::run_scenarios(&kinds, N, costs, 7).unwrap();
+    let [base, s1, s2u, s2c] = [0, 1, 2, 3].map(|i| &runs[i].summary);
     // Fig. 4: S1 − Baseline ≈ 125 ns.
     let d1 = s1.mean - base.mean;
     assert!((d1 - 125.0).abs() < 40.0, "S1-Baseline {d1:.0} ns");
@@ -143,6 +144,9 @@ fn figs_4_5_6_deltas_match_the_paper() {
     // The paper's quantization observation: fast scenarios collapse.
     assert!(base.iqr() <= 50, "baseline IQR {}", base.iqr());
     assert!(s1.iqr() <= 50, "s1 IQR {}", s1.iqr());
+    // The paper removes about 10 % as IQR outliers.
+    let removed = runs[1].removed_fraction;
+    assert!(removed < 0.2, "S1 removed {:.1}%", removed * 100.0);
 }
 
 #[test]
@@ -181,16 +185,14 @@ fn extension_scenarios_latency_ladder() {
     // the whole ladder well under the contended-mutex cliff.
     const N: usize = 20_000;
     let costs = CostModel::morello();
-    let s2u = figs::measure(
-        figs::LatencyScenario::Scenario2Uncontended,
-        N,
-        costs.clone(),
-        7,
-    )
-    .unwrap()
-    .summary;
-    let ext = figs::run_extensions(N, costs.clone(), 7).unwrap();
-    let (s3, s4) = (&ext[0].summary, &ext[1].summary);
+    let kinds = [
+        Scenario2Uncontended,
+        Scenario2Contended,
+        Scenario3,
+        Scenario4,
+    ];
+    let runs = figs::run_scenarios(&kinds, N, costs.clone(), 7).unwrap();
+    let [s2u, s2c, s3, s4] = [0, 1, 2, 3].map(|i| &runs[i].summary);
     let d3 = s3.mean - s2u.mean;
     let d4 = s4.mean - s2u.mean;
     assert!(
@@ -200,5 +202,11 @@ fn extension_scenarios_latency_ladder() {
     assert!(
         (d4 - 2.0 * costs.xcall_ns as f64).abs() < 90.0,
         "S4 adds two crossings: {d4:.0} ns"
+    );
+    assert!(
+        s4.mean < s2c.mean / 4.0,
+        "S4 {:.0} ns vs contended S2 {:.0} ns",
+        s4.mean,
+        s2c.mean
     );
 }
