@@ -4,9 +4,11 @@
 //! absolute numbers belong to the Morello testbed; what must hold here is
 //! who wins, by roughly what factor, and where the crossovers fall.
 
+mod testutil;
+
 use capnet::experiment::{fig3, figs, table1, table2};
 use capnet::scenario::ScenarioKind::{self, *};
-use simkern::{CostModel, SimDuration};
+use simkern::{CostModel, Fnv1a, SimDuration};
 
 #[test]
 fn table1_loc_fraction_is_small() {
@@ -147,6 +149,30 @@ fn figs_4_5_6_deltas_match_the_paper() {
     // The paper removes about 10 % as IQR outliers.
     let removed = runs[1].removed_fraction;
     assert!(removed < 0.2, "S1 removed {:.1}%", removed * 100.0);
+}
+
+/// Every Figs. 4–6 number, bit for bit: each kind's box-plot summary
+/// (the mean's bits included) and the fraction the IQR filter removed.
+#[test]
+fn figs_4_5_6_summaries_are_pinned() {
+    let runs = figs::run_scenarios(&ScenarioKind::all(), 4_000, CostModel::morello(), 42).unwrap();
+    let mut h = Fnv1a::default();
+    for run in &runs {
+        let s = &run.summary;
+        h.fold_u64(s.n as u64);
+        h.fold_u64(s.mean.to_bits());
+        h.fold_u64(s.std.to_bits());
+        for v in [s.min, s.q1, s.median, s.q3, s.max] {
+            h.fold_u64(v);
+        }
+        h.fold_u64(run.removed_fraction.to_bits());
+    }
+    assert_eq!(
+        h.value(),
+        testutil::FIGS_4_6_DIGEST,
+        "Figs. 4-6: got {:#018x}",
+        h.value()
+    );
 }
 
 #[test]

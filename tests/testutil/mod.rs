@@ -48,6 +48,10 @@ pub const STAR64_DIGEST: u64 = 0x18c1_7eda_ee2f_5833;
 /// (`tests/httpd_churn.rs`).
 pub const KEEPALIVE_FEW_OPEN_DIGEST: u64 = 0x1ccc_c70f_5fc3_2c1b;
 pub const KEEPALIVE_MANY_OPEN_DIGEST: u64 = 0x0a9d_54b9_5072_ee65;
+/// Figs. 4–6: every kind's `Summary` and removed fraction at 4 000
+/// iterations, seed 42, `CostModel::morello()`, folded in
+/// `ScenarioKind::all()` order (`tests/experiments_reproduce_paper.rs`).
+pub const FIGS_4_6_DIGEST: u64 = 0x06a4_4379_03c8_8981;
 
 /// Asserts that `trace` carries the pinned digest `want`, naming the
 /// scenario and printing the digest it got.
