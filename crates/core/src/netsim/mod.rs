@@ -36,12 +36,12 @@ use capnet_chaos::ChaosConfig;
 use capnet_httpd::{FleetConfig, HttpServerConfig};
 use cheri::{Capability, TaggedMemory};
 use faults::ResolvedFault;
-use fstack::loop_::ServiceMutex;
 use fstack::{CcAlgo, FStack, StackConfig};
 use node::Node;
 use shard::{ShardCtx, ShardRun};
 use simkern::cost::CostModel;
 use simkern::engine::{Engine, World};
+use simkern::resource::FifoMutex;
 use simkern::rng::SimRng;
 use simkern::time::{SimDuration, SimTime};
 use simkern::Fnv1a;
@@ -201,7 +201,7 @@ pub struct NetSim {
     impairments: Impairments,
     impairment_stats: ImpairmentStats,
     app_sched: AppSched,
-    s2_mutex: Option<ServiceMutex>,
+    s2_mutex: Option<FifoMutex>,
     stop_at: SimTime,
     /// Master seed; per-destination-port impairment streams derive from it
     /// at `run()` start (see [`NetSim::port_rng`]).
@@ -548,12 +548,11 @@ impl NetSim {
         let stack = FStack::new(StackConfig::new(name.clone(), mac, ip));
         self.mems.push(mem);
         self.mem_bump.push(4096 + POOL_BYTES);
-        if profile.s2_service && self.s2_mutex.is_none() {
-            self.s2_mutex = Some(ServiceMutex::new(&self.costs));
-        }
         self.nodes
             .push(Node::new(name, dev.0, port, mem_idx, stack, profile));
-        Ok(NodeId(self.nodes.len() - 1))
+        let id = NodeId(self.nodes.len() - 1);
+        self.set_node_profile(id, profile);
+        Ok(id)
     }
 
     /// Replaces `node`'s isolation profile. Profiles are only read when
@@ -562,7 +561,7 @@ impl NetSim {
     /// builders use this to re-cost prebuilt topologies.
     pub fn set_node_profile(&mut self, node: NodeId, profile: IsolationProfile) {
         if profile.s2_service && self.s2_mutex.is_none() {
-            self.s2_mutex = Some(ServiceMutex::new(&self.costs));
+            self.s2_mutex = Some(FifoMutex::new(&self.costs));
         }
         self.nodes[node.0].profile = profile;
     }

@@ -1,4 +1,4 @@
-//! The F-Stack poll-mode main loop and the Scenario 2 service mutex.
+//! The F-Stack poll-mode main loop.
 //!
 //! Paper §III.B: *"After an initialization phase, a main-loop is executed,
 //! with the key tasks being: (i) process the ring buffers of the DPDK
@@ -9,16 +9,14 @@
 //! them, prices the turn and propagates the returned frames over the wire.
 //!
 //! Scenario 2 additionally serializes the F-Stack API against the loop with
-//! a mutex: *"This scenario requires a mutex to coordinate the execution of
-//! the F-Stack API functions and the main-loop execution, which creates a
-//! potential contention issue."* That mutex is [`ServiceMutex`], whose
-//! timing model (umtx block/wake) produces Fig. 6's ≈19 µs contended cost.
+//! a mutex (*"This scenario requires a mutex to coordinate the execution of
+//! the F-Stack API functions and the main-loop execution"*). The scenario
+//! driver models it with [`simkern::FifoMutex`], whose umtx block/wake
+//! costs produce Fig. 6's ≈19 µs contended `ff_write`.
 
 use crate::api::FStack;
 use cheri::TaggedMemory;
-use simkern::cost::CostModel;
-use simkern::resource::{FifoMutex, LockGrant};
-use simkern::time::{SimDuration, SimTime};
+use simkern::time::SimTime;
 use updk::ethdev::EthDev;
 use updk::framebuf::FrameBuf;
 use updk::mbuf::Mbuf;
@@ -118,55 +116,12 @@ fn free_all(dev: &mut EthDev, port: usize, batch: &mut Vec<(Mbuf, Frame)>) {
     }
 }
 
-/// The Scenario 2 F-Stack service mutex: serializes app-side `ff_*` calls
-/// against the service cVM's main loop, with umtx-backed blocking costs.
-#[derive(Debug, Clone)]
-pub struct ServiceMutex {
-    inner: FifoMutex,
-}
-
-impl ServiceMutex {
-    /// Builds the mutex from the cost model's fast/block/wake parameters.
-    pub fn new(costs: &CostModel) -> Self {
-        ServiceMutex {
-            inner: FifoMutex::new(costs.mutex_fast_ns, costs.umtx_block_ns, costs.umtx_wake_ns),
-        }
-    }
-
-    /// Acquires for a critical section of `hold` (virtual) duration.
-    pub fn acquire(&mut self, now: SimTime, hold: SimDuration) -> LockGrant {
-        self.inner.acquire(now, hold)
-    }
-
-    /// Accounts `n` back-to-back uncontended acquisitions by the service
-    /// loop, the first at `first`, one every `period`
-    /// ([`FifoMutex::acquire_uncontended_run`]): the idle iterations a
-    /// parked loop did not execute still took the lock.
-    pub fn acquire_uncontended_run(&mut self, first: SimTime, period: SimDuration, n: u64) {
-        self.inner.acquire_uncontended_run(first, period, n);
-    }
-
-    /// Total acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.inner.acquisitions()
-    }
-
-    /// Acquisitions that had to block on umtx.
-    pub fn contentions(&self) -> u64 {
-        self.inner.contentions()
-    }
-
-    /// Aggregate waiting time.
-    pub fn total_wait(&self) -> SimDuration {
-        self.inner.total_wait()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::StackConfig;
     use crate::socket::SockType;
+    use simkern::cost::CostModel;
     use std::net::Ipv4Addr;
     use updk::kmod::{BindingRegistry, PciAddress};
     use updk::nic::NicModel;
@@ -283,18 +238,5 @@ mod tests {
         assert_eq!(rx, 1);
         assert_eq!(out.len(), 1, "ARP reply");
         assert_eq!(stack.stats().frames_in, 1);
-    }
-
-    #[test]
-    fn service_mutex_matches_cost_model() {
-        let costs = CostModel::morello();
-        let mut m = ServiceMutex::new(&costs);
-        let g1 = m.acquire(SimTime::ZERO, SimDuration::from_micros(10));
-        assert!(!g1.contended);
-        let g2 = m.acquire(SimTime::from_nanos(100), SimDuration::from_micros(1));
-        assert!(g2.contended);
-        assert_eq!(m.acquisitions(), 2);
-        assert_eq!(m.contentions(), 1);
-        assert!(m.total_wait().as_nanos() > 9_000);
     }
 }

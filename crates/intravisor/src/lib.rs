@@ -193,6 +193,11 @@ impl Intravisor {
         self.cvms.len()
     }
 
+    /// Every compartment, in creation order.
+    pub fn cvms(&self) -> &[Cvm] {
+        &self.cvms
+    }
+
     /// Bump-allocates `size` bytes (aligned to `align`) inside the cVM's
     /// data region, returning a capability bounded to exactly that object —
     /// the Intravisor's role of "distributing memory capabilities to cVMs".

@@ -15,6 +15,7 @@
 //! With FIFO granting this is exactly a single-server queue, which is what
 //! the hardware bus arbiter and a fair futex-backed mutex implement.
 
+use crate::cost::CostModel;
 use crate::time::{SimDuration, SimTime};
 
 /// A serially reusable resource with a busy-until horizon (single-server
@@ -99,18 +100,20 @@ pub struct LockGrant {
 /// A FIFO mutex modeled in virtual time, with distinct fast-path and
 /// blocking-path costs — the Scenario 2 F-Stack service mutex.
 ///
-/// The fast path charges [`fast_ns`](FifoMutex::new) (uncontended atomic
+/// The fast path charges [`CostModel::mutex_fast_ns`] (uncontended atomic
 /// lock+unlock). The slow path charges a `umtx` block on the waiter and a
-/// wake when the holder releases, exactly the musl-futex → CheriBSD-umtx
+/// wake when the holder releases ([`CostModel::umtx_block_ns`],
+/// [`CostModel::umtx_wake_ns`]), exactly the musl-futex → CheriBSD-umtx
 /// path the paper routes through the Intravisor.
 ///
 /// # Example
 ///
 /// ```
+/// use simkern::cost::CostModel;
 /// use simkern::resource::FifoMutex;
 /// use simkern::time::{SimDuration, SimTime};
 ///
-/// let mut m = FifoMutex::new(30, 2_600, 1_900);
+/// let mut m = FifoMutex::new(&CostModel::morello());
 /// let g = m.acquire(SimTime::ZERO, SimDuration::from_nanos(500));
 /// assert!(!g.contended);
 /// // A second acquire during the first critical section must wait.
@@ -130,12 +133,13 @@ pub struct FifoMutex {
 }
 
 impl FifoMutex {
-    /// Creates a mutex with the given fast-path, block and wake costs (ns).
-    pub fn new(fast_ns: u64, block_ns: u64, wake_ns: u64) -> Self {
+    /// Creates a free mutex with the cost model's fast-path, umtx block
+    /// and umtx wake costs.
+    pub fn new(costs: &CostModel) -> Self {
         FifoMutex {
-            fast_ns,
-            block_ns,
-            wake_ns,
+            fast_ns: costs.mutex_fast_ns,
+            block_ns: costs.umtx_block_ns,
+            wake_ns: costs.umtx_wake_ns,
             next_free: SimTime::ZERO,
             acquisitions: 0,
             contentions: 0,
@@ -235,7 +239,7 @@ mod tests {
 
     #[test]
     fn uncontended_lock_is_fast_path() {
-        let mut m = FifoMutex::new(30, 2_600, 1_900);
+        let mut m = FifoMutex::new(&CostModel::morello());
         let g = m.acquire(SimTime::from_nanos(1_000), SimDuration::from_nanos(400));
         assert!(!g.contended);
         assert_eq!(g.acquired_at.as_nanos(), 1_000);
@@ -245,7 +249,7 @@ mod tests {
 
     #[test]
     fn contended_lock_pays_block_and_wake() {
-        let mut m = FifoMutex::new(30, 2_600, 1_900);
+        let mut m = FifoMutex::new(&CostModel::morello());
         let g1 = m.acquire(SimTime::ZERO, SimDuration::from_nanos(10_000));
         let g2 = m.acquire(SimTime::from_nanos(100), SimDuration::from_nanos(500));
         assert!(g2.contended);
@@ -262,9 +266,21 @@ mod tests {
     }
 
     #[test]
+    fn service_mutex_matches_cost_model() {
+        let mut m = FifoMutex::new(&CostModel::morello());
+        let g1 = m.acquire(SimTime::ZERO, SimDuration::from_micros(10));
+        assert!(!g1.contended);
+        let g2 = m.acquire(SimTime::from_nanos(100), SimDuration::from_micros(1));
+        assert!(g2.contended);
+        assert_eq!(m.acquisitions(), 2);
+        assert_eq!(m.contentions(), 1);
+        assert!(m.total_wait().as_nanos() > 9_000);
+    }
+
+    #[test]
     fn three_way_contention_is_fifo() {
         // Mirrors Scenario 2 contended: main loop + two app cVMs.
-        let mut m = FifoMutex::new(30, 2_600, 1_900);
+        let mut m = FifoMutex::new(&CostModel::morello());
         let hold = SimDuration::from_nanos(1_000);
         let a = m.acquire(SimTime::ZERO, hold);
         let b = m.acquire(SimTime::from_nanos(1), hold);
@@ -282,7 +298,7 @@ mod tests {
         let period = SimDuration::from_nanos(1_730);
         for &n in &[0u64, 1, 5, 63, 64, 65, 1_000] {
             for contended_history in [false, true] {
-                let mut one = FifoMutex::new(30, 2_600, 1_900);
+                let mut one = FifoMutex::new(&CostModel::morello());
                 if contended_history {
                     for i in 0..70 {
                         one.acquire(SimTime::from_nanos(i), SimDuration::from_nanos(400));

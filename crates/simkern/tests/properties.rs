@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use proptest::runner::TestCaseError;
+use simkern::cost::CostModel;
 use simkern::engine::{Engine, EventHandle, OrderKey, World};
 use simkern::resource::{BusyResource, FifoMutex};
 use simkern::time::{SimDuration, SimTime};
@@ -478,7 +479,7 @@ proptest! {
     /// FIFO mutex: grants never overlap and are ordered by request time.
     #[test]
     fn fifo_mutex_grants_are_serialized(reqs in proptest::collection::vec((0u64..10_000, 1u64..2_000), 1..80)) {
-        let mut m = FifoMutex::new(30, 2_600, 1_900);
+        let mut m = FifoMutex::new(&CostModel::morello());
         let mut reqs = reqs;
         reqs.sort_by_key(|&(t, _)| t);
         let mut prev_release = 0u64;
