@@ -39,7 +39,7 @@ pub(crate) trait App {
     /// The next instant the app acts on its own clock; `None` when
     /// everything left is input-driven (the default). Exact: at or before
     /// `now` precisely when a step at `now` would act without a new stack
-    /// event — with the stack's dirty-fd set, a gated host's complete "can
+    /// event — with the stack's dirty-fd set, the app turn's complete "can
     /// a step progress?" test — and otherwise the instant that must wake a
     /// parked node.
     fn next_deadline(&self, _now: SimTime) -> Option<SimTime> {
@@ -49,15 +49,15 @@ pub(crate) trait App {
     /// The `ff_*` calls a step makes when no fd the app owns has changed
     /// and its [`App::next_deadline`] is not due — a step that finds
     /// nothing to do, in the app's state as it stands. Exact, like the
-    /// deadline: a charged host parks on the turn that did the work
-    /// without running the idle turn after it, and charges each turn it
-    /// skips `per_ff_call_ns` for every call declared here. Debug builds
-    /// check it against every idle step a charged host runs.
+    /// deadline: a charged host charges `per_ff_call_ns` for every call
+    /// declared here on each turn that does not step the app — a skipped
+    /// app on a turn it runs, every app on the turns a park skips. The
+    /// polled reference steps those apps and checks each step against it.
     fn idle_calls(&self) -> u64;
 
     /// `true` when the app keeps a clock of its own — exactly when it
     /// overrides [`App::next_deadline`]. A property of the type, not of the
-    /// moment: a gated host lists its clocked apps once and asks only those
+    /// moment: a host lists its clocked apps once and asks only those
     /// (every turn and every park), so an override behind a `false` here
     /// would never be heard.
     fn has_clock(&self) -> bool {
@@ -141,7 +141,7 @@ impl App for HttpServerApp {
         HttpServerApp::idle_calls(self)
     }
 
-    /// Lets the idle reaper fire on a gated host with no stack events
+    /// Lets the idle reaper fire on a host with no stack events
     /// pending (`None` whenever the knob is off).
     fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
         HttpServerApp::next_deadline(self, now)

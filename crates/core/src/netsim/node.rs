@@ -75,6 +75,13 @@ impl AppSched {
         !matches!(self, AppSched::RoundRobin)
     }
 
+    /// Whether `app`, index `idx` among its kind, is held back on loop turn
+    /// `turn`: the policy denies the index and the app is subject to it
+    /// ([`App::sched_gated`]).
+    fn holds_back(&self, idx: usize, app: &dyn App, turn: u64) -> bool {
+        !self.allows(idx, turn) && app.sched_gated()
+    }
+
     /// Whether app index `idx` gets to step on loop turn `turn`.
     pub(super) fn allows(&self, idx: usize, turn: u64) -> bool {
         match *self {
@@ -121,9 +128,8 @@ pub(super) struct AppSlot {
     /// calls the stack under ([`FStack::set_caller`]): slot indices move
     /// while apps are still being installed, this never does.
     installed: usize,
-    /// "A step could progress" flag of the dirty-fd gate (gated hosts
-    /// only). A set flag has an entry in [`Node::ready`], and the other way
-    /// round.
+    /// "A step could progress" flag of the dirty-fd gate. A set flag has an
+    /// entry in [`Node::ready`], and the other way round.
     runnable: bool,
 }
 
@@ -151,14 +157,6 @@ pub(super) struct Node {
     pub(super) profile: IsolationProfile,
     /// Loop turns taken, the ones a park folded away included.
     turns: u64,
-    /// `true` when app steps are gated on the stack's dirty-fd set: ideal
-    /// hosts only. A charged host (per-call isolation cost, the S2 service
-    /// mutex) steps every app every turn, because the `ff_*` calls of even
-    /// a no-op step are part of the turn's accounted cost. Both kinds drain
-    /// the dirty-fd set at the start of the app turn, so both read
-    /// [`FStack::is_quiet`] the same way and park by one rule; they differ
-    /// only in which apps a turn steps. Resolved at `run()` start.
-    gated: bool,
     /// `true` on the two kinds of host whose next idle period is not a
     /// function of their own state, so they never park: an S2 service node
     /// under a turn-dependent [`AppSched`], and an S2 service node whose
@@ -175,17 +173,16 @@ pub(super) struct Node {
     /// The turn's frames for the wire, `(frame, departure)`, empty between
     /// turns.
     tx_out: Vec<(Frame, SimTime)>,
-    /// Gated hosts: the slots whose `runnable` flag is set, in the order
-    /// they were flagged. Fed where a flag flips false → true, drained
+    /// The slots whose `runnable` flag is set, in the order they were
+    /// flagged. Fed where a flag flips false → true, drained
     /// into `visit` by the next app turn.
     ready: Vec<u32>,
     /// The live slots whose app keeps a clock of its own
-    /// ([`App::has_clock`]), ascending. A gated host asks these — and no
-    /// other slot — for [`App::next_deadline`] on every turn and every park.
+    /// ([`App::has_clock`]), ascending. The host asks these — and no other
+    /// slot — for [`App::next_deadline`] on every turn and every park.
     clocked: Vec<u32>,
-    /// The slots the app turn examines, ascending. A gated host rebuilds
-    /// it every turn as `ready ∪ clocked`; a charged host steps every slot
-    /// every turn, so its list is all of them, fixed.
+    /// The slots the app turn examines, ascending, rebuilt every turn as
+    /// `ready ∪ clocked`.
     visit: Vec<u32>,
     /// What this node's port is cabled to, resolved once at `run()` start
     /// so the TX hot path never touches the topology `HashMap`.
@@ -245,7 +242,6 @@ impl Node {
             apps: Vec::new(),
             profile,
             turns: 0,
-            gated: false,
             polls: false,
             slot_of: Vec::new(),
             fd_scratch: Vec::new(),
@@ -305,11 +301,10 @@ impl Node {
         Ok(())
     }
 
-    /// Dirty-fd app gating (ideal hosts): seeds the app turn's lists and
-    /// maps each app's caller id to its slot, so the stack changes on an fd
-    /// route to the app that obtained it.
+    /// Dirty-fd app gating: seeds the app turn's lists and maps each app's
+    /// caller id to its slot, so the stack changes on an fd route to the app
+    /// that obtained it.
     pub(super) fn resolve_routing(&mut self) {
-        self.gated = self.profile.per_ff_call_ns == 0 && !self.profile.s2_service;
         self.seed_turn();
         self.slot_of = vec![0; self.apps.len()];
         for (si, slot) in self.apps.iter().enumerate() {
@@ -317,31 +312,24 @@ impl Node {
         }
     }
 
-    /// Seeds the app turn from the slots as they stand: on a gated host
-    /// every live app is runnable (its first turn steps it), the clocked
-    /// list names the live apps with a clock, a dead slot is in no list. The
-    /// only writer of `ready`/`clocked` wholesale and the only place a flag
-    /// is set without a dirty fd — run start, crash (no slot is live:
-    /// everything empties) and restart all come through here, so flags and
-    /// lists cannot drift apart. A charged host steps every slot every turn
-    /// and keeps no flags.
+    /// Seeds the app turn from the slots as they stand: every live app is
+    /// runnable (its first turn steps it), the clocked list names the live
+    /// apps with a clock, a dead slot is in no list. The only writer of
+    /// `ready`/`clocked` wholesale and the only place a flag is set without
+    /// a dirty fd — run start, crash (no slot is live: everything empties)
+    /// and restart all come through here, so flags and lists cannot drift
+    /// apart.
     fn seed_turn(&mut self) {
         self.ready.clear();
         self.clocked.clear();
-        self.visit.clear();
         for (si, slot) in self.apps.iter_mut().enumerate() {
-            slot.runnable = self.gated && slot.app.is_some();
+            slot.runnable = slot.app.is_some();
             if let Some(app) = slot.app.as_ref() {
-                if self.gated {
-                    self.ready.push(si as u32);
-                }
+                self.ready.push(si as u32);
                 if app.has_clock() {
                     self.clocked.push(si as u32);
                 }
             }
-        }
-        if !self.gated {
-            self.visit.extend(0..self.apps.len() as u32);
         }
     }
 
@@ -410,12 +398,26 @@ impl Node {
 #[cfg(test)]
 thread_local! {
     /// Test-only switch that runs the specification instead of the
-    /// optimisation: while set, no host on this thread ever parks — every
-    /// loop polls every tick, as paper §III.B describes it. The
-    /// differential oracle (`netsim/polled_reference.rs`) runs each
-    /// configuration both ways and compares.
+    /// optimisation: while set, no host on this thread ever parks and every
+    /// turn steps every live app — every loop polls every tick and runs
+    /// every user function, as paper §III.B describes it. Each step the
+    /// optimised turn would skip is asserted to make exactly the app's
+    /// [`App::idle_calls`] and no progress. The differential oracle
+    /// (`netsim/polled_reference.rs`) runs each configuration both ways and
+    /// compares.
     pub(super) static POLLED_REFERENCE: std::cell::Cell<bool> =
         const { std::cell::Cell::new(false) };
+}
+
+/// `Σ` [`App::idle_calls`] over the live slots of `apps` that `sched`
+/// does not hold back on `turn`: what a turn that steps none of them is
+/// charged per call.
+fn idle_calls(apps: &[AppSlot], sched: AppSched, turn: u64) -> u64 {
+    let admitted = apps.iter().filter_map(|s| {
+        let app = s.app.as_deref()?;
+        (!sched.holds_back(s.ordinal, app, turn)).then_some(app)
+    });
+    admitted.map(|a| a.idle_calls()).sum()
 }
 
 /// How many ticks of the lattice `anchor + k·period` (`k ≥ 0`) lie strictly
@@ -454,12 +456,16 @@ impl NetSim {
         // (i) RX ring → stack.
         let rx = rx_phase(&mut node.stack, dev, pi, mem, now, &mut node.turn_scratch).unwrap_or(0);
 
-        // (ii) the user-defined function: application steps, gated by the
-        // app-cVM scheduling policy (RoundRobin steps everyone; Barging
-        // starves non-first cVMs on a fraction of turns). The policy is a
-        // property of the DUT's service mutex, so it only applies to app
-        // cVMs behind the Scenario 2 service node — never to the ideal
-        // measurement hosts.
+        // (ii) the user-defined function. A turn steps the apps a step could
+        // move: those whose fds the stack changed — drained here, so what is
+        // left in the set after the turn was changed by it — and those whose
+        // own clock is due. Any other app would repeat its last no-op step,
+        // so the turn does not visit it: the hub of an N-client star
+        // examines O(frames received) server apps per poll, not all N. On
+        // the Scenario 2 service node the app-cVM scheduling policy may
+        // hold a step back (RoundRobin steps everyone; Barging starves
+        // non-first cVMs on a fraction of turns): a property of the DUT's
+        // service mutex, never of the ideal measurement hosts.
         let sched = if node.profile.s2_service {
             self.app_sched
         } else {
@@ -467,21 +473,15 @@ impl NetSim {
         };
         let turn = node.turns;
         node.turns += 1;
-        let mut ff_calls: u64 = 0;
-        let mut progressed = false;
-        // Drain the stack's changed fds; on a gated (ideal) host, route
-        // them to their owning apps, and step only runnable apps: an app
-        // with no changed fd and no due clock would repeat its previous
-        // no-op step, so skipping it is behaviourally invisible — the hub
-        // of an N-client star examines O(frames received) server apps per
-        // poll instead of all N. Charged hosts (per-call isolation, the S2
-        // service loop) step everything, because even a no-op step's ff_*
-        // calls carry an accounted cost there; they drain the set all the
-        // same, so what is left in it after the turn was changed by it.
+        #[cfg(test)]
+        let reference = POLLED_REFERENCE.with(std::cell::Cell::get);
+        #[cfg(not(test))]
+        let reference = false;
         let Node {
+            name,
             stack,
             apps,
-            gated,
+            profile,
             slot_of,
             fd_scratch,
             ready,
@@ -489,82 +489,76 @@ impl NetSim {
             visit,
             ..
         } = node;
-        let gated = *gated;
         fd_scratch.clear();
         stack.take_dirty_fds(fd_scratch);
-        if gated {
-            for &fd in fd_scratch.iter() {
-                if let Some(id) = stack.owner_of(fd) {
-                    let si = slot_of[id as usize];
-                    let slot = &mut apps[si as usize];
-                    if !slot.runnable {
-                        slot.runnable = true;
-                        ready.push(si);
-                    }
+        for &fd in fd_scratch.iter() {
+            if let Some(id) = stack.owner_of(fd) {
+                let si = slot_of[id as usize];
+                let slot = &mut apps[si as usize];
+                if !slot.runnable {
+                    slot.runnable = true;
+                    ready.push(si);
                 }
             }
-            // This turn's slots: the runnable ones and the clocked ones,
-            // in slot (= step) order. Every other slot would fail the
-            // runnable-or-due test below — its clock is the trait's
-            // constant `None` — so leaving it unvisited changes nothing,
-            // and the turn costs what is runnable, not what is installed.
-            visit.clear();
+        }
+        // This turn's slots: the runnable ones and the clocked ones, in slot
+        // (= step) order — under the polled reference, every slot.
+        visit.clear();
+        if reference {
+            ready.clear();
+            visit.extend(0..apps.len() as u32);
+        } else {
             visit.append(ready);
             visit.extend(clocked.iter().filter(|&&si| !apps[si as usize].runnable));
             visit.sort_unstable();
         }
-        // A charged turn on which nothing reached any app — no fd changed,
-        // no clock due — is an idle turn for each of them: each step must
-        // make exactly the calls its `idle_calls` declares, which is what
-        // a park charges for the turns it skips. (Not under a turn-dependent
-        // policy: an app it held back may step on a change drained on an
-        // earlier turn. Such a loop never parks.)
-        #[cfg(debug_assertions)]
-        let idle_check = !gated
-            && !sched.turn_dependent()
-            && fd_scratch.is_empty()
-            && clocked.iter().all(|&si| {
-                let app = apps[si as usize].app.as_ref();
-                app.and_then(|a| a.next_deadline(now))
-                    .is_none_or(|d| d > now)
-            });
+        // A charged host pays for every app the policy lets step: a stepped
+        // one for the calls it makes, any other for its idle step — the
+        // price a park charges the turns it skips.
+        let charged = profile.per_ff_call_ns > 0;
+        let mut unstepped = if charged {
+            idle_calls(apps, sched, turn)
+        } else {
+            0
+        };
+        let mut ff_calls: u64 = 0;
+        let mut progressed = false;
         self.counters.app_visits += visit.len() as u64;
         for &si in visit.iter() {
-            let si = si as usize;
-            let slot = &mut apps[si];
+            let slot = &mut apps[si as usize];
             let Some(app) = slot.app.as_mut() else {
                 continue;
             };
-            // Policy first: it is a plain `match` that says yes on every
-            // host but the S2 service node (never a gated one, so it holds
-            // back no slot drained from `ready`), and the common turn never
-            // asks the app.
-            if !sched.allows(slot.ordinal, turn) && app.sched_gated() {
+            if sched.holds_back(slot.ordinal, &**app, turn) {
+                // Still runnable: back in `ready` for a later turn.
+                if slot.runnable {
+                    ready.push(si);
+                }
                 continue;
             }
-            // An app's own clock fires it on a gated host with no stack
-            // event pending; a gated slot with neither is skipped.
-            if gated && !slot.runnable && app.next_deadline(now).is_none_or(|d| d > now) {
+            let idle = !slot.runnable && app.next_deadline(now).is_none_or(|d| d > now);
+            if idle && !reference {
                 continue;
             }
             slot.runnable = false;
-            #[cfg(debug_assertions)]
-            let declared = app.idle_calls();
+            let declared = if charged || idle { app.idle_calls() } else { 0 };
             // The fds this step obtains are this app's.
             stack.set_caller(slot.installed as u32);
             let (calls, moved) = app.step(stack, mem, now);
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                !idle_check || (calls, moved) == (declared, false),
-                "{:?} app #{} on {} at {now:?}: an idle step made {calls} ff_* calls \
-                 (progressed: {moved}), its idle_calls says {declared}",
+            assert!(
+                !idle || (calls, moved) == (declared, false),
+                "{:?} app #{} on {name} at {now:?}: a step the turn would skip made {calls} \
+                 ff_* calls (progressed: {moved}), its idle_calls says {declared}",
                 slot.spec.kind(),
                 slot.installed,
-                node.name,
             );
+            if charged {
+                unstepped -= declared;
+            }
             ff_calls += calls;
             progressed |= moved;
         }
+        ff_calls += unstepped;
 
         // (iii) stack timers + TX ring. A driver error ends the burst; the
         // frames sent before it still leave.
@@ -654,10 +648,7 @@ impl NetSim {
         }
         let node = &self.nodes[i];
         let quiet = idle || (node.ready.is_empty() && node.stack.is_quiet());
-        let parkable = quiet && !node.polls && !waited;
-        #[cfg(test)]
-        let parkable = parkable && !POLLED_REFERENCE.with(std::cell::Cell::get);
-        if parkable {
+        if quiet && !node.polls && !waited && !reference {
             let period = self.idle_turn_ns(i);
             let node = &mut self.nodes[i];
             // Stack timers, every app's own clock (client write-gap and
@@ -697,18 +688,19 @@ impl NetSim {
 
     /// How long an idle turn of node `i` takes, in nanoseconds: the loop's
     /// own idle work, the per-call charge for every `ff_*` call its apps
-    /// make on a step that finds nothing changed ([`App::idle_calls`]; a
-    /// gated host's calls are free, so it does not ask), and on an S2
-    /// service node the uncontended acquisition of the service mutex.
-    /// Exactly the `next − now` such a turn computes.
+    /// make on a step that finds nothing changed ([`App::idle_calls`]; on
+    /// an uncharged host the calls are free, so it does not ask), and on an
+    /// S2 service node the uncontended acquisition of the service mutex.
+    /// Exactly the `next − now` such a turn computes. A host that parks is
+    /// under no turn-dependent policy ([`Node::polls`]): every live app
+    /// counts.
     fn idle_turn_ns(&self, i: usize) -> u64 {
         let node = &self.nodes[i];
         let per_call = node.profile.per_ff_call_ns;
-        let calls: u64 = if per_call == 0 {
+        let calls = if per_call == 0 {
             0
         } else {
-            let live = node.apps.iter().filter_map(|s| s.app.as_ref());
-            live.map(|a| a.idle_calls()).sum()
+            idle_calls(&node.apps, AppSched::RoundRobin, 0)
         };
         let fast_path = if node.profile.s2_service {
             self.costs.mutex_fast_ns
@@ -887,7 +879,6 @@ mod tests {
     #[test]
     fn the_first_turn_examines_every_app_and_later_turns_only_the_clocked() {
         let (mut sim, hub) = hub_with_five_apps();
-        assert!(sim.nodes[hub].gated);
         assert_eq!(
             turn_state(&sim.nodes[hub]),
             (vec![true; 5], vec![0, 1, 2, 3, 4], vec![4])
@@ -934,7 +925,7 @@ mod tests {
     }
 
     /// The hub of [`hub_with_five_apps`] on a host NIC, made a charged host
-    /// if `charged` (it is built gated), booted and left to go quiet
+    /// if `charged` (it is built ideal), booted and left to go quiet
     /// (parked, or polling on under [`POLLED_REFERENCE`]), then handed one
     /// frame per `(at, gen)` of `deliveries`: delivered at `at` by the
     /// switch, from an event that ran at `gen`. No frame is for the hub, so
@@ -1053,7 +1044,7 @@ mod tests {
         assert_eq!(parked, polled, "the parked loop");
     }
 
-    /// The first tick after a productive park. A gated hub that reads a
+    /// The first tick after a productive park. An ideal hub that reads a
     /// frame parks at the end of that turn, which outlasts an idle one: its
     /// lattice starts at `anchor`, where the turn ends, and the polling
     /// loop's iteration there was scheduled by the turn that parked — not
@@ -1081,7 +1072,7 @@ mod tests {
         assert_eq!(parked, polled, "the parked loop");
     }
 
-    /// The hub of [`hub_with_five_apps`] (gated), booted and left to go
+    /// The hub of [`hub_with_five_apps`] (ideal), booted and left to go
     /// quiet, holding one connection in TIME_WAIT whose 2MSL expires on a
     /// tick `expiry` of its poll lattice: its active close ran outside the
     /// loop against a bare peer stack, and the hub's last ACK was lost. On
@@ -1215,7 +1206,6 @@ mod tests {
             sim.nodes[hub].profile.per_ff_call_ns = per_call;
             sim.resolve_caches();
             let node = &sim.nodes[hub];
-            assert_eq!(node.gated, per_call == 0);
             let asker = MacAddr::local(77);
             let req =
                 ArpPacket::request(asker, Ipv4Addr::new(10, 0, 0, 77), node.stack.config().ip);
@@ -1243,17 +1233,25 @@ mod tests {
         }
     }
 
-    /// A charged host is not gated: every turn examines every slot.
+    /// A charged host takes the ideal host's app turn — the first turn
+    /// examines every slot, later ones only the clocked slot 4 — and still
+    /// pays for every app on every turn: the idle turn lasts the loop's idle
+    /// work plus the idle step of four receivers and an HTTP server, two
+    /// calls each, the four it did not visit included.
     #[test]
-    fn a_charged_host_examines_every_slot_every_turn() {
+    fn a_charged_host_prices_the_apps_its_turn_skips() {
         let (mut sim, hub) = hub_with_five_apps();
         sim.nodes[hub].profile.per_ff_call_ns = 40;
         sim.resolve_caches();
-        assert!(!sim.nodes[hub].gated);
         let mut engine = Engine::new();
-        for turn in 1..=3 {
-            sim.loop_iter(hub, &mut engine);
-            assert_eq!(sim.counters.app_visits, 5 * turn);
-        }
+        sim.loop_iter(hub, &mut engine);
+        assert_eq!(sim.counters.app_visits, 5);
+        sim.loop_iter(hub, &mut engine);
+        assert_eq!(sim.counters.app_visits, 5 + 1);
+        assert_eq!(sim.counters.idle_polls, 2);
+        let idle = CostModel::morello().mainloop_idle_ns + 40 * 5 * 2;
+        let node = &sim.nodes[hub];
+        assert_eq!(node.anchor, SimTime::from_nanos(idle), "the turn's length");
+        assert_eq!(node.period, idle, "the park's lattice");
     }
 }

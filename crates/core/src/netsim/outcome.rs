@@ -22,10 +22,9 @@ use updk::wire::ImpairmentStats;
 pub struct EventCounters {
     /// Main-loop iterations executed (scheduled polls plus honored wakes).
     pub loop_polls: u64,
-    /// App slots the iterations examined: a charged host looks at every
-    /// installed app on every turn, a gated host only at the runnable and
-    /// the clocked ones. `app_visits / loop_polls` is the app turn's exact
-    /// work per poll.
+    /// App slots the iterations examined: the runnable and the clocked
+    /// ones, on every host. `app_visits / loop_polls` is the app turn's
+    /// exact work per poll.
     pub app_visits: u64,
     /// Executed iterations that did no work (no RX, no TX, no app
     /// progress). The idle iterations a parked loop slept through are not

@@ -3,9 +3,12 @@
 //! The specification of a host is the loop of paper §III.B: poll the RX
 //! ring, run the apps, run the stack's timers, every tick, for ever. The
 //! code runs an optimisation of it — a loop that parks while nothing can
-//! change — and these tests hold the two together: each configuration runs
-//! once as written and once with `POLLED_REFERENCE` set (no host ever
-//! parks), and everything the *modelled* system produced must be equal.
+//! change, and whose turn steps only the apps a step could move — and
+//! these tests hold the two together: each configuration runs once as
+//! written and once with `POLLED_REFERENCE` set (no host ever parks, every
+//! turn steps every app, and each step the optimised turn would skip must
+//! make exactly the app's `idle_calls` and no progress), and everything
+//! the *modelled* system produced must be equal.
 
 use super::node::POLLED_REFERENCE;
 use super::{AppSched, Fault, IsolationProfile, NetSim, SimOutcome};
@@ -249,15 +252,20 @@ fn polled_reference_fallbacks_and_shards() {
         }
     }
 
-    let out = assert_parked_equals_polled("star4 at workers 2", || {
-        ScenarioSpec::star(4)
-            .duration(ms(15))
-            .workers(2)
-            .adaptive_workers(false)
-            .run()
-            .expect("sharded star runs")
-    });
-    assert_eq!(out.workers, 2, "really sharded");
+    // A per-call charge is the host's own: a charged star shards too.
+    for cost in [0, 200] {
+        let what = format!("star4 isolation {cost} ns at workers 2");
+        let out = assert_parked_equals_polled(&what, || {
+            ScenarioSpec::star(4)
+                .duration(ms(15))
+                .isolation_cost(cost)
+                .workers(2)
+                .adaptive_workers(false)
+                .run()
+                .expect("sharded star runs")
+        });
+        assert_eq!(out.workers, 2, "{what}: really sharded");
+    }
 
     // The paper testbed never shards (a direct cable co-locates its two
     // ends), so the S2 fold meets the sharded driver on a star whose hub

@@ -136,17 +136,17 @@ impl NetSim {
                 g.bind_groups.push(group);
             }
         }
-        // Scenario hosts (per-call isolation charges, the S2 service
-        // mutex) interact through shared state — keep them together.
-        let scenario: Vec<usize> = self
+        // S2 service nodes take one service mutex — keep them together. A
+        // per-call isolation charge is the host's own and binds nothing.
+        let s2: Vec<usize> = self
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.profile.s2_service || n.profile.per_ff_call_ns > 0)
+            .filter(|(_, n)| n.profile.s2_service)
             .map(|(i, _)| i)
             .collect();
-        if scenario.len() > 1 {
-            g.bind_groups.push(scenario);
+        if s2.len() > 1 {
+            g.bind_groups.push(s2);
         }
         g
     }

@@ -188,12 +188,8 @@ impl Intravisor {
         &self.cvms[id.index()]
     }
 
-    /// Number of live compartments.
-    pub fn cvm_count(&self) -> usize {
-        self.cvms.len()
-    }
-
-    /// Every compartment, in creation order.
+    /// Every compartment, in creation order — destroyed ones included: a
+    /// destroyed cVM's slot is retired, not removed, so ids stay stable.
     pub fn cvms(&self) -> &[Cvm] {
         &self.cvms
     }
@@ -418,7 +414,7 @@ mod tests {
         let da = *iv.cvm(a).ctx().ddc();
         let db = *iv.cvm(b).ctx().ddc();
         assert!(da.top() <= db.base() || db.top() <= da.base());
-        assert_eq!(iv.cvm_count(), 2);
+        assert_eq!(iv.cvms().len(), 2);
     }
 
     #[test]

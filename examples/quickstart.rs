@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut iv = Intravisor::new(1 << 20, costs.clone());
     let app = iv.create_cvm(CvmConfig::new("iperf-app").mem_size(64 * 1024))?;
     let net = iv.create_cvm(CvmConfig::new("fstack-dpdk").mem_size(256 * 1024))?;
-    println!("booted Intravisor with {} cVMs:", iv.cvm_count());
+    println!("booted Intravisor with {} cVMs:", iv.cvms().len());
     println!("  {}", iv.cvm(app));
     println!("  {}", iv.cvm(net));
 

@@ -144,8 +144,9 @@ fn interleaved_kinds_step_kind_major_on_a_gated_host() {
     assert!(out.http_fleets[0].requests_ok > 0);
 }
 
-/// With a per-call charge the hub steps every app every turn and the
-/// iteration cost carries the `ff_*` calls summed across all kinds.
+/// With a per-call charge the iteration cost carries the `ff_*` calls
+/// summed across all kinds, the idle calls of the apps a turn skips
+/// included.
 #[test]
 fn interleaved_kinds_step_kind_major_on_a_charged_host() {
     let v = Variant {

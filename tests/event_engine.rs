@@ -149,7 +149,7 @@ fn the_calendar_costs_the_same_full_or_empty() {
     assert!(cal.overflow <= 8, "{cal:?}");
 }
 
-/// The confirming idle turn is gone on ideal hosts: a gated host that
+/// The confirming idle turn is gone on ideal hosts: a host that
 /// leaves its stack quiet parks at the end of the turn that did the work,
 /// so an idle turn runs only where a wake found nothing to do — on the
 /// benchmark's `star128_fanin` at 1/100 length, one in a hundred polls at

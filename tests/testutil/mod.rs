@@ -36,7 +36,7 @@ pub const DUMBBELL2_DIGEST: u64 = 0x2f5c_6d13_5c37_4ec0;
 pub const LOSSY_CUBIC_SACK_STAR_DIGEST: u64 = 0xf43a_92cb_6aa9_ae23;
 /// The 1 %-lossy Reno-vs-CUBIC dumbbell (`tests/tcp_protocol_scenarios.rs`).
 pub const RENO_VS_CUBIC_DUMBBELL_DIGEST: u64 = 0x989e_c990_e31a_738b;
-/// The mixed-kind hub of `tests/app_order.rs`: gated, charged, and
+/// The mixed-kind hub of `tests/app_order.rs`: ideal, charged, and
 /// crashed and restarted.
 pub const MIXED_HUB_GATED_DIGEST: u64 = 0x6bb0_fbd4_8693_e59f;
 pub const MIXED_HUB_CHARGED_DIGEST: u64 = 0xc97c_1a6a_ab7a_750a;
@@ -44,6 +44,9 @@ pub const MIXED_HUB_RESTART_DIGEST: u64 = 0x4fa6_be8f_0852_3e5e;
 /// `ScenarioSpec::star(16)` and `star(64)`, 40 ms, seed 7 (`tests/app_turn.rs`).
 pub const STAR16_DIGEST: u64 = 0xb112_c6cf_dc6e_c447;
 pub const STAR64_DIGEST: u64 = 0x18c1_7eda_ee2f_5833;
+/// The same stars with every host charged 200 ns per `ff_*` call.
+pub const STAR16_CHARGED_DIGEST: u64 = 0x903a_1040_008a_1978;
+pub const STAR64_CHARGED_DIGEST: u64 = 0xe32a_aef6_385c_b73e;
 /// The keep-alive httpd star at 350 µs and 4 ms think time
 /// (`tests/httpd_churn.rs`).
 pub const KEEPALIVE_FEW_OPEN_DIGEST: u64 = 0x1ccc_c70f_5fc3_2c1b;
