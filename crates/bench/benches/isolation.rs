@@ -86,11 +86,9 @@ fn main() {
     let mut report = BenchReport::new("isolation");
 
     // ---- httpd: checks-off vs full isolation, deterministic delta ----
-    // The checks-off side charges 1 ns (not 0), so both runs are charged
-    // hosts, priced per call by the same rule, and the delta is purely
-    // the per-call charge. (Every host takes the same app turn; the 1 ns
-    // also keeps this row's recorded baseline.)
-    let base = httpd_case(1);
+    // Every host takes the same app turn, so the delta is purely the
+    // per-call charge.
+    let base = httpd_case(0);
     let full = httpd_case(full_isolation_ns());
     let (base_rps, full_rps) = (rps(&base), rps(&full));
     assert!(base_rps > 0.0, "the baseline fleet completed requests");

@@ -169,7 +169,9 @@ pub struct IsolationProfile {
     /// Baseline and Scenario 1 — their `ff_*` calls stay inside one
     /// protection domain; Scenario 2 charges the wrapper cross-call).
     pub per_ff_call_ns: u64,
-    /// This node's main loop serializes on the Scenario 2 service mutex.
+    /// This node's main loop serializes on its Scenario 2 service mutex:
+    /// the lock of the F-Stack it runs, which every call of its app cVMs
+    /// takes. Each service node has its own.
     pub s2_service: bool,
 }
 
@@ -201,7 +203,6 @@ pub struct NetSim {
     impairments: Impairments,
     impairment_stats: ImpairmentStats,
     app_sched: AppSched,
-    s2_mutex: Option<FifoMutex>,
     stop_at: SimTime,
     /// Master seed; per-destination-port impairment streams derive from it
     /// at `run()` start (see [`NetSim::port_rng`]).
@@ -285,7 +286,6 @@ impl NetSim {
             impairments: Impairments::default(),
             impairment_stats: ImpairmentStats::default(),
             app_sched: AppSched::default(),
-            s2_mutex: None,
             stop_at: SimTime::MAX,
             seed: 0xCAB1E,
             port_rng: Vec::new(),
@@ -558,12 +558,12 @@ impl NetSim {
     /// Replaces `node`'s isolation profile. Profiles are only read when
     /// the run starts (loop gating, per-call charges), so any point
     /// between [`Self::add_node`] and [`Self::run`] works — scenario
-    /// builders use this to re-cost prebuilt topologies.
+    /// builders use this to re-cost prebuilt topologies. A Scenario 2
+    /// service profile gives the node a fresh service mutex of its own.
     pub fn set_node_profile(&mut self, node: NodeId, profile: IsolationProfile) {
-        if profile.s2_service && self.s2_mutex.is_none() {
-            self.s2_mutex = Some(FifoMutex::new(&self.costs));
-        }
-        self.nodes[node.0].profile = profile;
+        let node = &mut self.nodes[node.0];
+        node.mutex = profile.s2_service.then(|| FifoMutex::new(&self.costs));
+        node.profile = profile;
     }
 
     /// Applies a [`NodeConfig`] to `node`'s stack: each `Some` field is
@@ -741,23 +741,19 @@ impl NetSim {
 
     /// Resolves the topology once: each node's cabled endpoint, each
     /// switch port's cable, which node owns each NIC port (so deliveries
-    /// can wake parked loops), the per-port impairment RNG streams, which
-    /// loops may park, and the dirty-fd app routing. The event hot path
-    /// never touches the `links` HashMap again.
+    /// can wake parked loops), the per-port impairment RNG streams and the
+    /// dirty-fd app routing. The event hot path never touches the `links`
+    /// HashMap again.
     fn resolve_caches(&mut self) {
         self.dev_owner = self
             .devs
             .iter()
             .map(|d| vec![None; d.port_count()])
             .collect();
-        // The S2 service loops that cannot park (see `Node::polls`).
-        let s2_nodes = self.nodes.iter().filter(|n| n.profile.s2_service);
-        let s2_polls = self.app_sched.turn_dependent() || s2_nodes.count() > 1;
         for i in 0..self.nodes.len() {
             let (d, p) = (self.nodes[i].dev, self.nodes[i].port);
             self.nodes[i].cabled = self.links.get(&Ep::Dev(d, p)).copied();
             self.dev_owner[d][p] = Some(i);
-            self.nodes[i].polls = self.nodes[i].profile.s2_service && s2_polls;
             self.nodes[i].resolve_routing();
         }
         self.sw_cabled = self

@@ -9,6 +9,7 @@ use chos::fdtable::Fd;
 use fstack::loop_::{rx_phase, tx_phase, TurnScratch};
 use fstack::{FStack, StackConfig};
 use simkern::engine::{Engine, EventHandle};
+use simkern::resource::FifoMutex;
 use simkern::time::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 use updk::nic::MacAddr;
@@ -157,12 +158,11 @@ pub(super) struct Node {
     pub(super) profile: IsolationProfile,
     /// Loop turns taken, the ones a park folded away included.
     turns: u64,
-    /// `true` on the two kinds of host whose next idle period is not a
-    /// function of their own state, so they never park: an S2 service node
-    /// under a turn-dependent [`AppSched`], and an S2 service node whose
-    /// mutex a second service node also takes (its wait depends on the
-    /// other's turns). Resolved from configuration at `run()` start.
-    pub(super) polls: bool,
+    /// The Scenario 2 service mutex of this node's F-Stack, on an S2
+    /// service node ([`IsolationProfile::s2_service`]). A crash and a
+    /// restart leave it alone: a rebooted loop still waits out its
+    /// predecessor's last hold.
+    pub(super) mutex: Option<FifoMutex>,
     /// Installation sequence number → slot: turns the owner the stack
     /// reports for a dirty fd ([`FStack::owner_of`]) into the app to step.
     slot_of: Vec<u32>,
@@ -242,7 +242,7 @@ impl Node {
             apps: Vec::new(),
             profile,
             turns: 0,
-            polls: false,
+            mutex: None,
             slot_of: Vec::new(),
             fd_scratch: Vec::new(),
             turn_scratch: TurnScratch::default(),
@@ -514,7 +514,11 @@ impl NetSim {
         }
         // A charged host pays for every app the policy lets step: a stepped
         // one for the calls it makes, any other for its idle step — the
-        // price a park charges the turns it skips.
+        // price a park charges the turns it skips. An uncharged host skips
+        // the sum: it would walk every live slot on every turn only to
+        // multiply by 0. Taking this shortcut and `idle_turn_ns`'s out made
+        // `star128_fanin` (a 128-slot hub) slower in every run: median host
+        // ns per simulated second 343 M → 399 M, six alternating pairs.
         let charged = profile.per_ff_call_ns > 0;
         let mut unstepped = if charged {
             idle_calls(apps, sched, turn)
@@ -609,13 +613,8 @@ impl NetSim {
         // Scenario 2: the service loop holds the F-Stack mutex for its
         // iteration; app calls contend (their wait shows up as lock delay
         // on the next loop turn).
-        let (next, waited) = if self.nodes[i].profile.s2_service {
-            let m = self.s2_mutex.as_mut().expect("s2 mutex exists");
-            let grant = m.acquire(now, work);
-            (grant.released_at, grant.contended)
-        } else {
-            (now + work, false)
-        };
+        let grant = self.nodes[i].mutex.as_mut().map(|m| m.acquire(now, work));
+        let (next, waited) = grant.map_or((now + work, false), |g| (g.released_at, g.contended));
 
         // Quiescence: the loop parks instead of rescheduling once the turn
         // at `next` would be idle — no RX, no TX, no app progress. Such a
@@ -641,14 +640,18 @@ impl NetSim {
         // parks without a confirming idle turn after it. A turn that had
         // to wait for the service mutex (a loop rebooted inside its crashed
         // predecessor's last hold) took longer than the idle turns after
-        // it will: it reschedules, and the next one parks.
+        // it will: it reschedules, and the next one parks. The one host
+        // that never parks is an S2 service node under a turn-dependent
+        // policy (`Barging`, `Weighted`): which apps its turns step, hence
+        // how long an idle one lasts, changes from turn to turn, so its idle
+        // turns lie on no lattice.
         let idle = rx == 0 && n_tx == 0 && !progressed;
         if idle {
             self.counters.idle_polls += 1;
         }
         let node = &self.nodes[i];
         let quiet = idle || (node.ready.is_empty() && node.stack.is_quiet());
-        if quiet && !node.polls && !waited && !reference {
+        if quiet && !sched.turn_dependent() && !waited && !reference {
             let period = self.idle_turn_ns(i);
             let node = &mut self.nodes[i];
             // Stack timers, every app's own clock (client write-gap and
@@ -688,12 +691,15 @@ impl NetSim {
 
     /// How long an idle turn of node `i` takes, in nanoseconds: the loop's
     /// own idle work, the per-call charge for every `ff_*` call its apps
-    /// make on a step that finds nothing changed ([`App::idle_calls`]; on
-    /// an uncharged host the calls are free, so it does not ask), and on an
-    /// S2 service node the uncontended acquisition of the service mutex.
-    /// Exactly the `next − now` such a turn computes. A host that parks is
-    /// under no turn-dependent policy ([`Node::polls`]): every live app
-    /// counts.
+    /// make on a step that finds nothing changed ([`App::idle_calls`]), and
+    /// on an S2 service node the uncontended acquisition of its service
+    /// mutex. Exactly the `next − now` such a turn computes. A host that
+    /// parks is under no turn-dependent policy
+    /// ([`AppSched::turn_dependent`]): every live app counts. On an
+    /// uncharged host the calls are free, so it does not ask — the same
+    /// shortcut as `loop_iter`'s, and kept for the same measured reason:
+    /// without both, `star128_fanin` ran at 399 M instead of 343 M median
+    /// host ns per simulated second.
     fn idle_turn_ns(&self, i: usize) -> u64 {
         let node = &self.nodes[i];
         let per_call = node.profile.per_ff_call_ns;
@@ -763,8 +769,7 @@ impl NetSim {
             return;
         }
         let period = SimDuration::from_nanos(node.period);
-        if node.profile.s2_service {
-            let m = self.s2_mutex.as_mut().expect("s2 mutex exists");
+        if let Some(m) = node.mutex.as_mut() {
             m.acquire_uncontended_run(node.anchor, period, skipped);
         }
         node.turns += skipped;

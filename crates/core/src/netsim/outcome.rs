@@ -149,11 +149,13 @@ pub struct SimOutcome {
     pub stack_stats: Vec<(String, fstack::StackStats)>,
     /// Per-fabric forwarding counters, in [`NetSim::add_switch`] order.
     pub switch_stats: Vec<SwitchStats>,
-    /// `(acquisitions, contentions, total wait)` of the S2 mutex, if any:
-    /// what the modelled service loop did over `[0, horizon)`, one
-    /// acquisition per poll tick. The ticks a parked loop slept through
-    /// are included — folded in when the park ends — so the figures do not
-    /// depend on how many iterations the simulator executed.
+    /// `(acquisitions, contentions, total wait)` of the S2 service
+    /// mutexes, summed over the service nodes (each owns its own); `None`
+    /// when no node is one. What the modelled service loops did over
+    /// `[0, horizon)`, one acquisition per poll tick. The ticks a parked
+    /// loop slept through are included — folded in when the park ends —
+    /// so the figures do not depend on how many iterations the simulator
+    /// executed.
     pub mutex_stats: Option<(u64, u64, SimDuration)>,
     /// What the (possibly impaired) cables did over the run.
     pub impairment_stats: ImpairmentStats,
@@ -238,6 +240,7 @@ pub(super) fn collect_outcome(
     let mut reports = AppReports::default();
     let mut port_stats = Vec::new();
     let mut stack_stats = Vec::new();
+    let mut mutex_stats: Option<(u64, u64, SimDuration)> = None;
     for (i, &owner) in node_shard.iter().enumerate() {
         let sim = &mut cells[owner].sim;
         // A loop still parked at the horizon polled, in the model, every
@@ -250,6 +253,12 @@ pub(super) fn collect_outcome(
         }
         port_stats.push((node.name.clone(), sim.devs[node.dev].stats(node.port)));
         stack_stats.push((node.name.clone(), node.stack.stats()));
+        if let Some(m) = &node.mutex {
+            let (a, c, w) = mutex_stats.get_or_insert_default();
+            *a += m.acquisitions();
+            *c += m.contentions();
+            *w += m.total_wait();
+        }
     }
     SimOutcome {
         servers: reports.servers,
@@ -268,12 +277,7 @@ pub(super) fn collect_outcome(
             .enumerate()
             .map(|(s, &owner)| cells[owner].sim.switches[s].stats())
             .collect(),
-        mutex_stats: cells.iter().find_map(|c| {
-            c.sim
-                .s2_mutex
-                .as_ref()
-                .map(|m| (m.acquisitions(), m.contentions(), m.total_wait()))
-        }),
+        mutex_stats,
         impairment_stats,
         fault_stats,
         trace,

@@ -136,18 +136,6 @@ impl NetSim {
                 g.bind_groups.push(group);
             }
         }
-        // S2 service nodes take one service mutex — keep them together. A
-        // per-call isolation charge is the host's own and binds nothing.
-        let s2: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.profile.s2_service)
-            .map(|(i, _)| i)
-            .collect();
-        if s2.len() > 1 {
-            g.bind_groups.push(s2);
-        }
         g
     }
 
@@ -286,11 +274,6 @@ impl NetSim {
                 engine: Engine::new(),
             })
             .collect();
-        let s2_owner = self
-            .nodes
-            .iter()
-            .position(|n| n.profile.s2_service)
-            .map_or(0, |i| plan.node_shard[i]);
         for ShardRun { sim, .. } in cells.iter_mut() {
             sim.nodes = (0..self.nodes.len()).map(Node::shadow).collect();
             sim.mems = (0..self.mems.len())
@@ -314,9 +297,6 @@ impl NetSim {
         }
         for (s, sw) in self.switches.drain(..).enumerate() {
             cells[plan.switch_shard[s]].sim.switches[s] = sw;
-        }
-        if let Some(m) = self.s2_mutex.take() {
-            cells[s2_owner].sim.s2_mutex = Some(m);
         }
         for cell in cells.iter_mut() {
             let ShardRun { sim, engine } = cell;

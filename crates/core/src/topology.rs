@@ -253,8 +253,8 @@ pub struct ShardGraph {
     pub node_links: Vec<(usize, usize)>,
     /// Switch-to-switch trunks.
     pub trunks: Vec<(usize, usize)>,
-    /// Groups of nodes that must share a shard: nodes on the same
-    /// multi-port device, and every participant of the S2 service mutex.
+    /// Groups of nodes that must share a shard: the nodes on one
+    /// multi-port device (they share its rings and PCI bus model).
     pub bind_groups: Vec<Vec<usize>>,
 }
 
@@ -560,7 +560,7 @@ mod tests {
         assert!(used.iter().all(|&u| u), "leaves spread over all shards");
     }
 
-    /// Bind groups (shared device, S2 mutex) and direct cables co-shard.
+    /// Bind groups (a shared device) and direct cables co-shard.
     #[test]
     fn partition_respects_bind_groups_and_direct_cables() {
         let g = ShardGraph {

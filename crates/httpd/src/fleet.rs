@@ -349,6 +349,10 @@ pub struct FleetApp {
     /// only [`FleetApp::step`] moves — refreshed at its end (and at start),
     /// so the answer costs nothing per turn or park.
     clock: Option<SimTime>,
+    /// [`FleetApp::idle_calls`]: the open connections that are not
+    /// thinking, counted in the walk that computes `clock` — connection
+    /// states, too, change only inside a step.
+    idle_calls: u64,
     conns_started: u64,
     conns_completed: u64,
     requests_ok: u64,
@@ -403,6 +407,7 @@ impl FleetApp {
             spare: Vec::new(),
             retry_queue: Vec::new(),
             clock: None,
+            idle_calls: 0,
             conns_started: 0,
             conns_completed: 0,
             requests_ok: 0,
@@ -422,7 +427,7 @@ impl FleetApp {
             latencies_ns: Vec::new(),
             last_activity: None,
         };
-        fleet.clock = fleet.earliest_clock();
+        (fleet.clock, fleet.idle_calls) = fleet.clock_and_idle_calls();
         fleet
     }
 
@@ -440,9 +445,9 @@ impl FleetApp {
         self.clock
     }
 
-    /// What [`FleetApp::next_deadline`] answers, computed: one walk over
-    /// the open connections.
-    fn earliest_clock(&self) -> Option<SimTime> {
+    /// What [`FleetApp::next_deadline`] and [`FleetApp::idle_calls`]
+    /// answer, computed: one walk over the open connections.
+    fn clock_and_idle_calls(&self) -> (Option<SimTime>, u64) {
         let mut d = if self.next_arrival <= self.open_end {
             Some(self.next_arrival)
         } else {
@@ -453,7 +458,9 @@ impl FleetApp {
                 d = Some(r.at);
             }
         }
+        let mut thinking = 0;
         for c in &self.conns {
+            thinking += u64::from(c.state == CState::Thinking);
             if c.state == CState::Thinking && d.is_none_or(|cur| c.think_until < cur) {
                 d = Some(c.think_until);
             }
@@ -461,7 +468,7 @@ impl FleetApp {
                 d = Some(c.next_drip);
             }
         }
-        d
+        (d, self.conns.len() as u64 - thinking)
     }
 
     /// The `ff_*` calls of a step that finds no fd changed and no clock
@@ -470,10 +477,10 @@ impl FleetApp {
     /// unchanged — the readiness probe of a pending connect, the write
     /// that finds no send space, the read that finds no response bytes,
     /// the attacker's probe for a server-side close — except a thinking
-    /// one, which makes none.
+    /// one, which makes none. Counted at the end of every step, so the
+    /// answer costs nothing per turn or park.
     pub fn idle_calls(&self) -> u64 {
-        let thinking = |c: &&FleetConn| c.state == CState::Thinking;
-        (self.conns.len() - self.conns.iter().filter(thinking).count()) as u64
+        self.idle_calls
     }
 
     /// `true` once arrivals are exhausted and every connection (and
@@ -498,11 +505,11 @@ impl FleetApp {
         // Every clock lives in state only a step changes; a step that fails
         // part-way has changed some of it too.
         let out = self.run_step(stack, mem, now);
-        self.clock = self.earliest_clock();
+        (self.clock, self.idle_calls) = self.clock_and_idle_calls();
         out
     }
 
-    /// [`FleetApp::step`] but for the clock.
+    /// [`FleetApp::step`] but for the clock and the idle-call count.
     fn run_step(
         &mut self,
         stack: &mut FStack,
@@ -1061,8 +1068,9 @@ mod tests {
     use fstack::StackConfig;
     use updk::nic::MacAddr;
 
-    /// The clock is computed where it moves: `start` schedules the first
-    /// arrival, and a step that launches it names the next one.
+    /// The clock and the idle-call count are computed where they move:
+    /// `start` schedules the first arrival, and a step that launches it
+    /// names the next one and counts the connection it opened.
     #[test]
     fn every_step_refreshes_the_clock() {
         let mut stack = FStack::new(StackConfig::new(
@@ -1085,11 +1093,13 @@ mod tests {
         let mut fleet = FleetApp::start("fleet", &mut stack, buf, cfg, 7, SimTime::ZERO);
         let first = fleet.next_deadline(SimTime::ZERO).expect("an arrival");
         assert!(first > SimTime::ZERO);
+        assert_eq!(fleet.idle_calls(), 0);
         fleet.step(&mut stack, &mut mem, first).unwrap();
         assert_eq!(fleet.connections(), 1);
         let next = fleet.next_deadline(first).expect("the next arrival");
         assert!(next > first, "{next:?} after {first:?}");
-        assert_eq!(Some(next), fleet.earliest_clock());
+        assert_eq!(fleet.idle_calls(), 1, "a connecting connection probes");
+        assert_eq!((Some(next), 1), fleet.clock_and_idle_calls());
     }
 
     #[test]
